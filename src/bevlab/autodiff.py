@@ -19,7 +19,8 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "power", "exp", "log", "sqrt",
     "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "atan2", "clip",
     "matmul", "sum_", "mean", "reshape", "transpose", "concat", "stack",
-    "getitem", "where_mask", "softmax", "layer_norm", "bilinear_gather",
+    "getitem", "scatter_rows", "where_mask", "softmax", "layer_norm",
+    "bilinear_gather",
     "lift_tree", "unlift_tree", "sgd_step",
 ]
 
@@ -458,6 +459,26 @@ def getitem(a, idx):
         _accum(a, ga)
 
     return _node(y, (a,), vjp)
+
+
+def scatter_rows(n, idxs, parts):
+    """Sum of row blocks placed into n zero rows: out[idxs[k]] += parts[k]
+    for k in list order.
+
+    Each idxs[k] holds distinct row indices, so every output row is the sum
+    of its blocks in list order, exactly as adding the blocks as dense
+    [n, C] maps with zero rows elsewhere. The vjp of parts[k] is g[idxs[k]].
+    """
+    vs = [val(p) for p in parts]
+    y = np.zeros((n, vs[0].shape[1]), dtype=np.result_type(*vs))
+    for idx, v in zip(idxs, vs):
+        y[idx] += v
+
+    def vjp(g):
+        for p, idx in zip(parts, idxs):
+            _accum(p, g[idx])
+
+    return _node(y, tuple(parts), vjp)
 
 
 def softmax(a, axis=-1):

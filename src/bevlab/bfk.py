@@ -4,6 +4,7 @@ feature-map dumps and fixtures."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -25,11 +26,15 @@ def load(path):
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a BFK1 file")
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated BFK1 header")
     (rank,) = struct.unpack_from("<I", raw, 4)
-    shape = struct.unpack_from(f"<{rank}I", raw, 8)
     offset = 8 + 4 * rank
-    count = int(np.prod(shape)) if rank else 1
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    if data.size != count:
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated BFK1 header")
+    shape = struct.unpack_from(f"<{rank}I", raw, 8)
+    count = math.prod(shape)
+    if len(raw) - offset < 4 * count:
         raise ValueError(f"{path}: truncated BFK1 payload")
+    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
     return data.reshape(shape).astype(np.float64)

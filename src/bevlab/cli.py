@@ -166,7 +166,11 @@ def _json_dump(path, obj):
 def _threads(cfg, flag):
     env = os.environ.get("BFK_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"BFK_THREADS must be an integer, got {env!r}") from None
     if flag is not None:
         return max(1, flag)
     return max(1, cfg["threads"])

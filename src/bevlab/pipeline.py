@@ -150,8 +150,9 @@ def _run_vt(config: PipelineConfig, params: PipelineParams, lidar, pyramids,
             cams, n_threads=1, cached_vanilla=None):
     """Camera-branch BEV map per the configured mode, plus diagnostics.
 
-    cached_vanilla: a precomputed VtOutput for the parameter-independent
-    vanilla sampling stage (it is constant across fitting steps).
+    cached_vanilla: the scene's precomputed VtOutput of the
+    parameter-independent vanilla sampling stage (`vanilla` and `ap_only`
+    modes), as `_scene_constants` builds it once per scene.
     """
     grid = config.grid
     mode = config.vt_mode
@@ -310,6 +311,12 @@ def greedy_match(pred_centers, gt_centers):
     return pairs
 
 
+def _gt_cells(grid: BevGrid, scene):
+    """Continuous cell coordinates [n_boxes, 2] of the box centers."""
+    return np.array([world_to_cell(grid, b.center[0], b.center[1])
+                     for b in scene.boxes]).reshape(-1, 2)
+
+
 def _scene_constants(config: PipelineConfig, scene):
     """Everything about a scene that is constant across fitting steps."""
     grid = config.grid
@@ -320,11 +327,14 @@ def _scene_constants(config: PipelineConfig, scene):
     occ = lidar[C - 1].ravel() > 0.5
     occ_idx = np.nonzero(occ)[0]
     z_true = lidar[C - 2].ravel()[occ_idx]
-    gt_cells = np.array([world_to_cell(grid, b.center[0], b.center[1])
-                         for b in scene.boxes]).reshape(-1, 2)
+    gt_cells = _gt_cells(grid, scene)
+    vanilla = None
+    if config.vt_mode in ("vanilla", "ap_only"):
+        vanilla = vanilla_vt_output(pyramids, scene.cameras, grid,
+                                    vanilla_heights(grid, config.n_heights))
     return {"scene": scene, "lidar": lidar, "pyramids": pyramids,
             "heatmap_targets": targets, "occ_idx": occ_idx, "z_true": z_true,
-            "gt_cells": gt_cells}
+            "gt_cells": gt_cells, "vanilla": vanilla}
 
 
 def _lidar_flat(lidar):
@@ -353,7 +363,8 @@ def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
         return losses
 
     bev_camera, _diag = _run_vt(config, params, consts["lidar"],
-                                consts["pyramids"], scene.cameras)
+                                consts["pyramids"], scene.cameras,
+                                cached_vanilla=consts["vanilla"])
     bev_fuse = fuse_bev(params.vt, bev_camera, consts["lidar"])
     heatmaps = predict_heatmaps(params.head, bev_fuse)
 
@@ -480,7 +491,7 @@ def eval_ray_smear(config: PipelineConfig, params: PipelineParams, scene):
     """Energy concentration of the camera-branch BEV map on one scene."""
     consts = _scene_constants(config, scene)
     bev_camera, _ = _run_vt(config, params, consts["lidar"], consts["pyramids"],
-                            scene.cameras)
+                            scene.cameras, cached_vanilla=consts["vanilla"])
     return ray_smear_metric(val(bev_camera), scene, config.grid)
 
 
@@ -489,13 +500,13 @@ def eval_box_l1(config: PipelineConfig, params: PipelineParams, scene):
     det, _diag, _extras = forward(config, params, scene)
     boxes = det.final["boxes"]
     centers = np.stack([boxes["xc"], boxes["yc"]], axis=1)
-    consts = _scene_constants(config, scene)
-    pairs = greedy_match(centers, consts["gt_cells"])
+    gt_cells = _gt_cells(config.grid, scene)
+    pairs = greedy_match(centers, gt_cells)
     if not pairs:
         return float("nan")
     vals = []
     for q, g in pairs:
-        tgt = encode_box(consts["gt_cells"][g], scene.boxes[g].center[2],
+        tgt = encode_box(gt_cells[g], scene.boxes[g].center[2],
                          scene.boxes[g].dims, scene.boxes[g].yaw,
                          (det.ref_points[q][0], det.ref_points[q][1]))
         vals.append(np.mean(np.abs(det.final["enc"][q] - tgt)))

@@ -23,7 +23,8 @@ from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       focal_loss, gaussian_focal_loss, l1_encoded,
                       _corner_points_batch, _initial_state,
                       _position_aware_mix_batch, corner_sample)
-from .geometry import BevGrid, FeaturePyramid, cell_to_world, project_to_image
+from .geometry import (BevGrid, FeaturePyramid, cell_to_world,
+                       project_heights, project_to_image)
 from .query_select import GroupSpec, HeatmapHead, predict_heatmaps, topk_keypoints
 from .scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
 from .tensor import LinearMap, bilinear_sample, finite_diff_grad, layer_norm, softmax
@@ -37,7 +38,8 @@ from .view_transform import (VtParams, adaptive_project, adaptive_sample,
 
 def naive_adaptive_sample(params: VtParams, lidar, pyramids, cams, grid):
     """Quadruple-loop reimplementation of the adaptive sampler, built from
-    the scalar primitives only."""
+    the scalar primitives only. Returns the BEV map [C, H, W] and the
+    per-cell fraction of valid (height, scale, camera) samples [H, W]."""
     lidar = np.asarray(val(lidar))
     C, H, W = lidar.shape
     n_h, n_s = params.n_heights, params.n_scales
@@ -46,6 +48,7 @@ def naive_adaptive_sample(params: VtParams, lidar, pyramids, cams, grid):
     hw, hb = val(params.height_gen.weight), val(params.height_gen.bias)
     ww, wb = val(params.weight_gen.weight), val(params.weight_gen.bias)
     out = np.zeros((C, H, W))
+    frac = np.zeros((H, W))
     for v in range(H):
         for u in range(W):
             feat = lidar[:, v, u]
@@ -71,8 +74,9 @@ def naive_adaptive_sample(params: VtParams, lidar, pyramids, cams, grid):
                         ssum = ssum + f
                         cnt += 1
                     acc = acc + wts[j * n_h + i] * (ssum / max(cnt, 1))
+                    frac[v, u] += cnt
             out[:, v, u] = acc
-    return out
+    return out, frac / (n_h * n_s * len(cams))
 
 
 def naive_topk(heatmaps, spec: GroupSpec):
@@ -130,8 +134,12 @@ def _rand_linear(rng, out_dim, in_dim, scale=0.6):
                      rng.normal(0, 0.1, out_dim))
 
 
-def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2):
-    """A random small view-transform problem with dense pyramids."""
+def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2,
+                       img=32, ring=None):
+    """A random small view-transform problem with dense pyramids.
+
+    The cameras are the first n_cams of an evenly spaced ring of `ring`
+    (default n_cams) 80-degree cameras with img x img images."""
     C = int(rng.integers(2, 9)) if C is None else C
     H = int(rng.integers(4, 17)) if H is None else H
     n_h = int(rng.integers(1, 5)) if n_h is None else n_h
@@ -147,8 +155,7 @@ def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2):
     lidar = rng.normal(size=(C, H, H))
     from .scene_sim import camera_ring
 
-    img = 32
-    cams = camera_ring(n_cams, (img, img), 80.0, 1.5)
+    cams = camera_ring(ring or n_cams, (img, img), 80.0, 1.5)[:n_cams]
     strides = (2, 4)[:n_s]
     pyramids = []
     for _ in cams:
@@ -224,6 +231,48 @@ def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
     return worst
 
 
+def check_vt_edge_lanes(rng, n_instances=4):
+    """The compacted sampler against the naive oracle on instances that hold
+    every kind of edge lane: cells no camera sees, lanes inside the image
+    but outside a level's sampleable box (x / stride in (W_j - 1,
+    (W - 1) / stride], likewise y), and cells two cameras see.
+
+    Two adjacent cameras of a six-camera ring overlap by 20 degrees and
+    leave the far side unseen; 30-px images make the stride-4 level 7 cells
+    wide, so pixels in (24, 29] are valid but not sampleable there.
+    """
+    unseen = edge = shared = 0
+    worst = 0.0
+    for _ in range(n_instances):
+        params, lidar, pyramids, cams, grid = random_vt_instance(
+            rng, C=3, H=12, n_h=3, n_s=2, img=30, ring=6)
+        fast = adaptive_sample(params, lidar, pyramids, cams, grid)
+        slow, frac = naive_adaptive_sample(params, lidar, pyramids, cams,
+                                           grid)
+        worst = max(worst, float(np.max(np.abs(val(fast.bev) - slow))))
+        assert np.array_equal(fast.validity_fraction, frac), \
+            "validity fraction differs from the naive count"
+
+        X, Y = grid.cell_centers_flat()
+        seen_by = np.zeros((len(cams), X.size), dtype=bool)
+        for z in fast.per_cell_heights.reshape(params.n_heights, -1):
+            for k, (cam, pyr) in enumerate(zip(cams, pyramids)):
+                x, y, ok = project_heights(cam, X, Y, z)
+                seen_by[k] |= ok
+                for stride, fmap in pyr.levels:
+                    _, h_j, w_j = fmap.shape
+                    edge += int(np.sum(ok & ((x / stride > w_j - 1)
+                                             | (y / stride > h_j - 1))))
+        unseen += int(np.sum(~seen_by.any(axis=0)))
+        shared += int(np.sum(seen_by.sum(axis=0) >= 2))
+    assert unseen and edge and shared, (
+        f"instances lack an edge-lane kind: {unseen} unseen cells, "
+        f"{edge} box-edge lanes, {shared} shared cells")
+    assert worst < 1e-12, f"max deviation {worst:.3e}"
+    return (f"max deviation {worst:.2e}; {unseen} unseen cells, {edge} "
+            f"box-edge lanes, {shared} shared cells")
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -247,7 +296,8 @@ def run_oracle_suite(seed=0, n_instances=8):
         for _ in range(n_instances):
             params, lidar, pyramids, cams, grid = random_vt_instance(rng)
             fast = val(adaptive_sample(params, lidar, pyramids, cams, grid).bev)
-            slow = naive_adaptive_sample(params, lidar, pyramids, cams, grid)
+            slow, _ = naive_adaptive_sample(params, lidar, pyramids, cams,
+                                            grid)
             worst = max(worst, float(np.max(np.abs(fast - slow))))
         assert worst < 1e-12, f"max deviation {worst:.3e}"
         return f"max deviation {worst:.2e} over {n_instances} instances"
@@ -288,6 +338,7 @@ def run_oracle_suite(seed=0, n_instances=8):
 
     return _run_checks([
         ("oracle.vt_equivalence", vt_equivalence),
+        ("oracle.vt_edge_lanes", lambda: check_vt_edge_lanes(rng)),
         ("oracle.bilinear_vectorized", bilinear_vectorized),
         ("oracle.topk", topk_matches),
         ("oracle.gaussian_target", gaussian_targets_match),

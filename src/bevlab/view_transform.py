@@ -7,8 +7,12 @@ uniformly. Adaptive projection then refines the sampled map with per-cell
 channel kernels, and fusion concatenates the camera and LiDAR maps through a
 per-cell linear map.
 
-All per-cell math is vectorized over the H*W cells; per-cell work has a fixed
-summation order, so results are identical across thread counts.
+Sampling gathers image features only where they exist: each (height, camera)
+pair projects every cell, but bilinear lookups, and their gradients, run only
+on the cells that land inside that camera's image (about a fifth of them for
+a surround rig of narrow cameras). Pooling over cameras, heights and scales is
+vectorized over the H*W cells with a fixed summation order, so results are
+identical across thread counts.
 """
 
 from __future__ import annotations
@@ -97,23 +101,23 @@ def generate_heights(params: VtParams, lidar_bev, u, v):
     return val(_heights_from_raw(raw, params.z_min, params.z_max))
 
 
-def _sample_one(pyramid, cam, grid, X, Y, Z):
-    """All pyramid-level samples for one (camera, height) pair.
+def _sample_one(pyramid, cam, X, Y, Z):
+    """All pyramid-level samples of one (height, camera) pair, gathered only
+    at the cells whose projection lands in front of the camera and inside
+    the image.
 
-    Returns [(features [N, C], valid [N]), ...] per level; invalid lanes are
-    exactly zero. A sample is valid when the projection is in front of the
-    camera, inside the image, and inside the level's sampleable box.
+    Returns (idx [M], [(features [M, C], valid [M]), ...] per level): idx
+    holds the projection-valid cells; a lane outside a level's sampleable
+    box has a zero row and valid False.
     """
     x_px, y_px, proj_ok = project_heights(cam, X, Y, Z)
-    out = []
-    for stride, fmap in pyramid.levels:
-        xs = ad.div(x_px, float(stride))
-        ys = ad.div(y_px, float(stride))
-        feats, bi_ok = ad.bilinear_gather(fmap, xs, ys)
-        ok = proj_ok & bi_ok
-        feats = ad.mul(feats, ok[:, None].astype(float))
-        out.append((feats, ok))
-    return out
+    idx = np.flatnonzero(proj_ok)
+    x_in = ad.getitem(x_px, idx)
+    y_in = ad.getitem(y_px, idx)
+    levels = [ad.bilinear_gather(fmap, ad.div(x_in, float(stride)),
+                                 ad.div(y_in, float(stride)))
+              for stride, fmap in pyramid.levels]
+    return idx, levels
 
 
 def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
@@ -122,13 +126,18 @@ def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
     heights: [N, N_h] (possibly traced), weights: [N, N_s*N_h] rows summing
     to 1, flattened scale-major (index j * N_h + i). Per sampled point the
     feature is the mean over cameras with a valid sample, zero when none.
+
+    Every (height, camera) task projects all N cells but gathers only at
+    the M cells its camera sees; the [M, C] rows are scattered back into
+    the dense per-(height, scale) camera sum, cameras in a fixed order, so
+    the result does not depend on the thread count. Backward touches only
+    the gathered lanes as well.
     """
     n_h = np.shape(val(heights))[1]
     n_s = len(pyramids[0].levels)
     n_cams = len(cams)
     X, Y = grid.cell_centers_flat()
     N = X.size
-    C = pyramids[0].channels
 
     traced = ad.is_traced(heights, weights) or any(
         ad.is_traced(m) for p in pyramids for _, m in p.levels)
@@ -138,7 +147,7 @@ def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
 
     def run(task):
         i, k = task
-        return _sample_one(pyramids[k], cams[k], grid, X, Y, z_cols[i])
+        return _sample_one(pyramids[k], cams[k], X, Y, z_cols[i])
 
     if n_threads > 1 and not traced:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -150,13 +159,16 @@ def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
     valid_total = np.zeros(N)
     for j in range(n_s):
         for i in range(n_h):
-            feat_sum = None
+            idxs, rows = [], []
             count = np.zeros(N)
             for k in range(n_cams):
-                feats, ok = results[(i, k)][j]
-                feat_sum = feats if feat_sum is None else ad.add(feat_sum, feats)
-                count += ok
-                valid_total += ok
+                idx, levels = results[(i, k)]
+                feats, ok = levels[j]
+                idxs.append(idx)
+                rows.append(feats)
+                count[idx] += ok
+            valid_total += count
+            feat_sum = ad.scatter_rows(N, idxs, rows)
             denom = np.maximum(count, 1.0)[:, None]
             point_feat = ad.div(feat_sum, denom)
             w_col = ad.getitem(weights, (slice(None), j * n_h + i))

@@ -2,9 +2,11 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bevlab import bfk
 from bevlab.cli import main
@@ -60,6 +62,33 @@ class TestBfk:
         with pytest.raises(ValueError):
             bfk.load(path)
 
+    def test_header_cut_off_rejected(self, tmp_path):
+        # rank 3 promised, only the first extent half present
+        path = tmp_path / "cut.bfk"
+        path.write_bytes(b"BFK1\x03\x00\x00\x00\x05\x00")
+        with pytest.raises(ValueError, match="header"):
+            bfk.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=48),
+        st.binary(max_size=48).map(lambda b: bfk.MAGIC + b),
+        st.lists(st.integers(0, 6), max_size=4).flatmap(
+            lambda dims: st.binary(max_size=120).map(
+                lambda b, d=dims: bfk.MAGIC + len(d).to_bytes(4, "little")
+                + b"".join(x.to_bytes(4, "little") for x in d) + b))))
+    def test_any_bytes_load_or_raise_value_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.bfk")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                arr = bfk.load(path)
+            except ValueError:
+                return
+        assert arr.dtype == np.float64
+        assert len(raw) >= 8 + 4 * arr.ndim + 4 * arr.size
+
 
 class TestRun:
     def test_run_success_and_summary(self, tiny_config, tmp_path):
@@ -100,6 +129,14 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         path.write_text(json.dumps({"model": {"vt_mode": "warp"}}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "", "2.5"])
+    def test_malformed_thread_env_exit_2(self, tiny_config, tmp_path,
+                                         monkeypatch, capsys, value):
+        monkeypatch.setenv("BFK_THREADS", value)
+        assert main(["run", tiny_config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "BFK_THREADS" in err and "runtime failure" not in err
 
     def test_byte_identical_reruns_and_threads(self, tiny_config, tmp_path):
         outs = []
@@ -200,6 +237,12 @@ class TestViz:
         path = tmp_path / "bad.bfk"
         path.write_bytes(b"garbage")
         assert main(["viz", str(path), "--out", str(tmp_path / "o.pgm")]) == 2
+
+    def test_header_cut_off_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cut.bfk"
+        path.write_bytes(b"BFK1\x03\x00\x00\x00\x05\x00")
+        assert main(["viz", str(path), "--out", str(tmp_path / "o.pgm")]) == 2
+        assert "runtime failure" not in capsys.readouterr().err
 
     def test_wrong_rank_exit_2(self, tmp_path):
         path = tmp_path / "t.bfk"

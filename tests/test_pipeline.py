@@ -217,6 +217,38 @@ class TestFit:
         assert lines[0].startswith("step,total")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("mode", ["vanilla", "ap_only"])
+    def test_vanilla_sampling_built_once_per_scene(self, mode, monkeypatch):
+        import bevlab.pipeline as pl
+
+        cfg = tiny_config(vt_mode=mode)
+        scenes = [tiny_scene(seed=s) for s in range(2)]
+        calls = []
+        orig_vanilla = pl.vanilla_vt_output
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig_vanilla(*args, **kwargs)
+
+        def fit():
+            calls.clear()
+            res = fit_generators(cfg, init_params(cfg, seed=9), scenes,
+                                 steps=3, lr=0.1)
+            return res.curve, len(calls)
+
+        monkeypatch.setattr(pl, "vanilla_vt_output", counting)
+        cached_curve, cached_calls = fit()
+
+        orig_consts = pl._scene_constants
+        monkeypatch.setattr(pl, "_scene_constants", lambda c, scene: {
+            **orig_consts(c, scene), "vanilla": None})
+        fresh_curve, fresh_calls = fit()
+
+        assert cached_calls == len(scenes)
+        # uncached: once per scene in the constants, then at every step
+        assert fresh_calls == len(scenes) + 3 * len(scenes)
+        assert cached_curve == fresh_curve
+
 
 class TestEvalHelpers:
     def test_eval_metrics_finite(self):

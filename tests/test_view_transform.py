@@ -13,10 +13,11 @@ from bevlab.scene_sim import (SceneConfig, SceneSpec, Box, make_scene,
                               rasterize_lidar_bev, ray_smear_metric,
                               render_camera_features)
 from bevlab.tensor import LinearMap, bilinear_sample
-from bevlab.verify import naive_adaptive_sample, random_vt_instance
+from bevlab.verify import (check_vt_edge_lanes, naive_adaptive_sample,
+                           random_vt_instance)
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, generate_heights, vanilla_vt)
-from bevlab.geometry import project_to_image
+from bevlab.geometry import project_heights, project_to_image
 from helpers import gradcheck
 
 
@@ -85,8 +86,36 @@ class TestOracleEquivalence:
         for _ in range(10):
             params, lidar, pyramids, cams, grid = random_vt_instance(rng)
             fast = val(adaptive_sample(params, lidar, pyramids, cams, grid).bev)
-            slow = naive_adaptive_sample(params, lidar, pyramids, cams, grid)
+            slow, _ = naive_adaptive_sample(params, lidar, pyramids, cams,
+                                            grid)
             assert np.max(np.abs(fast - slow)) < 1e-12
+
+    def test_edge_lanes(self, rng):
+        check_vt_edge_lanes(rng)
+
+
+class TestCompaction:
+    def test_gathers_only_projection_valid_lanes(self, rng, monkeypatch):
+        # guards the compaction: a dense gather would pass every cell to
+        # bilinear_gather for every (height, camera, level)
+        params, lidar, pyramids, cams, grid = random_vt_instance(
+            rng, C=3, H=12, n_h=3, n_s=2, n_cams=2, ring=6)
+        lookups = []
+        orig = ad.bilinear_gather
+
+        def counting(fmap, xs, ys):
+            lookups.append(np.size(val(xs)))
+            return orig(fmap, xs, ys)
+
+        monkeypatch.setattr(ad, "bilinear_gather", counting)
+        out = adaptive_sample(params, lidar, pyramids, cams, grid)
+
+        X, Y = grid.cell_centers_flat()
+        in_view = sum(int(project_heights(cam, X, Y, z)[2].sum())
+                      for z in out.per_cell_heights.reshape(3, -1)
+                      for cam in cams)
+        assert sum(lookups) == params.n_scales * in_view
+        assert in_view < 3 * len(cams) * X.size
 
 
 class TestAdaptiveSample:

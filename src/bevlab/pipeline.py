@@ -11,6 +11,7 @@ height generators cannot be trained in desk time).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -57,6 +58,19 @@ class PipelineConfig:
             raise ValueError(f"query_init must be one of {QUERY_INIT_MODES}")
         if self.attention_mode not in ATTENTION_MODES:
             raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}")
+        if not (self.n_heads >= 1 and self.channels % self.n_heads == 0):
+            raise ValueError("n_heads must be a positive divisor of channels")
+        if not (self.n_points >= 4 and self.n_points % 4 == 0):
+            raise ValueError("n_points must be a positive multiple of 4 "
+                             "(one point per box corner, cycled)")
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be at least 1")
+        # decoder corners and heatmap radii convert metres to cells with
+        # cell_size_x on both axes
+        if not math.isclose(self.grid.cell_size_x, self.grid.cell_size_y):
+            raise ValueError(
+                f"grid cells must be square, got {self.grid.cell_size_x:g} m "
+                f"x {self.grid.cell_size_y:g} m")
         if self.pe_dim == 0:
             object.__setattr__(self, "pe_dim", max(4, 4 * ((self.channels + 3) // 4)))
 

@@ -1,7 +1,7 @@
 """Verification suites behind the `verify` CLI command.
 
-oracle: naive reimplementations (scalar loops, full sorts) checked against
-        the vectorized modules.
+oracle: naive reimplementations (scalar loops, full sorts, dense
+        attention) checked against the vectorized modules.
 grad:   analytic gradients of every differentiable path checked against
         central finite differences at small configs.
 props:  algebraic invariants (softmax pooling, rotation equivariance,
@@ -12,6 +12,7 @@ Each check returns (name, passed, detail); the CLI prints the table.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
@@ -21,13 +22,14 @@ from . import autodiff as ad
 from .autodiff import val
 from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       focal_loss, gaussian_focal_loss, l1_encoded,
-                      _corner_points_batch, _initial_state,
+                      _corner_points_batch, _initial_state, _mha,
                       _position_aware_mix_batch, corner_sample)
 from .geometry import (BevGrid, FeaturePyramid, cell_to_world,
                        project_heights, project_to_image)
 from .query_select import GroupSpec, HeatmapHead, predict_heatmaps, topk_keypoints
 from .scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
-from .tensor import LinearMap, bilinear_sample, finite_diff_grad, layer_norm, softmax
+from .tensor import (LinearMap, bilinear_sample, finite_diff_grad, layer_norm,
+                     linear_apply, softmax)
 from .view_transform import (VtParams, adaptive_project, adaptive_sample,
                              fuse_bev, vanilla_vt)
 
@@ -123,6 +125,25 @@ def naive_gaussian_target(boxes, grid, n_classes):
                 g = math.exp(-((uu - u0) ** 2 + (vv - v0) ** 2) / (2 * sigma ** 2))
                 out[box.class_id, vv, uu] = max(out[box.class_id, vv, uu], g)
     return out
+
+
+def naive_mha(q_in, kv_in, attn: AttentionParams, n_heads):
+    """Dense multi-head attention: the whole [heads, Nq, Nk] scores tensor,
+    scaled by 1/sqrt(dh), then a softmax over keys. Plain arrays only."""
+    nq, C = np.shape(q_in)
+    nk = np.shape(kv_in)[0]
+    dh = C // n_heads
+
+    def split(lin, x, n):
+        return linear_apply(lin, x).reshape(n, n_heads, dh).transpose(1, 0, 2)
+
+    q = split(attn.w_q, q_in, nq)
+    k = split(attn.w_k, kv_in, nk)
+    v = split(attn.w_v, kv_in, nk)
+    scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ctx = np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+    return linear_apply(attn.w_o, ctx.transpose(1, 0, 2).reshape(nq, C))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +250,43 @@ def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
             raise AssertionError(f"{path}: gradient rel err {err:.3e} >= {rtol}")
         worst = max(worst, err)
     return worst
+
+
+@contextlib.contextmanager
+def attention_block_bytes(n):
+    """Set the score-block budget of ``ad.attention`` to n bytes, so that
+    small problems span several blocks of query rows."""
+    keep = ad._ATTN_BLOCK_BYTES
+    ad._ATTN_BLOCK_BYTES = n
+    try:
+        yield
+    finally:
+        ad._ATTN_BLOCK_BYTES = keep
+
+
+def check_attention_blocked(rng, shapes=((2, 1200, 1200), (2, 64, 20000))):
+    """``ad.attention`` (through ``decoder._mha``) against the dense
+    ``naive_mha`` on (heads, Nq, Nk) shapes: self-attention (Nq = Nk) and
+    cross-attention (Nk >> Nq). With the current block budget every shape
+    must split into several blocks of query rows with a ragged last one."""
+    C = 8
+    worst = 0.0
+    blocks = []
+    for h, nq, nk in shapes:
+        rows = max(1, ad._ATTN_BLOCK_BYTES // (8 * h * nk))
+        assert nq > rows and nq % rows, (
+            f"{nq} query rows in blocks of {rows} do not give several "
+            "blocks with a ragged last one")
+        blocks.append(str(-(-nq // rows)))
+        attn = AttentionParams(*(_rand_linear(rng, C, C) for _ in range(4)))
+        q_in = rng.normal(size=(nq, C))
+        kv_in = q_in if nq == nk else rng.normal(size=(nk, C))
+        fast = val(_mha(q_in, kv_in, attn, h))
+        worst = max(worst, float(np.max(np.abs(
+            fast - naive_mha(q_in, kv_in, attn, h)))))
+    assert worst < 1e-12, f"max deviation {worst:.3e}"
+    return (f"max deviation {worst:.2e}; {'/'.join(blocks)} blocks of "
+            "query rows")
 
 
 def check_vt_edge_lanes(rng, n_instances=4):
@@ -339,6 +397,7 @@ def run_oracle_suite(seed=0, n_instances=8):
     return _run_checks([
         ("oracle.vt_equivalence", vt_equivalence),
         ("oracle.vt_edge_lanes", lambda: check_vt_edge_lanes(rng)),
+        ("oracle.attention_blocked", lambda: check_attention_blocked(rng)),
         ("oracle.bilinear_vectorized", bilinear_vectorized),
         ("oracle.topk", topk_matches),
         ("oracle.gaussian_target", gaussian_targets_match),
@@ -434,6 +493,49 @@ def run_grad_suite(seed=0):
         worst = _gradcheck_tree(loss, params, {"feats": feats, "bev": bev})
         return f"worst rel err {worst:.2e}"
 
+    def attention_path():
+        # the op's vjp on 5 query rows in blocks of 2 (2 + 2 + 1) ...
+        q, k, v = (rng.normal(size=(2, n, 3)) for n in (5, 7, 7))
+        w = rng.normal(size=(2, 5, 3))
+
+        def op_loss(_p, extras):
+            out = ad.attention(extras["q"], extras["k"], extras["v"])
+            return ad.sum_(ad.mul(out, w))
+
+        # ... and a `standard` decoder layer: self-attention over 5 queries
+        # in row blocks of 3, cross-attention over 16 cells in row blocks of 1
+        params = _tiny_decoder_params(rng)
+        feats = rng.normal(size=(5, 4))
+        bev = rng.normal(size=(4, 4, 4))
+        ref = rng.uniform(0.5, 3.5, size=(5, 2))
+        state = _initial_state(ref)
+
+        def zero_key_bias(a):
+            return dataclasses.replace(
+                a, w_k=LinearMap(a.w_k.weight, np.zeros(a.w_k.out_dim)))
+
+        def layer_loss(p, extras):
+            # a key bias adds the same amount to every score of a row, so
+            # its exact gradient is 0 and a finite difference of it sees
+            # only rounding: the key biases are held at zero
+            p = dataclasses.replace(
+                p, self_attn=tuple(map(zero_key_bias, p.self_attn)),
+                cross_attn=zero_key_bias(p.cross_attn))
+            new_feats, enc, cls, _ = decoder_layer(
+                extras["feats"], ref, state, extras["bev"], p, 0, grid,
+                mode="standard")
+            return ad.add(ad.sum_(ad.mul(enc, 0.2)),
+                          ad.add(ad.sum_(ad.mul(cls, 0.1)),
+                                 ad.sum_(ad.mul(new_feats, 0.05))))
+
+        with attention_block_bytes(8 * 2 * 7 * 2):
+            w1 = _gradcheck_tree(op_loss, LinearMap.zeros(1, 1),
+                                 {"q": q, "k": k, "v": v})
+        with attention_block_bytes(8 * 2 * 16):
+            w2 = _gradcheck_tree(layer_loss, params,
+                                 {"feats": feats, "bev": bev})
+        return f"worst rel err {max(w1, w2):.2e}"
+
     def loss_paths():
         logits = rng.normal(size=(6, 3))
         labels = rng.integers(0, 3, size=6)
@@ -464,6 +566,7 @@ def run_grad_suite(seed=0):
         ("grad.heatmap_head", heatmap_path),
         ("grad.corner_offsets_position_mixing", decoder_layer_path),
         ("grad.full_decoder_layer", full_layer_path),
+        ("grad.attention", attention_path),
         ("grad.losses", loss_paths),
     ])
 

@@ -1,5 +1,7 @@
 """Gradient checks for every tape op against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,54 @@ def test_softmax_grad_and_rows(rng):
               {"x": x})
     y = ad.softmax(x)
     assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_attention_memory_is_bounded_by_its_blocks(rng):
+    # the dense [2, 256, 20000] float64 scores alone would take 82 MB
+    h, nq, nk, dh = 2, 256, 20000, 4
+    q, k, v = (rng.normal(size=(h, n, dh)) for n in (nq, nk, nk))
+    io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
+    budget = ad._ATTN_BLOCK_BYTES
+    dense = 8 * h * nq * nk
+    tracemalloc.start()
+    try:
+        ad.attention(q, k, v)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        qv, kv, vv = (ad.Var(x, requires_grad=True) for x in (q, k, v))
+        out = ad.attention(qv, kv, vv)
+        tracemalloc.reset_peak()
+        out._vjp(np.ones(out.shape))
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < budget + io_bytes < dense / 6
+    # the vjp holds a block of probabilities, one of their gradients and,
+    # while it takes their row sums, one of their products; it builds
+    # gradients as large as the inputs
+    assert backward_peak < 3 * budget + 2 * io_bytes < dense / 2
+
+
+def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
+    # a 300-query model's self-attention: fitting it must follow the same
+    # trajectory as the dense path, forward and backward
+    h, n, dh = 8, 300, 4
+    assert 8 * h * n * n <= ad._ATTN_BLOCK_BYTES
+    base = [rng.normal(size=(n, h * dh)).reshape(n, h, dh).transpose(1, 0, 2)
+            for _ in range(3)]
+    w = rng.normal(size=(h, n, dh))
+    results = []
+    for blocked in (True, False):
+        q, k, v = (ad.Var(x, requires_grad=True) for x in base)
+        qs = ad.mul(q, 0.5)
+        if blocked:
+            out = ad.attention(qs, k, v)
+        else:
+            scores = ad.matmul(qs, ad.transpose(k, (0, 2, 1)))
+            out = ad.matmul(ad.softmax(scores), v)
+        ad.sum_(ad.mul(out, w)).backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 def test_layer_norm_grad(rng):

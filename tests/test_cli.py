@@ -130,6 +130,23 @@ class TestRun:
         path.write_text(json.dumps({"model": {"vt_mode": "warp"}}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("section, update", [
+        ("model", {"n_heads": 0}),
+        ("model", {"n_heads": 5}),
+        ("model", {"n_heads": -4}),
+        ("model", {"n_points": 6}),
+        ("model", {"n_layers": 0}),
+        ("grid", {"cells": [16, 32]}),  # 2 m x 1 m cells
+    ])
+    def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
+        doc = dict(TINY, **{section: {**TINY[section], **update}})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "", "2.5"])
     def test_malformed_thread_env_exit_2(self, tiny_config, tmp_path,
                                          monkeypatch, capsys, value):

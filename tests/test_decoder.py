@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bevlab import autodiff as ad
+from bevlab import autodiff as ad, verify
 from bevlab.autodiff import val
 from bevlab.decoder import (AttentionParams, BoxPrediction, DecoderParams,
                             corner_offsets, corner_sample, decode_box,
@@ -255,6 +255,13 @@ class TestSelfAttention:
             w = e / e.sum()
             expect = f[i, 0] + w @ (2.0 * f[:, 0])
             assert np.allclose(out[i, 0], expect, atol=1e-12)
+
+    def test_blocked_attention_matches_dense_oracle(self, rng, monkeypatch):
+        # 30-row blocks split 40 self-attention queries 30 + 10, 3-row
+        # blocks split 10 cross-attention queries over 400 keys 3+3+3+1
+        monkeypatch.setattr(ad, "_ATTN_BLOCK_BYTES", 8 * 2 * 40 * 30)
+        verify.check_attention_blocked(rng, shapes=((2, 40, 40),
+                                                    (2, 10, 400)))
 
 
 class TestDecodeBox:

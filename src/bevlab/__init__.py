@@ -3,7 +3,7 @@
 
 from .geometry import BevGrid, CameraModel, FeaturePyramid
 from .pipeline import PipelineConfig, PipelineParams, forward, fit_generators, init_params
-from .query_select import GroupSpec, ObjectQuery
+from .query_select import GroupSpec
 from .scene_sim import Box, SceneConfig, SceneSpec, make_scene
 from .tensor import LinearMap
 from .view_transform import VtOutput, VtParams
@@ -13,6 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BevGrid", "CameraModel", "FeaturePyramid", "PipelineConfig",
     "PipelineParams", "forward", "fit_generators", "init_params",
-    "GroupSpec", "ObjectQuery", "Box", "SceneConfig", "SceneSpec",
+    "GroupSpec", "Box", "SceneConfig", "SceneSpec",
     "make_scene", "LinearMap", "VtOutput", "VtParams", "__version__",
 ]

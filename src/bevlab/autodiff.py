@@ -16,8 +16,8 @@ import numpy as np
 
 __all__ = [
     "Var", "val", "is_traced",
-    "add", "sub", "mul", "div", "neg", "power", "exp", "log", "sqrt",
-    "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "atan2", "clip",
+    "add", "sub", "mul", "div", "neg", "power", "log",
+    "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "clip",
     "matmul", "sum_", "mean", "reshape", "transpose", "concat", "stack",
     "getitem", "scatter_rows", "where_mask", "softmax", "attention",
     "layer_norm", "bilinear_gather",
@@ -126,11 +126,8 @@ class Var:
 
 
 def _node(data, parents, vjp):
-    """Build a tape node; collapse to a plain array when nothing is traced.
-
-    The plain path keeps the input dtype (float32 stays float32 on the
-    bench path); traced Vars are always float64.
-    """
+    """Build a tape node; collapse to a plain array when nothing is
+    traced."""
     live = tuple(p for p in parents if isinstance(p, Var) and p.requires_grad)
     if not live:
         return np.asarray(data)
@@ -229,15 +226,6 @@ def power(a, p):
     return _node(y, (a,), vjp)
 
 
-def exp(a):
-    y = np.exp(val(a))
-
-    def vjp(g):
-        _accum(a, g * y)
-
-    return _node(y, (a,), vjp)
-
-
 def log(a):
     va = val(a)
 
@@ -245,15 +233,6 @@ def log(a):
         _accum(a, g / va)
 
     return _node(np.log(va), (a,), vjp)
-
-
-def sqrt(a):
-    y = np.sqrt(val(a))
-
-    def vjp(g):
-        _accum(a, g / (2.0 * y))
-
-    return _node(y, (a,), vjp)
 
 
 def tanh(a):
@@ -311,17 +290,6 @@ def cos(a):
         _accum(a, -g * np.sin(va))
 
     return _node(np.cos(va), (a,), vjp)
-
-
-def atan2(y, x):
-    vy, vx = val(y), val(x)
-    denom = vx * vx + vy * vy
-
-    def vjp(g):
-        _accum(y, _unbroadcast(g * vx / denom, np.shape(vy)))
-        _accum(x, _unbroadcast(-g * vy / denom, np.shape(vx)))
-
-    return _node(np.arctan2(vy, vx), (y, x), vjp)
 
 
 def clip(a, lo, hi):
@@ -672,19 +640,6 @@ def unlift_tree(obj):
         return type(obj)(**kw)
     if isinstance(obj, (list, tuple)):
         return type(obj)(unlift_tree(x) for x in obj)
-    return obj
-
-
-def tree_map(fn, obj):
-    """Apply fn to every ndarray leaf of a dataclass/sequence tree."""
-    if isinstance(obj, np.ndarray):
-        return fn(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        kw = {f.name: tree_map(fn, getattr(obj, f.name))
-              for f in dataclasses.fields(obj)}
-        return type(obj)(**kw)
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(tree_map(fn, x) for x in obj)
     return obj
 
 

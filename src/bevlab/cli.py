@@ -35,7 +35,6 @@ class ConfigError(ValueError):
 DEFAULTS = {
     "seed": 0,
     "threads": 1,
-    "dtype": "f64",
     "model": {
         "channels": 32,
         "n_heights": 4,
@@ -75,6 +74,18 @@ DEFAULTS = {
 }
 
 
+# JSON types a value may take, by the type of its default (a bool is not
+# an int here); values whose default is a string or null are checked later
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               list: ((list,), "a list")}
+
+
+def _check_type(name, default, value):
+    allowed, kind = _JSON_TYPES.get(type(default), (None, None))
+    if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+        raise ConfigError(f"'{name}' must be {kind}, got {value!r}")
+
+
 def _merge_section(name, defaults, given):
     if not isinstance(given, dict):
         raise ConfigError(f"section '{name}' must be an object")
@@ -83,6 +94,8 @@ def _merge_section(name, defaults, given):
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
     out = dict(defaults)
     out.update(given)
+    for key, value in given.items():
+        _check_type(f"{name}.{key}", defaults[key], value)
     return out
 
 
@@ -99,9 +112,8 @@ def validate_config(doc):
             cfg[key] = _merge_section(key, default, doc.get(key, {}))
         else:
             cfg[key] = doc.get(key, default)
+            _check_type(key, default, cfg[key])
 
-    if cfg["dtype"] not in ("f64", "f32"):
-        raise ConfigError("dtype must be 'f64' or 'f32'")
     m = cfg["model"]
     if m["vt_mode"] not in VT_MODES:
         raise ConfigError(f"vt_mode must be one of {VT_MODES}")
@@ -119,11 +131,11 @@ def validate_config(doc):
 def build_configs(cfg):
     """PipelineConfig and SceneConfig from a validated config document."""
     g = cfg["grid"]
-    grid = BevGrid(tuple(g["x_range"]), tuple(g["y_range"]),
-                   tuple(g["z_range"]), tuple(g["cells"]))
     m = cfg["model"]
     s = cfg["scene"]
     try:
+        grid = BevGrid(tuple(g["x_range"]), tuple(g["y_range"]),
+                       tuple(g["z_range"]), tuple(g["cells"]))
         groups = GroupSpec(tuple(tuple(x) for x in m["groups"]),
                            m["queries_per_group"])
         pipeline = PipelineConfig(
@@ -186,10 +198,7 @@ def cmd_run(config_path, out_dir, threads=None):
     n_threads = _threads(cfg, threads)
     os.makedirs(out_dir, exist_ok=True)
 
-    f32 = cfg["dtype"] == "f32"
     params = init_params(pipeline_cfg, seed=cfg["seed"])
-    if f32:
-        params = ad.tree_map(lambda a: a.astype(np.float32), params)
 
     detections = []
     summary_scenes = []
@@ -252,8 +261,6 @@ def cmd_bench(config_path, out_dir, reps=None, threads=None):
         import dataclasses
         mode_cfg = dataclasses.replace(pipeline_cfg, vt_mode=mode)
         params = init_params(mode_cfg, seed=cfg["seed"])
-        if cfg["dtype"] == "f32":
-            params = ad.tree_map(lambda a: a.astype(np.float32), params)
         samples = {k: [] for k in ("vt", "fuse", "select", "decoder")}
         for rep in range(reps + 1):  # first run is warmup
             _, _, extras = forward(mode_cfg, params, scene,

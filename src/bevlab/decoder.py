@@ -98,33 +98,6 @@ class DecoderParams:
         return self.cls_head.out_dim
 
 
-@dataclass
-class BoxPrediction:
-    """Raw regression-head output for one query, in encoded space."""
-
-    ref_point: tuple       # (u, v) cells
-    center_delta: object   # (du, dv) cells
-    z: float
-    log_dims: object       # (log l, log w, log h)
-    heading: object        # (sin yaw, cos yaw), normalized on decode
-    cls_logits: object
-
-    def encoded(self):
-        """The 8-vector the regression head was trained to produce."""
-        return np.concatenate([val(self.center_delta), [val(self.z)],
-                               val(self.log_dims), val(self.heading)])
-
-    def to_box(self):
-        """Decode to (x_c, y_c cells, z m, l, w, h m, yaw rad); a zero-norm
-        heading decodes to yaw 0."""
-        d = val(self.center_delta)
-        ld = val(self.log_dims)
-        s, c = val(self.heading)
-        return (self.ref_point[0] + float(d[0]), self.ref_point[1] + float(d[1]),
-                float(val(self.z)), float(np.exp(ld[0])), float(np.exp(ld[1])),
-                float(np.exp(ld[2])), float(np.arctan2(s, c)))
-
-
 def encode_box(center_cells, z, dims, yaw, ref_point):
     """Encode a ground-truth box against a reference point: the regression
     target vector (center delta in cells, z, log-dims, sin/cos heading)."""
@@ -185,20 +158,6 @@ def _corner_points_batch(feats, boxes, params: DecoderParams, grid: BevGrid,
     return ad.stack([x, y], axis=2), ad.stack([dx, dy], axis=2)
 
 
-def corner_offsets(query, params: DecoderParams, grid: BevGrid):
-    """Corner-aware sampling points of a single query.
-
-    Returns (points [N_p, 2], offsets [N_p, 2]) in cell units; the box (with
-    l, w in meters) is converted to cells before the corner expansion.
-    """
-    xc, yc, _z, l, w, _h, yaw = query.box
-    boxes = {"xc": np.array([xc]), "yc": np.array([yc]),
-             "l": np.array([l]), "w": np.array([w]), "yaw": np.array([yaw])}
-    feats = ad.reshape(query.feature, (1, np.shape(val(query.feature))[0]))
-    pts, offs = _corner_points_batch(feats, boxes, params, grid)
-    return val(pts)[0], val(offs)[0]
-
-
 def corner_sample(bev_fuse, points):
     """Bilinear-sample the fused BEV map at every sampling point
     (zero-padding outside the grid). points: [..., 2] cell coords."""
@@ -251,19 +210,6 @@ def _position_aware_mix_batch(feats, sampled, points, params: DecoderParams,
     return ad.add(feats, linear_apply(params.out_proj, flat))
 
 
-def position_aware_mix(query_feature, sampled, points, params: DecoderParams,
-                       grid: BevGrid):
-    """Single-query mixing: refine a query feature from its N_p sampled
-    features and their sampling locations."""
-    C = np.shape(val(query_feature))[0]
-    out = _position_aware_mix_batch(
-        ad.reshape(query_feature, (1, C)),
-        ad.reshape(sampled, (1, params.n_points, C)),
-        ad.reshape(points, (1, params.n_points, 2)),
-        params, grid)
-    return ad.reshape(out, (C,))
-
-
 def _mha(q_in, kv_in, attn: AttentionParams, n_heads):
     """Multi-head softmax attention of the rows of q_in [Nq, C] over the
     rows of kv_in [Nk, C]; returns the pre-residual output [Nq, C].
@@ -294,20 +240,12 @@ def self_attention(feats, attn: AttentionParams, n_heads):
 
 
 # ---------------------------------------------------------------------------
-# box heads
-
-
-def decode_box(query, params: DecoderParams) -> BoxPrediction:
-    """Run the regression and classification heads on one query feature."""
-    enc = val(linear_apply(params.reg_head, query.feature))
-    cls = val(linear_apply(params.cls_head, query.feature))
-    return BoxPrediction(ref_point=tuple(query.ref_point),
-                         center_delta=enc[0:2], z=enc[2], log_dims=enc[3:6],
-                         heading=enc[6:8], cls_logits=cls)
+# box state
 
 
 def _decode_state(enc, ref_points):
-    """Detached box arrays for the next layer's sampling geometry."""
+    """Detached box arrays for the next layer's sampling geometry; a
+    zero-norm heading decodes to yaw 0."""
     e = val(enc)
     return {
         "xc": ref_points[:, 0] + e[:, 0],
@@ -429,14 +367,3 @@ def gaussian_focal_loss(pred_heatmap, target_heatmap, alpha=2.0, beta=4.0):
 def l1_encoded(pred_enc, target_enc):
     """Mean absolute error between encoded prediction and target vectors."""
     return ad.mean(ad.absolute(ad.sub(pred_enc, target_enc)))
-
-
-def l1_box_loss(pred: BoxPrediction, target_box, grid: BevGrid):
-    """L1 regression loss for one matched (prediction, ground-truth) pair,
-    computed in encoded space. target_box: a scene Box (world meters)."""
-    from .geometry import world_to_cell
-
-    u, v = world_to_cell(grid, target_box.center[0], target_box.center[1])
-    tgt = encode_box((u, v), target_box.center[2], target_box.dims,
-                     target_box.yaw, pred.ref_point)
-    return float(val(l1_encoded(pred.encoded(), tgt)))

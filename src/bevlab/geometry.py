@@ -1,9 +1,9 @@
 """Camera projection, BEV-grid/world coordinate mapping, and multi-scale
-feature-level scaling."""
+feature pyramids."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,9 +191,3 @@ def project_heights(cam: CameraModel, X, Y, Z):
     valid = depth_ok & (vx >= 0) & (vx <= W - 1) & (vy >= 0) & (vy <= H - 1)
     return x, y, valid
 
-
-def to_feature_level(px, stride):
-    """Scale pixel coordinates down to a pyramid level."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    return px[0] / stride, px[1] / stride

@@ -23,8 +23,7 @@ from .decoder import (AttentionParams, DecoderParams, encode_box, run_decoder,
                       gaussian_focal_loss, l1_encoded, ATTENTION_MODES)
 from .geometry import BevGrid, world_to_cell
 from .query_select import (GroupEmbeddings, GroupSpec, HeatmapHead,
-                           init_queries, predict_heatmaps, topk_keypoints,
-                           gaussian_target)
+                           predict_heatmaps, topk_keypoints, gaussian_target)
 from .scene_sim import rasterize_lidar_bev, render_camera_features, ray_smear_metric
 from .tensor import LinearMap
 from .view_transform import (VtParams, VtOutput, adaptive_project,

@@ -1,11 +1,12 @@
 """Group-wise query initialization: center heatmaps, Gaussian targets,
-top-k keypoint extraction, and mixed query construction (positions from
-keypoints, features from per-group shared embeddings)."""
+top-k keypoint extraction, and the per-group shared embeddings that mixed
+queries take their features from (`pipeline._query_features` pairs them
+with the keypoint positions)."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,26 +59,6 @@ class GroupEmbeddings:
     """One learnable feature vector per group, shared by its queries."""
 
     table: object  # [n_groups, C]
-
-
-@dataclass
-class ObjectQuery:
-    """A decoder query: feature vector, BEV reference point, and the current
-    box estimate (x_c, y_c in cells; z, l, w, h in meters; yaw in radians).
-
-    The box starts with l = w = yaw = z = h = 0 and its center on the
-    reference point, so first-layer sampling is centered on the keypoint.
-    """
-
-    feature: object          # [C]
-    ref_point: tuple         # (u, v) continuous cell coordinates
-    group_id: int
-    box: tuple = None        # (x_c, y_c, z, l, w, h, yaw)
-
-    def __post_init__(self):
-        if self.box is None:
-            self.box = (self.ref_point[0], self.ref_point[1],
-                        0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def gaussian_target(boxes, grid: BevGrid, n_classes):
@@ -158,18 +139,3 @@ def topk_keypoints(heatmaps, spec: GroupSpec):
                         (chosen // W).astype(float)], axis=1)
         out.append((pos, flat[chosen].copy()))
     return out
-
-
-def init_queries(keypoints_per_group, embeds: GroupEmbeddings):
-    """Build queries: feature = the group's shared embedding row (never
-    sampled from the map), position = keypoint, box zeroed."""
-    table = val(embeds.table)
-    if table.shape[0] != len(keypoints_per_group):
-        raise ValueError("embedding rows must match the group count")
-    queries = []
-    for gid, (positions, _scores) in enumerate(keypoints_per_group):
-        for u, v in positions:
-            queries.append(ObjectQuery(feature=table[gid].copy(),
-                                       ref_point=(float(u), float(v)),
-                                       group_id=gid))
-    return queries

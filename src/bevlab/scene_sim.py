@@ -73,6 +73,16 @@ class SceneConfig:
             raise ValueError("need at least 3 channels (2 are reserved)")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        if self.n_cameras < 1:
+            raise ValueError("n_cameras must be >= 1")
+        if any(s < 1 for s in self.strides):
+            raise ValueError("every stride must be >= 1")
+        if not 0 < self.fov_deg < 180:
+            raise ValueError("fov_deg must lie in (0, 180)")
+        if not (len(self.image_size) == 2
+                and all(isinstance(n, (int, np.integer)) and n > 0
+                        for n in self.image_size)):
+            raise ValueError("image_size must be two positive integers")
 
 
 @dataclass(frozen=True)

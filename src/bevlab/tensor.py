@@ -1,10 +1,9 @@
 """Core dense-tensor helpers: checked construction, per-cell linear maps,
-and the small numeric kernels (softmax, layer norm, bilinear sampling,
-sinusoidal encoding) shared by every other module.
+scalar bilinear sampling, and sinusoidal encoding. Softmax, layer norm and
+relu are tape ops in `autodiff`.
 
-Tensors are plain numpy float64 arrays in checked/test mode; float32 is
-allowed on the bench path. The finite-difference gradient here is the
-verification oracle for every analytic gradient in the package.
+Tensors are plain numpy float64 arrays. The finite-difference gradient here
+is the verification oracle for every analytic gradient in the package.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, val
-
-LN_EPS = 1e-5
+from .autodiff import val
 
 
 def as_tensor(data, dtype=np.float64, checked=True):
@@ -70,24 +67,6 @@ def linear_apply(m: LinearMap, x):
     if np.ndim(vx) == 2:
         return ad.add(ad.matmul(x, ad.transpose(m.weight)), m.bias)
     raise ValueError("linear_apply expects a 1-D or 2-D input")
-
-
-def softmax(v):
-    """Softmax along the last axis; positive entries summing to 1."""
-    if np.size(val(v)) == 0:
-        raise ValueError("softmax of an empty tensor")
-    return ad.softmax(v, axis=-1)
-
-
-def layer_norm(v, eps=LN_EPS):
-    """Zero-mean unit-variance normalization of the last axis, no affine."""
-    if np.shape(val(v))[-1] < 2:
-        raise ValueError("layer_norm needs at least 2 elements")
-    return ad.layer_norm(v, eps=eps)
-
-
-def relu(v):
-    return ad.relu(v)
 
 
 def bilinear_sample(fmap, p):

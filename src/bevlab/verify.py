@@ -28,10 +28,9 @@ from .geometry import (BevGrid, FeaturePyramid, cell_to_world,
                        project_heights, project_to_image)
 from .query_select import GroupSpec, HeatmapHead, predict_heatmaps, topk_keypoints
 from .scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
-from .tensor import (LinearMap, bilinear_sample, finite_diff_grad, layer_norm,
-                     linear_apply, softmax)
+from .tensor import LinearMap, bilinear_sample, finite_diff_grad, linear_apply
 from .view_transform import (VtParams, adaptive_project, adaptive_sample,
-                             fuse_bev, vanilla_vt)
+                             fuse_bev)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +576,9 @@ def run_props_suite(seed=0):
     def softmax_props():
         for _ in range(1000):
             v = rng.normal(size=int(rng.integers(1, 10))) * 8
-            out = softmax(v)
+            out = ad.softmax(v)
             assert abs(out.sum() - 1.0) < 1e-12
-            assert np.allclose(out, softmax(v + rng.normal() * 3), atol=1e-12)
+            assert np.allclose(out, ad.softmax(v + rng.normal() * 3), atol=1e-12)
         return "1000 trials"
 
     def layer_norm_props():
@@ -588,7 +587,7 @@ def run_props_suite(seed=0):
         for _ in range(200):
             v = rng.normal(size=int(rng.integers(4, 40)))
             v = v / v.std() * rng.uniform(5, 20)
-            out = layer_norm(v)
+            out = ad.layer_norm(v)
             assert abs(out.mean()) < 1e-9 and abs(out.var() - 1.0) < 1e-6
         return "200 trials"
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var, val
+from .autodiff import val
 from .geometry import BevGrid, project_heights
-from .tensor import LinearMap, linear_apply, softmax
+from .tensor import LinearMap, linear_apply
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,6 @@ def _heights_from_raw(raw, z_min, z_max):
     mid = 0.5 * (z_min + z_max)
     half = 0.5 * (z_max - z_min)
     return ad.add(ad.mul(ad.tanh(raw), half), mid)
-
-
-def generate_heights(params: VtParams, lidar_bev, u, v):
-    """Sampling heights for one BEV cell, in meters within [z_min, z_max]."""
-    lb = val(lidar_bev)
-    C, H, W = lb.shape
-    if not (0 <= u < W and 0 <= v < H):
-        raise IndexError(f"cell ({u}, {v}) outside grid")
-    raw = linear_apply(params.height_gen, lb[:, v, u])
-    return val(_heights_from_raw(raw, params.z_min, params.z_max))
 
 
 def _sample_one(pyramid, cam, X, Y, Z):
@@ -202,7 +192,7 @@ def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams, grid: BevGrid,
     lidar_flat = _chw_to_flat(lidar_bev)
     raw = linear_apply(params.height_gen, lidar_flat)
     heights = _heights_from_raw(raw, params.z_min, params.z_max)
-    weights = softmax(linear_apply(params.weight_gen, lidar_flat))
+    weights = ad.softmax(linear_apply(params.weight_gen, lidar_flat), axis=-1)
 
     bev_flat, frac = _vt_engine(heights, weights, pyramids, cams, grid,
                                 n_threads=n_threads)
@@ -241,12 +231,6 @@ def vanilla_vt_output(pyramids, cams, grid: BevGrid, fixed_heights,
         per_cell_weights=weights.T.reshape(n_s * n_h, H, W).copy(),
         validity_fraction=frac.reshape(H, W),
     )
-
-
-def vanilla_vt(pyramids, cams, grid: BevGrid, fixed_heights):
-    """Baseline transform: project the same predefined heights from every
-    cell and pool uniformly over all scales and heights."""
-    return val(vanilla_vt_output(pyramids, cams, grid, fixed_heights).bev)
 
 
 def adaptive_project(params: VtParams, bev_as, lidar_bev):

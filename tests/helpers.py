@@ -3,8 +3,7 @@ small fixture builders."""
 
 import numpy as np
 
-from bevlab import autodiff as ad
-from bevlab.tensor import finite_diff_grad
+from bevlab.verify import _gradcheck_tree
 
 
 def rel_err(analytic, numeric):
@@ -16,30 +15,21 @@ def rel_err(analytic, numeric):
 
 
 def gradcheck(build_loss, arrays, eps=1e-6, rtol=1e-4):
-    """Check analytic gradients of a scalar loss against central differences.
+    """Check analytic gradients of a scalar loss against central differences
+    with `verify._gradcheck_tree`; asserts each relative error is below rtol.
 
     arrays: name -> ndarray. build_loss receives a dict mapping each name to
-    a Var (analytic pass) or plain array (numeric pass) and returns a scalar.
-    Returns the per-input relative errors; asserts each is below rtol.
+    a Var and returns a scalar. Every input must receive a gradient.
     """
-    tracked = {k: ad.Var(v, requires_grad=True) for k, v in arrays.items()}
-    out = build_loss(tracked)
-    assert isinstance(out, ad.Var), "loss did not trace any input"
-    out.backward()
+    tracked = {}
 
-    errs = {}
-    for name, base in arrays.items():
-        def f(x, _n=name):
-            probe = dict(arrays)
-            probe[_n] = x
-            return float(ad.val(build_loss(probe)))
+    def loss(_params, t):
+        tracked.update(t)
+        return build_loss(t)
 
-        num = finite_diff_grad(f, base, eps)
-        ana = tracked[name].grad
-        assert ana is not None, f"no gradient reached {name}"
-        errs[name] = rel_err(ana, num)
-        assert errs[name] < rtol, f"{name}: rel err {errs[name]:.3e} >= {rtol}"
-    return errs
+    _gradcheck_tree(loss, None, arrays, eps=eps, rtol=rtol)
+    for name, var in tracked.items():
+        assert var.grad is not None, f"no gradient reached {name}"
 
 
 def dense_pyramids(rng, n_cams, C, image_size, strides):

@@ -43,7 +43,7 @@ def test_matmul_rejects_unsupported_ranks(rng):
 
 
 @pytest.mark.parametrize("fn,offset", [
-    (ad.exp, 0.0), (ad.log, 3.0), (ad.sqrt, 3.0), (ad.tanh, 0.0),
+    (ad.log, 3.0), (ad.tanh, 0.0),
     (ad.sigmoid, 0.0), (ad.sin, 0.0), (ad.cos, 0.0), (ad.absolute, 2.0),
 ])
 def test_unary_grads(rng, fn, offset):
@@ -66,12 +66,6 @@ def test_power_grads(rng):
     out = ad.sum_(ad.power(v, 0))
     out.backward()
     assert np.all(v.grad == 0)
-
-
-def test_atan2_grad(rng):
-    y = rng.normal(size=(5,)) + 1.5
-    x = rng.normal(size=(5,)) + 1.5
-    gradcheck(lambda t: ad.sum_(ad.atan2(t["y"], t["x"])), {"y": y, "x": x})
 
 
 def test_clip_grad_inside_only():

@@ -129,6 +129,8 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         path.write_text(json.dumps({"model": {"vt_mode": "warp"}}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        path.write_text(json.dumps({"dtype": "f32"}))  # removed option
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("section, update", [
         ("model", {"n_heads": 0}),
@@ -137,9 +139,28 @@ class TestRun:
         ("model", {"n_points": 6}),
         ("model", {"n_layers": 0}),
         ("grid", {"cells": [16, 32]}),  # 2 m x 1 m cells
+        ("scene", {"n_scenes": "2"}),
+        ("scene", {"n_boxes": "3"}),
+        ("grid", {"cells": "ab"}),
+        ("grid", {"cells": [-4, 4]}),
+        ("grid", {"x_range": [5, -5]}),
+        ("scene", {"image_size": [8]}),
+        ("scene", {"strides": [0]}),
+        ("scene", {"fov_deg": 0}),
+        ("scene", {"n_cameras": 0}),
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})
+        self.assert_rejected(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("update", [
+        {"seed": "abc"}, {"seed": 1.5}, {"threads": "x"},
+    ])
+    def test_top_level_config_exit_2(self, tmp_path, capsys, update):
+        self.assert_rejected(dict(TINY, **update), tmp_path, capsys)
+
+    @staticmethod
+    def assert_rejected(doc, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
@@ -170,12 +191,6 @@ class TestRun:
         ref_bfk = (outs[0] / "bev_fuse_0.bfk").read_bytes()
         for out in outs[1:]:
             assert (out / "bev_fuse_0.bfk").read_bytes() == ref_bfk
-
-    def test_f32_mode_runs(self, tmp_path, tiny_config):
-        doc = dict(TINY, dtype="f32")
-        path = tmp_path / "f32.json"
-        path.write_text(json.dumps(doc))
-        assert main(["run", str(path), "--out", str(tmp_path / "o32")]) == 0
 
 
 class TestBench:

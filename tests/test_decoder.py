@@ -8,16 +8,16 @@ import pytest
 
 from bevlab import autodiff as ad, verify
 from bevlab.autodiff import val
-from bevlab.decoder import (AttentionParams, BoxPrediction, DecoderParams,
-                            corner_offsets, corner_sample, decode_box,
+from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
                             decoder_layer, encode_box, focal_loss,
-                            gaussian_focal_loss, l1_box_loss, l1_encoded,
-                            position_aware_mix, run_decoder, self_attention,
-                            _corner_points_batch, _initial_state)
-from bevlab.geometry import BevGrid
-from bevlab.query_select import ObjectQuery
+                            gaussian_focal_loss, l1_encoded, run_decoder,
+                            self_attention, _corner_points_batch,
+                            _decode_state, _initial_state,
+                            _position_aware_mix_batch)
+from bevlab.geometry import BevGrid, world_to_cell
 from bevlab.scene_sim import Box
-from bevlab.tensor import LinearMap, bilinear_sample, sinusoidal_encode
+from bevlab.tensor import (LinearMap, bilinear_sample, linear_apply,
+                           sinusoidal_encode)
 from helpers import gradcheck
 
 # unit cells make the hand cases read directly in meters
@@ -45,36 +45,40 @@ def tiny_params(rng=None, C=2, n_p=4, n_layers=1, n_heads=1, n_classes=2,
         reg_head=lm(8, C), cls_head=lm(n_classes, C))
 
 
+def corners(params, grid, center, l=0.0, w=0.0, yaw=0.0):
+    """Sampling points and offsets [N_p, 2] of one query with a zero
+    feature and the given box (center in cells, l and w in meters)."""
+    boxes = {"xc": np.array([center[0]]), "yc": np.array([center[1]]),
+             "l": np.array([l]), "w": np.array([w]), "yaw": np.array([yaw])}
+    pts, offs = _corner_points_batch(np.zeros((1, params.channels)), boxes,
+                                     params, grid)
+    return val(pts)[0], val(offs)[0]
+
+
 class TestCornerOffsets:
     def test_layer_zero_degenerate(self, rng):
         # l = w = yaw = 0: points are the center plus the raw offsets
         raw = rng.normal(size=8)
         params = dataclasses.replace(
             tiny_params(), offset_gen=LinearMap(np.zeros((8, 2)), raw))
-        q = ObjectQuery(np.zeros(2), (4.0, 6.0), 0)
-        points, offsets = corner_offsets(q, params, GRID)
+        points, offsets = corners(params, GRID, (4.0, 6.0))
         assert np.allclose(offsets, raw.reshape(4, 2), atol=1e-15)
         assert np.allclose(points, raw.reshape(4, 2) + [4.0, 6.0], atol=1e-15)
 
     def test_first_corner_identity_rotation(self):
         params = tiny_params()
-        q = ObjectQuery(np.zeros(2), (0.0, 0.0), 0,
-                        box=(0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0))
-        _, offsets = corner_offsets(q, params, GRID)
+        _, offsets = corners(params, GRID, (0.0, 0.0), l=2.0, w=1.0)
         assert np.allclose(offsets[0], [1.0, 0.5])
 
     def test_first_corner_quarter_turn(self):
         params = tiny_params()
-        q = ObjectQuery(np.zeros(2), (0.0, 0.0), 0,
-                        box=(0.0, 0.0, 0.0, 2.0, 1.0, 0.0, math.pi / 2))
-        _, offsets = corner_offsets(q, params, GRID)
+        _, offsets = corners(params, GRID, (0.0, 0.0), l=2.0, w=1.0,
+                             yaw=math.pi / 2)
         assert np.allclose(offsets[0], [-0.5, 1.0], atol=1e-12)
 
     def test_corner_symmetry_all_sign_combinations(self):
         params = tiny_params()
-        q = ObjectQuery(np.zeros(2), (0.0, 0.0), 0,
-                        box=(0.0, 0.0, 0.0, 3.0, 1.5, 0.0, 0.0))
-        _, offsets = corner_offsets(q, params, GRID)
+        _, offsets = corners(params, GRID, (0.0, 0.0), l=3.0, w=1.5)
         expect = {(1.5, 0.75), (1.5, -0.75), (-1.5, 0.75), (-1.5, -0.75)}
         got = {tuple(np.round(o, 9)) for o in offsets}
         assert got == expect
@@ -87,12 +91,9 @@ class TestCornerOffsets:
             l, w = rng.uniform(0.5, 8, size=2)
             theta = rng.uniform(-np.pi, np.pi)
             phi = rng.uniform(-np.pi, np.pi)
-            q1 = ObjectQuery(np.zeros(2), (0.0, 0.0), 0,
-                             box=(0.0, 0.0, 0.0, l, w, 0.0, theta))
-            q2 = ObjectQuery(np.zeros(2), (0.0, 0.0), 0,
-                             box=(0.0, 0.0, 0.0, l, w, 0.0, theta + phi))
-            _, o1 = corner_offsets(q1, params, GRID)
-            _, o2 = corner_offsets(q2, params, GRID)
+            _, o1 = corners(params, GRID, (0.0, 0.0), l=l, w=w, yaw=theta)
+            _, o2 = corners(params, GRID, (0.0, 0.0), l=l, w=w,
+                            yaw=theta + phi)
             c, s = math.cos(phi), math.sin(phi)
             rotated = o1 @ np.array([[c, -s], [s, c]]).T
             assert np.max(np.abs(o2 - rotated)) < 1e-9
@@ -101,9 +102,7 @@ class TestCornerOffsets:
         # half-meter cells double the corner extent in cell units
         fine = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-5.0, 3.0), (32, 32))
         params = tiny_params()
-        q = ObjectQuery(np.zeros(2), (0.0, 0.0), 0,
-                        box=(0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 0.0))
-        _, offsets = corner_offsets(q, params, fine)
+        _, offsets = corners(params, fine, (0.0, 0.0), l=2.0, w=1.0)
         assert np.allclose(offsets[0], [2.0, 1.0])
 
     def test_gradient_through_rotation(self, rng):
@@ -151,9 +150,10 @@ class TestPositionAwareMix:
         params = tiny_params(rng, scale=0.5)
         params = dataclasses.replace(params, out_proj=LinearMap.zeros(2, 8))
         q = rng.normal(size=2)
-        out = position_aware_mix(q, rng.normal(size=(4, 2)),
-                                 rng.uniform(0, 30, size=(4, 2)), params, GRID)
-        assert np.array_equal(val(out), q)
+        g = rng.normal(size=(1, 4, 2))
+        pts = rng.uniform(0, 30, size=(1, 4, 2))
+        out = val(_position_aware_mix_batch(q[None], g, pts, params, GRID))
+        assert np.array_equal(out[0], q)
 
     def test_hand_computed_identity_mixers(self, rng):
         # W_c = I, W_s = I, no position term: the mixing pipeline reduces to
@@ -169,7 +169,8 @@ class TestPositionAwareMix:
         q = np.array([0.3, -0.7])
         pts = np.zeros((4, 2))  # position embed projects to zero anyway
 
-        out = val(position_aware_mix(q, g, pts, params, GRID))
+        out = val(_position_aware_mix_batch(q[None], g[None], pts[None],
+                                            params, GRID))[0]
 
         def ln(row):
             mu = row.mean()
@@ -198,8 +199,10 @@ class TestPositionAwareMix:
         q = rng.normal(size=2)
         perm = np.array([2, 0, 3, 1])
 
-        base = val(position_aware_mix(q, g, pts, params, GRID)) - q
-        permuted = val(position_aware_mix(q, g[perm], pts[perm], params, GRID)) - q
+        base = val(_position_aware_mix_batch(
+            q[None], g[None], pts[None], params, GRID))[0] - q
+        permuted = val(_position_aware_mix_batch(
+            q[None], g[None, perm], pts[None, perm], params, GRID))[0] - q
         # out = W @ flat with flat blocks indexed by point: permuting the
         # points permutes the blocks, so the block-permuted weight recovers
         # the original output
@@ -208,7 +211,8 @@ class TestPositionAwareMix:
         W_perm = W[:, perm, :].reshape(2, 8)
         probe = dataclasses.replace(params,
                                     out_proj=LinearMap(W_perm, np.zeros(2)))
-        again = val(position_aware_mix(q, g[perm], pts[perm], probe, GRID)) - q
+        again = val(_position_aware_mix_batch(
+            q[None], g[None, perm], pts[None, perm], probe, GRID))[0] - q
         assert np.allclose(again, base, atol=1e-12)
         assert not np.allclose(permuted, base)
 
@@ -216,8 +220,10 @@ class TestPositionAwareMix:
         params = tiny_params(rng, scale=0.5)
         q = rng.normal(size=2)
         g = rng.normal(size=(4, 2))
-        a = val(position_aware_mix(q, g, np.full((4, 2), 3.0), params, GRID))
-        b = val(position_aware_mix(q, g, np.full((4, 2), 17.0), params, GRID))
+        a = val(_position_aware_mix_batch(
+            q[None], g[None], np.full((1, 4, 2), 3.0), params, GRID))
+        b = val(_position_aware_mix_batch(
+            q[None], g[None], np.full((1, 4, 2), 17.0), params, GRID))
         assert not np.allclose(a, b)
 
 
@@ -264,12 +270,19 @@ class TestSelfAttention:
                                                     (2, 10, 400)))
 
 
+def decode(params, ref):
+    """Box (x_c, y_c cells, z, l, w, h m, yaw rad) that the regression head
+    gives one zero-feature query at reference point `ref`."""
+    enc = linear_apply(params.reg_head, np.zeros((1, params.channels)))
+    state = _decode_state(enc, np.array([ref]))
+    return tuple(float(state[k][0])
+                 for k in ("xc", "yc", "z", "l", "w", "h", "yaw"))
+
+
 class TestDecodeBox:
     def test_zero_head_defaults(self):
         params = tiny_params()
-        q = ObjectQuery(np.zeros(2), (10.0, 10.0), 0)
-        pred = decode_box(q, params)
-        box = pred.to_box()
+        box = decode(params, (10.0, 10.0))
         assert box[:2] == (10.0, 10.0)
         assert box[3:6] == (1.0, 1.0, 1.0)  # exp(0)
         assert box[6] == 0.0                # zero-norm heading
@@ -279,8 +292,7 @@ class TestDecodeBox:
             tiny_params(),
             reg_head=LinearMap(np.zeros((8, 2)),
                                np.array([1.5, -2.0, 0, 0, 0, 0, 0, 1.0])))
-        q = ObjectQuery(np.zeros(2), (10.0, 10.0), 0)
-        box = decode_box(q, params).to_box()
+        box = decode(params, (10.0, 10.0))
         assert box[0] == 11.5 and box[1] == 8.0
 
     def test_round_trip_via_targets(self, rng):
@@ -293,7 +305,7 @@ class TestDecodeBox:
             target = encode_box(center, z, dims, yaw, ref)
             params = dataclasses.replace(
                 tiny_params(), reg_head=LinearMap(np.zeros((8, 2)), target))
-            box = decode_box(ObjectQuery(np.zeros(2), ref, 0), params).to_box()
+            box = decode(params, ref)
             assert np.allclose(box[:2], center, atol=1e-9)
             assert abs(box[2] - z) < 1e-9
             assert np.allclose(box[3:6], dims, atol=1e-9)
@@ -466,11 +478,12 @@ class TestLosses:
 
     def test_l1_box_loss_zero_on_exact_prediction(self):
         box = Box(0, (4.0, -3.0, 1.0), (4.0, 2.0, 1.5), 0.7)
-        from bevlab.geometry import world_to_cell
         u, v = world_to_cell(GRID, 4.0, -3.0)
         ref = (u - 1.0, v + 2.0)
         tgt = encode_box((u, v), 1.0, (4.0, 2.0, 1.5), 0.7, ref)
-        pred = BoxPrediction(ref_point=ref, center_delta=tgt[0:2], z=tgt[2],
-                             log_dims=tgt[3:6], heading=tgt[6:8],
-                             cls_logits=np.zeros(2))
-        assert l1_box_loss(pred, box, GRID) < 1e-12
+        # the regression head predicts the encoded box exactly
+        params = dataclasses.replace(
+            tiny_params(), reg_head=LinearMap(np.zeros((8, 2)), tgt))
+        pred = linear_apply(params.reg_head, np.zeros((1, 2)))
+        target = encode_box((u, v), box.center[2], box.dims, box.yaw, ref)
+        assert float(val(l1_encoded(pred, target[None]))) < 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 from bevlab.geometry import (BevGrid, CameraModel, FeaturePyramid,
                              cell_to_world, project_heights, project_to_image,
-                             to_feature_level, world_to_cell)
+                             world_to_cell)
 
 
 def make_camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, R=None, t=None,
@@ -123,17 +123,6 @@ class TestCameraModel:
             assert ok[i] == ok1
             if ok1:
                 assert abs(xs[i] - x1) < 1e-12 and abs(ys[i] - y1) < 1e-12
-
-
-class TestFeatureLevel:
-    def test_examples(self):
-        assert to_feature_level((64.0, 32.0), 8) == (8.0, 4.0)
-        assert to_feature_level((13.0, 7.0), 1) == (13.0, 7.0)
-        assert to_feature_level((60.0, 50.0), 4) == (15.0, 12.5)
-
-    def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            to_feature_level((1.0, 1.0), 0)
 
 
 class TestFeaturePyramid:

@@ -171,13 +171,17 @@ class TestFit:
         res = fit_generators(cfg, params, [scene], steps=500, lr=0.05,
                              loss_weights={"heatmap": 0.0, "box": 0.0,
                                            "height": 1.0}, lr_half_life=80)
-        from bevlab.scene_sim import rasterize_lidar_bev, footprint_mask
-        from bevlab.view_transform import generate_heights
+        from bevlab.scene_sim import (footprint_mask, rasterize_lidar_bev,
+                                      render_camera_features)
+        from bevlab.view_transform import adaptive_sample
         lidar = rasterize_lidar_bev(scene, GRID)
+        pyramids = render_camera_features(scene, GRID, cfg.strides)
+        heights = adaptive_sample(res.params.vt, lidar, pyramids,
+                                  scene.cameras, GRID).per_cell_heights
         occ = footprint_mask(scene, GRID)
         worst = 0.0
         for v, u in zip(*np.nonzero(occ)):
-            z = generate_heights(res.params.vt, lidar, int(u), int(v))
+            z = heights[:, v, u]
             z_true = lidar[-2, v, u]
             worst = max(worst, float(np.max(np.abs(z - z_true))))
         assert worst < 0.25

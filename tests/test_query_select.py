@@ -1,13 +1,17 @@
 """Heatmap targets, prediction, keypoint extraction, and query construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bevlab.autodiff import val
+from bevlab.decoder import _initial_state
 from bevlab.geometry import BevGrid, cell_to_world
+from bevlab.pipeline import PipelineConfig, _query_features, init_params
 from bevlab.query_select import (DEFAULT_GROUPS, GroupEmbeddings, GroupSpec,
-                                 HeatmapHead, ObjectQuery, gaussian_target,
-                                 init_queries, predict_heatmaps, topk_keypoints)
+                                 HeatmapHead, gaussian_target,
+                                 predict_heatmaps, topk_keypoints)
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap
 from bevlab.verify import naive_topk
@@ -146,41 +150,50 @@ class TestTopk:
         assert tuple(pos[0]) == (2.0, 2.0) and scores[0] == 0.9
 
 
+def mixed_queries(spec, table, heatmaps):
+    """Features, reference points and group ids of `mixed_groupwise` queries
+    with the given group embedding table [n_groups, C]."""
+    _, H, W = heatmaps.shape
+    grid = BevGrid((0.0, float(W)), (0.0, float(H)), (-5.0, 3.0), (H, W))
+    config = PipelineConfig(grid=grid, channels=table.shape[1], n_heads=1,
+                            groups=spec, query_init="mixed_groupwise")
+    params = dataclasses.replace(init_params(config, seed=0),
+                                 group_embeds=GroupEmbeddings(table))
+    feats, ref, gids = _query_features(config, params, None, heatmaps)
+    return val(feats), ref, gids
+
+
 class TestInitQueries:
     def test_shared_embedding_bitwise(self, rng):
         table = rng.normal(size=(2, 4))
-        kps = [(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.9, 0.8])),
-               (np.array([[5.0, 6.0], [7.0, 8.0]]), np.array([0.7, 0.6]))]
-        queries = init_queries(kps, GroupEmbeddings(table))
-        assert len(queries) == 4
-        assert np.array_equal(queries[0].feature, queries[1].feature)
-        assert np.array_equal(queries[0].feature, table[0])
-        assert np.array_equal(queries[2].feature, table[1])
-        assert queries[0].ref_point != queries[1].ref_point
+        # two cells per group channel survive the 3x3 suppression
+        hm = np.zeros((2, 8, 8))
+        hm[0, 1, 2], hm[0, 5, 6] = 0.9, 0.8
+        hm[1, 2, 5], hm[1, 6, 1] = 0.7, 0.6
+        feats, ref, _ = mixed_queries(GroupSpec(((0,), (1,)), 2), table, hm)
+        assert len(feats) == 4
+        assert np.array_equal(feats[0], feats[1])
+        assert np.array_equal(feats[0], table[0])
+        assert np.array_equal(feats[2], table[1])
+        assert tuple(ref[0]) != tuple(ref[1])
 
     def test_default_total_query_count(self, rng):
         hm = rng.uniform(size=(10, 40, 40))
-        spec = GroupSpec()
-        queries = init_queries(topk_keypoints(hm, spec),
-                               GroupEmbeddings(rng.normal(size=(6, 8))))
-        assert len(queries) == 900
-        assert sum(1 for q in queries if q.group_id == 3) == 150
+        feats, _, gids = mixed_queries(GroupSpec(), rng.normal(size=(6, 8)), hm)
+        assert len(feats) == 900
+        assert np.sum(gids == 3) == 150
 
     def test_box_initialized_on_ref_point(self):
-        q = ObjectQuery(np.zeros(4), (3.0, 7.0), 0)
-        assert q.box == (3.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        state = _initial_state(np.array([[3.0, 7.0]]))
+        box = tuple(float(state[k][0])
+                    for k in ("xc", "yc", "z", "l", "w", "h", "yaw"))
+        assert box == (3.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_features_independent_of_heatmaps(self, rng):
         table = rng.normal(size=(1, 4))
         spec = GroupSpec(((0,),), 2)
         for _ in range(3):
             hm = rng.uniform(size=(1, 8, 8))
-            queries = init_queries(topk_keypoints(hm, spec),
-                                   GroupEmbeddings(table))
-            for q in queries:
-                assert np.array_equal(q.feature, table[0])
-
-    def test_group_count_mismatch_rejected(self, rng):
-        kps = [(np.zeros((1, 2)), np.zeros(1))]
-        with pytest.raises(ValueError):
-            init_queries(kps, GroupEmbeddings(rng.normal(size=(2, 4))))
+            feats, _, _ = mixed_queries(spec, table, hm)
+            for f in feats:
+                assert np.array_equal(f, table[0])

@@ -16,7 +16,7 @@ from bevlab.tensor import LinearMap, bilinear_sample
 from bevlab.verify import (check_vt_edge_lanes, naive_adaptive_sample,
                            random_vt_instance)
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
-                                   fuse_bev, generate_heights, vanilla_vt)
+                                   fuse_bev, vanilla_vt_output)
 from bevlab.geometry import project_heights, project_to_image
 from helpers import gradcheck
 
@@ -60,25 +60,27 @@ class TestGenerateHeights:
                         fuse=LinearMap.zeros(C, 2 * C),
                         z_min=-5.0, z_max=3.0)
 
+    def heights(self, params, lidar, u, v):
+        """Sampling heights of cell (u, v) from the batched sampler."""
+        pyramid = FeaturePyramid(((4, np.zeros((2, 16, 16))),))
+        out = adaptive_sample(params, lidar, [pyramid], [downward_camera()],
+                              self.GRID)
+        return out.per_cell_heights[:, v, u]
+
     def test_zero_generator_gives_midpoint(self):
         p = self.params(LinearMap.zeros(3, 2))
-        z = generate_heights(p, np.zeros((2, 8, 8)), 4, 4)
+        z = self.heights(p, np.zeros((2, 8, 8)), 4, 4)
         assert np.allclose(z, -1.0)
 
     def test_saturation_at_z_max(self):
         p = self.params(LinearMap(np.zeros((1, 2)), np.array([50.0])))
-        z = generate_heights(p, np.zeros((2, 8, 8)), 0, 0)
+        z = self.heights(p, np.zeros((2, 8, 8)), 0, 0)
         assert abs(z[0] - 3.0) < 1e-9
 
     def test_direct_value(self):
         p = self.params(LinearMap(np.zeros((1, 2)), np.array([0.5])))
-        z = generate_heights(p, np.ones((2, 8, 8)), 1, 1)
+        z = self.heights(p, np.ones((2, 8, 8)), 1, 1)
         assert np.allclose(z, -1.0 + np.tanh(0.5) * 4.0)
-
-    def test_out_of_range_cell(self):
-        p = self.params(LinearMap.zeros(1, 2))
-        with pytest.raises(IndexError):
-            generate_heights(p, np.zeros((2, 8, 8)), 9, 0)
 
 
 class TestOracleEquivalence:
@@ -141,17 +143,17 @@ class TestAdaptiveSample:
 
         # reference: sample (j*, i*) directly with scalar primitives
         H = grid.height
-        heights = np.stack([generate_heights(params, lidar, u, v)
-                            for v in range(H) for u in range(H)])
         stride, fmap = pyramids[0].levels[j_star]
         from bevlab.geometry import cell_to_world
-        for idx, (v, u) in enumerate((v, u) for v in range(H) for u in range(H)):
-            X, Y = cell_to_world(grid, u, v)
-            x, y, ok = project_to_image(cams[0], (X, Y, heights[idx][i_star]))
-            assert ok
-            ref, okb = bilinear_sample(fmap, (x / stride, y / stride))
-            assert okb
-            assert np.allclose(val(out.bev)[:, v, u], ref, atol=1e-9)
+        for v in range(H):
+            for u in range(H):
+                X, Y = cell_to_world(grid, u, v)
+                z = out.per_cell_heights[i_star, v, u]
+                x, y, ok = project_to_image(cams[0], (X, Y, z))
+                assert ok
+                ref, okb = bilinear_sample(fmap, (x / stride, y / stride))
+                assert okb
+                assert np.allclose(val(out.bev)[:, v, u], ref, atol=1e-9)
 
     def test_weights_sum_to_one(self, rng):
         params, lidar, pyramids, cams, grid = random_vt_instance(rng, C=4, H=8)
@@ -263,7 +265,7 @@ class TestVanilla:
     def test_degenerate_equals_plain_sampling(self, rng):
         params, lidar, pyramids, cams, grid = full_view_instance(
             rng, n_h=1, n_s=1)
-        out = vanilla_vt(pyramids, cams, grid, [0.5])
+        out = val(vanilla_vt_output(pyramids, cams, grid, [0.5]).bev)
         from bevlab.geometry import cell_to_world
         stride, fmap = pyramids[0].levels[0]
         for v in range(grid.height):
@@ -285,15 +287,15 @@ class TestVanilla:
             height_gen=LinearMap(np.zeros((2, 3)), bias),
             weight_gen=LinearMap.zeros(4, 3))
         a = val(adaptive_sample(tuned, lidar, pyramids, cams, grid).bev)
-        b = vanilla_vt(pyramids, cams, grid, fixed)
+        b = val(vanilla_vt_output(pyramids, cams, grid, fixed).bev)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_heights_validated(self, rng):
         params, lidar, pyramids, cams, grid = full_view_instance(rng)
         with pytest.raises(ValueError):
-            vanilla_vt(pyramids, cams, grid, [100.0])
+            vanilla_vt_output(pyramids, cams, grid, [100.0])
         with pytest.raises(ValueError):
-            vanilla_vt(pyramids, cams, grid, [])
+            vanilla_vt_output(pyramids, cams, grid, [])
 
 
 class TestSmearOrdering:
@@ -318,8 +320,8 @@ class TestSmearOrdering:
         adaptive = val(adaptive_sample(params, lidar, pyramids,
                                        scene.cameras, grid).bev)
         from bevlab.pipeline import vanilla_heights
-        vanilla = vanilla_vt(pyramids, scene.cameras, grid,
-                             vanilla_heights(grid, 4))
+        vanilla = val(vanilla_vt_output(pyramids, scene.cameras, grid,
+                                        vanilla_heights(grid, 4)).bev)
         m_a = ray_smear_metric(adaptive, scene, grid)
         m_v = ray_smear_metric(vanilla, scene, grid)
         assert m_a > m_v

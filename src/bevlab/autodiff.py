@@ -54,12 +54,6 @@ class Var:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return self.data
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
         if self.data.size != 1:
@@ -85,41 +79,6 @@ class Var:
         for node in reversed(topo):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
-
-    # arithmetic sugar
-    def __add__(self, o):
-        return add(self, o)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        return sub(self, o)
-
-    def __rsub__(self, o):
-        return sub(o, self)
-
-    def __mul__(self, o):
-        return mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        return div(self, o)
-
-    def __rtruediv__(self, o):
-        return div(o, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, o):
-        return matmul(self, o)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
     def __repr__(self):
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -321,7 +280,7 @@ def where_mask(mask, a, b):
 
 
 def matmul(a, b):
-    """1D/2D matmul and batched 3D@3D; the only shapes the pipeline needs."""
+    """2D@2D and batched 3D@3D; the only shapes the pipeline needs."""
     va, vb = val(a), val(b)
     na, nb = np.ndim(va), np.ndim(vb)
     y = np.matmul(va, vb)
@@ -329,14 +288,6 @@ def matmul(a, b):
     if na == 2 and nb == 2:
         def vjp(g):
             _accum(a, g @ vb.T)
-            _accum(b, va.T @ g)
-    elif na == 1 and nb == 2:
-        def vjp(g):
-            _accum(a, vb @ g)
-            _accum(b, np.outer(va, g))
-    elif na == 2 and nb == 1:
-        def vjp(g):
-            _accum(a, np.outer(g, vb))
             _accum(b, va.T @ g)
     elif na == 3 and nb == 3:
         def vjp(g):

@@ -140,8 +140,7 @@ def build_configs(cfg):
                            m["queries_per_group"])
         pipeline = PipelineConfig(
             grid=grid, channels=m["channels"], n_heights=m["n_heights"],
-            strides=tuple(s["strides"]), image_size=tuple(s["image_size"]),
-            n_cameras=s["n_cameras"], groups=groups, n_points=m["n_points"],
+            strides=tuple(s["strides"]), groups=groups, n_points=m["n_points"],
             n_layers=m["n_layers"], n_heads=m["n_heads"], pe_dim=m["pe_dim"],
             vt_mode=m["vt_mode"], query_init=m["query_init"],
             attention_mode=m["attention_mode"])
@@ -153,6 +152,10 @@ def build_configs(cfg):
             classes=tuple(s["classes"]) if s["classes"] else
             SceneConfig.__dataclass_fields__["classes"].default,
             fixed_dims=tuple(s["fixed_dims"]) if s["fixed_dims"] else None)
+        if max(scene_cfg.classes) >= groups.n_classes:
+            raise ValueError(
+                f"scene class {max(scene_cfg.classes)} has no query group: "
+                f"the groups cover classes 0..{groups.n_classes - 1}")
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return pipeline, scene_cfg

@@ -10,7 +10,6 @@ height generators cannot be trained in desk time).
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -39,13 +38,11 @@ class PipelineConfig:
     channels: int = 32
     n_heights: int = 4
     strides: tuple = (4, 8)
-    image_size: tuple = (128, 128)
-    n_cameras: int = 6
     groups: GroupSpec = field(default_factory=GroupSpec)
     n_points: int = 16
     n_layers: int = 6
     n_heads: int = 8
-    pe_dim: int = 0  # 0: derive from channels
+    pe_dim: int = 0  # 0: derive from channels, else a multiple of 4
     vt_mode: str = "asap"
     query_init: str = "mixed_groupwise"
     attention_mode: str = "geometry_aware"
@@ -64,6 +61,18 @@ class PipelineConfig:
                              "(one point per box corner, cycled)")
         if self.n_layers < 1:
             raise ValueError("n_layers must be at least 1")
+        if self.n_heights < 1:
+            raise ValueError("n_heights must be at least 1")
+        # the sinusoidal encoding gives each axis a sin/cos pair per frequency
+        if self.pe_dim < 0 or self.pe_dim % 4:
+            raise ValueError("pe_dim must be 0 or a positive multiple of 4")
+        # top-k keypoints: every group picks its queries among the grid cells
+        n_cells = self.grid.height * self.grid.width
+        if (self.query_init != "learnable"
+                and self.groups.queries_per_group > n_cells):
+            raise ValueError(
+                f"queries_per_group {self.groups.queries_per_group} exceeds "
+                f"the {n_cells} grid cells")
         # decoder corners and heatmap radii convert metres to cells with
         # cell_size_x on both axes
         if not math.isclose(self.grid.cell_size_x, self.grid.cell_size_y):
@@ -479,14 +488,6 @@ def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
             best = min(best, m)
     return FitResult(params=ad.unlift_tree(lifted), curve=curve,
                      monotone_trend_ok=ok)
-
-
-def write_loss_curve_csv(path, curve):
-    keys = list(curve[0].keys()) if curve else ["step", "total"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(curve)
 
 
 # ---------------------------------------------------------------------------

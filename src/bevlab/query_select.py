@@ -28,6 +28,8 @@ class GroupSpec:
     queries_per_group: int = DEFAULT_QUERIES_PER_GROUP
 
     def __post_init__(self):
+        if not self.groups or not all(self.groups):
+            raise ValueError("groups must be non-empty lists of class ids")
         flat = [c for g in self.groups for c in g]
         if sorted(flat) != list(range(len(flat))):
             raise ValueError("groups must partition the class-id set 0..K-1")

@@ -66,23 +66,37 @@ class SceneConfig:
     margin: float = 2.0            # keep boxes this far inside the ROI, meters
     classes: tuple = tuple(range(len(CLASS_NAMES)))
     fixed_dims: tuple = None       # force (l, w, h) for every box when set
-    fixed_z: float = None          # force center height when set
 
     def __post_init__(self):
         if self.channels < N_RESERVED_CHANNELS + 1:
             raise ValueError("need at least 3 channels (2 are reserved)")
+        if self.n_boxes < 0:
+            raise ValueError("n_boxes must be >= 0")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
         if self.n_cameras < 1:
             raise ValueError("n_cameras must be >= 1")
-        if any(s < 1 for s in self.strides):
-            raise ValueError("every stride must be >= 1")
+        if not self.strides or any(s < 1 for s in self.strides):
+            raise ValueError("need at least one stride, each >= 1")
+        if any(a >= b for a, b in zip(self.strides, self.strides[1:])):
+            raise ValueError("strides must be strictly increasing")
         if not 0 < self.fov_deg < 180:
             raise ValueError("fov_deg must lie in (0, 180)")
         if not (len(self.image_size) == 2
                 and all(isinstance(n, (int, np.integer)) and n > 0
                         for n in self.image_size)):
             raise ValueError("image_size must be two positive integers")
+        if any(n % s for n in self.image_size for s in self.strides):
+            raise ValueError(f"image size {self.image_size} is not divisible "
+                             f"by every stride of {self.strides}")
+        if not (self.classes and all(
+                isinstance(c, (int, np.integer)) and 0 <= c < len(CLASS_NAMES)
+                for c in self.classes)):
+            raise ValueError("classes must be a non-empty list of class ids "
+                             f"in 0..{len(CLASS_NAMES) - 1}")
+        if self.fixed_dims is not None and not (
+                len(self.fixed_dims) == 3 and all(d > 0 for d in self.fixed_dims)):
+            raise ValueError("fixed_dims must be three positive numbers (l, w, h)")
 
 
 @dataclass(frozen=True)
@@ -159,10 +173,7 @@ def make_scene(config: SceneConfig, seed: int) -> SceneSpec:
             y = rng.uniform(grid.y_range[0] + config.margin + dims[0] / 2,
                             grid.y_range[1] - config.margin - dims[0] / 2)
             yaw = rng.uniform(-math.pi, math.pi)
-            if config.fixed_z is not None:
-                z = config.fixed_z
-            else:
-                z = dims[2] / 2.0 + rng.uniform(0.0, 0.4)
+            z = dims[2] / 2.0 + rng.uniform(0.0, 0.4)
             cand = Box(cls, (float(x), float(y), float(z)),
                        tuple(float(d) for d in dims), float(yaw))
             if all(_rects_disjoint(cand, other, margin=grid.cell_size_x)

@@ -51,22 +51,16 @@ class LinearMap:
     def zeros(cls, out_dim, in_dim):
         return cls(np.zeros((out_dim, in_dim)), np.zeros(out_dim))
 
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(n), np.zeros(n))
-
 
 def linear_apply(m: LinearMap, x):
-    """Apply an affine map to a vector [in] or a batch [N, in]."""
+    """Apply an affine map to a batch of rows [N, in]."""
     vx = val(x)
     if np.shape(vx)[-1] != m.in_dim:
         raise ValueError(
             f"linear_apply: input dim {np.shape(vx)[-1]} != map in_dim {m.in_dim}")
-    if np.ndim(vx) == 1:
-        return ad.add(ad.matmul(m.weight, x), m.bias)
-    if np.ndim(vx) == 2:
-        return ad.add(ad.matmul(x, ad.transpose(m.weight)), m.bias)
-    raise ValueError("linear_apply expects a 1-D or 2-D input")
+    if np.ndim(vx) != 2:
+        raise ValueError("linear_apply expects a 2-D input [N, in]")
+    return ad.add(ad.matmul(x, ad.transpose(m.weight)), m.bias)
 
 
 def bilinear_sample(fmap, p):

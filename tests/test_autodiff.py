@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
-from helpers import gradcheck, rel_err
+from helpers import gradcheck
 
 
 def test_add_mul_broadcast_grads(rng):
@@ -25,8 +25,8 @@ def test_div_sub_grads(rng):
 
 @pytest.mark.parametrize("shape_a,shape_b", [
     ((3, 4), (4, 2)),
-    ((4,), (4, 3)),
-    ((3, 4), (4,)),
+    ((1, 4), (4, 3)),  # a vector as a [1, n] row
+    ((3, 4), (4, 1)),  # a vector as an [n, 1] column
     ((2, 3, 4), (2, 4, 5)),
 ])
 def test_matmul_grads(rng, shape_a, shape_b):
@@ -40,6 +40,8 @@ def test_matmul_rejects_unsupported_ranks(rng):
     with pytest.raises(ValueError):
         ad.matmul(ad.Var(rng.normal(size=(2, 2, 2)), requires_grad=True),
                   rng.normal(size=(2, 2)))
+    with pytest.raises(ValueError):  # vectors go in as [1, n] rows
+        ad.matmul(rng.normal(size=4), rng.normal(size=(4, 3)))
 
 
 @pytest.mark.parametrize("fn,offset", [
@@ -246,7 +248,7 @@ def test_lift_unlift_roundtrip_and_sgd():
     m = LinearMap(np.ones((2, 3)), np.zeros(2))
     lifted, train_vars = ad.lift_tree(m)
     assert len(train_vars) == 2
-    out = ad.sum_(ad.matmul(lifted.weight, np.ones(3)))
+    out = ad.sum_(ad.matmul(np.ones((1, 3)), ad.transpose(lifted.weight)))
     out.backward()
     ad.sgd_step(train_vars, lr=0.5)
     back = ad.unlift_tree(lifted)

@@ -148,6 +148,19 @@ class TestRun:
         ("scene", {"strides": [0]}),
         ("scene", {"fov_deg": 0}),
         ("scene", {"n_cameras": 0}),
+        ("model", {"n_heights": 0}),
+        ("model", {"pe_dim": 6}),
+        ("model", {"pe_dim": -4}),
+        ("model", {"groups": []}),
+        ("model", {"groups": [[0]]}),  # scene classes 1..9 have no group
+        ("model", {"queries_per_group": 5000}),  # 1024 cells
+        ("scene", {"classes": [99]}),
+        ("scene", {"n_boxes": -1}),
+        ("scene", {"strides": [8, 4]}),
+        ("scene", {"strides": []}),
+        ("scene", {"image_size": [2, 2]}),
+        ("scene", {"fixed_dims": [1, 1]}),
+        ("scene", {"fixed_dims": [0, 1, 1]}),
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})
@@ -283,10 +296,12 @@ class TestViz:
 
 
 class TestVerify:
-    def test_props_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "props"]) == 0
+    def test_all_suites_pass(self, capsys):
+        code = main(["verify"])
         out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert code == 0 and not failed, "\n".join(failed)
+        assert "19/19 checks passed" in out
 
     def test_injected_bilinear_bug_fails_oracle_suite(self, capsys,
                                                       monkeypatch):

@@ -8,8 +8,7 @@ import pytest
 from bevlab.geometry import BevGrid
 from bevlab.pipeline import (PipelineConfig, eval_box_l1, eval_heatmap_loss,
                              eval_ray_smear, fit_generators, forward,
-                             greedy_match, init_params, vanilla_heights,
-                             write_loss_curve_csv)
+                             greedy_match, init_params, vanilla_heights)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene
 
@@ -19,8 +18,8 @@ TINY_GROUPS = GroupSpec(((0,), (1, 2), (3, 4), (5,), (6, 7), (8, 9)), 2)
 
 def tiny_config(**kw):
     args = dict(grid=GRID, channels=4, n_heights=2, strides=(4, 8),
-                image_size=(32, 32), n_cameras=2, groups=TINY_GROUPS,
-                n_points=4, n_layers=2, n_heads=2, pe_dim=4)
+                groups=TINY_GROUPS, n_points=4, n_layers=2, n_heads=2,
+                pe_dim=4)
     args.update(kw)
     return PipelineConfig(**args)
 
@@ -209,17 +208,6 @@ class TestFit:
                                            "height": 0.0})
         after = eval_box_l1(cfg, res.params, scene)
         assert after < before
-
-    def test_curve_csv(self, tmp_path):
-        cfg = tiny_config()
-        res = fit_generators(cfg, init_params(cfg, seed=7),
-                             [tiny_scene(seed=0)], steps=3, lr=0.1,
-                             loss_weights={"box": 0.0})
-        path = tmp_path / "curve.csv"
-        write_loss_curve_csv(path, res.curve)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("step,total")
-        assert len(lines) == 4
 
     @pytest.mark.parametrize("mode", ["vanilla", "ap_only"])
     def test_vanilla_sampling_built_once_per_scene(self, mode, monkeypatch):

@@ -14,7 +14,6 @@ from bevlab.query_select import (DEFAULT_GROUPS, GroupEmbeddings, GroupSpec,
                                  predict_heatmaps, topk_keypoints)
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap
-from bevlab.verify import naive_topk
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
 
@@ -52,15 +51,6 @@ class TestGaussianTarget:
         for r in (1, 2, 5):
             assert t[1, 16, 16 + r] == pytest.approx(
                 np.exp(-r ** 2 / (2 * sigma ** 2)), abs=1e-12)
-
-    def test_two_objects_max_rule_vs_naive(self):
-        from bevlab.verify import naive_gaussian_target
-
-        b1 = Box(0, cell_to_world(GRID, 8, 8) + (0.0,), (3.0, 1.5, 1.5), 0.1)
-        b2 = Box(0, cell_to_world(GRID, 12, 9) + (0.0,), (5.0, 2.0, 1.5), -0.4)
-        fast, _ = gaussian_target([b1, b2], GRID, 1)
-        slow = naive_gaussian_target([b1, b2], GRID, 1)
-        assert np.max(np.abs(fast - slow)) < 1e-12
 
     def test_outside_box_skipped_with_count(self):
         box = Box(0, (100.0, 0.0, 0.0), (4.0, 2.0, 1.5), 0.0)
@@ -115,16 +105,6 @@ class TestTopk:
         [(pos, scores)] = topk_keypoints(hm, GroupSpec(((0,),), 3))
         assert [tuple(p) for p in pos] == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
         assert np.all(scores == 0.7)
-
-    def test_matches_naive_oracle(self, rng):
-        spec = GroupSpec(((0,), (1,)), 5)
-        for _ in range(30):
-            hm = rng.uniform(size=(2, 16, 16))
-            fast = topk_keypoints(hm, spec)
-            slow = naive_topk(hm, spec)
-            for (fp, fs), (sp, ss) in zip(fast, slow):
-                assert np.array_equal(fp, sp)
-                assert np.allclose(fs, ss)
 
     def test_scores_non_increasing(self, rng):
         hm = rng.uniform(size=(1, 12, 12))

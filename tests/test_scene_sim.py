@@ -147,9 +147,11 @@ class TestRenderCameras:
         assert float(np.sum(fmap[0] * fmap[1])) < 1e-6
 
     def test_indivisible_stride_rejected(self):
-        scene = make_scene(small_config(image_size=(66, 66), strides=(4,)), seed=0)
         with pytest.raises(ValueError):
-            render_camera_features(scene, GRID, (4,))
+            small_config(image_size=(66, 66), strides=(4,))
+        scene = make_scene(small_config(image_size=(64, 64), strides=(4,)), seed=0)
+        with pytest.raises(ValueError):
+            render_camera_features(scene, GRID, (3,))
 
 
 class TestRaySmear:

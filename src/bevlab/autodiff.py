@@ -20,6 +20,7 @@ __all__ = [
     "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "clip",
     "matmul", "sum_", "mean", "reshape", "transpose", "concat", "stack",
     "getitem", "scatter_rows", "where_mask", "softmax", "attention",
+    "dynamic_filter",
     "layer_norm", "bilinear_gather",
     "lift_tree", "unlift_tree", "sgd_step",
 ]
@@ -414,13 +415,15 @@ def softmax(a, axis=-1):
     return _node(y, (a,), vjp)
 
 
-# bytes of one block of float64 scores in `attention`. 8 MiB keeps the
-# [8, 300, 300] self-attention of a 300-query model in one block, where
-# values and gradients equal the dense softmax's bit for bit, so fits
-# follow the same trajectory (a last-bit change can flip a top-k query
-# choice a few steps later). On a 2-vCPU host 2 MiB is as fast for
-# self-attention and ~25% slower for cross-attention over 32,400 cells.
-_ATTN_BLOCK_BYTES = 8 * 2**20
+# bytes of one block of float64 intermediates in the row-blocked ops: the
+# scores of `attention` and the generated kernels of `dynamic_filter`.
+# 8 MiB keeps the [8, 300, 300] self-attention of a 300-query model in one
+# block, where values and gradients equal the dense softmax's bit for bit,
+# so fits follow the same trajectory (a last-bit change can flip a top-k
+# query choice a few steps later). On a 2-vCPU host 2 MiB is as fast for
+# self-attention and ~25% slower for cross-attention over 32,400 cells;
+# `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
+_BLOCK_BYTES = 8 * 2**20
 
 
 def attention(q, k, v):
@@ -449,7 +452,7 @@ def attention(q, k, v):
     out = np.empty((h, nq, vv.shape[2]), dtype=dtype)
     row_max = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
-    step = max(1, _ATTN_BLOCK_BYTES // (8 * h * nk))
+    step = max(1, _BLOCK_BYTES // (8 * h * nk))
     row_blocks = [slice(lo, min(lo + step, nq)) for lo in range(0, nq, step)]
     for b in row_blocks:
         s = np.matmul(vq[:, b], kt)
@@ -486,6 +489,66 @@ def attention(q, k, v):
         _accum(v, dv)
 
     return _node(out, (q, k, v), vjp)
+
+
+def dynamic_filter(x, z, w, b):
+    """Row times its own generated kernel: out[n] = x[n] @ K[n] with
+    K[n] = reshape(z[n] @ wᵀ + b, (C, C)), a dynamic filter (Jia et al.,
+    arXiv 1605.09673) without the [N, C²] kernels.
+
+    x: [N, C] rows; z: [N, D] generator inputs; w: [C², D]; b: [C²].
+    Returns [N, C]. Each row's kernel is used by that row only, so the
+    forward generates and applies the kernels of a block of budget // (8 C²)
+    rows before it starts the next. Every row's product equals the dense
+    composition's bit for bit.
+
+    The vjp regenerates each block's kernels for that block's d(x). d(K) =
+    x[n]ᵀ g[n] is made for all rows at once and reduced into d(b), d(w) and
+    d(z) by the same products, in the same order, as the dense composition,
+    so the gradients equal its gradients bit for bit.
+    """
+    vx = np.ascontiguousarray(val(x))
+    vz, vw, vb = val(z), val(w), val(b)
+    n, c = vx.shape
+    if vw.shape[0] != c * c or np.shape(vz) != (n, vw.shape[1]):
+        raise ValueError(
+            f"dynamic_filter: rows {vx.shape}, generator inputs "
+            f"{np.shape(vz)} and weight {vw.shape} do not agree")
+    wt = vw.T
+    step = max(2, _BLOCK_BYTES // (8 * c * c))
+    starts = list(range(0, n, step))
+    # numpy takes a one-row product through gemv, which sums in another
+    # order than gemm: a last block of one row joins the block before it
+    if n > 1 and n % step == 1:
+        starts.pop()
+    row_blocks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+    def kernels(rows):
+        k = vz[rows] @ wt
+        k += vb
+        return k.reshape(-1, c, c)
+
+    out = np.empty((n, c), dtype=np.result_type(vx, vz, vw, vb))
+    for r in row_blocks:
+        out[r] = np.matmul(vx[r, None], kernels(r))[:, 0]
+
+    def vjp(g):
+        g3 = np.ascontiguousarray(g).reshape(n, 1, c)
+        if is_traced(x):
+            dx = np.empty_like(out)
+            for r in row_blocks:
+                dx[r] = np.matmul(g3[r], kernels(r).swapaxes(-1, -2))[:, 0]
+            _accum(x, dx)
+        if is_traced(z, w, b):
+            dk = np.matmul(vx[:, :, None], g3).reshape(n, c * c)
+            if is_traced(b):
+                _accum(b, dk.sum(axis=0))
+            if is_traced(w):
+                _accum(w, (vz.T @ dk).T)
+            if is_traced(z):
+                _accum(z, dk @ vw)
+
+    return _node(out, (x, z, w, b), vjp)
 
 
 def layer_norm(a, eps=1e-5):

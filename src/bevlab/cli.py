@@ -23,7 +23,7 @@ from . import bfk
 from .decoder import ATTENTION_MODES
 from .geometry import BevGrid
 from .pipeline import (PipelineConfig, QUERY_INIT_MODES, VT_MODES, forward,
-                       init_params)
+                       init_params, write_detections)
 from .query_select import DEFAULT_GROUPS, GroupSpec, gaussian_target
 from .scene_sim import (SceneConfig, make_scene, ray_smear_metric, save_scene)
 
@@ -149,9 +149,10 @@ def build_configs(cfg):
             noise_std=s["noise_std"], image_size=tuple(s["image_size"]),
             strides=tuple(s["strides"]), n_cameras=s["n_cameras"],
             cam_height=s["cam_height"], fov_deg=s["fov_deg"],
-            classes=tuple(s["classes"]) if s["classes"] else
+            classes=tuple(s["classes"]) if s["classes"] is not None else
             SceneConfig.__dataclass_fields__["classes"].default,
-            fixed_dims=tuple(s["fixed_dims"]) if s["fixed_dims"] else None)
+            fixed_dims=(tuple(s["fixed_dims"]) if s["fixed_dims"] is not None
+                        else None))
         if max(scene_cfg.classes) >= groups.n_classes:
             raise ValueError(
                 f"scene class {max(scene_cfg.classes)} has no query group: "
@@ -210,7 +211,7 @@ def cmd_run(config_path, out_dir, threads=None):
         save_scene(os.path.join(out_dir, f"scene_{i}.json"), scene)
         det, diag, extras = forward(pipeline_cfg, params, scene,
                                     n_threads=n_threads)
-        detections.append({"scene": i, "layers": det.to_json_dict(pipeline_cfg.grid)})
+        detections.append(det)
 
         bfk.save(os.path.join(out_dir, f"bev_camera_{i}.bfk"),
                  extras["bev_camera"])
@@ -235,7 +236,8 @@ def cmd_run(config_path, out_dir, threads=None):
                     gaussian_focal_loss(extras["heatmaps"], targets)))
         summary_scenes.append(entry)
 
-    _json_dump(os.path.join(out_dir, "detections.json"), detections)
+    write_detections(os.path.join(out_dir, "detections.json"), detections,
+                     pipeline_cfg.grid)
     _json_dump(os.path.join(out_dir, "summary.json"), {
         "n_scenes": cfg["scene"]["n_scenes"],
         "n_queries": pipeline_cfg.groups.n_queries,

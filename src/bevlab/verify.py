@@ -29,8 +29,8 @@ from .geometry import (BevGrid, FeaturePyramid, cell_to_world,
 from .query_select import GroupSpec, HeatmapHead, predict_heatmaps, topk_keypoints
 from .scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
 from .tensor import LinearMap, bilinear_sample, finite_diff_grad, linear_apply
-from .view_transform import (VtParams, adaptive_project, adaptive_sample,
-                             fuse_bev)
+from .view_transform import (VtParams, _chw_to_flat, _flat_to_chw,
+                             adaptive_project, adaptive_sample, fuse_bev)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +145,18 @@ def naive_mha(q_in, kv_in, attn: AttentionParams, n_heads):
     return linear_apply(attn.w_o, ctx.transpose(1, 0, 2).reshape(nq, C))
 
 
+def dense_adaptive_project(params: VtParams, bev_as, lidar_bev):
+    """Adaptive projection as the unblocked composition of tape ops: the
+    [N, C*C] kernels of all N cells at once, then one batched
+    [N, 1, C] @ [N, C, C] product."""
+    C, H, W = np.shape(val(bev_as))
+    N = H * W
+    kernels = ad.reshape(linear_apply(params.kernel_gen,
+                                      _chw_to_flat(lidar_bev)), (N, C, C))
+    rows = ad.reshape(_chw_to_flat(bev_as), (N, 1, C))
+    return _flat_to_chw(ad.reshape(ad.matmul(rows, kernels), (N, C)), H, W)
+
+
 # ---------------------------------------------------------------------------
 # fixture builders
 
@@ -252,15 +264,16 @@ def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
 
 
 @contextlib.contextmanager
-def attention_block_bytes(n):
-    """Set the score-block budget of ``ad.attention`` to n bytes, so that
-    small problems span several blocks of query rows."""
-    keep = ad._ATTN_BLOCK_BYTES
-    ad._ATTN_BLOCK_BYTES = n
+def block_bytes(n):
+    """Set the block budget of the row-blocked ops (``ad.attention``,
+    ``ad.dynamic_filter``) to n bytes, so that small problems span several
+    blocks of rows."""
+    keep = ad._BLOCK_BYTES
+    ad._BLOCK_BYTES = n
     try:
         yield
     finally:
-        ad._ATTN_BLOCK_BYTES = keep
+        ad._BLOCK_BYTES = keep
 
 
 def check_attention_blocked(rng, shapes=((2, 1200, 1200), (2, 64, 20000))):
@@ -272,7 +285,7 @@ def check_attention_blocked(rng, shapes=((2, 1200, 1200), (2, 64, 20000))):
     worst = 0.0
     blocks = []
     for h, nq, nk in shapes:
-        rows = max(1, ad._ATTN_BLOCK_BYTES // (8 * h * nk))
+        rows = max(1, ad._BLOCK_BYTES // (8 * h * nk))
         assert nq > rows and nq % rows, (
             f"{nq} query rows in blocks of {rows} do not give several "
             "blocks with a ragged last one")
@@ -286,6 +299,24 @@ def check_attention_blocked(rng, shapes=((2, 1200, 1200), (2, 64, 20000))):
     assert worst < 1e-12, f"max deviation {worst:.3e}"
     return (f"max deviation {worst:.2e}; {'/'.join(blocks)} blocks of "
             "query rows")
+
+
+def check_adaptive_project_blocked(rng, C=32, H=50):
+    """``adaptive_project`` (``ad.dynamic_filter``) against the unblocked
+    ``dense_adaptive_project``. With the current block budget the H*H
+    cells must split into several blocks with a ragged last one."""
+    rows = max(1, ad._BLOCK_BYTES // (8 * C * C))
+    n = H * H
+    assert n > rows and n % rows, (
+        f"{n} cells in blocks of {rows} do not give several blocks with a "
+        "ragged last one")
+    params = random_vt_instance(rng, C=C, H=H, n_h=1, n_s=1)[0]
+    bev_as, lidar = rng.normal(size=(2, C, H, H))
+    fast = val(adaptive_project(params, bev_as, lidar))
+    worst = float(np.max(np.abs(
+        fast - val(dense_adaptive_project(params, bev_as, lidar)))))
+    assert worst < 1e-12, f"max deviation {worst:.3e}"
+    return f"max deviation {worst:.2e}; {-(-n // rows)} blocks of cells"
 
 
 def check_vt_edge_lanes(rng, n_instances=4):
@@ -400,6 +431,8 @@ def run_oracle_suite(seed=0, n_instances=8):
         ("oracle.vt_equivalence", vt_equivalence),
         ("oracle.vt_edge_lanes", lambda: check_vt_edge_lanes(rng)),
         ("oracle.attention_blocked", lambda: check_attention_blocked(rng)),
+        ("oracle.adaptive_project_blocked",
+         lambda: check_adaptive_project_blocked(rng)),
         ("oracle.bilinear_vectorized", bilinear_vectorized),
         ("oracle.topk", topk_matches),
         ("oracle.gaussian_target", gaussian_targets_match),
@@ -437,7 +470,10 @@ def run_grad_suite(seed=0):
             fused = fuse_bev(p, cam_bev, extras["lidar"])
             return ad.sum_(ad.mul(fused, 0.2))
 
-        worst = _gradcheck_tree(loss, params, {"bev_as": bev_as, "lidar": lidar})
+        # the 64 cells in blocks of 10 (6 x 10 + 4)
+        with block_bytes(8 * 4 * 4 * 10):
+            worst = _gradcheck_tree(loss, params,
+                                    {"bev_as": bev_as, "lidar": lidar})
         return f"worst rel err {worst:.2e}"
 
     def heatmap_path():
@@ -530,10 +566,10 @@ def run_grad_suite(seed=0):
                           ad.add(ad.sum_(ad.mul(cls, 0.1)),
                                  ad.sum_(ad.mul(new_feats, 0.05))))
 
-        with attention_block_bytes(8 * 2 * 7 * 2):
+        with block_bytes(8 * 2 * 7 * 2):
             w1 = _gradcheck_tree(op_loss, LinearMap.zeros(1, 1),
                                  {"q": q, "k": k, "v": v})
-        with attention_block_bytes(8 * 2 * 16):
+        with block_bytes(8 * 2 * 16):
             w2 = _gradcheck_tree(layer_loss, params,
                                  {"feats": feats, "bev": bev})
         return f"worst rel err {max(w1, w2):.2e}"

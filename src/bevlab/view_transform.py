@@ -234,17 +234,17 @@ def vanilla_vt_output(pyramids, cams, grid: BevGrid, fixed_heights,
 
 
 def adaptive_project(params: VtParams, bev_as, lidar_bev):
-    """Refine the sampled BEV map with per-cell channel kernels derived from
-    the LiDAR features: out(u,v) = bev_as(u,v) x K(u,v), row-vector times
-    C x C matrix."""
+    """Refine the sampled BEV map with per-cell channel kernels generated
+    from the LiDAR features: out(u,v) = bev_as(u,v) @ K(u,v), a row vector
+    times the C x C kernel K(u,v) = reshape(kernel_gen(lidar(u,v)), (C, C)).
+
+    ``ad.dynamic_filter`` generates and applies the kernels a block of cells
+    at a time, so the [H*W, C*C] kernels never exist at once."""
     C, H, W = np.shape(val(bev_as))
     if np.shape(val(lidar_bev)) != (C, H, W):
         raise ValueError("bev_as and lidar_bev shapes must agree")
-    N = H * W
-    lidar_flat = _chw_to_flat(lidar_bev)
-    kernels = ad.reshape(linear_apply(params.kernel_gen, lidar_flat), (N, C, C))
-    rows = ad.reshape(_chw_to_flat(bev_as), (N, 1, C))
-    out = ad.reshape(ad.matmul(rows, kernels), (N, C))
+    out = ad.dynamic_filter(_chw_to_flat(bev_as), _chw_to_flat(lidar_bev),
+                            params.kernel_gen.weight, params.kernel_gen.bias)
     return _flat_to_chw(out, H, W)
 
 

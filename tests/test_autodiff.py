@@ -135,7 +135,7 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
     h, nq, nk, dh = 2, 256, 20000, 4
     q, k, v = (rng.normal(size=(h, n, dh)) for n in (nq, nk, nk))
     io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
-    budget = ad._ATTN_BLOCK_BYTES
+    budget = ad._BLOCK_BYTES
     dense = 8 * h * nq * nk
     tracemalloc.start()
     try:
@@ -159,7 +159,7 @@ def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
     # a 300-query model's self-attention: fitting it must follow the same
     # trajectory as the dense path, forward and backward
     h, n, dh = 8, 300, 4
-    assert 8 * h * n * n <= ad._ATTN_BLOCK_BYTES
+    assert 8 * h * n * n <= ad._BLOCK_BYTES
     base = [rng.normal(size=(n, h * dh)).reshape(n, h, dh).transpose(1, 0, 2)
             for _ in range(3)]
     w = rng.normal(size=(h, n, dh))
@@ -176,6 +176,35 @@ def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
         results.append([out.data, q.grad, k.grad, v.grad])
     for a, b in zip(*results):
         assert np.array_equal(a, b)
+
+
+def test_dynamic_filter_grads(rng, monkeypatch):
+    # 5 rows in blocks of 2 as 2 + 3 (the one-row tail joins the block
+    # before it); generator inputs narrower than C
+    n, c, d = 5, 3, 2
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * c * c * 2)
+    w = rng.normal(size=(n, c))
+    gradcheck(lambda t: ad.sum_(ad.mul(
+        ad.dynamic_filter(t["x"], t["z"], t["w"], t["b"]), w)),
+              {"x": rng.normal(size=(n, c)), "z": rng.normal(size=(n, d)),
+               "w": rng.normal(size=(c * c, d)), "b": rng.normal(size=c * c)})
+
+
+def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
+    # adaptive projection at the default grid: the dense [32400, 1024]
+    # kernels take 265 MB, twice over (the product, then the bias added)
+    n, c = 32400, 32
+    x, z = rng.normal(size=(2, n, c))
+    w, b = rng.normal(size=(c * c, c)), rng.normal(size=c * c)
+    dense = 2 * 8 * n * c * c
+    tracemalloc.start()
+    try:
+        ad.dynamic_filter(x, z, w, b)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of kernels and the output
+    assert forward_peak < ad._BLOCK_BYTES + 2 * x.nbytes < dense / 20
 
 
 def test_layer_norm_grad(rng):

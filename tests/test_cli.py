@@ -161,6 +161,8 @@ class TestRun:
         ("scene", {"image_size": [2, 2]}),
         ("scene", {"fixed_dims": [1, 1]}),
         ("scene", {"fixed_dims": [0, 1, 1]}),
+        ("scene", {"classes": []}),
+        ("scene", {"fixed_dims": []}),
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})
@@ -301,7 +303,7 @@ class TestVerify:
         out = capsys.readouterr().out
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert code == 0 and not failed, "\n".join(failed)
-        assert "19/19 checks passed" in out
+        assert "20/20 checks passed" in out
 
     def test_injected_bilinear_bug_fails_oracle_suite(self, capsys,
                                                       monkeypatch):

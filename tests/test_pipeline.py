@@ -1,14 +1,17 @@
 """Full forward wiring, ablation mode matrix, and the fitting routine."""
 
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bevlab.geometry import BevGrid
-from bevlab.pipeline import (PipelineConfig, eval_box_l1, eval_heatmap_loss,
-                             eval_ray_smear, fit_generators, forward,
-                             greedy_match, init_params, vanilla_heights)
+from bevlab.pipeline import (DetectionOutput, PipelineConfig, eval_box_l1,
+                             eval_heatmap_loss, eval_ray_smear, fit_generators,
+                             forward, greedy_match, init_params,
+                             vanilla_heights, write_detections)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene
 
@@ -114,6 +117,52 @@ class TestForward:
         assert set(pred["box"]) == {"x", "y", "z", "l", "w", "h", "yaw"}
 
 
+def one_query_output(box, scores):
+    """A one-layer, one-query DetectionOutput with the given box values
+    (xc, yc, z, l, w, h, yaw) and class scores."""
+    keys = ("xc", "yc", "z", "l", "w", "h", "yaw")
+    return DetectionOutput(
+        ref_points=np.zeros((1, 2)), group_ids=np.array([0]),
+        layers=[{"enc": np.zeros((1, 8)), "cls_probs": np.array([scores]),
+                 "boxes": {k: np.array([v]) for k, v in zip(keys, box)}}])
+
+
+class TestWriteDetections:
+    """The template writer against json.dump of `to_json_dict`."""
+
+    @staticmethod
+    def assert_same_bytes(outputs, tmp_path):
+        path = tmp_path / "detections.json"
+        write_detections(path, outputs, GRID)
+        doc = [{"scene": i, "layers": det.to_json_dict(GRID)}
+               for i, det in enumerate(outputs)]
+        expected = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+
+    def test_two_scenes(self, tmp_path):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=10)
+        outputs = [forward(cfg, params, tiny_scene(seed=s))[0]
+                   for s in (11, 12)]
+        self.assert_same_bytes(outputs, tmp_path)
+
+    def test_one_layer_one_query(self, tmp_path):
+        out = one_query_output((3.25, 1.0, -0.5, 4.0, 1.75, 1.5, 2.0),
+                               [0.125, 1e-300, 0.999])
+        self.assert_same_bytes([out], tmp_path)
+
+    def test_non_finite_and_negative_zero(self, tmp_path):
+        # json writes NaN, Infinity and -Infinity where repr gives nan, inf
+        nan, inf = float("nan"), float("inf")
+        out = one_query_output((nan, -0.0, inf, -inf, 0.0, nan, -0.0),
+                               [-inf, nan, -0.0, inf])
+        self.assert_same_bytes([out], tmp_path)
+        assert "NaN" in (tmp_path / "detections.json").read_text()
+
+    def test_no_scenes(self, tmp_path):
+        self.assert_same_bytes([], tmp_path)
+
+
 class TestGreedyMatch:
     def test_basic_assignment(self):
         pred = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 9.0]])
@@ -185,6 +234,22 @@ class TestFit:
             worst = max(worst, float(np.max(np.abs(z - z_true))))
         assert worst < 0.25
         assert res.monotone_trend_ok
+
+    def test_step_tape_released_before_next_step(self):
+        # the peak of a 2-step fit stays that of a 1-step fit: step 1's
+        # tape is gone before step 2 builds its own
+        cfg = tiny_config()
+        scenes = [tiny_scene(seed=0)]
+        peaks = []
+        for steps in (1, 2):
+            params = init_params(cfg, seed=5)
+            tracemalloc.start()
+            try:
+                fit_generators(cfg, params, scenes, steps=steps, lr=1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_fit_deterministic(self):
         cfg = tiny_config()

@@ -14,7 +14,7 @@ from bevlab.scene_sim import (SceneConfig, SceneSpec, Box, make_scene,
                               rasterize_lidar_bev, ray_smear_metric,
                               render_camera_features)
 from bevlab.tensor import LinearMap, bilinear_sample
-from bevlab.verify import random_vt_instance
+from bevlab.verify import dense_adaptive_project, random_vt_instance
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, vanilla_vt_output)
 from bevlab.geometry import project_heights, project_to_image
@@ -194,6 +194,27 @@ class TestAdaptiveProject:
         out = val(adaptive_project(p, bev, np.zeros((2, 1, 1))))
         # row-vector times matrix: [1, 2] x [[0, 1], [1, 0]] = [2, 1]
         assert np.allclose(out[:, 0, 0], [2.0, 1.0])
+
+    @pytest.mark.parametrize("C, H, rows", [(4, 6, 7), (32, 40, None)])
+    def test_equals_the_dense_chain_bit_for_bit(self, rng, monkeypatch,
+                                                C, H, rows):
+        # rows per block: 7 splits 36 cells as 4 x 7 + 8 (the one-row tail
+        # joins the last block); None keeps the budget, which splits 1,600
+        # cells at C = 32 as 1,024 + 576
+        if rows is not None:
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * C * C * rows)
+        p = self.make_params(C, LinearMap(rng.normal(size=(C * C, C)),
+                                          rng.normal(size=C * C)))
+        bev, lidar = rng.normal(size=(2, C, H, H))
+        w = rng.normal(size=(C, H, H))
+        results = []
+        for project in (adaptive_project, dense_adaptive_project):
+            lifted, leaves = ad.lift_tree((p, bev, lidar))
+            out = project(*lifted)
+            ad.sum_(ad.mul(out, w)).backward()
+            results.append([out.data] + [v.grad for v in leaves])
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
 
     def test_shape_mismatch(self, rng):
         p = self.make_params(2, LinearMap.zeros(4, 2))

@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "Var", "val", "is_traced",
-    "add", "sub", "mul", "div", "neg", "power", "log",
+    "add", "sub", "mul", "div", "power", "log",
     "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "clip",
     "matmul", "sum_", "mean", "reshape", "transpose", "concat", "stack",
     "getitem", "scatter_rows", "where_mask", "softmax", "attention",
@@ -163,13 +163,6 @@ def div(a, b):
         _accum(b, _unbroadcast(-g * va / (vb * vb), np.shape(vb)))
 
     return _node(y, (a, b), vjp)
-
-
-def neg(a):
-    def vjp(g):
-        _accum(a, -g)
-
-    return _node(-val(a), (a,), vjp)
 
 
 def power(a, p):
@@ -572,7 +565,8 @@ def bilinear_gather(fmap, xs, ys):
     """Bilinear samples of a [C, H, W] map at N continuous (x, y) points.
 
     x indexes columns (width), y indexes rows (height). Points outside the
-    closed box [0, W-1] x [0, H-1] yield a zero row and valid=False.
+    closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row and
+    valid=False.
     Differentiable in the map and in both coordinate arrays.
 
     Returns (samples [N, C], valid [N] plain bool array).
@@ -581,8 +575,8 @@ def bilinear_gather(fmap, xs, ys):
     C, H, W = vf.shape
     valid = (vx >= 0) & (vx <= W - 1) & (vy >= 0) & (vy <= H - 1)
 
-    xc = np.clip(vx, 0.0, W - 1.0)
-    yc = np.clip(vy, 0.0, H - 1.0)
+    xc = np.clip(np.nan_to_num(vx), 0.0, W - 1.0)
+    yc = np.clip(np.nan_to_num(vy), 0.0, H - 1.0)
     x0 = np.minimum(np.floor(xc), max(W - 2, 0)).astype(np.intp)
     y0 = np.minimum(np.floor(yc), max(H - 2, 0)).astype(np.intp)
     x1 = np.minimum(x0 + 1, W - 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import bfk
-from .decoder import ATTENTION_MODES
+from .decoder import ATTENTION_MODES, gaussian_focal_loss
 from .geometry import BevGrid
 from .pipeline import (PipelineConfig, QUERY_INIT_MODES, VT_MODES, forward,
                        init_params, write_detections)
@@ -114,6 +115,14 @@ def validate_config(doc):
             cfg[key] = doc.get(key, default)
             _check_type(key, default, cfg[key])
 
+    if cfg["threads"] != 1:
+        # kept in the schema only for the benchmark's provenance
+        raise ConfigError("threads must be 1: bevlab runs on one thread")
+    s = cfg["scene"]
+    if cfg["seed"] < 0 or s["seed"] < 0:
+        raise ConfigError("seeds must be >= 0")
+    if s["n_scenes"] < 1:
+        raise ConfigError("scene.n_scenes must be >= 1")
     m = cfg["model"]
     if m["vt_mode"] not in VT_MODES:
         raise ConfigError(f"vt_mode must be one of {VT_MODES}")
@@ -122,9 +131,9 @@ def validate_config(doc):
     if m["attention_mode"] not in ATTENTION_MODES:
         raise ConfigError(f"attention_mode must be one of {ATTENTION_MODES}")
     b = cfg["bench"]
-    bad = set(b["modes"]) - set(VT_MODES)
+    bad = [mode for mode in b["modes"] if mode not in VT_MODES]
     if bad:
-        raise ConfigError(f"unknown bench modes: {sorted(bad)}")
+        raise ConfigError(f"unknown bench modes: {bad}")
     return cfg
 
 
@@ -157,7 +166,7 @@ def build_configs(cfg):
             raise ValueError(
                 f"scene class {max(scene_cfg.classes)} has no query group: "
                 f"the groups cover classes 0..{groups.n_classes - 1}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return pipeline, scene_cfg
 
@@ -179,27 +188,13 @@ def _json_dump(path, obj):
         fh.write("\n")
 
 
-def _threads(cfg, flag):
-    env = os.environ.get("BFK_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"BFK_THREADS must be an integer, got {env!r}") from None
-    if flag is not None:
-        return max(1, flag)
-    return max(1, cfg["threads"])
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_run(config_path, out_dir, threads=None):
+def cmd_run(config_path, out_dir):
     cfg = load_config(config_path)
     pipeline_cfg, scene_cfg = build_configs(cfg)
-    n_threads = _threads(cfg, threads)
     os.makedirs(out_dir, exist_ok=True)
 
     params = init_params(pipeline_cfg, seed=cfg["seed"])
@@ -209,8 +204,7 @@ def cmd_run(config_path, out_dir, threads=None):
     for i in range(cfg["scene"]["n_scenes"]):
         scene = make_scene(scene_cfg, seed=cfg["scene"]["seed"] + i)
         save_scene(os.path.join(out_dir, f"scene_{i}.json"), scene)
-        det, diag, extras = forward(pipeline_cfg, params, scene,
-                                    n_threads=n_threads)
+        det, diag, extras = forward(pipeline_cfg, params, scene)
         detections.append(det)
 
         bfk.save(os.path.join(out_dir, f"bev_camera_{i}.bfk"),
@@ -231,7 +225,6 @@ def cmd_run(config_path, out_dir, threads=None):
             if extras["heatmaps"] is not None:
                 targets, _ = gaussian_target(scene.boxes, pipeline_cfg.grid,
                                              pipeline_cfg.groups.n_classes)
-                from .decoder import gaussian_focal_loss
                 entry["heatmap_loss"] = float(ad.val(
                     gaussian_focal_loss(extras["heatmaps"], targets)))
         summary_scenes.append(entry)
@@ -251,13 +244,12 @@ def cmd_run(config_path, out_dir, threads=None):
     return 0
 
 
-def cmd_bench(config_path, out_dir, reps=None, threads=None):
+def cmd_bench(config_path, out_dir, reps=None):
     cfg = load_config(config_path)
     reps = cfg["bench"]["reps"] if reps is None else reps
     if reps < 3:
         raise ConfigError("bench needs at least 3 repetitions")
     pipeline_cfg, scene_cfg = build_configs(cfg)
-    n_threads = _threads(cfg, threads)
     os.makedirs(out_dir, exist_ok=True)
 
     scene = make_scene(scene_cfg, seed=cfg["scene"]["seed"])
@@ -268,8 +260,7 @@ def cmd_bench(config_path, out_dir, reps=None, threads=None):
         params = init_params(mode_cfg, seed=cfg["seed"])
         samples = {k: [] for k in ("vt", "fuse", "select", "decoder")}
         for rep in range(reps + 1):  # first run is warmup
-            _, _, extras = forward(mode_cfg, params, scene,
-                                   n_threads=n_threads)
+            _, _, extras = forward(mode_cfg, params, scene)
             if rep == 0:
                 continue
             for k in samples:
@@ -313,6 +304,12 @@ def cmd_viz(tensor_path, out_path, channel=None, norm=False, points=None):
                 pts = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read points file: {exc}") from exc
+        # json gives exact ints and floats; a bool is no coordinate
+        if not (isinstance(pts, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(
+                    type(v) is int or type(v) is float and math.isfinite(v)
+                    for v in p) for p in pts)):
+            raise ConfigError("points must be a list of finite [x, y] pairs")
         H, W = pix.shape
         for x, y in pts:
             xi, yi = int(round(x)), int(round(y))
@@ -351,13 +348,11 @@ def build_parser():
     run = sub.add_parser("run", help="run the pipeline, write detections")
     run.add_argument("config")
     run.add_argument("--out", required=True)
-    run.add_argument("--threads", type=int, default=None)
 
     bench = sub.add_parser("bench", help="time VT variants, write bench.csv")
     bench.add_argument("config")
     bench.add_argument("--out", required=True)
     bench.add_argument("--reps", type=int, default=None)
-    bench.add_argument("--threads", type=int, default=None)
 
     viz = sub.add_parser("viz", help="render a BFK1 tensor to a PGM image")
     viz.add_argument("tensor")
@@ -379,10 +374,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out, threads=args.threads)
+            return cmd_run(args.config, args.out)
         if args.command == "bench":
-            return cmd_bench(args.config, args.out, reps=args.reps,
-                             threads=args.threads)
+            return cmd_bench(args.config, args.out, reps=args.reps)
         if args.command == "viz":
             return cmd_viz(args.tensor, args.out, channel=args.channel,
                            norm=args.norm, points=args.points)

@@ -14,6 +14,11 @@ from .tensor import as_tensor
 NEAR_PLANE = 0.1  # meters; points closer than this are behind/too close
 
 
+def is_int(x):
+    """An integer that is not a bool (a JSON ``true`` is no count)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera: intrinsics (zero skew), rigid world->camera transform,
@@ -71,10 +76,11 @@ class BevGrid:
 
     def __post_init__(self):
         for lo, hi in (self.x_range, self.y_range, self.z_range):
-            if not hi > lo:
-                raise ValueError("range max must exceed min")
-        if self.cells[0] < 1 or self.cells[1] < 1:
-            raise ValueError("grid must have at least one cell per axis")
+            if not (hi > lo and np.isfinite(hi - lo)):
+                raise ValueError("range max must exceed min, both finite")
+        if not (len(self.cells) == 2
+                and all(is_int(n) and n >= 1 for n in self.cells)):
+            raise ValueError("cells must be two positive integers (H, W)")
 
     @property
     def height(self):

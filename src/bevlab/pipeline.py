@@ -169,7 +169,7 @@ def vanilla_heights(grid: BevGrid, n_heights):
 
 
 def _run_vt(config: PipelineConfig, params: PipelineParams, lidar, pyramids,
-            cams, n_threads=1, cached_vanilla=None):
+            cams, cached_vanilla=None):
     """Camera-branch BEV map per the configured mode, plus diagnostics.
 
     cached_vanilla: the scene's precomputed VtOutput of the
@@ -179,14 +179,12 @@ def _run_vt(config: PipelineConfig, params: PipelineParams, lidar, pyramids,
     grid = config.grid
     mode = config.vt_mode
     if mode in ("asap", "as_only"):
-        diag = adaptive_sample(params.vt, lidar, pyramids, cams, grid,
-                               n_threads=n_threads)
+        diag = adaptive_sample(params.vt, lidar, pyramids, cams, grid)
     elif cached_vanilla is not None:
         diag = cached_vanilla
     else:
         fixed = vanilla_heights(grid, config.n_heights)
-        diag = vanilla_vt_output(pyramids, cams, grid, fixed,
-                                 n_threads=n_threads)
+        diag = vanilla_vt_output(pyramids, cams, grid, fixed)
     if mode in ("asap", "ap_only"):
         bev_camera = adaptive_project(params.vt, diag.bev, lidar)
     else:
@@ -323,8 +321,7 @@ def write_detections(path, outputs, grid: BevGrid):
         fh.write("[\n" + ",\n".join(scenes) + "\n]\n" if scenes else "[]\n")
 
 
-def forward(config: PipelineConfig, params: PipelineParams, scene,
-            n_threads=1):
+def forward(config: PipelineConfig, params: PipelineParams, scene):
     """Full pipeline on one scene.
 
     Returns (DetectionOutput, VtOutput, extras) where extras carries the
@@ -332,13 +329,11 @@ def forward(config: PipelineConfig, params: PipelineParams, scene,
     """
     grid = config.grid
     extras = {}
-    t0 = time.perf_counter()
     lidar = rasterize_lidar_bev(scene, grid)
     pyramids = render_camera_features(scene, grid, config.strides)
     t_scene = time.perf_counter()
 
-    bev_camera, diag = _run_vt(config, params, lidar, pyramids, scene.cameras,
-                               n_threads=n_threads)
+    bev_camera, diag = _run_vt(config, params, lidar, pyramids, scene.cameras)
     t_vt = time.perf_counter()
     bev_fuse = fuse_bev(params.vt, bev_camera, lidar)
     t_fuse = time.perf_counter()
@@ -367,7 +362,6 @@ def forward(config: PipelineConfig, params: PipelineParams, scene,
     extras["stage_times"] = {
         "vt": t_vt - t_scene, "fuse": t_fuse - t_vt,
         "select": t_select - t_fuse, "decoder": t_decoder - t_select,
-        "scene_gen": t_scene - t0,
     }
     return det, diag, extras
 
@@ -422,11 +416,6 @@ def _scene_constants(config: PipelineConfig, scene):
             "gt_cells": gt_cells, "vanilla": vanilla}
 
 
-def _lidar_flat(lidar):
-    C = lidar.shape[0]
-    return lidar.reshape(C, -1).T
-
-
 def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
                   weights):
     """Loss components for one scene; omitted components are skipped."""
@@ -435,9 +424,9 @@ def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
     losses = {}
 
     if weights.get("height", 0.0) > 0 and len(consts["occ_idx"]):
-        from .view_transform import _heights_from_raw
+        from .view_transform import _chw_to_flat, _heights_from_raw
         from .tensor import linear_apply
-        rows = _lidar_flat(consts["lidar"])[consts["occ_idx"]]
+        rows = _chw_to_flat(consts["lidar"])[consts["occ_idx"]]
         raw = linear_apply(params.vt.height_gen, rows)
         h = _heights_from_raw(raw, params.vt.z_min, params.vt.z_max)
         diff = ad.absolute(ad.sub(h, consts["z_true"][:, None]))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .geometry import BevGrid, world_to_cell
+from .geometry import BevGrid, is_int, world_to_cell
 from .tensor import LinearMap, linear_apply
 
 log = logging.getLogger(__name__)
@@ -31,7 +31,7 @@ class GroupSpec:
         if not self.groups or not all(self.groups):
             raise ValueError("groups must be non-empty lists of class ids")
         flat = [c for g in self.groups for c in g]
-        if sorted(flat) != list(range(len(flat))):
+        if not all(map(is_int, flat)) or sorted(flat) != list(range(len(flat))):
             raise ValueError("groups must partition the class-id set 0..K-1")
         if self.queries_per_group < 1:
             raise ValueError("queries_per_group must be >= 1")

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import BevGrid, CameraModel, FeaturePyramid, project_to_image
+from .geometry import (BevGrid, CameraModel, FeaturePyramid, is_int,
+                       project_to_image)
 
 N_RESERVED_CHANNELS = 2  # -2: true height, -1: occupancy
 
@@ -72,31 +73,44 @@ class SceneConfig:
             raise ValueError("need at least 3 channels (2 are reserved)")
         if self.n_boxes < 0:
             raise ValueError("n_boxes must be >= 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
+            raise ValueError("noise_std must be finite and >= 0")
+        if not math.isfinite(self.cam_height):
+            raise ValueError("cam_height must be finite")
         if self.n_cameras < 1:
             raise ValueError("n_cameras must be >= 1")
-        if not self.strides or any(s < 1 for s in self.strides):
-            raise ValueError("need at least one stride, each >= 1")
+        if not (self.strides and all(is_int(s) and s >= 1
+                                     for s in self.strides)):
+            raise ValueError("need at least one stride, each an integer >= 1")
         if any(a >= b for a, b in zip(self.strides, self.strides[1:])):
             raise ValueError("strides must be strictly increasing")
         if not 0 < self.fov_deg < 180:
             raise ValueError("fov_deg must lie in (0, 180)")
         if not (len(self.image_size) == 2
-                and all(isinstance(n, (int, np.integer)) and n > 0
-                        for n in self.image_size)):
+                and all(is_int(n) and n > 0 for n in self.image_size)):
             raise ValueError("image_size must be two positive integers")
+        # camera_ring's focal length (W / 2) / tan(fov / 2) must be finite
+        tan_half = math.tan(math.radians(self.fov_deg) / 2)
+        if not (tan_half > 0 and math.isfinite(self.image_size[0] / 2 / tan_half)):
+            raise ValueError("fov_deg is too small for a finite focal length")
         if any(n % s for n in self.image_size for s in self.strides):
             raise ValueError(f"image size {self.image_size} is not divisible "
                              f"by every stride of {self.strides}")
         if not (self.classes and all(
-                isinstance(c, (int, np.integer)) and 0 <= c < len(CLASS_NAMES)
+                is_int(c) and 0 <= c < len(CLASS_NAMES)
                 for c in self.classes)):
             raise ValueError("classes must be a non-empty list of class ids "
                              f"in 0..{len(CLASS_NAMES) - 1}")
         if self.fixed_dims is not None and not (
-                len(self.fixed_dims) == 3 and all(d > 0 for d in self.fixed_dims)):
+                len(self.fixed_dims) == 3
+                and all(d > 0 and math.isfinite(d) for d in self.fixed_dims)):
             raise ValueError("fixed_dims must be three positive numbers (l, w, h)")
+        # make_scene centres each box at least margin + l / 2 from the edges
+        longest = max((self.fixed_dims or CLASS_DIMS[c])[0] for c in self.classes)
+        g = self.grid
+        room = min(g.x_range[1] - g.x_range[0], g.y_range[1] - g.y_range[0])
+        if self.n_boxes and longest > room - 2 * self.margin:
+            raise ValueError(f"boxes {longest:g} m long do not fit the grid")
 
 
 @dataclass(frozen=True)

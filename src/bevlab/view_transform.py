@@ -11,13 +11,11 @@ Sampling gathers image features only where they exist: each (height, camera)
 pair projects every cell, but bilinear lookups, and their gradients, run only
 on the cells that land inside that camera's image (about a fifth of them for
 a surround rig of narrow cameras). Pooling over cameras, heights and scales is
-vectorized over the H*W cells with a fixed summation order, so results are
-identical across thread counts.
+vectorized over the H*W cells with a fixed summation order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,40 +108,30 @@ def _sample_one(pyramid, cam, X, Y, Z):
     return idx, levels
 
 
-def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
-    """Shared sampling core.
+def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
+    """Shared sampling core of both samplers.
 
     heights: [N, N_h] (possibly traced), weights: [N, N_s*N_h] rows summing
     to 1, flattened scale-major (index j * N_h + i). Per sampled point the
     feature is the mean over cameras with a valid sample, zero when none.
 
-    Every (height, camera) task projects all N cells but gathers only at
+    Every (height, camera) pair projects all N cells but gathers only at
     the M cells its camera sees; the [M, C] rows are scattered back into
-    the dense per-(height, scale) camera sum, cameras in a fixed order, so
-    the result does not depend on the thread count. Backward touches only
-    the gathered lanes as well.
+    the dense per-(height, scale) camera sum, cameras in a fixed order.
+    Backward touches only the gathered lanes as well.
     """
+    if len(pyramids) != len(cams):
+        raise ValueError("one pyramid per camera required")
+    H, W = grid.height, grid.width
     n_h = np.shape(val(heights))[1]
     n_s = len(pyramids[0].levels)
     n_cams = len(cams)
     X, Y = grid.cell_centers_flat()
     N = X.size
 
-    traced = ad.is_traced(heights, weights) or any(
-        ad.is_traced(m) for p in pyramids for _, m in p.levels)
-
-    tasks = [(i, k) for i in range(n_h) for k in range(n_cams)]
     z_cols = [ad.getitem(heights, (slice(None), i)) for i in range(n_h)]
-
-    def run(task):
-        i, k = task
-        return _sample_one(pyramids[k], cams[k], X, Y, z_cols[i])
-
-    if n_threads > 1 and not traced:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = dict(zip(tasks, pool.map(run, tasks)))
-    else:
-        results = {t: run(t) for t in tasks}
+    samples = {(i, k): _sample_one(pyramids[k], cams[k], X, Y, z_cols[i])
+               for i in range(n_h) for k in range(n_cams)}
 
     out = None
     valid_total = np.zeros(N)
@@ -152,7 +140,7 @@ def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
             idxs, rows = [], []
             count = np.zeros(N)
             for k in range(n_cams):
-                idx, levels = results[(i, k)]
+                idx, levels = samples[i, k]
                 feats, ok = levels[j]
                 idxs.append(idx)
                 rows.append(feats)
@@ -165,12 +153,16 @@ def _vt_engine(heights, weights, pyramids, cams, grid, n_threads=1):
             term = ad.mul(point_feat, ad.reshape(w_col, (N, 1)))
             out = term if out is None else ad.add(out, term)
 
-    frac = valid_total / (n_h * n_s * n_cams)
-    return out, frac
+    return VtOutput(
+        bev=_flat_to_chw(out, H, W),
+        per_cell_heights=val(heights).T.reshape(n_h, H, W).copy(),
+        per_cell_weights=val(weights).T.reshape(n_s * n_h, H, W).copy(),
+        validity_fraction=(valid_total / (n_h * n_s * n_cams)).reshape(H, W),
+    )
 
 
-def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams, grid: BevGrid,
-                    n_threads=1) -> VtOutput:
+def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams,
+                    grid: BevGrid) -> VtOutput:
     """LiDAR-guided sampling of multi-scale image features into BEV space.
 
     Per cell: heights are generated from the LiDAR features, each (X, Y, Z_i)
@@ -178,35 +170,21 @@ def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams, grid: BevGrid,
     the N_s*N_h point features are pooled with softmax weights that are also
     generated from the LiDAR features (no re-normalization over validity).
     """
-    if len(pyramids) != len(cams):
-        raise ValueError("one pyramid per camera required")
-    strides = {p.strides for p in pyramids}
-    if len(strides) != 1:
+    if len({p.strides for p in pyramids}) != 1:
         raise ValueError("all cameras must share the pyramid strides")
     if len(pyramids[0].levels) != params.n_scales:
         raise ValueError("pyramid level count must equal n_scales")
     if pyramids[0].channels != params.channels:
         raise ValueError("pyramid channels must match the generators")
 
-    H, W = grid.height, grid.width
     lidar_flat = _chw_to_flat(lidar_bev)
     raw = linear_apply(params.height_gen, lidar_flat)
     heights = _heights_from_raw(raw, params.z_min, params.z_max)
     weights = ad.softmax(linear_apply(params.weight_gen, lidar_flat), axis=-1)
-
-    bev_flat, frac = _vt_engine(heights, weights, pyramids, cams, grid,
-                                n_threads=n_threads)
-    return VtOutput(
-        bev=_flat_to_chw(bev_flat, H, W),
-        per_cell_heights=val(heights).T.reshape(params.n_heights, H, W).copy(),
-        per_cell_weights=val(weights).T.reshape(
-            params.n_scales * params.n_heights, H, W).copy(),
-        validity_fraction=frac.reshape(H, W),
-    )
+    return _vt_engine(heights, weights, pyramids, cams, grid)
 
 
-def vanilla_vt_output(pyramids, cams, grid: BevGrid, fixed_heights,
-                      n_threads=1) -> VtOutput:
+def vanilla_vt_output(pyramids, cams, grid: BevGrid, fixed_heights) -> VtOutput:
     """Baseline transform with diagnostics: project the same predefined
     heights from every cell and pool uniformly over all scales/heights."""
     fixed = np.asarray(fixed_heights, dtype=np.float64)
@@ -214,23 +192,11 @@ def vanilla_vt_output(pyramids, cams, grid: BevGrid, fixed_heights,
         raise ValueError("fixed_heights must be non-empty")
     if fixed.min() < grid.z_range[0] or fixed.max() > grid.z_range[1]:
         raise ValueError("fixed heights must lie inside the grid z-range")
-    if len(pyramids) != len(cams):
-        raise ValueError("one pyramid per camera required")
 
-    H, W = grid.height, grid.width
-    N = H * W
-    n_h = fixed.size
-    n_s = len(pyramids[0].levels)
-    heights = np.tile(fixed, (N, 1))
-    weights = np.full((N, n_s * n_h), 1.0 / (n_s * n_h))
-    bev_flat, frac = _vt_engine(heights, weights, pyramids, cams, grid,
-                                n_threads=n_threads)
-    return VtOutput(
-        bev=_flat_to_chw(bev_flat, H, W),
-        per_cell_heights=heights.T.reshape(n_h, H, W).copy(),
-        per_cell_weights=weights.T.reshape(n_s * n_h, H, W).copy(),
-        validity_fraction=frac.reshape(H, W),
-    )
+    N = grid.height * grid.width
+    n = len(pyramids[0].levels) * fixed.size
+    return _vt_engine(np.tile(fixed, (N, 1)), np.full((N, n), 1.0 / n),
+                      pyramids, cams, grid)
 
 
 def adaptive_project(params: VtParams, bev_as, lidar_bev):

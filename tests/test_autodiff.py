@@ -244,6 +244,15 @@ def test_bilinear_gather_out_of_bounds_zero():
     assert np.all(out[0] == 0) and np.all(out[2] == 0)
 
 
+def test_bilinear_gather_nan_point_zero():
+    # a NaN point (from features that overflowed) is outside every image
+    out, valid = ad.bilinear_gather(np.ones((2, 4, 4)),
+                                    np.array([np.nan, 2.0, 1.0]),
+                                    np.array([1.0, np.nan, 1.0]))
+    assert valid.tolist() == [False, False, True]
+    assert np.all(out[:2] == 0) and np.all(out[2] == 1)
+
+
 def test_backward_requires_scalar(rng):
     v = ad.Var(rng.normal(size=(3,)), requires_grad=True)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bevlab import bfk
-from bevlab.cli import main
+from bevlab.cli import DEFAULTS, main
 
 TINY = {
     "seed": 0,
@@ -20,6 +20,20 @@ TINY = {
     "scene": {"n_scenes": 1, "n_boxes": 3, "image_size": [64, 64],
               "strides": [4, 8], "n_cameras": 4, "fixed_dims": [3.0, 1.5, 1.5]},
 }
+
+
+# every settable key of the config document, as a path of keys
+CONFIG_KEYS = [(k,) for k, v in DEFAULTS.items() if not isinstance(v, dict)] + [
+    (k, name) for k, v in DEFAULTS.items() if isinstance(v, dict) for name in v]
+# any JSON document, numbers kept small enough to run in milliseconds; flat
+# lists of scalars, the shape of most list-valued keys, are drawn often
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+                | st.text(max_size=4))
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=4) | st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8)
 
 
 @pytest.fixture
@@ -163,13 +177,27 @@ class TestRun:
         ("scene", {"fixed_dims": [0, 1, 1]}),
         ("scene", {"classes": []}),
         ("scene", {"fixed_dims": []}),
+        ("scene", {"n_scenes": 0}),
+        ("scene", {"n_scenes": -1}),
+        ("scene", {"classes": [True]}),  # not class 1
+        ("grid", {"cells": [8]}),
+        ("scene", {"strides": [4.0]}),
+        ("scene", {"seed": -1}),
+        ("scene", {"noise_std": float("inf")}),
+        ("scene", {"cam_height": float("nan")}),
+        ("scene", {"fov_deg": 1e-308}),  # infinite focal length
+        ("scene", {"fixed_dims": [1e308, 1e308, 1e308]}),
+        ("grid", {"x_range": [-3, 3], "y_range": [-3, 3]}),  # 3 m boxes
+        ("grid", {"x_range": [-1e308, 1e308], "y_range": [-1e308, 1e308]}),
+        ("scene", {"noise_std": 10 ** 400}),  # no float holds it
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})
         self.assert_rejected(doc, tmp_path, capsys)
 
     @pytest.mark.parametrize("update", [
-        {"seed": "abc"}, {"seed": 1.5}, {"threads": "x"},
+        {"seed": "abc"}, {"seed": 1.5}, {"threads": "x"}, {"seed": -3},
+        {"threads": 2}, {"bench": {"modes": [["asap"]]}},
     ])
     def test_top_level_config_exit_2(self, tmp_path, capsys, update):
         self.assert_rejected(dict(TINY, **update), tmp_path, capsys)
@@ -183,22 +211,37 @@ class TestRun:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "", "2.5"])
-    def test_malformed_thread_env_exit_2(self, tiny_config, tmp_path,
-                                         monkeypatch, capsys, value):
-        monkeypatch.setenv("BFK_THREADS", value)
-        assert main(["run", tiny_config, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "BFK_THREADS" in err and "runtime failure" not in err
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(CONFIG_KEYS), JSON_VALUES)
+    def test_any_single_key_exit_0_or_2(self, key, value):
+        doc = json.loads(json.dumps(TINY))
+        *sections, name = key
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            assert main(["run", path, "--out", os.path.join(tmp, "o")]) in (0, 2)
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_threads_flag_rejected(self, tiny_config, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, tiny_config, "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_byte_identical_reruns_and_threads(self, tiny_config, tmp_path):
+        # the third run sets the schema's only thread count explicitly
+        one_thread = tmp_path / "one_thread.json"
+        one_thread.write_text(json.dumps(dict(TINY, threads=1)))
         outs = []
-        for name, threads in (("a", None), ("b", None), ("c", 4)):
+        for name, config in (("a", tiny_config), ("b", tiny_config),
+                             ("c", str(one_thread))):
             out = tmp_path / name
-            argv = ["run", tiny_config, "--out", str(out)]
-            if threads:
-                argv += ["--threads", str(threads)]
-            assert main(argv) == 0
+            assert main(["run", config, "--out", str(out)]) == 0
             outs.append(out)
         ref = (outs[0] / "detections.json").read_bytes()
         for out in outs[1:]:
@@ -279,6 +322,33 @@ class TestViz:
         pix = np.frombuffer(out.read_bytes()[len(b"P5\n8 8\n255\n"):],
                             dtype=np.uint8).reshape(8, 8)
         assert pix[2, 1] == 255 and pix[5, 6] == 255
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", "[[1]]", '{"a": 1}', '[["a", 2]]', "[[NaN, 0]]",
+        "[[1e400, 0]]", "[[1, 2, 3]]", "5", "[[true, 0]]",
+    ])
+    def test_malformed_points_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "t.bfk"
+        bfk.save(path, np.zeros((1, 8, 8)))
+        pts = tmp_path / "pts.json"
+        pts.write_text(text)
+        out = tmp_path / "o.pgm"
+        assert main(["viz", str(path), "--out", str(out),
+                     "--points", str(pts)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_any_points_document_exit_0_or_2(self, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.bfk")
+            bfk.save(path, np.zeros((1, 4, 4)))
+            pts = os.path.join(tmp, "pts.json")
+            with open(pts, "w") as fh:
+                json.dump(value, fh)
+            assert main(["viz", path, "--out", os.path.join(tmp, "o.pgm"),
+                         "--points", pts]) in (0, 2)
 
     def test_bad_file_exit_2(self, tmp_path):
         path = tmp_path / "bad.bfk"

@@ -16,8 +16,7 @@ from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
                             _position_aware_mix_batch)
 from bevlab.geometry import BevGrid, world_to_cell
 from bevlab.scene_sim import Box
-from bevlab.tensor import (LinearMap, bilinear_sample, linear_apply,
-                           sinusoidal_encode)
+from bevlab.tensor import LinearMap, bilinear_sample, linear_apply
 from helpers import gradcheck
 
 # unit cells make the hand cases read directly in meters
@@ -316,48 +315,6 @@ class TestDecoderLayer:
             ad.matmul(feats, val(params.offset_gen.weight).T)
             + val(params.offset_gen.bias), (1, 4, 2)))
         assert np.allclose(val(offs), raw, atol=1e-12)
-
-    def test_full_layer_scripted_oracle(self, rng):
-        # every sub-block hand-set; the whole layer is recomputed step by
-        # step with plain numpy
-        C, n_p = 2, 4
-        params = tiny_params(rng, C=C, n_p=n_p, n_heads=1, scale=0.4)
-        feats = rng.normal(size=(1, C))
-        ref = np.array([[7.0, 9.0]])
-        bev = rng.normal(size=(C, 32, 32))
-        state = _initial_state(ref)
-
-        new_feats, enc, cls, next_state = decoder_layer(
-            feats, ref, state, bev, params, 0, GRID)
-
-        def apply(m, x):
-            return val(m.weight) @ x + val(m.bias)
-
-        # self attention, single query
-        f = feats[0]
-        attn = params.self_attn[0]
-        v = apply(attn.w_v, f)
-        f = f + apply(attn.w_o, v)
-        # corner sampling at layer 0: center + raw offsets
-        raw = apply(params.offset_gen, f).reshape(n_p, 2)
-        pts = raw + ref[0]
-        g = np.stack([bilinear_sample(bev, tuple(p))[0] for p in pts])
-        # position embedding of normalized absolute points
-        e = np.stack([apply(params.pos_embed_proj,
-                            sinusoidal_encode((p[0] / 32.0, p[1] / 32.0), 4))
-                      for p in pts])
-        G = g + e
-
-        W_c = apply(params.channel_mix_gen, f).reshape(C, C)
-        G_c = np.maximum(np.stack([ln(r) for r in G @ W_c]), 0.0)
-        W_s = apply(params.spatial_mix_gen, f).reshape(n_p, n_p)
-        G_cs = np.maximum(np.stack([ln(r) for r in G_c.T @ W_s]), 0.0)
-        f = f + apply(params.out_proj, G_cs.T.ravel())
-        f = f + apply(params.ffn2, np.maximum(apply(params.ffn1, f), 0.0))
-
-        assert np.allclose(val(new_feats)[0], f, atol=1e-12)
-        assert np.allclose(val(enc)[0], apply(params.reg_head, f), atol=1e-12)
-        assert np.allclose(val(cls)[0], apply(params.cls_head, f), atol=1e-12)
 
     def test_deformable_modes_run_and_differ(self, rng):
         params = tiny_params(rng, scale=0.4, n_layers=2)

@@ -86,16 +86,6 @@ class TestForward:
             assert np.isfinite(layer["enc"]).all()
             assert np.all(layer["cls_probs"] == 0.5)
 
-    def test_forward_deterministic_across_threads(self):
-        scene = tiny_scene(seed=4)
-        cfg = tiny_config()
-        params = init_params(cfg, seed=5)
-        a = forward(cfg, params, scene, n_threads=1)
-        b = forward(cfg, params, scene, n_threads=4)
-        assert np.array_equal(a[2]["bev_fuse"], b[2]["bev_fuse"])
-        for la, lb in zip(a[0].layers, b[0].layers):
-            assert np.array_equal(la["enc"], lb["enc"])
-
     def test_group_ids_and_shared_features(self):
         scene = tiny_scene(seed=6)
         cfg = tiny_config()

@@ -199,8 +199,8 @@ def tanh(a):
 
 def sigmoid(a):
     va = val(a)
-    y = np.where(va >= 0, 1.0 / (1.0 + np.exp(-np.abs(va))),
-                 np.exp(-np.abs(va)) / (1.0 + np.exp(-np.abs(va))))
+    e = np.exp(-np.abs(va))
+    y = np.where(va >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def vjp(g):
         _accum(a, g * y * (1.0 - y))

@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import val
 from .geometry import BevGrid
-from .tensor import LinearMap, linear_apply, sinusoid_freqs
+from .tensor import LinearMap, chw_to_cells, linear_apply, sinusoid_freqs
 
 # corner sign pattern, cycled by point index i -> corner j = i mod 4
 CORNER_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
@@ -287,10 +287,8 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
     feats = self_attention(feats, params.self_attn[layer_idx], params.n_heads)
 
     if mode == "standard":
-        C, H, W = np.shape(val(bev_fuse))
-        bev_flat = ad.transpose(ad.reshape(bev_fuse, (C, H * W)), (1, 0))
-        feats = ad.add(feats, _mha(feats, bev_flat, params.cross_attn,
-                                   params.n_heads))
+        feats = ad.add(feats, _mha(feats, chw_to_cells(bev_fuse),
+                                   params.cross_attn, params.n_heads))
     else:
         points, _ = _corner_points_batch(feats, boxes, params, grid, mode=mode)
         sampled = corner_sample(bev_fuse, points)

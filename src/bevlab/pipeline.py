@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .geometry import BevGrid, world_to_cell
 from .query_select import (GroupEmbeddings, GroupSpec, HeatmapHead,
                            predict_heatmaps, topk_keypoints, gaussian_target)
 from .scene_sim import rasterize_lidar_bev, render_camera_features, ray_smear_metric
-from .tensor import LinearMap
-from .view_transform import (VtParams, VtOutput, adaptive_project,
+from .tensor import LinearMap, chw_to_cells, linear_apply
+from .view_transform import (VtParams, _heights_from_raw, adaptive_project,
                              adaptive_sample, fuse_bev, vanilla_vt_output)
 
 VT_MODES = ("asap", "as_only", "ap_only", "vanilla")
@@ -34,6 +34,10 @@ QUERY_INIT_MODES = ("mixed_groupwise", "mixed_instancewise", "learnable", "heatm
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Model shape and ablation modes of one pipeline. The decoder's
+    sinusoidal position encoding has `pe_dim` = max(4, channels rounded up
+    to a multiple of 4) entries: a sin/cos pair per frequency and axis."""
+
     grid: BevGrid
     channels: int = 32
     n_heights: int = 4
@@ -42,7 +46,6 @@ class PipelineConfig:
     n_points: int = 16
     n_layers: int = 6
     n_heads: int = 8
-    pe_dim: int = 0  # 0: derive from channels, else a multiple of 4
     vt_mode: str = "asap"
     query_init: str = "mixed_groupwise"
     attention_mode: str = "geometry_aware"
@@ -63,9 +66,6 @@ class PipelineConfig:
             raise ValueError("n_layers must be at least 1")
         if self.n_heights < 1:
             raise ValueError("n_heights must be at least 1")
-        # the sinusoidal encoding gives each axis a sin/cos pair per frequency
-        if self.pe_dim < 0 or self.pe_dim % 4:
-            raise ValueError("pe_dim must be 0 or a positive multiple of 4")
         # top-k keypoints: every group picks its queries among the grid cells
         n_cells = self.grid.height * self.grid.width
         if (self.query_init != "learnable"
@@ -79,12 +79,14 @@ class PipelineConfig:
             raise ValueError(
                 f"grid cells must be square, got {self.grid.cell_size_x:g} m "
                 f"x {self.grid.cell_size_y:g} m")
-        if self.pe_dim == 0:
-            object.__setattr__(self, "pe_dim", max(4, 4 * ((self.channels + 3) // 4)))
 
     @property
     def n_scales(self):
         return len(self.strides)
+
+    @property
+    def pe_dim(self):
+        return max(4, 4 * ((self.channels + 3) // 4))
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,16 @@ class PipelineParams:
     decoder: DecoderParams
 
 
-def _init_linear(rng, out_dim, in_dim, scale):
-    if scale == 0.0:
-        return LinearMap.zeros(out_dim, in_dim)
-    w = rng.normal(0.0, scale / np.sqrt(in_dim), size=(out_dim, in_dim))
+INIT_SCALE = 0.5  # embedding std; linear maps: std INIT_SCALE / sqrt(fan-in)
+
+
+def _init_linear(rng, out_dim, in_dim):
+    w = rng.normal(0.0, INIT_SCALE / np.sqrt(in_dim), size=(out_dim, in_dim))
     return LinearMap(w, np.zeros(out_dim))
 
 
-def init_params(config: PipelineConfig, seed, scale=0.5) -> PipelineParams:
-    """Seeded parameter initialization; scale=0 gives the all-zero model."""
+def init_params(config: PipelineConfig, seed) -> PipelineParams:
+    """Seeded parameter initialization."""
     rng = np.random.default_rng(seed)
     C = config.channels
     n_h, n_s = config.n_heights, config.n_scales
@@ -114,47 +117,38 @@ def init_params(config: PipelineConfig, seed, scale=0.5) -> PipelineParams:
 
     vt = VtParams(
         n_heights=n_h, n_scales=n_s,
-        height_gen=_init_linear(rng, n_h, C, scale),
-        weight_gen=_init_linear(rng, n_s * n_h, C, scale),
-        kernel_gen=_init_linear(rng, C * C, C, scale),
-        fuse=_init_linear(rng, C, 2 * C, scale),
+        height_gen=_init_linear(rng, n_h, C),
+        weight_gen=_init_linear(rng, n_s * n_h, C),
+        kernel_gen=_init_linear(rng, C * C, C),
+        fuse=_init_linear(rng, C, 2 * C),
         z_min=config.grid.z_range[0], z_max=config.grid.z_range[1])
-    head = HeatmapHead(scorer=_init_linear(rng, k, C, scale))
+    head = HeatmapHead(scorer=_init_linear(rng, k, C))
 
     n_q = config.groups.n_queries
-    if scale == 0.0:
-        group_table = np.zeros((config.groups.n_groups, C))
-        inst_table = np.zeros((n_q, C))
-    else:
-        group_table = rng.normal(0.0, scale, size=(config.groups.n_groups, C))
-        inst_table = rng.normal(0.0, scale, size=(n_q, C))
+    group_table = rng.normal(0.0, INIT_SCALE, size=(config.groups.n_groups, C))
+    inst_table = rng.normal(0.0, INIT_SCALE, size=(n_q, C))
     pts = np.stack([rng.uniform(0, config.grid.width - 1, size=n_q),
                     rng.uniform(0, config.grid.height - 1, size=n_q)], axis=1)
+
+    def attention():  # w_q, w_k, w_v, w_o, drawn in that order
+        return AttentionParams(*(_init_linear(rng, C, C) for _ in range(4)))
 
     dec = DecoderParams(
         n_layers=config.n_layers, n_points=n_p, n_heads=config.n_heads,
         pe_dim=config.pe_dim,
-        offset_gen=_init_linear(rng, 2 * n_p, C, scale),
-        point_weight_gen=_init_linear(rng, n_p, C, scale),
-        deform_out_proj=_init_linear(rng, C, C, scale),
-        pos_embed_proj=_init_linear(rng, C, config.pe_dim, scale),
-        channel_mix_gen=_init_linear(rng, C * C, C, scale),
-        spatial_mix_gen=_init_linear(rng, n_p * n_p, C, scale),
-        out_proj=_init_linear(rng, C, n_p * C, scale),
-        self_attn=tuple(
-            AttentionParams(_init_linear(rng, C, C, scale),
-                            _init_linear(rng, C, C, scale),
-                            _init_linear(rng, C, C, scale),
-                            _init_linear(rng, C, C, scale))
-            for _ in range(config.n_layers)),
-        cross_attn=AttentionParams(_init_linear(rng, C, C, scale),
-                                   _init_linear(rng, C, C, scale),
-                                   _init_linear(rng, C, C, scale),
-                                   _init_linear(rng, C, C, scale)),
-        ffn1=_init_linear(rng, 2 * C, C, scale),
-        ffn2=_init_linear(rng, C, 2 * C, scale),
-        reg_head=_init_linear(rng, 8, C, scale),
-        cls_head=_init_linear(rng, k, C, scale))
+        offset_gen=_init_linear(rng, 2 * n_p, C),
+        point_weight_gen=_init_linear(rng, n_p, C),
+        deform_out_proj=_init_linear(rng, C, C),
+        pos_embed_proj=_init_linear(rng, C, config.pe_dim),
+        channel_mix_gen=_init_linear(rng, C * C, C),
+        spatial_mix_gen=_init_linear(rng, n_p * n_p, C),
+        out_proj=_init_linear(rng, C, n_p * C),
+        self_attn=tuple(attention() for _ in range(config.n_layers)),
+        cross_attn=attention(),
+        ffn1=_init_linear(rng, 2 * C, C),
+        ffn2=_init_linear(rng, C, 2 * C),
+        reg_head=_init_linear(rng, 8, C),
+        cls_head=_init_linear(rng, k, C))
     return PipelineParams(vt=vt, head=head,
                           group_embeds=GroupEmbeddings(group_table),
                           instance_embeds=inst_table,
@@ -424,9 +418,7 @@ def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
     losses = {}
 
     if weights.get("height", 0.0) > 0 and len(consts["occ_idx"]):
-        from .view_transform import _chw_to_flat, _heights_from_raw
-        from .tensor import linear_apply
-        rows = _chw_to_flat(consts["lidar"])[consts["occ_idx"]]
+        rows = chw_to_cells(consts["lidar"])[consts["occ_idx"]]
         raw = linear_apply(params.vt.height_gen, rows)
         h = _heights_from_raw(raw, params.vt.z_min, params.vt.z_max)
         diff = ad.absolute(ad.sub(h, consts["z_true"][:, None]))
@@ -477,7 +469,6 @@ def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
 class FitResult:
     params: PipelineParams
     curve: list  # dicts: step, total, and per-component values
-    monotone_trend_ok: bool
 
 
 def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
@@ -527,22 +518,7 @@ def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
         # next step builds its own
         total = losses = term = w_term = None
 
-    # trend check: every later 50-step window must stay within slack of the
-    # best window so far (2% relative plus 1% of the starting level, which
-    # tolerates jitter at the convergence floor)
-    totals = np.array([c["total"] for c in curve])
-    window = 50
-    ok = True
-    if totals.size >= 2 * window:
-        means = [totals[i:i + window].mean()
-                 for i in range(0, totals.size - window + 1, window)]
-        best = means[0]
-        for m in means[1:]:
-            if m > best * 1.02 + 0.01 * means[0]:
-                ok = False
-            best = min(best, m)
-    return FitResult(params=ad.unlift_tree(lifted), curve=curve,
-                     monotone_trend_ok=ok)
+    return FitResult(params=ad.unlift_tree(lifted), curve=curve)
 
 
 # ---------------------------------------------------------------------------

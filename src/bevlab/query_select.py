@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import val
 from .geometry import BevGrid, is_int, world_to_cell
-from .tensor import LinearMap, linear_apply
+from .tensor import LinearMap, cells_to_chw, chw_to_cells, linear_apply
 
 log = logging.getLogger(__name__)
 
@@ -91,11 +91,9 @@ def gaussian_target(boxes, grid: BevGrid, n_classes):
 
 def predict_heatmaps(head: HeatmapHead, bev_fuse):
     """Sigmoid center-likelihood scores, [n_classes, H, W], entries in (0,1)."""
-    C, H, W = np.shape(val(bev_fuse))
-    flat = ad.transpose(ad.reshape(bev_fuse, (C, H * W)), (1, 0))
-    scores = ad.sigmoid(linear_apply(head.scorer, flat))
-    K = head.scorer.out_dim
-    return ad.reshape(ad.transpose(scores, (1, 0)), (K, H, W))
+    _, H, W = np.shape(val(bev_fuse))
+    scores = ad.sigmoid(linear_apply(head.scorer, chw_to_cells(bev_fuse)))
+    return cells_to_chw(scores, H, W)
 
 
 def _local_max_mask(score):

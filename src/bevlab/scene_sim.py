@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .geometry import (BevGrid, CameraModel, FeaturePyramid, is_int,
                        project_to_image)
 
 N_RESERVED_CHANNELS = 2  # -2: true height, -1: occupancy
+BOX_MARGIN = 2.0  # boxes keep this far inside the ROI, meters
 
 CLASS_NAMES = (
     "car", "truck", "construction_vehicle", "bus", "trailer",
@@ -64,7 +65,6 @@ class SceneConfig:
     n_cameras: int = 6
     cam_height: float = 1.8
     fov_deg: float = 70.0
-    margin: float = 2.0            # keep boxes this far inside the ROI, meters
     classes: tuple = tuple(range(len(CLASS_NAMES)))
     fixed_dims: tuple = None       # force (l, w, h) for every box when set
 
@@ -105,11 +105,11 @@ class SceneConfig:
                 len(self.fixed_dims) == 3
                 and all(d > 0 and math.isfinite(d) for d in self.fixed_dims)):
             raise ValueError("fixed_dims must be three positive numbers (l, w, h)")
-        # make_scene centres each box at least margin + l / 2 from the edges
+        # make_scene centres each box at least BOX_MARGIN + l / 2 from the edges
         longest = max((self.fixed_dims or CLASS_DIMS[c])[0] for c in self.classes)
         g = self.grid
         room = min(g.x_range[1] - g.x_range[0], g.y_range[1] - g.y_range[0])
-        if self.n_boxes and longest > room - 2 * self.margin:
+        if self.n_boxes and longest > room - 2 * BOX_MARGIN:
             raise ValueError(f"boxes {longest:g} m long do not fit the grid")
 
 
@@ -182,10 +182,10 @@ def make_scene(config: SceneConfig, seed: int) -> SceneSpec:
         placed = False
         for _ in range(1000):
             dims = config.fixed_dims or CLASS_DIMS[cls]
-            x = rng.uniform(grid.x_range[0] + config.margin + dims[0] / 2,
-                            grid.x_range[1] - config.margin - dims[0] / 2)
-            y = rng.uniform(grid.y_range[0] + config.margin + dims[0] / 2,
-                            grid.y_range[1] - config.margin - dims[0] / 2)
+            x = rng.uniform(grid.x_range[0] + BOX_MARGIN + dims[0] / 2,
+                            grid.x_range[1] - BOX_MARGIN - dims[0] / 2)
+            y = rng.uniform(grid.y_range[0] + BOX_MARGIN + dims[0] / 2,
+                            grid.y_range[1] - BOX_MARGIN - dims[0] / 2)
             yaw = rng.uniform(-math.pi, math.pi)
             z = dims[2] / 2.0 + rng.uniform(0.0, 0.4)
             cand = Box(cls, (float(x), float(y), float(z)),
@@ -232,13 +232,11 @@ def footprint_mask(scene: SceneSpec, grid: BevGrid):
     return mask
 
 
-def rasterize_lidar_bev(scene: SceneSpec, grid: BevGrid, C=None):
-    """LiDAR-backbone stand-in: [C, H, W] map with each box's signature on
-    its footprint cells, true center height in channel C-2 and occupancy in
-    channel C-1, plus seeded Gaussian noise on the non-reserved channels."""
-    C = scene.channels if C is None else C
-    if C != scene.channels:
-        raise ValueError("channel count must match the scene's signatures")
+def rasterize_lidar_bev(scene: SceneSpec, grid: BevGrid):
+    """LiDAR-backbone stand-in: [C, H, W] map (C = scene.channels), each box's
+    signature on its footprint cells, true center height in channel C-2 and
+    occupancy in channel C-1, plus seeded Gaussian noise on the others."""
+    C = scene.channels
     out = np.zeros((C, grid.height, grid.width))
     for box, sig in zip(scene.boxes, scene.signatures):
         m = _footprint_mask_one(box, grid)

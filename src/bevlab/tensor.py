@@ -1,6 +1,6 @@
-"""Core dense-tensor helpers: checked construction, per-cell linear maps,
-scalar bilinear sampling, and sinusoidal encoding. Softmax, layer norm and
-relu are tape ops in `autodiff`.
+"""Core dense-tensor helpers: checked construction, the BEV cell layout,
+per-cell linear maps, scalar bilinear sampling, and sinusoidal encoding.
+Softmax, layer norm and relu are tape ops in `autodiff`.
 
 Tensors are plain numpy float64 arrays. The finite-difference gradient here
 is the verification oracle for every analytic gradient in the package.
@@ -16,13 +16,24 @@ from . import autodiff as ad
 from .autodiff import val
 
 
-def as_tensor(data, dtype=np.float64, checked=True):
-    """Copy `data` into a read-only ndarray, rejecting NaN/Inf when checked."""
-    arr = np.array(data, dtype=dtype)
-    if checked and not np.all(np.isfinite(arr)):
+def as_tensor(data):
+    """Copy `data` into a read-only float64 ndarray, rejecting NaN/Inf."""
+    arr = np.array(data, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
     arr.flags.writeable = False
     return arr
+
+
+def chw_to_cells(x):
+    """[C, H, W] map -> [H*W, C]: one row per cell, row-major over cells."""
+    C, H, W = np.shape(val(x))
+    return ad.transpose(ad.reshape(x, (C, H * W)), (1, 0))
+
+
+def cells_to_chw(x, H, W):
+    """[H*W, C] rows -> [C, H, W] map, the inverse of `chw_to_cells`."""
+    return ad.reshape(ad.transpose(x, (1, 0)), (np.shape(val(x))[1], H, W))
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,11 @@ from .decoder import (AttentionParams, DecoderParams, decoder_layer,
 from .geometry import (BevGrid, FeaturePyramid, cell_to_world,
                        project_heights, project_to_image)
 from .query_select import GroupSpec, HeatmapHead, predict_heatmaps, topk_keypoints
-from .scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
-from .tensor import (LinearMap, bilinear_sample, finite_diff_grad,
-                     linear_apply, sinusoidal_encode)
-from .view_transform import (VtParams, _chw_to_flat, _flat_to_chw,
-                             adaptive_project, adaptive_sample, fuse_bev)
+from .scene_sim import SceneConfig, make_scene
+from .tensor import (LinearMap, bilinear_sample, cells_to_chw, chw_to_cells,
+                     finite_diff_grad, linear_apply, sinusoidal_encode)
+from .view_transform import (VtParams, adaptive_project, adaptive_sample,
+                             fuse_bev)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,9 @@ def dense_adaptive_project(params: VtParams, bev_as, lidar_bev):
     C, H, W = np.shape(val(bev_as))
     N = H * W
     kernels = ad.reshape(linear_apply(params.kernel_gen,
-                                      _chw_to_flat(lidar_bev)), (N, C, C))
-    rows = ad.reshape(_chw_to_flat(bev_as), (N, 1, C))
-    return _flat_to_chw(ad.reshape(ad.matmul(rows, kernels), (N, C)), H, W)
+                                      chw_to_cells(lidar_bev)), (N, C, C))
+    rows = ad.reshape(chw_to_cells(bev_as), (N, 1, C))
+    return cells_to_chw(ad.reshape(ad.matmul(rows, kernels), (N, C)), H, W)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +719,6 @@ def run_props_suite(seed=0):
         bev = rng2.normal(size=(4, 8, 8))
         ref = rng2.uniform(2, 6, size=(3, 2))
         grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8))
-        from .decoder import run_decoder
 
         cur = feats.copy()
         state = _initial_state(ref)

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import val
 from .geometry import BevGrid, project_heights
-from .tensor import LinearMap, linear_apply
+from .tensor import LinearMap, cells_to_chw, chw_to_cells, linear_apply
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ class VtOutput:
     per_cell_heights: np.ndarray   # [N_h, H, W]
     per_cell_weights: np.ndarray   # [N_s*N_h, H, W]
     validity_fraction: np.ndarray  # [H, W]
-
-
-def _chw_to_flat(x):
-    """[C, H, W] -> [H*W, C] (row-major over cells)."""
-    C, H, W = np.shape(val(x))
-    return ad.transpose(ad.reshape(x, (C, H * W)), (1, 0))
-
-
-def _flat_to_chw(x, H, W):
-    N, C = np.shape(val(x))
-    return ad.reshape(ad.transpose(x, (1, 0)), (C, H, W))
 
 
 def _heights_from_raw(raw, z_min, z_max):
@@ -154,7 +143,7 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
             out = term if out is None else ad.add(out, term)
 
     return VtOutput(
-        bev=_flat_to_chw(out, H, W),
+        bev=cells_to_chw(out, H, W),
         per_cell_heights=val(heights).T.reshape(n_h, H, W).copy(),
         per_cell_weights=val(weights).T.reshape(n_s * n_h, H, W).copy(),
         validity_fraction=(valid_total / (n_h * n_s * n_cams)).reshape(H, W),
@@ -177,7 +166,7 @@ def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams,
     if pyramids[0].channels != params.channels:
         raise ValueError("pyramid channels must match the generators")
 
-    lidar_flat = _chw_to_flat(lidar_bev)
+    lidar_flat = chw_to_cells(lidar_bev)
     raw = linear_apply(params.height_gen, lidar_flat)
     heights = _heights_from_raw(raw, params.z_min, params.z_max)
     weights = ad.softmax(linear_apply(params.weight_gen, lidar_flat), axis=-1)
@@ -209,9 +198,9 @@ def adaptive_project(params: VtParams, bev_as, lidar_bev):
     C, H, W = np.shape(val(bev_as))
     if np.shape(val(lidar_bev)) != (C, H, W):
         raise ValueError("bev_as and lidar_bev shapes must agree")
-    out = ad.dynamic_filter(_chw_to_flat(bev_as), _chw_to_flat(lidar_bev),
+    out = ad.dynamic_filter(chw_to_cells(bev_as), chw_to_cells(lidar_bev),
                             params.kernel_gen.weight, params.kernel_gen.bias)
-    return _flat_to_chw(out, H, W)
+    return cells_to_chw(out, H, W)
 
 
 def fuse_bev(params: VtParams, bev_camera, bev_lidar):
@@ -220,5 +209,5 @@ def fuse_bev(params: VtParams, bev_camera, bev_lidar):
     if np.shape(val(bev_camera)) != np.shape(val(bev_lidar)):
         raise ValueError("camera and lidar BEV shapes must agree")
     C, H, W = np.shape(val(bev_camera))
-    both = ad.concat([_chw_to_flat(bev_camera), _chw_to_flat(bev_lidar)], axis=1)
-    return _flat_to_chw(linear_apply(params.fuse, both), H, W)
+    both = ad.concat([chw_to_cells(bev_camera), chw_to_cells(bev_lidar)], axis=1)
+    return cells_to_chw(linear_apply(params.fuse, both), H, W)

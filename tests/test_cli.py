@@ -143,8 +143,11 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         path.write_text(json.dumps({"model": {"vt_mode": "warp"}}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        path.write_text(json.dumps({"dtype": "f32"}))  # removed option
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        # removed options
+        for doc in ({"dtype": "f32"}, {"model": {"pe_dim": 8}},
+                    {"bench": {"reps": 5}}):
+            path.write_text(json.dumps(doc))
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("section, update", [
         ("model", {"n_heads": 0}),
@@ -163,8 +166,8 @@ class TestRun:
         ("scene", {"fov_deg": 0}),
         ("scene", {"n_cameras": 0}),
         ("model", {"n_heights": 0}),
-        ("model", {"pe_dim": 6}),
-        ("model", {"pe_dim": -4}),
+        ("model", {"query_init": "random"}),
+        ("model", {"attention_mode": "dense"}),
         ("model", {"groups": []}),
         ("model", {"groups": [[0]]}),  # scene classes 1..9 have no group
         ("model", {"queries_per_group": 5000}),  # 1024 cells
@@ -190,6 +193,7 @@ class TestRun:
         ("grid", {"x_range": [-3, 3], "y_range": [-3, 3]}),  # 3 m boxes
         ("grid", {"x_range": [-1e308, 1e308], "y_range": [-1e308, 1e308]}),
         ("scene", {"noise_std": 10 ** 400}),  # no float holds it
+        ("scene", {"n_boxes": 60}),  # placement gives up at box 38
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})
@@ -197,7 +201,7 @@ class TestRun:
 
     @pytest.mark.parametrize("update", [
         {"seed": "abc"}, {"seed": 1.5}, {"threads": "x"}, {"seed": -3},
-        {"threads": 2}, {"bench": {"modes": [["asap"]]}},
+        {"threads": 2},
     ])
     def test_top_level_config_exit_2(self, tmp_path, capsys, update):
         self.assert_rejected(dict(TINY, **update), tmp_path, capsys)
@@ -231,6 +235,12 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main([command, tiny_config, "--out", str(tmp_path / "o"),
                   "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_norm_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["viz", str(tmp_path / "t.bfk"), "--out",
+                  str(tmp_path / "o.pgm"), "--norm"])
         assert exc.value.code == 2
 
     def test_byte_identical_reruns_and_threads(self, tiny_config, tmp_path):

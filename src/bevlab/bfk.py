@@ -37,4 +37,5 @@ def load(path):
     if len(raw) - offset < 4 * count:
         raise ValueError(f"{path}: truncated BFK1 payload")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return data.reshape(shape).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN loads as NaN
+        return data.reshape(shape).astype(np.float64)

@@ -56,10 +56,12 @@ class AttentionParams:
 
 @dataclass(frozen=True)
 class DecoderParams:
-    n_layers: int
-    n_points: int
+    """Decoder weights. The arrays fix every count but the head count: C is
+    `offset_gen`'s input width, N_p (`n_points`) `point_weight_gen`'s output
+    width, `pe_dim` `pos_embed_proj`'s input width, and `n_layers` the
+    number of self-attention blocks."""
+
     n_heads: int
-    pe_dim: int
     offset_gen: LinearMap        # [C -> 2*N_p]
     point_weight_gen: LinearMap  # [C -> N_p], deformable baselines only
     deform_out_proj: LinearMap   # [C -> C], deformable baselines only
@@ -84,8 +86,6 @@ class DecoderParams:
             raise ValueError("feature dim must be divisible by n_heads")
         if self.offset_gen.out_dim != 2 * self.n_points:
             raise ValueError("offset_gen must output 2*n_points values")
-        if len(self.self_attn) != self.n_layers:
-            raise ValueError("one self-attention block per layer required")
         if self.reg_head.out_dim != ENC_DIM:
             raise ValueError(f"reg_head must output {ENC_DIM} values")
 
@@ -96,6 +96,18 @@ class DecoderParams:
     @property
     def n_classes(self):
         return self.cls_head.out_dim
+
+    @property
+    def n_layers(self):
+        return len(self.self_attn)
+
+    @property
+    def n_points(self):
+        return self.point_weight_gen.out_dim
+
+    @property
+    def pe_dim(self):
+        return self.pos_embed_proj.in_dim
 
 
 def encode_box(center_cells, z, dims, yaw, ref_point):

@@ -23,7 +23,7 @@ from .decoder import (AttentionParams, DecoderParams, encode_box, run_decoder,
 from .geometry import BevGrid, world_to_cell
 from .query_select import (GroupEmbeddings, GroupSpec, HeatmapHead,
                            predict_heatmaps, topk_keypoints, gaussian_target)
-from .scene_sim import rasterize_lidar_bev, render_camera_features, ray_smear_metric
+from .scene_sim import rasterize_lidar_bev, render_camera_features
 from .tensor import LinearMap, chw_to_cells, linear_apply
 from .view_transform import (VtParams, _heights_from_raw, adaptive_project,
                              adaptive_sample, fuse_bev, vanilla_vt_output)
@@ -116,12 +116,10 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
     k = config.groups.n_classes
 
     vt = VtParams(
-        n_heights=n_h, n_scales=n_s,
         height_gen=_init_linear(rng, n_h, C),
         weight_gen=_init_linear(rng, n_s * n_h, C),
         kernel_gen=_init_linear(rng, C * C, C),
-        fuse=_init_linear(rng, C, 2 * C),
-        z_min=config.grid.z_range[0], z_max=config.grid.z_range[1])
+        fuse=_init_linear(rng, C, 2 * C))
     head = HeatmapHead(scorer=_init_linear(rng, k, C))
 
     n_q = config.groups.n_queries
@@ -134,8 +132,7 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
         return AttentionParams(*(_init_linear(rng, C, C) for _ in range(4)))
 
     dec = DecoderParams(
-        n_layers=config.n_layers, n_points=n_p, n_heads=config.n_heads,
-        pe_dim=config.pe_dim,
+        n_heads=config.n_heads,
         offset_gen=_init_linear(rng, 2 * n_p, C),
         point_weight_gen=_init_linear(rng, n_p, C),
         deform_out_proj=_init_linear(rng, C, C),
@@ -162,23 +159,35 @@ def vanilla_heights(grid: BevGrid, n_heights):
     return grid.z_range[0] + (k + 0.5) * grid.z_span / n_heights
 
 
-def _run_vt(config: PipelineConfig, params: PipelineParams, lidar, pyramids,
-            cams, cached_vanilla=None):
+def _scene_inputs(config: PipelineConfig, scene):
+    """A scene's view-transform inputs: the scene, its LiDAR raster, its
+    camera pyramids, and a `vanilla` slot that `_run_vt` fills."""
+    return {"scene": scene,
+            "lidar": rasterize_lidar_bev(scene, config.grid),
+            "pyramids": render_camera_features(scene, config.grid,
+                                               config.strides),
+            "vanilla": None}
+
+
+def _run_vt(config: PipelineConfig, params: PipelineParams, inputs):
     """Camera-branch BEV map per the configured mode, plus diagnostics.
 
-    cached_vanilla: the scene's precomputed VtOutput of the
-    parameter-independent vanilla sampling stage (`vanilla` and `ap_only`
-    modes), as `_scene_constants` builds it once per scene.
+    inputs: the scene's `_scene_inputs`. The vanilla sampling (`vanilla` and
+    `ap_only` modes) does not depend on the parameters: it is built into
+    inputs["vanilla"] the first time the scene needs it, at
+    `vanilla_heights(grid, config.n_heights)`, and reused after.
     """
     grid = config.grid
     mode = config.vt_mode
+    lidar, pyramids = inputs["lidar"], inputs["pyramids"]
+    cams = inputs["scene"].cameras
     if mode in ("asap", "as_only"):
         diag = adaptive_sample(params.vt, lidar, pyramids, cams, grid)
-    elif cached_vanilla is not None:
-        diag = cached_vanilla
     else:
-        fixed = vanilla_heights(grid, config.n_heights)
-        diag = vanilla_vt_output(pyramids, cams, grid, fixed)
+        if inputs["vanilla"] is None:
+            inputs["vanilla"] = vanilla_vt_output(
+                pyramids, cams, grid, vanilla_heights(grid, config.n_heights))
+        diag = inputs["vanilla"]
     if mode in ("asap", "ap_only"):
         bev_camera = adaptive_project(params.vt, diag.bev, lidar)
     else:
@@ -323,11 +332,11 @@ def forward(config: PipelineConfig, params: PipelineParams, scene):
     """
     grid = config.grid
     extras = {}
-    lidar = rasterize_lidar_bev(scene, grid)
-    pyramids = render_camera_features(scene, grid, config.strides)
+    inputs = _scene_inputs(config, scene)
+    lidar = inputs["lidar"]
     t_scene = time.perf_counter()
 
-    bev_camera, diag = _run_vt(config, params, lidar, pyramids, scene.cameras)
+    bev_camera, diag = _run_vt(config, params, inputs)
     t_vt = time.perf_counter()
     bev_fuse = fuse_bev(params.vt, bev_camera, lidar)
     t_fuse = time.perf_counter()
@@ -391,23 +400,18 @@ def _gt_cells(grid: BevGrid, scene):
 
 
 def _scene_constants(config: PipelineConfig, scene):
-    """Everything about a scene that is constant across fitting steps."""
+    """Everything about a scene that is constant across fitting steps: its
+    `_scene_inputs`, plus the loss targets."""
     grid = config.grid
-    lidar = rasterize_lidar_bev(scene, grid)
-    pyramids = render_camera_features(scene, grid, config.strides)
+    consts = _scene_inputs(config, scene)
+    lidar = consts["lidar"]
     targets, _ = gaussian_target(scene.boxes, grid, config.groups.n_classes)
     C = scene.channels
-    occ = lidar[C - 1].ravel() > 0.5
-    occ_idx = np.nonzero(occ)[0]
-    z_true = lidar[C - 2].ravel()[occ_idx]
-    gt_cells = _gt_cells(grid, scene)
-    vanilla = None
-    if config.vt_mode in ("vanilla", "ap_only"):
-        vanilla = vanilla_vt_output(pyramids, scene.cameras, grid,
-                                    vanilla_heights(grid, config.n_heights))
-    return {"scene": scene, "lidar": lidar, "pyramids": pyramids,
-            "heatmap_targets": targets, "occ_idx": occ_idx, "z_true": z_true,
-            "gt_cells": gt_cells, "vanilla": vanilla}
+    occ_idx = np.nonzero(lidar[C - 1].ravel() > 0.5)[0]
+    consts.update(heatmap_targets=targets, occ_idx=occ_idx,
+                  z_true=lidar[C - 2].ravel()[occ_idx],
+                  gt_cells=_gt_cells(grid, scene))
+    return consts
 
 
 def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
@@ -420,7 +424,7 @@ def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
     if weights.get("height", 0.0) > 0 and len(consts["occ_idx"]):
         rows = chw_to_cells(consts["lidar"])[consts["occ_idx"]]
         raw = linear_apply(params.vt.height_gen, rows)
-        h = _heights_from_raw(raw, params.vt.z_min, params.vt.z_max)
+        h = _heights_from_raw(raw, grid.z_range)
         diff = ad.absolute(ad.sub(h, consts["z_true"][:, None]))
         losses["height"] = ad.mean(diff)
 
@@ -428,9 +432,7 @@ def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
     if not need_fuse:
         return losses
 
-    bev_camera, _diag = _run_vt(config, params, consts["lidar"],
-                                consts["pyramids"], scene.cameras,
-                                cached_vanilla=consts["vanilla"])
+    bev_camera, _diag = _run_vt(config, params, consts)
     bev_fuse = fuse_bev(params.vt, bev_camera, consts["lidar"])
     heatmaps = predict_heatmaps(params.head, bev_fuse)
 
@@ -520,39 +522,3 @@ def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
 
     return FitResult(params=ad.unlift_tree(lifted), curve=curve)
 
-
-# ---------------------------------------------------------------------------
-# held-out evaluation helpers
-
-
-def eval_heatmap_loss(config: PipelineConfig, params: PipelineParams, scene):
-    """Gaussian-focal heatmap loss of the fitted model on one scene."""
-    consts = _scene_constants(config, scene)
-    losses = _scene_losses(config, params, consts, {"heatmap": 1.0})
-    return float(val(losses["heatmap"]))
-
-
-def eval_ray_smear(config: PipelineConfig, params: PipelineParams, scene):
-    """Energy concentration of the camera-branch BEV map on one scene."""
-    consts = _scene_constants(config, scene)
-    bev_camera, _ = _run_vt(config, params, consts["lidar"], consts["pyramids"],
-                            scene.cameras, cached_vanilla=consts["vanilla"])
-    return ray_smear_metric(val(bev_camera), scene, config.grid)
-
-
-def eval_box_l1(config: PipelineConfig, params: PipelineParams, scene):
-    """Mean final-layer encoded-space L1 over greedily matched boxes."""
-    det, _diag, _extras = forward(config, params, scene)
-    boxes = det.final["boxes"]
-    centers = np.stack([boxes["xc"], boxes["yc"]], axis=1)
-    gt_cells = _gt_cells(config.grid, scene)
-    pairs = greedy_match(centers, gt_cells)
-    if not pairs:
-        return float("nan")
-    vals = []
-    for q, g in pairs:
-        tgt = encode_box(gt_cells[g], scene.boxes[g].center[2],
-                         scene.boxes[g].dims, scene.boxes[g].yaw,
-                         (det.ref_points[q][0], det.ref_points[q][1]))
-        vals.append(np.mean(np.abs(det.final["enc"][q] - tgt)))
-    return float(np.mean(vals))

@@ -23,6 +23,9 @@ from .geometry import (BevGrid, CameraModel, FeaturePyramid, is_int,
 
 N_RESERVED_CHANNELS = 2  # -2: true height, -1: occupancy
 BOX_MARGIN = 2.0  # boxes keep this far inside the ROI, meters
+# largest noise std: adaptive projection multiplies noise by noise, which
+# overflows the float32 dumps at 1e19; at 1e6 they stay under 1e14
+MAX_NOISE_STD = 1e6
 
 CLASS_NAMES = (
     "car", "truck", "construction_vehicle", "bus", "trailer",
@@ -73,8 +76,8 @@ class SceneConfig:
             raise ValueError("need at least 3 channels (2 are reserved)")
         if self.n_boxes < 0:
             raise ValueError("n_boxes must be >= 0")
-        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
-            raise ValueError("noise_std must be finite and >= 0")
+        if not 0 <= self.noise_std <= MAX_NOISE_STD:
+            raise ValueError(f"noise_std must lie in [0, {MAX_NOISE_STD:g}]")
         if not math.isfinite(self.cam_height):
             raise ValueError("cam_height must be finite")
         if self.n_cameras < 1:

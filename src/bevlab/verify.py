@@ -46,8 +46,7 @@ def naive_adaptive_sample(params: VtParams, lidar, pyramids, cams, grid):
     lidar = np.asarray(val(lidar))
     C, H, W = lidar.shape
     n_h, n_s = params.n_heights, params.n_scales
-    mid = 0.5 * (params.z_min + params.z_max)
-    half = 0.5 * (params.z_max - params.z_min)
+    mid, half = grid.z_mid, 0.5 * grid.z_span
     hw, hb = val(params.height_gen.weight), val(params.height_gen.bias)
     ww, wb = val(params.weight_gen.weight), val(params.weight_gen.bias)
     out = np.zeros((C, H, W))
@@ -180,12 +179,10 @@ def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2,
     n_s = int(rng.integers(1, 3)) if n_s is None else n_s
     grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (H, H))
     params = VtParams(
-        n_heights=n_h, n_scales=n_s,
         height_gen=_rand_linear(rng, n_h, C),
         weight_gen=_rand_linear(rng, n_s * n_h, C),
         kernel_gen=_rand_linear(rng, C * C, C),
-        fuse=_rand_linear(rng, C, 2 * C),
-        z_min=grid.z_range[0], z_max=grid.z_range[1])
+        fuse=_rand_linear(rng, C, 2 * C))
     lidar = rng.normal(size=(C, H, H))
     from .scene_sim import camera_ring
 
@@ -201,7 +198,7 @@ def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2,
 
 def _tiny_decoder_params(rng, C=4, n_p=4, n_layers=1, n_heads=2, n_classes=3):
     return DecoderParams(
-        n_layers=n_layers, n_points=n_p, n_heads=n_heads, pe_dim=4,
+        n_heads=n_heads,
         offset_gen=_rand_linear(rng, 2 * n_p, C),
         point_weight_gen=_rand_linear(rng, n_p, C),
         deform_out_proj=_rand_linear(rng, C, C),

@@ -30,35 +30,40 @@ from .tensor import LinearMap, cells_to_chw, chw_to_cells, linear_apply
 class VtParams:
     """Generators for the adaptive view transform, all per-cell linear maps.
 
-    The height mapping squashes raw outputs into [z_min, z_max] via tanh so
-    projected points always stay inside the grid's vertical ROI.
+    The arrays fix every count: C is `height_gen`'s input width, N_h
+    (`n_heights`) its output width, and N_s (`n_scales`) `weight_gen`'s
+    output width over N_h. The height mapping squashes raw outputs into the
+    grid's z-range via tanh so projected points always stay inside the
+    vertical ROI.
     """
 
-    n_heights: int
-    n_scales: int
     height_gen: LinearMap   # [C -> N_h]
     weight_gen: LinearMap   # [C -> N_s * N_h]
     kernel_gen: LinearMap   # [C -> C * C]
     fuse: LinearMap         # [2C -> C]
-    z_min: float
-    z_max: float
 
     def __post_init__(self):
         C = self.height_gen.in_dim
-        if self.height_gen.out_dim != self.n_heights:
-            raise ValueError("height_gen must output n_heights values")
-        if self.weight_gen.out_dim != self.n_scales * self.n_heights:
-            raise ValueError("weight_gen must output n_scales * n_heights logits")
+        n_h = self.n_heights
+        if n_h < 1 or self.weight_gen.out_dim % n_h or self.n_scales < 1:
+            raise ValueError("weight_gen must output n_scales * n_heights "
+                             "logits, n_scales and n_heights at least 1")
         if self.kernel_gen.in_dim != C or self.kernel_gen.out_dim != C * C:
             raise ValueError("kernel_gen must map C -> C*C")
         if self.fuse.in_dim != 2 * C or self.fuse.out_dim != C:
             raise ValueError("fuse must map 2C -> C")
-        if not self.z_max > self.z_min:
-            raise ValueError("z_max must exceed z_min")
 
     @property
     def channels(self):
         return self.height_gen.in_dim
+
+    @property
+    def n_heights(self):
+        return self.height_gen.out_dim
+
+    @property
+    def n_scales(self):
+        return self.weight_gen.out_dim // self.n_heights
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,9 @@ class VtOutput:
     validity_fraction: np.ndarray  # [H, W]
 
 
-def _heights_from_raw(raw, z_min, z_max):
-    """Squash raw generator outputs into the vertical ROI."""
+def _heights_from_raw(raw, z_range):
+    """Squash raw generator outputs into the vertical ROI z_range."""
+    z_min, z_max = z_range
     mid = 0.5 * (z_min + z_max)
     half = 0.5 * (z_max - z_min)
     return ad.add(ad.mul(ad.tanh(raw), half), mid)
@@ -168,7 +174,7 @@ def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams,
 
     lidar_flat = chw_to_cells(lidar_bev)
     raw = linear_apply(params.height_gen, lidar_flat)
-    heights = _heights_from_raw(raw, params.z_min, params.z_max)
+    heights = _heights_from_raw(raw, grid.z_range)
     weights = ad.softmax(linear_apply(params.weight_gen, lidar_flat), axis=-1)
     return _vt_engine(heights, weights, pyramids, cams, grid)
 

@@ -3,13 +3,15 @@
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bevlab import bfk
 from bevlab.cli import DEFAULTS, main
+from bevlab.scene_sim import MAX_NOISE_STD
 
 TINY = {
     "seed": 0,
@@ -84,6 +86,7 @@ class TestBfk:
             bfk.load(path)
 
     @settings(max_examples=300, deadline=None)
+    @example(bfk.MAGIC + bytes(4) + b"\x00\x00\x81\x7f")  # signaling NaN
     @given(st.one_of(
         st.binary(max_size=48),
         st.binary(max_size=48).map(lambda b: bfk.MAGIC + b),
@@ -149,59 +152,93 @@ class TestRun:
             path.write_text(json.dumps(doc))
             assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    # each case names itself, so deleting one renames no other; the
+    # "<section>-update<n>" ids are the names the cases had by position
     @pytest.mark.parametrize("section, update", [
-        ("model", {"n_heads": 0}),
-        ("model", {"n_heads": 5}),
-        ("model", {"n_heads": -4}),
-        ("model", {"n_points": 6}),
-        ("model", {"n_layers": 0}),
-        ("grid", {"cells": [16, 32]}),  # 2 m x 1 m cells
-        ("scene", {"n_scenes": "2"}),
-        ("scene", {"n_boxes": "3"}),
-        ("grid", {"cells": "ab"}),
-        ("grid", {"cells": [-4, 4]}),
-        ("grid", {"x_range": [5, -5]}),
-        ("scene", {"image_size": [8]}),
-        ("scene", {"strides": [0]}),
-        ("scene", {"fov_deg": 0}),
-        ("scene", {"n_cameras": 0}),
-        ("model", {"n_heights": 0}),
-        ("model", {"query_init": "random"}),
-        ("model", {"attention_mode": "dense"}),
-        ("model", {"groups": []}),
-        ("model", {"groups": [[0]]}),  # scene classes 1..9 have no group
-        ("model", {"queries_per_group": 5000}),  # 1024 cells
-        ("scene", {"classes": [99]}),
-        ("scene", {"n_boxes": -1}),
-        ("scene", {"strides": [8, 4]}),
-        ("scene", {"strides": []}),
-        ("scene", {"image_size": [2, 2]}),
-        ("scene", {"fixed_dims": [1, 1]}),
-        ("scene", {"fixed_dims": [0, 1, 1]}),
-        ("scene", {"classes": []}),
-        ("scene", {"fixed_dims": []}),
-        ("scene", {"n_scenes": 0}),
-        ("scene", {"n_scenes": -1}),
-        ("scene", {"classes": [True]}),  # not class 1
-        ("grid", {"cells": [8]}),
-        ("scene", {"strides": [4.0]}),
-        ("scene", {"seed": -1}),
-        ("scene", {"noise_std": float("inf")}),
-        ("scene", {"cam_height": float("nan")}),
-        ("scene", {"fov_deg": 1e-308}),  # infinite focal length
-        ("scene", {"fixed_dims": [1e308, 1e308, 1e308]}),
-        ("grid", {"x_range": [-3, 3], "y_range": [-3, 3]}),  # 3 m boxes
-        ("grid", {"x_range": [-1e308, 1e308], "y_range": [-1e308, 1e308]}),
-        ("scene", {"noise_std": 10 ** 400}),  # no float holds it
-        ("scene", {"n_boxes": 60}),  # placement gives up at box 38
+        pytest.param("model", {"n_heads": 0}, id="model-update0"),
+        pytest.param("model", {"n_heads": 5}, id="model-update1"),
+        pytest.param("model", {"n_heads": -4}, id="model-update2"),
+        pytest.param("model", {"n_points": 6}, id="model-update3"),
+        pytest.param("model", {"n_layers": 0}, id="model-update4"),
+        # 2 m x 1 m cells
+        pytest.param("grid", {"cells": [16, 32]}, id="grid-update5"),
+        pytest.param("scene", {"n_scenes": "2"}, id="scene-update6"),
+        pytest.param("scene", {"n_boxes": "3"}, id="scene-update7"),
+        pytest.param("grid", {"cells": "ab"}, id="grid-update8"),
+        pytest.param("grid", {"cells": [-4, 4]}, id="grid-update9"),
+        pytest.param("grid", {"x_range": [5, -5]}, id="grid-update10"),
+        pytest.param("scene", {"image_size": [8]}, id="scene-update11"),
+        pytest.param("scene", {"strides": [0]}, id="scene-update12"),
+        pytest.param("scene", {"fov_deg": 0}, id="scene-update13"),
+        pytest.param("scene", {"n_cameras": 0}, id="scene-update14"),
+        pytest.param("model", {"n_heights": 0}, id="model-update15"),
+        pytest.param("model", {"query_init": "random"}, id="model-update16"),
+        pytest.param("model", {"attention_mode": "dense"},
+                     id="model-update17"),
+        pytest.param("model", {"groups": []}, id="model-update18"),
+        # scene classes 1..9 have no group
+        pytest.param("model", {"groups": [[0]]}, id="model-update19"),
+        # 1024 cells
+        pytest.param("model", {"queries_per_group": 5000},
+                     id="model-update20"),
+        pytest.param("scene", {"classes": [99]}, id="scene-update21"),
+        pytest.param("scene", {"n_boxes": -1}, id="scene-update22"),
+        pytest.param("scene", {"strides": [8, 4]}, id="scene-update23"),
+        pytest.param("scene", {"strides": []}, id="scene-update24"),
+        pytest.param("scene", {"image_size": [2, 2]}, id="scene-update25"),
+        pytest.param("scene", {"fixed_dims": [1, 1]}, id="scene-update26"),
+        pytest.param("scene", {"fixed_dims": [0, 1, 1]}, id="scene-update27"),
+        pytest.param("scene", {"classes": []}, id="scene-update28"),
+        pytest.param("scene", {"fixed_dims": []}, id="scene-update29"),
+        pytest.param("scene", {"n_scenes": 0}, id="scene-update30"),
+        pytest.param("scene", {"n_scenes": -1}, id="scene-update31"),
+        # not class 1
+        pytest.param("scene", {"classes": [True]}, id="scene-update32"),
+        pytest.param("grid", {"cells": [8]}, id="grid-update33"),
+        pytest.param("scene", {"strides": [4.0]}, id="scene-update34"),
+        pytest.param("scene", {"seed": -1}, id="scene-update35"),
+        pytest.param("scene", {"noise_std": float("inf")},
+                     id="scene-update36"),
+        pytest.param("scene", {"cam_height": float("nan")},
+                     id="scene-update37"),
+        # infinite focal length
+        pytest.param("scene", {"fov_deg": 1e-308}, id="scene-update38"),
+        pytest.param("scene", {"fixed_dims": [1e308, 1e308, 1e308]},
+                     id="scene-update39"),
+        # 3 m boxes
+        pytest.param("grid", {"x_range": [-3, 3], "y_range": [-3, 3]},
+                     id="grid-update40"),
+        pytest.param("grid", {"x_range": [-1e308, 1e308],
+                              "y_range": [-1e308, 1e308]}, id="grid-update41"),
+        # no float holds it
+        pytest.param("scene", {"noise_std": 10 ** 400}, id="scene-update42"),
+        # placement gives up at box 38
+        pytest.param("scene", {"n_boxes": 60}, id="scene-update43"),
+        # float32 overflow: the camera BEV dump held 9 infinities
+        pytest.param("scene", {"noise_std": 1e19}, id="scene-noise_std-1e19"),
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})
         self.assert_rejected(doc, tmp_path, capsys)
 
+    def test_noise_at_bound_runs_clean(self, tmp_path):
+        doc = dict(TINY, scene={**TINY["scene"], "noise_std": MAX_NOISE_STD})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(path), "--out", str(out)]) == 0
+        for dump in out.glob("*.bfk"):
+            assert np.isfinite(bfk.load(dump)).all()
+        assert "NaN" not in (out / "detections.json").read_text()
+
     @pytest.mark.parametrize("update", [
-        {"seed": "abc"}, {"seed": 1.5}, {"threads": "x"}, {"seed": -3},
-        {"threads": 2},
+        pytest.param({"seed": "abc"}, id="update0"),
+        pytest.param({"seed": 1.5}, id="update1"),
+        pytest.param({"threads": "x"}, id="update2"),
+        pytest.param({"seed": -3}, id="update3"),
+        pytest.param({"threads": 2}, id="update4"),
     ])
     def test_top_level_config_exit_2(self, tmp_path, capsys, update):
         self.assert_rejected(dict(TINY, **update), tmp_path, capsys)

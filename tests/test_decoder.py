@@ -32,8 +32,7 @@ def tiny_params(rng=None, C=2, n_p=4, n_layers=1, n_heads=1, n_classes=2,
                          rng.normal(0, 0.1, out_d))
 
     return DecoderParams(
-        n_layers=n_layers, n_points=n_p, n_heads=n_heads, pe_dim=4,
-        offset_gen=lm(2 * n_p, C), point_weight_gen=lm(n_p, C),
+        n_heads=n_heads, offset_gen=lm(2 * n_p, C), point_weight_gen=lm(n_p, C),
         deform_out_proj=lm(C, C), pos_embed_proj=lm(C, 4),
         channel_mix_gen=lm(C * C, C), spatial_mix_gen=lm(n_p * n_p, C),
         out_proj=lm(C, n_p * C),

@@ -1,5 +1,6 @@
 """Full forward wiring, ablation mode matrix, and the fitting routine."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -9,12 +10,12 @@ import pytest
 
 from bevlab import autodiff as ad
 from bevlab.geometry import BevGrid
-from bevlab.pipeline import (DetectionOutput, PipelineConfig, eval_box_l1,
-                             eval_heatmap_loss, eval_ray_smear, fit_generators,
+from bevlab.pipeline import (DetectionOutput, PipelineConfig, fit_generators,
                              forward, greedy_match, init_params,
                              vanilla_heights, write_detections)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene
+from bevlab.tensor import LinearMap
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (16, 16))
 TINY_GROUPS = GroupSpec(((0,), (1, 2), (3, 4), (5,), (6, 7), (8, 9)), 2)
@@ -258,12 +259,10 @@ class TestFit:
                                             (6, 7), (8, 9)), 2))
         params = init_params(cfg, seed=6)
         scene = tiny_scene(seed=5)
-        before = eval_box_l1(cfg, params, scene)
         res = fit_generators(cfg, params, [scene], steps=60, lr=0.2,
                              loss_weights={"heatmap": 1.0, "box": 1.0,
                                            "height": 0.0})
-        after = eval_box_l1(cfg, res.params, scene)
-        assert after < before
+        assert res.curve[-1]["box"] < res.curve[0]["box"]
 
     @pytest.mark.parametrize("mode", ["vanilla", "ap_only"])
     def test_vanilla_sampling_built_once_per_scene(self, mode, monkeypatch):
@@ -278,32 +277,40 @@ class TestFit:
             calls.append(1)
             return orig_vanilla(*args, **kwargs)
 
-        def fit():
-            calls.clear()
-            res = fit_generators(cfg, init_params(cfg, seed=9), scenes,
-                                 steps=3, lr=0.1)
-            return res.curve, len(calls)
-
         monkeypatch.setattr(pl, "vanilla_vt_output", counting)
-        cached_curve, cached_calls = fit()
-
-        orig_consts = pl._scene_constants
-        monkeypatch.setattr(pl, "_scene_constants", lambda c, scene: {
-            **orig_consts(c, scene), "vanilla": None})
-        fresh_curve, fresh_calls = fit()
-
-        assert cached_calls == len(scenes)
-        # uncached: once per scene in the constants, then at every step
-        assert fresh_calls == len(scenes) + 3 * len(scenes)
-        assert cached_curve == fresh_curve
+        fit_generators(cfg, init_params(cfg, seed=9), scenes, steps=3, lr=0.1)
+        assert len(calls) == len(scenes)
 
 
-class TestEvalHelpers:
-    def test_eval_metrics_finite(self):
-        cfg = tiny_config()
-        params = init_params(cfg, seed=8)
-        scene = tiny_scene(seed=7)
-        assert np.isfinite(eval_heatmap_loss(cfg, params, scene))
-        smear = eval_ray_smear(cfg, params, scene)
-        assert 0.0 <= smear <= 1.0
-        assert np.isfinite(eval_box_l1(cfg, params, scene))
+class TestParamChecks:
+    # tiny_config: C = 4, 2 heights, 2 scales, 4 points, 2 heads
+    @pytest.mark.parametrize("part, field, bad, match", [
+        pytest.param("vt", "height_gen", LinearMap.zeros(0, 4), "weight_gen",
+                     id="vt-no-heights"),
+        pytest.param("vt", "weight_gen", LinearMap.zeros(3, 4), "weight_gen",
+                     id="vt-weights-not-per-height"),
+        pytest.param("vt", "weight_gen", LinearMap.zeros(0, 4), "weight_gen",
+                     id="vt-no-scales"),
+        pytest.param("vt", "kernel_gen", LinearMap.zeros(9, 4), "kernel_gen",
+                     id="vt-kernel-out"),
+        pytest.param("vt", "kernel_gen", LinearMap.zeros(16, 3), "kernel_gen",
+                     id="vt-kernel-in"),
+        pytest.param("vt", "fuse", LinearMap.zeros(4, 4), "fuse",
+                     id="vt-fuse-in"),
+        pytest.param("vt", "fuse", LinearMap.zeros(3, 8), "fuse",
+                     id="vt-fuse-out"),
+        pytest.param("decoder", "point_weight_gen", LinearMap.zeros(6, 4),
+                     "n_points", id="decoder-points-not-corners"),
+        pytest.param("decoder", "pos_embed_proj", LinearMap.zeros(4, 6),
+                     "pe_dim", id="decoder-pe-dim"),
+        pytest.param("decoder", "n_heads", 3, "n_heads",
+                     id="decoder-heads"),
+        pytest.param("decoder", "offset_gen", LinearMap.zeros(6, 4),
+                     "offset_gen", id="decoder-offsets"),
+        pytest.param("decoder", "reg_head", LinearMap.zeros(7, 4),
+                     "reg_head", id="decoder-reg-head"),
+    ])
+    def test_inconsistent_arrays_rejected(self, part, field, bad, match):
+        good = getattr(init_params(tiny_config(), seed=0), part)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(good, **{field: bad})

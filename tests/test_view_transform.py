@@ -36,13 +36,11 @@ def full_view_instance(rng, C=3, H=6, n_h=2, n_s=2):
     grid = BevGrid((-4.0, 4.0), (-4.0, 4.0), (-2.0, 2.0), (H, H))
     cam = downward_camera()
     params = VtParams(
-        n_heights=n_h, n_scales=n_s,
         height_gen=LinearMap(rng.normal(0, 0.3, (n_h, C)), rng.normal(0, 0.2, n_h)),
         weight_gen=LinearMap(rng.normal(0, 0.3, (n_s * n_h, C)),
                              rng.normal(0, 0.2, n_s * n_h)),
         kernel_gen=LinearMap.zeros(C * C, C),
-        fuse=LinearMap.zeros(C, 2 * C),
-        z_min=grid.z_range[0], z_max=grid.z_range[1])
+        fuse=LinearMap.zeros(C, 2 * C))
     lidar = rng.normal(size=(C, H, H))
     strides = (2, 4)[:n_s]
     levels = tuple((s, rng.normal(size=(C, 64 // s, 64 // s))) for s in strides)
@@ -53,12 +51,10 @@ class TestGenerateHeights:
     GRID = BevGrid((-54.0, 54.0), (-54.0, 54.0), (-5.0, 3.0), (8, 8))
 
     def params(self, height_gen, C=2):
-        return VtParams(n_heights=height_gen.out_dim, n_scales=1,
-                        height_gen=height_gen,
+        return VtParams(height_gen=height_gen,
                         weight_gen=LinearMap.zeros(height_gen.out_dim, C),
                         kernel_gen=LinearMap.zeros(C * C, C),
-                        fuse=LinearMap.zeros(C, 2 * C),
-                        z_min=-5.0, z_max=3.0)
+                        fuse=LinearMap.zeros(C, 2 * C))
 
     def heights(self, params, lidar, u, v):
         """Sampling heights of cell (u, v) from the batched sampler."""
@@ -164,11 +160,9 @@ class TestAdaptiveSample:
 
 class TestAdaptiveProject:
     def make_params(self, C, kernel_gen):
-        return VtParams(n_heights=1, n_scales=1,
-                        height_gen=LinearMap.zeros(1, C),
+        return VtParams(height_gen=LinearMap.zeros(1, C),
                         weight_gen=LinearMap.zeros(1, C),
-                        kernel_gen=kernel_gen, fuse=LinearMap.zeros(C, 2 * C),
-                        z_min=-1.0, z_max=1.0)
+                        kernel_gen=kernel_gen, fuse=LinearMap.zeros(C, 2 * C))
 
     def test_identity_kernel(self, rng):
         C = 3
@@ -225,11 +219,9 @@ class TestAdaptiveProject:
 
 class TestFuseBev:
     def make_params(self, C, fuse):
-        return VtParams(n_heights=1, n_scales=1,
-                        height_gen=LinearMap.zeros(1, C),
+        return VtParams(height_gen=LinearMap.zeros(1, C),
                         weight_gen=LinearMap.zeros(1, C),
-                        kernel_gen=LinearMap.zeros(C * C, C), fuse=fuse,
-                        z_min=-1.0, z_max=1.0)
+                        kernel_gen=LinearMap.zeros(C * C, C), fuse=fuse)
 
     def test_select_camera(self, rng):
         C = 3
@@ -304,11 +296,9 @@ class TestSmearOrdering:
         half = grid.z_span / 2
         bias = np.full(4, np.arctanh((z_true - grid.z_mid) / half))
         params = VtParams(
-            n_heights=4, n_scales=2,
             height_gen=LinearMap(np.zeros((4, 6)), bias),
             weight_gen=LinearMap.zeros(8, 6),
-            kernel_gen=LinearMap.zeros(36, 6), fuse=LinearMap.zeros(6, 12),
-            z_min=grid.z_range[0], z_max=grid.z_range[1])
+            kernel_gen=LinearMap.zeros(36, 6), fuse=LinearMap.zeros(6, 12))
         lidar = rasterize_lidar_bev(scene, grid)
         adaptive = val(adaptive_sample(params, lidar, pyramids,
                                        scene.cameras, grid).bev)

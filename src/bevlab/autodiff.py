@@ -56,7 +56,13 @@ class Var:
         return self.data.ndim
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
+
+        Only leaves keep a .grad afterwards: each inner node's gradient is
+        dropped as soon as its vjp has passed it on, so the reverse pass
+        holds the tape plus the gradients still to be consumed. The tape
+        itself stays, and a repeated backward() starts again from zero.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo = []
@@ -80,6 +86,7 @@ class Var:
         for node in reversed(topo):
             if node._vjp is not None and node.grad is not None:
                 node._vjp(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -567,7 +574,11 @@ def bilinear_gather(fmap, xs, ys):
     x indexes columns (width), y indexes rows (height). Points outside the
     closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row and
     valid=False.
-    Differentiable in the map and in both coordinate arrays.
+    Differentiable in the map and in both coordinate arrays. A traced call's
+    tape keeps the output, the corner indices and weights, and the [C, N]
+    corner differences d/dx (when xs is traced) and d/dy (when ys is
+    traced), not the four [C, N] corner gathers; an untraced call computes
+    neither difference.
 
     Returns (samples [N, C], valid [N] plain bool array).
     """
@@ -591,6 +602,13 @@ def bilinear_gather(fmap, xs, ys):
     out = (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
            + v10 * (1 - fx) * fy + v11 * fx * fy)
     out = (out * valid).T  # [N, C]
+    # the vjp reads the corners only through these [C, N] differences, so
+    # its closure keeps them instead of the four gathers
+    ddx = ddy = None
+    if is_traced(xs):
+        ddx = (v01 - v00) * (1 - fy) + (v11 - v10) * fy
+    if is_traced(ys):
+        ddy = (v10 - v00) * (1 - fx) + (v11 - v01) * fx
 
     def vjp(g):
         gv = g * valid[:, None]  # [N, C]
@@ -601,11 +619,9 @@ def bilinear_gather(fmap, xs, ys):
             np.add.at(acc, y1 * W + x0, gv * ((1 - fx) * fy)[:, None])
             np.add.at(acc, y1 * W + x1, gv * (fx * fy)[:, None])
             _accum(fmap, acc.T.reshape(C, H, W))
-        if isinstance(xs, Var) and xs.requires_grad:
-            ddx = (v01 - v00) * (1 - fy) + (v11 - v10) * fy  # [C, N]
+        if ddx is not None:
             _accum(xs, (gv * ddx.T).sum(axis=1))
-        if isinstance(ys, Var) and ys.requires_grad:
-            ddy = (v10 - v00) * (1 - fx) + (v11 - v01) * fx
+        if ddy is not None:
             _accum(ys, (gv * ddy.T).sum(axis=1))
 
     return _node(out, (fmap, xs, ys), vjp), valid

@@ -284,6 +284,9 @@ def cmd_viz(tensor_path, out_path, channel=None, points=None):
     else:
         # default: per-cell channel norm
         img = np.sqrt(np.sum(arr ** 2, axis=0))
+    if not np.isfinite(img).all():
+        raise ConfigError("viz renders finite values only; the tensor "
+                          "holds NaN or inf")
 
     lo, hi = float(img.min()), float(img.max())
     if hi == lo:

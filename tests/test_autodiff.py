@@ -1,12 +1,10 @@
 """Gradient checks for every tape op against central finite differences."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
-from helpers import gradcheck
+from helpers import gradcheck, tracemalloc_peak
 
 
 def test_add_mul_broadcast_grads(rng):
@@ -137,22 +135,17 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
     io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
     budget = ad._BLOCK_BYTES
     dense = 8 * h * nq * nk
-    tracemalloc.start()
-    try:
+    with tracemalloc_peak() as forward:
         ad.attention(q, k, v)
-        forward_peak = tracemalloc.get_traced_memory()[1]
-        qv, kv, vv = (ad.Var(x, requires_grad=True) for x in (q, k, v))
-        out = ad.attention(qv, kv, vv)
-        tracemalloc.reset_peak()
+    qv, kv, vv = (ad.Var(x, requires_grad=True) for x in (q, k, v))
+    out = ad.attention(qv, kv, vv)
+    with tracemalloc_peak() as backward:
         out._vjp(np.ones(out.shape))
-        backward_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert forward_peak < budget + io_bytes < dense / 6
+    assert forward.peak < budget + io_bytes < dense / 6
     # the vjp holds a block of probabilities, one of their gradients and,
     # while it takes their row sums, one of their products; it builds
     # gradients as large as the inputs
-    assert backward_peak < 3 * budget + 2 * io_bytes < dense / 2
+    assert backward.peak < 3 * budget + 2 * io_bytes < dense / 2
 
 
 def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
@@ -197,14 +190,10 @@ def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
     x, z = rng.normal(size=(2, n, c))
     w, b = rng.normal(size=(c * c, c)), rng.normal(size=c * c)
     dense = 2 * 8 * n * c * c
-    tracemalloc.start()
-    try:
+    with tracemalloc_peak() as forward:
         ad.dynamic_filter(x, z, w, b)
-        forward_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # one block of kernels and the output
-    assert forward_peak < ad._BLOCK_BYTES + 2 * x.nbytes < dense / 20
+    assert forward.peak < ad._BLOCK_BYTES + 2 * x.nbytes < dense / 20
 
 
 def test_layer_norm_grad(rng):
@@ -251,6 +240,82 @@ def test_bilinear_gather_nan_point_zero():
                                     np.array([1.0, np.nan, 1.0]))
     assert valid.tolist() == [False, False, True]
     assert np.all(out[:2] == 0) and np.all(out[2] == 1)
+
+
+def _corner_formula(fmap, xs, ys, g):
+    """Bilinear samples of fmap at (xs, ys) and the gradients of
+    sum(samples * g) for fmap, xs and ys, from the four corner gathers."""
+    C, H, W = fmap.shape
+    valid = (xs >= 0) & (xs <= W - 1) & (ys >= 0) & (ys <= H - 1)
+    xc = np.clip(np.nan_to_num(xs), 0.0, W - 1.0)
+    yc = np.clip(np.nan_to_num(ys), 0.0, H - 1.0)
+    x0 = np.minimum(np.floor(xc), W - 2).astype(np.intp)
+    y0 = np.minimum(np.floor(yc), H - 2).astype(np.intp)
+    x1, y1 = x0 + 1, y0 + 1
+    fx, fy = xc - x0, yc - y0
+    v00, v01 = fmap[:, y0, x0], fmap[:, y0, x1]
+    v10, v11 = fmap[:, y1, x0], fmap[:, y1, x1]
+    out = (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
+           + v10 * (1 - fx) * fy + v11 * fx * fy)
+    gv = g * valid[:, None]
+    acc = np.zeros((H * W, C))
+    np.add.at(acc, y0 * W + x0, gv * ((1 - fx) * (1 - fy))[:, None])
+    np.add.at(acc, y0 * W + x1, gv * (fx * (1 - fy))[:, None])
+    np.add.at(acc, y1 * W + x0, gv * ((1 - fx) * fy)[:, None])
+    np.add.at(acc, y1 * W + x1, gv * (fx * fy)[:, None])
+    ddx = (v01 - v00) * (1 - fy) + (v11 - v10) * fy
+    ddy = (v10 - v00) * (1 - fx) + (v11 - v01) * fx
+    return {"out": (out * valid).T, "fmap": acc.T.reshape(C, H, W),
+            "xs": (gv * ddx.T).sum(axis=1), "ys": (gv * ddy.T).sum(axis=1)}
+
+
+@pytest.mark.parametrize("traced", [("fmap", "xs", "ys"), ("xs", "ys"),
+                                    ("ys",), ("fmap",)])
+def test_bilinear_gather_keeps_only_corner_differences(rng, traced):
+    # 3,000 points on a [16, 12, 10] map. Of the last eight, four lie just
+    # outside the box, one past each side, two are NaN, and two sit on its
+    # far and near corners
+    c, m = 16, 3000
+    inputs = {"fmap": rng.normal(size=(c, 12, 10)),
+              "xs": rng.uniform(0.0, 9.0, size=m),
+              "ys": rng.uniform(0.0, 11.0, size=m)}
+    inputs["xs"][-8:] = [-0.5, 9.5, 4.0, 4.0, np.nan, 2.0, 9.0, 0.0]
+    inputs["ys"][-8:] = [5.0, 5.0, -1.0, 11.0001, 3.0, np.nan, 11.0, 0.0]
+    g = rng.normal(size=(m, c))
+    ref = _corner_formula(**inputs, g=g)
+    args = {k: ad.Var(v, requires_grad=True) if k in traced else v
+            for k, v in inputs.items()}
+    with tracemalloc_peak() as mem:
+        out, valid = ad.bilinear_gather(args["fmap"], args["xs"], args["ys"])
+    # the output, one [C, M] difference per traced coordinate array, and
+    # the per-point corner indices, weights and mask (seven of ≤ 8 bytes)
+    n_diffs = len({"xs", "ys"} & set(traced))
+    assert mem.retained <= out.data.nbytes + n_diffs * 8 * c * m + 8 * 8 * m
+    assert valid.tolist()[-8:] == [False] * 6 + [True] * 2
+    assert np.array_equal(out.data, ref["out"])
+    ad.sum_(ad.mul(out, g)).backward()
+    for name in traced:
+        assert np.array_equal(args[name].grad, ref[name]), name
+
+
+def test_backward_frees_each_inner_gradient(rng):
+    # a chain of K tanh over [N, C]: the tape is K outputs, and the reverse
+    # pass adds only the gradients it has yet to pass on and the vjps'
+    # temporaries, not one gradient per node
+    k, n, c = 16, 1000, 32
+    x = ad.Var(rng.normal(size=(n, c)), requires_grad=True)
+    with tracemalloc_peak() as mem:
+        nodes = [x]
+        for _ in range(k):
+            nodes.append(ad.tanh(nodes[-1]))
+        ad.sum_(nodes[-1]).backward()
+    tape = k * x.data.nbytes
+    assert mem.peak < tape + 5 * x.data.nbytes
+    assert all(node.grad is None for node in nodes[1:])
+    expected = np.ones((n, c))
+    for node in reversed(nodes[1:]):
+        expected = expected * (1.0 - node.data * node.data)
+    assert np.array_equal(x.grad, expected)
 
 
 def test_backward_requires_scalar(rng):

@@ -408,6 +408,31 @@ class TestViz:
         assert main(["viz", str(path), "--out", str(tmp_path / "o.pgm")]) == 2
         assert "runtime failure" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", [None, 1])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, bad, channel):
+        arr = np.ones((2, 4, 4))
+        arr[1, 2, 3] = bad
+        path = tmp_path / "t.bfk"
+        bfk.save(path, arr)
+        out = tmp_path / "o.pgm"
+        argv = ["viz", str(path), "--out", str(out)]
+        if channel is not None:
+            argv += ["--channel", str(channel)]
+        assert main(argv) == 2
+        assert "NaN or inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_channel_of_non_finite_tensor(self, tmp_path):
+        arr = np.ones((2, 4, 4))
+        arr[1, 2, 3] = np.nan
+        path = tmp_path / "t.bfk"
+        bfk.save(path, arr)
+        out = tmp_path / "o.pgm"
+        assert main(["viz", str(path), "--out", str(out),
+                     "--channel", "0"]) == 0
+        assert set(out.read_bytes()[len(b"P5\n4 4\n255\n"):]) == {128}
+
     def test_wrong_rank_exit_2(self, tmp_path):
         path = tmp_path / "t.bfk"
         bfk.save(path, np.zeros((4, 4)))

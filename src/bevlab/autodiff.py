@@ -551,13 +551,16 @@ def dynamic_filter(x, z, w, b):
     return _node(out, (x, z, w, b), vjp)
 
 
-def layer_norm(a, eps=1e-5):
+LAYER_NORM_EPS = 1e-5  # added to the variance, so a constant row maps to 0
+
+
+def layer_norm(a):
     """Normalize the last axis to zero mean and unit variance (no affine)."""
     va = np.asarray(val(a))
     mu = va.mean(axis=-1, keepdims=True)
     xc = va - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + LAYER_NORM_EPS)
     y = xc / s
 
     def vjp(g):

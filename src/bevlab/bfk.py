@@ -13,7 +13,15 @@ MAGIC = b"BFK1"
 
 
 def save(path, tensor):
-    arr = np.ascontiguousarray(tensor, dtype="<f4")
+    """Write `tensor` as float32. A finite value beyond the float32 range
+    raises ValueError instead of being written as an infinity; NaN and
+    infinities are written as they are."""
+    try:
+        with np.errstate(over="raise"):
+            arr = np.ascontiguousarray(tensor, dtype="<f4")
+    except FloatingPointError:
+        raise ValueError(f"{path}: a finite value lies beyond the float32 "
+                         "range") from None
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))

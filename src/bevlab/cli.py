@@ -277,6 +277,9 @@ def cmd_viz(tensor_path, out_path, channel=None, points=None):
         raise ConfigError(f"cannot load tensor: {exc}") from exc
     if arr.ndim != 3:
         raise ConfigError(f"viz needs a rank-3 tensor, got rank {arr.ndim}")
+    if arr.size == 0:
+        raise ConfigError(f"viz needs a tensor with values, got extents "
+                          f"{list(arr.shape)}")
     if channel is not None:
         if not (0 <= channel < arr.shape[0]):
             raise ConfigError(f"channel {channel} out of range")
@@ -319,6 +322,8 @@ def cmd_viz(tensor_path, out_path, channel=None, points=None):
 
 
 def cmd_verify(suite="all", seed=0):
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     from .verify import run_suites
 
     results = run_suites(suite, seed=seed)

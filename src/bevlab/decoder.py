@@ -94,10 +94,6 @@ class DecoderParams:
         return self.offset_gen.in_dim
 
     @property
-    def n_classes(self):
-        return self.cls_head.out_dim
-
-    @property
     def n_layers(self):
         return len(self.self_attn)
 
@@ -337,28 +333,13 @@ def run_decoder(feats, ref_points, bev_fuse, params: DecoderParams,
 # losses
 
 
-def focal_loss(pred_logits, labels, gamma=2.0, alpha=0.25):
-    """Alpha-balanced focal loss on sigmoid probabilities, mean over the
-    first axis (queries). labels: int class ids [N] for [N, K] logits, or a
-    binary array matching the logits."""
-    lv = val(pred_logits)
-    labels = np.asarray(labels)
-    if labels.shape != lv.shape:
-        y = np.zeros_like(lv)
-        y[np.arange(lv.shape[0]), labels.astype(int)] = 1.0
-    else:
-        y = labels.astype(float)
-    p = ad.clip(ad.sigmoid(pred_logits), 1e-12, 1.0 - 1e-12)
-    one_m_p = ad.sub(1.0, p)
-    pos = ad.mul(ad.mul(ad.power(one_m_p, gamma), ad.log(p)), -alpha * y)
-    neg = ad.mul(ad.mul(ad.power(p, gamma), ad.log(one_m_p)),
-                 -(1.0 - alpha) * (1.0 - y))
-    n = lv.shape[0]
-    return ad.div(ad.sum_(ad.add(pos, neg)), float(n))
+FOCAL_ALPHA = 2.0  # exponent of the focal factor (1 - p) or p
+FOCAL_BETA = 4.0   # exponent of the penalty reduction (1 - target)
 
 
-def gaussian_focal_loss(pred_heatmap, target_heatmap, alpha=2.0, beta=4.0):
-    """Penalty-reduced focal loss for Gaussian center heatmaps.
+def gaussian_focal_loss(pred_heatmap, target_heatmap):
+    """Penalty-reduced focal loss for Gaussian center heatmaps (CenterNet's,
+    with FOCAL_ALPHA and FOCAL_BETA).
 
     Positives are cells where the target is exactly 1; the loss is
     normalized by the positive count (at least 1)."""
@@ -367,10 +348,10 @@ def gaussian_focal_loss(pred_heatmap, target_heatmap, alpha=2.0, beta=4.0):
     n_pos = max(int(pos.sum()), 1)
     p = ad.clip(pred_heatmap, 1e-12, 1.0 - 1e-12)
     one_m_p = ad.sub(1.0, p)
-    pos_term = ad.mul(ad.mul(ad.power(one_m_p, alpha), ad.log(p)),
+    pos_term = ad.mul(ad.mul(ad.power(one_m_p, FOCAL_ALPHA), ad.log(p)),
                       -1.0 * pos)
-    neg_term = ad.mul(ad.mul(ad.power(p, alpha), ad.log(one_m_p)),
-                      -((1.0 - t) ** beta) * (~pos))
+    neg_term = ad.mul(ad.mul(ad.power(p, FOCAL_ALPHA), ad.log(one_m_p)),
+                      -((1.0 - t) ** FOCAL_BETA) * (~pos))
     return ad.div(ad.add(ad.sum_(pos_term), ad.sum_(neg_term)), float(n_pos))
 
 

@@ -1,5 +1,8 @@
 """Camera projection, BEV-grid/world coordinate mapping, and multi-scale
-feature pyramids."""
+feature pyramids.
+
+The center of a single cell, `cell_to_world`, is an oracle of
+`BevGrid.cell_centers_flat` and lives in `verify`."""
 
 from __future__ import annotations
 
@@ -99,10 +102,6 @@ class BevGrid:
         return (self.y_range[1] - self.y_range[0]) / self.height
 
     @property
-    def z_mid(self):
-        return 0.5 * (self.z_range[0] + self.z_range[1])
-
-    @property
     def z_span(self):
         return self.z_range[1] - self.z_range[0]
 
@@ -115,15 +114,6 @@ class BevGrid:
         Y = self.y_range[0] + (v + 0.5) * self.cell_size_y
         XX, YY = np.meshgrid(X, Y)  # [H, W]
         return XX.ravel(), YY.ravel()
-
-
-def cell_to_world(grid: BevGrid, u: int, v: int):
-    """Metric center (X, Y) of cell (u, v)."""
-    if not (0 <= u < grid.width and 0 <= v < grid.height):
-        raise IndexError(f"cell ({u}, {v}) outside {grid.width}x{grid.height} grid")
-    X = grid.x_range[0] + (u + 0.5) * grid.cell_size_x
-    Y = grid.y_range[0] + (v + 0.5) * grid.cell_size_y
-    return X, Y
 
 
 def world_to_cell(grid: BevGrid, X, Y):

@@ -232,10 +232,6 @@ class DetectionOutput:
     def n_layers(self):
         return len(self.layers)
 
-    @property
-    def final(self):
-        return self.layers[-1]
-
     def to_json_dict(self, grid: BevGrid):
         """The layers of one scene in detections.json's schema: per layer
         {"layer", "final", "predictions"}, per prediction {"query",
@@ -358,7 +354,6 @@ def forward(config: PipelineConfig, params: PipelineParams, scene):
                            "boxes": layer["boxes"]})
     det = DetectionOutput(ref_points=ref, group_ids=group_ids, layers=out_layers)
 
-    extras["lidar"] = lidar
     extras["bev_camera"] = val(bev_camera)
     extras["bev_fuse"] = val(bev_fuse)
     extras["heatmaps"] = None if heatmaps is None else val(heatmaps)
@@ -474,14 +469,13 @@ class FitResult:
 
 
 def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
-                   steps, lr, loss_weights=None, batch_size=None,
-                   lr_half_life=None) -> FitResult:
-    """Plain gradient descent of the pipeline generators on synthetic scenes.
+                   steps, lr, loss_weights=None,
+                   batch_size=None) -> FitResult:
+    """Plain gradient descent of the pipeline generators on synthetic scenes,
+    at the constant step size lr.
 
     loss_weights: {"heatmap": w, "box": w, "height": w}; zero disables a
-    component (and its forward stages). lr_half_life, when set, decays the
-    step size as lr / (1 + step / half_life), which removes the limit cycle
-    constant-step descent exhibits on L1 terms. Scenes are visited in fixed
+    component (and its forward stages). Scenes are visited in fixed
     round-robin batches, so runs are deterministic. Raises RuntimeError on
     divergence (total loss above 1e6 or non-finite).
     """
@@ -513,8 +507,7 @@ def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
                 f"fit diverged at step {step}: total loss {total_val}")
         if isinstance(total, ad.Var):
             total.backward()
-            step_lr = lr if lr_half_life is None else lr / (1.0 + step / lr_half_life)
-            ad.sgd_step(train_vars, step_lr)
+            ad.sgd_step(train_vars, lr)
         curve.append({"step": step, "total": total_val, **comps})
         # these names hold the step's whole tape; release it before the
         # next step builds its own

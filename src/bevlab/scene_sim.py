@@ -323,7 +323,7 @@ def ray_smear_metric(bev, scene: SceneSpec, grid: BevGrid):
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON output
 
 
 def scene_to_json(scene: SceneSpec):
@@ -347,24 +347,6 @@ def scene_to_json(scene: SceneSpec):
     }
 
 
-def scene_from_json(doc):
-    boxes = tuple(
-        Box(b["class_id"], tuple(b["center"]), tuple(b["dims"]), b["yaw"])
-        for b in doc["boxes"])
-    cams = tuple(
-        CameraModel(np.array(c["intrinsics"]), np.array(c["rotation"]),
-                    np.array(c["translation"]), tuple(c["image_size"]))
-        for c in doc["cameras"])
-    return SceneSpec(seed=doc["seed"], boxes=boxes, cameras=cams,
-                     signatures=np.array(doc["signatures"]),
-                     noise_std=doc["noise_std"], channels=doc["channels"])
-
-
 def save_scene(path, scene):
     with open(path, "w") as fh:
         json.dump(scene_to_json(scene), fh, indent=1, sort_keys=True)
-
-
-def load_scene(path):
-    with open(path) as fh:
-        return scene_from_json(json.load(fh))

@@ -204,7 +204,7 @@ def test_layer_norm_grad(rng):
 
 
 def test_bilinear_gather_matches_scalar_and_grads(rng):
-    from bevlab.tensor import bilinear_sample
+    from bevlab.verify import bilinear_sample
 
     fmap = rng.normal(size=(3, 6, 7))
     xs = rng.uniform(0.2, 5.8, size=10)

@@ -1,7 +1,9 @@
 """CLI contracts: exit codes, file formats, determinism, verify gating."""
 
 import json
+import math
 import os
+import struct
 import tempfile
 import warnings
 
@@ -63,6 +65,14 @@ class TestBfk:
         assert int.from_bytes(raw[8:12], "little") == 2
         assert int.from_bytes(raw[12:16], "little") == 3
         assert len(raw) == 16 + 6 * 4
+
+    def test_finite_value_beyond_float32_rejected(self, tmp_path):
+        arr = np.ones((2, 4, 4))
+        arr[1, 2, 3] = 1e200
+        path = tmp_path / "t.bfk"
+        with pytest.raises(ValueError, match="float32 range"):
+            bfk.save(path, arr)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bfk"
@@ -438,8 +448,43 @@ class TestViz:
         bfk.save(path, np.zeros((4, 4)))
         assert main(["viz", str(path), "--out", str(tmp_path / "o.pgm")]) == 2
 
+    @pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0), (0, 4, 4)])
+    @pytest.mark.parametrize("channel", [None, 0])
+    def test_zero_extent_exit_2(self, tmp_path, capsys, shape, channel):
+        path = tmp_path / "t.bfk"
+        bfk.save(path, np.zeros(shape))
+        out = tmp_path / "o.pgm"
+        argv = ["viz", str(path), "--out", str(out)]
+        if channel is not None:
+            argv += ["--channel", str(channel)]
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.integers(0, 4)] * 3).flatmap(
+        lambda shape: st.tuples(st.just(shape), st.lists(
+            st.integers(0, 2 ** 32 - 1), min_size=math.prod(shape),
+            max_size=math.prod(shape)))))
+    def test_any_rank_3_tensor_exit_0_or_2(self, tensor):
+        # a well-formed BFK1 file of any extents 0-4, each value any float32
+        # bit pattern: NaNs, infinities and subnormals included
+        shape, bits = tensor
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.bfk")
+            with open(path, "wb") as fh:
+                fh.write(bfk.MAGIC + struct.pack("<4I", 3, *shape)
+                         + struct.pack(f"<{len(bits)}I", *bits))
+            out = os.path.join(tmp, "o.pgm")
+            for extra in ([], ["--channel", "0"]):
+                assert main(["viz", path, "--out", out] + extra) in (0, 2)
+
 
 class TestVerify:
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_all_suites_pass(self, capsys):
         code = main(["verify"])
         out = capsys.readouterr().out

@@ -9,14 +9,14 @@ import pytest
 from bevlab import autodiff as ad, verify
 from bevlab.autodiff import val
 from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
-                            decoder_layer, encode_box, focal_loss,
-                            gaussian_focal_loss, l1_encoded, run_decoder,
-                            self_attention, _corner_points_batch,
-                            _decode_state, _initial_state,
-                            _position_aware_mix_batch)
+                            decoder_layer, encode_box, gaussian_focal_loss,
+                            l1_encoded, run_decoder, self_attention,
+                            _corner_points_batch, _decode_state,
+                            _initial_state, _position_aware_mix_batch)
 from bevlab.geometry import BevGrid, world_to_cell
 from bevlab.scene_sim import Box
-from bevlab.tensor import LinearMap, bilinear_sample, linear_apply
+from bevlab.tensor import LinearMap, linear_apply
+from bevlab.verify import bilinear_sample
 from helpers import gradcheck
 
 # unit cells make the hand cases read directly in meters
@@ -337,34 +337,6 @@ class TestDecoderLayer:
 
 
 class TestLosses:
-    def test_focal_scalar_fixture(self):
-        p = 0.3
-        logit = math.log(p / (1 - p))
-        out = float(val(focal_loss(np.array([logit]), np.array([1.0]))))
-        assert out == pytest.approx(-0.25 * 0.7 ** 2 * math.log(0.3), abs=1e-9)
-
-    def test_focal_gamma_zero_is_half_bce(self, rng):
-        logits = rng.normal(size=(5,))
-        y = (rng.uniform(size=5) > 0.5).astype(float)
-        out = float(val(focal_loss(logits, y, gamma=0.0, alpha=0.5)))
-        p = 1 / (1 + np.exp(-logits))
-        bce = -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
-        assert out == pytest.approx(0.5 * bce, abs=1e-9)
-
-    def test_focal_perfect_prediction_vanishes(self):
-        out = float(val(focal_loss(np.array([30.0, -30.0]),
-                                   np.array([1.0, 0.0]))))
-        assert out < 1e-9
-
-    def test_focal_class_id_labels(self, rng):
-        logits = rng.normal(size=(4, 3))
-        labels = np.array([0, 2, 1, 1])
-        onehot = np.zeros((4, 3))
-        onehot[np.arange(4), labels] = 1.0
-        a = float(val(focal_loss(logits, labels)))
-        b = float(val(focal_loss(logits, onehot)))
-        assert a == pytest.approx(b, abs=1e-12)
-
     def test_gaussian_focal_fixtures(self):
         pred = np.zeros((1, 2, 2)) + 1e-15
         pred[0, 0, 0] = 1.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bevlab.geometry import (BevGrid, CameraModel, FeaturePyramid,
-                             cell_to_world, project_heights, project_to_image,
-                             world_to_cell)
+                             project_heights, project_to_image, world_to_cell)
+from bevlab.verify import cell_to_world
 
 
 def make_camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, R=None, t=None,

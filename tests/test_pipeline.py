@@ -14,7 +14,7 @@ from bevlab.pipeline import (DetectionOutput, PipelineConfig, fit_generators,
                              forward, greedy_match, init_params,
                              vanilla_heights, write_detections)
 from bevlab.query_select import GroupSpec
-from bevlab.scene_sim import SceneConfig, make_scene
+from bevlab.scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
 from bevlab.tensor import LinearMap
 from helpers import tracemalloc_peak
 
@@ -67,7 +67,7 @@ class TestForward:
         from bevlab.autodiff import val
         # as_only's camera map, pushed through the projection stage, is
         # byte-identical to the asap camera map
-        lidar = as_only["lidar"]
+        lidar = rasterize_lidar_bev(scene, GRID)
         again = val(adaptive_project(params.vt, as_only["bev_camera"], lidar))
         assert np.array_equal(again, asap["bev_camera"])
 
@@ -210,11 +210,10 @@ class TestFit:
         cfg = tiny_config()
         params = init_params(cfg, seed=4)
         scene = tiny_scene(seed=3)
-        res = fit_generators(cfg, params, [scene], steps=500, lr=0.05,
+        res = fit_generators(cfg, params, [scene], steps=1000, lr=0.01,
                              loss_weights={"heatmap": 0.0, "box": 0.0,
-                                           "height": 1.0}, lr_half_life=80)
-        from bevlab.scene_sim import (footprint_mask, rasterize_lidar_bev,
-                                      render_camera_features)
+                                           "height": 1.0})
+        from bevlab.scene_sim import footprint_mask, render_camera_features
         from bevlab.view_transform import adaptive_sample
         lidar = rasterize_lidar_bev(scene, GRID)
         pyramids = render_camera_features(scene, GRID, cfg.strides)

@@ -7,13 +7,14 @@ import pytest
 
 from bevlab.autodiff import val
 from bevlab.decoder import _initial_state
-from bevlab.geometry import BevGrid, cell_to_world
+from bevlab.geometry import BevGrid
 from bevlab.pipeline import PipelineConfig, _query_features, init_params
 from bevlab.query_select import (DEFAULT_GROUPS, GroupEmbeddings, GroupSpec,
                                  HeatmapHead, gaussian_target,
                                  predict_heatmaps, topk_keypoints)
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap
+from bevlab.verify import cell_to_world
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bevlab.autodiff import layer_norm, relu, softmax
-from bevlab.tensor import (LinearMap, as_tensor, bilinear_sample,
-                           finite_diff_grad, linear_apply, sinusoidal_encode)
+from bevlab.tensor import LinearMap, as_tensor, linear_apply
+from bevlab.verify import bilinear_sample, finite_diff_grad, sinusoidal_encode
 
 
 class TestAsTensor:

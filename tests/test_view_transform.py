@@ -13,8 +13,9 @@ from bevlab.geometry import BevGrid, CameraModel, FeaturePyramid
 from bevlab.scene_sim import (SceneConfig, SceneSpec, Box, make_scene,
                               rasterize_lidar_bev, ray_smear_metric,
                               render_camera_features)
-from bevlab.tensor import LinearMap, bilinear_sample
-from bevlab.verify import dense_adaptive_project, random_vt_instance
+from bevlab.tensor import LinearMap
+from bevlab.verify import (bilinear_sample, cell_to_world,
+                           dense_adaptive_project, random_vt_instance)
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, vanilla_vt_output)
 from bevlab.geometry import project_heights, project_to_image
@@ -127,7 +128,6 @@ class TestAdaptiveSample:
         # reference: sample (j*, i*) directly with scalar primitives
         H = grid.height
         stride, fmap = pyramids[0].levels[j_star]
-        from bevlab.geometry import cell_to_world
         for v in range(H):
             for u in range(H):
                 X, Y = cell_to_world(grid, u, v)
@@ -251,7 +251,6 @@ class TestVanilla:
         params, lidar, pyramids, cams, grid = full_view_instance(
             rng, n_h=1, n_s=1)
         out = val(vanilla_vt_output(pyramids, cams, grid, [0.5]).bev)
-        from bevlab.geometry import cell_to_world
         stride, fmap = pyramids[0].levels[0]
         for v in range(grid.height):
             for u in range(grid.width):
@@ -266,7 +265,8 @@ class TestVanilla:
         fixed = np.array([-0.8, 0.7])
         # tanh inverse puts the height generator exactly on the fixed heights
         half = grid.z_span / 2
-        bias = np.arctanh((fixed - grid.z_mid) / half)
+        mid = 0.5 * (grid.z_range[0] + grid.z_range[1])
+        bias = np.arctanh((fixed - mid) / half)
         tuned = dataclasses.replace(
             params,
             height_gen=LinearMap(np.zeros((2, 3)), bias),
@@ -294,7 +294,8 @@ class TestSmearOrdering:
 
         # heights pinned to the true object height via the generator bias
         half = grid.z_span / 2
-        bias = np.full(4, np.arctanh((z_true - grid.z_mid) / half))
+        mid = 0.5 * (grid.z_range[0] + grid.z_range[1])
+        bias = np.full(4, np.arctanh((z_true - mid) / half))
         params = VtParams(
             height_gen=LinearMap(np.zeros((4, 6)), bias),
             weight_gen=LinearMap.zeros(8, 6),

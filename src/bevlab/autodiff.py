@@ -32,28 +32,22 @@ def val(x):
 
 
 def is_traced(*xs):
-    return any(isinstance(x, Var) and x.requires_grad for x in xs)
+    return any(isinstance(x, Var) for x in xs)
 
 
 class Var:
-    """A node in the backward tape wrapping a float64 ndarray."""
+    """A node in the backward tape wrapping a float64 ndarray. Every Var is
+    traced: a leaf (from `lift_tree`, or built by hand) receives a .grad
+    from backward(), and an op builds a Var only when one of its inputs is
+    a Var."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._vjp = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
@@ -78,7 +72,7 @@ class Var:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
         for node in topo:
             node.grad = None
@@ -89,24 +83,23 @@ class Var:
                 node.grad = None
 
     def __repr__(self):
-        return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Var(shape={self.data.shape})"
 
 
 def _node(data, parents, vjp):
-    """Build a tape node; collapse to a plain array when nothing is
-    traced."""
-    live = tuple(p for p in parents if isinstance(p, Var) and p.requires_grad)
+    """Build a tape node; collapse to a plain array when no parent is a
+    Var."""
+    live = tuple(p for p in parents if isinstance(p, Var))
     if not live:
         return np.asarray(data)
     out = Var(data)
-    out.requires_grad = True
     out._parents = live
     out._vjp = vjp
     return out
 
 
 def _accum(p, g):
-    if isinstance(p, Var) and p.requires_grad:
+    if isinstance(p, Var):
         p.grad = g if p.grad is None else p.grad + g
 
 
@@ -615,7 +608,7 @@ def bilinear_gather(fmap, xs, ys):
 
     def vjp(g):
         gv = g * valid[:, None]  # [N, C]
-        if isinstance(fmap, Var) and fmap.requires_grad:
+        if isinstance(fmap, Var):
             acc = np.zeros((H * W, C))
             np.add.at(acc, y0 * W + x0, gv * ((1 - fx) * (1 - fy))[:, None])
             np.add.at(acc, y0 * W + x1, gv * (fx * (1 - fy))[:, None])
@@ -645,7 +638,7 @@ def lift_tree(obj, out=None):
         out.append(obj)
         return obj
     if isinstance(obj, np.ndarray):
-        v = Var(obj.copy(), requires_grad=True)
+        v = Var(obj.copy())
         out.append(v)
         return v
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

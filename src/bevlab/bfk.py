@@ -1,6 +1,6 @@
 """BFK1 binary tensor files: magic "BFK1", u32 rank, u32 extents[rank],
-then little-endian float32 values in row-major order. Used by the CLI for
-feature-map dumps and fixtures."""
+then the prod(extents) float32 values (little-endian, row-major) and
+nothing else. Used by the CLI for feature-map dumps and fixtures."""
 
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ def load(path):
         raise ValueError(f"{path}: truncated BFK1 header")
     shape = struct.unpack_from(f"<{rank}I", raw, 8)
     count = math.prod(shape)
-    if len(raw) - offset < 4 * count:
-        raise ValueError(f"{path}: truncated BFK1 payload")
+    if len(raw) - offset != 4 * count:
+        raise ValueError(f"{path}: BFK1 payload is not {count} values")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
     with np.errstate(invalid="ignore"):  # a signaling NaN loads as NaN
         return data.reshape(shape).astype(np.float64)

@@ -187,11 +187,18 @@ def _make_scenes(cfg, scene_cfg, n_scenes):
         raise ConfigError(str(exc)) from exc
 
 
+def _make_out_dir(out_dir):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}") from exc
+
+
 def cmd_run(config_path, out_dir):
     cfg = load_config(config_path)
     pipeline_cfg, scene_cfg = build_configs(cfg)
     scenes = _make_scenes(cfg, scene_cfg, cfg["scene"]["n_scenes"])
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     params = init_params(pipeline_cfg, seed=cfg["seed"])
 
@@ -245,7 +252,7 @@ def cmd_bench(config_path, out_dir, reps=5):
         raise ConfigError("bench needs at least 3 repetitions")
     pipeline_cfg, scene_cfg = build_configs(cfg)
     scene = _make_scenes(cfg, scene_cfg, 1)[0]
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     rows = []
     for mode in VT_MODES:
@@ -315,7 +322,11 @@ def cmd_viz(tensor_path, out_path, channel=None, points=None):
             if 0 <= xi < W and 0 <= yi < H:
                 pix[yi, xi] = 255
 
-    with open(out_path, "wb") as fh:
+    try:
+        fh = open(out_path, "wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write image: {exc}") from exc
+    with fh:
         fh.write(b"P5\n%d %d\n255\n" % (pix.shape[1], pix.shape[0]))
         fh.write(pix.tobytes())
     return 0

@@ -1,15 +1,18 @@
 """End-to-end forward pass and the desk-scale fitting routine.
 
-The forward pass wires view transformation -> fusion -> query selection ->
-decoder according to the configured ablation modes. Fitting is plain
-gradient descent on a Gaussian-focal heatmap loss, an L1 box loss on
-greedily matched predictions, and an auxiliary L1 height-supervision term
-(a harness-only substitute for full detection training: without it the
-height generators cannot be trained in desk time).
+One builder, `_build`, wires view transformation -> fusion -> query
+selection -> decoder according to the configured ablation modes. `forward`
+runs it on plain parameters; the fit runs the same graph on traced ones.
+Fitting is plain gradient descent on the sum of a Gaussian-focal heatmap
+loss, an L1 box loss on greedily matched predictions of every decoder
+layer, and an auxiliary L1 height-supervision term (a harness-only
+substitute for full detection training: without it the height generators
+cannot be trained in desk time).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,8 +24,8 @@ from .autodiff import val
 from .decoder import (AttentionParams, DecoderParams, encode_box, run_decoder,
                       gaussian_focal_loss, l1_encoded, ATTENTION_MODES)
 from .geometry import BevGrid, world_to_cell
-from .query_select import (GroupEmbeddings, GroupSpec, HeatmapHead,
-                           predict_heatmaps, topk_keypoints, gaussian_target)
+from .query_select import (GroupSpec, predict_heatmaps, topk_keypoints,
+                           gaussian_target)
 from .scene_sim import rasterize_lidar_bev, render_camera_features
 from .tensor import LinearMap, chw_to_cells, linear_apply
 from .view_transform import (VtParams, _heights_from_raw, adaptive_project,
@@ -92,8 +95,8 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PipelineParams:
     vt: VtParams
-    head: HeatmapHead
-    group_embeds: GroupEmbeddings
+    head: LinearMap           # per-cell heatmap scorer [C -> n_classes]
+    group_embeds: object      # [n_groups, C], shared by each group's queries
     instance_embeds: object   # [n_queries, C]
     learnable_points: object  # [n_queries, 2] cell coords
     decoder: DecoderParams
@@ -120,7 +123,7 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
         weight_gen=_init_linear(rng, n_s * n_h, C),
         kernel_gen=_init_linear(rng, C * C, C),
         fuse=_init_linear(rng, C, 2 * C))
-    head = HeatmapHead(scorer=_init_linear(rng, k, C))
+    head = _init_linear(rng, k, C)
 
     n_q = config.groups.n_queries
     group_table = rng.normal(0.0, INIT_SCALE, size=(config.groups.n_groups, C))
@@ -147,7 +150,7 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
         reg_head=_init_linear(rng, 8, C),
         cls_head=_init_linear(rng, k, C))
     return PipelineParams(vt=vt, head=head,
-                          group_embeds=GroupEmbeddings(group_table),
+                          group_embeds=group_table,
                           instance_embeds=inst_table,
                           learnable_points=pts, decoder=dec)
 
@@ -161,38 +164,12 @@ def vanilla_heights(grid: BevGrid, n_heights):
 
 def _scene_inputs(config: PipelineConfig, scene):
     """A scene's view-transform inputs: the scene, its LiDAR raster, its
-    camera pyramids, and a `vanilla` slot that `_run_vt` fills."""
+    camera pyramids, and a `vanilla` slot that `_build` fills."""
     return {"scene": scene,
             "lidar": rasterize_lidar_bev(scene, config.grid),
             "pyramids": render_camera_features(scene, config.grid,
                                                config.strides),
             "vanilla": None}
-
-
-def _run_vt(config: PipelineConfig, params: PipelineParams, inputs):
-    """Camera-branch BEV map per the configured mode, plus diagnostics.
-
-    inputs: the scene's `_scene_inputs`. The vanilla sampling (`vanilla` and
-    `ap_only` modes) does not depend on the parameters: it is built into
-    inputs["vanilla"] the first time the scene needs it, at
-    `vanilla_heights(grid, config.n_heights)`, and reused after.
-    """
-    grid = config.grid
-    mode = config.vt_mode
-    lidar, pyramids = inputs["lidar"], inputs["pyramids"]
-    cams = inputs["scene"].cameras
-    if mode in ("asap", "as_only"):
-        diag = adaptive_sample(params.vt, lidar, pyramids, cams, grid)
-    else:
-        if inputs["vanilla"] is None:
-            inputs["vanilla"] = vanilla_vt_output(
-                pyramids, cams, grid, vanilla_heights(grid, config.n_heights))
-        diag = inputs["vanilla"]
-    if mode in ("asap", "ap_only"):
-        bev_camera = adaptive_project(params.vt, diag.bev, lidar)
-    else:
-        bev_camera = diag.bev
-    return bev_camera, diag
 
 
 def _query_features(config: PipelineConfig, params: PipelineParams,
@@ -211,7 +188,7 @@ def _query_features(config: PipelineConfig, params: PipelineParams,
     ref = np.concatenate([pos for pos, _ in kps], axis=0)
 
     if config.query_init == "mixed_groupwise":
-        feats = ad.getitem(params.group_embeds.table, (group_ids,))
+        feats = ad.getitem(params.group_embeds, (group_ids,))
     elif config.query_init == "mixed_instancewise":
         feats = params.instance_embeds
     else:  # heatmap: raw bilinear feature sampling at the keypoints
@@ -320,19 +297,35 @@ def write_detections(path, outputs, grid: BevGrid):
         fh.write("[\n" + ",\n".join(scenes) + "\n]\n" if scenes else "[]\n")
 
 
-def forward(config: PipelineConfig, params: PipelineParams, scene):
-    """Full pipeline on one scene.
+def _build(config: PipelineConfig, params: PipelineParams, inputs):
+    """The detection graph on one scene's `_scene_inputs`, with each stage's
+    wall time: view transform, fusion, query selection, decoder. On
+    `lift_tree`d parameters the graph is traced, so the fit trains the
+    graph that `forward` runs.
 
-    Returns (DetectionOutput, VtOutput, extras) where extras carries the
-    intermediate maps and per-stage wall times.
+    The vanilla sampling (`vanilla` and `ap_only` modes) does not depend on
+    the parameters: it is built into inputs["vanilla"] the first time the
+    scene needs it, at `vanilla_heights(grid, config.n_heights)`, and reused
+    after.
+
+    Returns a dict: bev_camera, diag (the VtOutput), bev_fuse, heatmaps
+    (None in `learnable` mode, whose queries select without them), ref
+    [Nq, 2], group_ids [Nq], layers (`run_decoder`'s) and stage_times
+    (seconds per stage: vt, fuse, select, decoder).
     """
-    grid = config.grid
-    extras = {}
-    inputs = _scene_inputs(config, scene)
-    lidar = inputs["lidar"]
-    t_scene = time.perf_counter()
-
-    bev_camera, diag = _run_vt(config, params, inputs)
+    grid, lidar, pyramids = config.grid, inputs["lidar"], inputs["pyramids"]
+    cams = inputs["scene"].cameras
+    t_start = time.perf_counter()
+    if config.vt_mode in ("asap", "as_only"):
+        diag = adaptive_sample(params.vt, lidar, pyramids, cams, grid)
+    else:
+        if inputs["vanilla"] is None:
+            inputs["vanilla"] = vanilla_vt_output(
+                pyramids, cams, grid, vanilla_heights(grid, config.n_heights))
+        diag = inputs["vanilla"]
+    bev_camera = diag.bev
+    if config.vt_mode in ("asap", "ap_only"):
+        bev_camera = adaptive_project(params.vt, diag.bev, lidar)
     t_vt = time.perf_counter()
     bev_fuse = fuse_bev(params.vt, bev_camera, lidar)
     t_fuse = time.perf_counter()
@@ -346,22 +339,30 @@ def forward(config: PipelineConfig, params: PipelineParams, scene):
     layers = run_decoder(feats, ref, bev_fuse, params.decoder, grid,
                          mode=config.attention_mode)
     t_decoder = time.perf_counter()
+    return {"bev_camera": bev_camera, "diag": diag, "bev_fuse": bev_fuse,
+            "heatmaps": heatmaps, "ref": ref, "group_ids": group_ids,
+            "layers": layers,
+            "stage_times": {"vt": t_vt - t_start, "fuse": t_fuse - t_vt,
+                            "select": t_select - t_fuse,
+                            "decoder": t_decoder - t_select}}
 
-    out_layers = []
-    for layer in layers:
-        probs = 1.0 / (1.0 + np.exp(-val(layer["cls"])))
-        out_layers.append({"enc": val(layer["enc"]), "cls_probs": probs,
-                           "boxes": layer["boxes"]})
-    det = DetectionOutput(ref_points=ref, group_ids=group_ids, layers=out_layers)
 
-    extras["bev_camera"] = val(bev_camera)
-    extras["bev_fuse"] = val(bev_fuse)
-    extras["heatmaps"] = None if heatmaps is None else val(heatmaps)
-    extras["stage_times"] = {
-        "vt": t_vt - t_scene, "fuse": t_fuse - t_vt,
-        "select": t_select - t_fuse, "decoder": t_decoder - t_select,
-    }
-    return det, diag, extras
+def forward(config: PipelineConfig, params: PipelineParams, scene):
+    """Full pipeline on one scene: `_build` on the scene's inputs.
+
+    Returns (DetectionOutput, VtOutput, extras). extras holds the camera
+    and fused BEV maps, the heatmaps (None in `learnable` mode) and
+    stage_times, the wall time of each stage in seconds.
+    """
+    graph = _build(config, params, _scene_inputs(config, scene))
+    layers = [{"enc": val(layer["enc"]),
+               "cls_probs": 1.0 / (1.0 + np.exp(-val(layer["cls"]))),
+               "boxes": layer["boxes"]} for layer in graph["layers"]]
+    det = DetectionOutput(ref_points=graph["ref"],
+                          group_ids=graph["group_ids"], layers=layers)
+    extras = {key: val(graph[key])
+              for key in ("bev_camera", "bev_fuse", "heatmaps", "stage_times")}
+    return det, graph["diag"], extras
 
 
 # ---------------------------------------------------------------------------
@@ -409,56 +410,50 @@ def _scene_constants(config: PipelineConfig, scene):
     return consts
 
 
-def _scene_losses(config: PipelineConfig, params: PipelineParams, consts,
-                  weights):
-    """Loss components for one scene; omitted components are skipped."""
-    grid = config.grid
+def _height_loss(config: PipelineConfig, params: PipelineParams, consts):
+    """Mean L1 error of the generated heights at the LiDAR-occupied cells
+    (at least one) against each cell's true height."""
+    rows = chw_to_cells(consts["lidar"])[consts["occ_idx"]]
+    raw = linear_apply(params.vt.height_gen, rows)
+    h = _heights_from_raw(raw, config.grid.z_range)
+    return ad.mean(ad.absolute(ad.sub(h, consts["z_true"][:, None])))
+
+
+def _scene_losses(config: PipelineConfig, params: PipelineParams, consts):
+    """The loss terms of one scene, on the graph `_build` makes: "height"
+    (`_height_loss`; absent when no cell is occupied), "heatmap" (Gaussian
+    focal loss of the heatmaps; in `learnable` mode they are predicted for
+    this loss alone) and "box" (the L1 loss of each decoder layer's
+    greedily matched boxes, averaged over the layers; absent in a scene
+    without boxes)."""
     scene = consts["scene"]
     losses = {}
+    if len(consts["occ_idx"]):
+        losses["height"] = _height_loss(config, params, consts)
 
-    if weights.get("height", 0.0) > 0 and len(consts["occ_idx"]):
-        rows = chw_to_cells(consts["lidar"])[consts["occ_idx"]]
-        raw = linear_apply(params.vt.height_gen, rows)
-        h = _heights_from_raw(raw, grid.z_range)
-        diff = ad.absolute(ad.sub(h, consts["z_true"][:, None]))
-        losses["height"] = ad.mean(diff)
+    graph = _build(config, params, consts)
+    heatmaps = graph["heatmaps"]
+    if heatmaps is None:
+        heatmaps = predict_heatmaps(params.head, graph["bev_fuse"])
+    losses["heatmap"] = gaussian_focal_loss(heatmaps, consts["heatmap_targets"])
 
-    need_fuse = weights.get("heatmap", 0.0) > 0 or weights.get("box", 0.0) > 0
-    if not need_fuse:
-        return losses
-
-    bev_camera, _diag = _run_vt(config, params, consts)
-    bev_fuse = fuse_bev(params.vt, bev_camera, consts["lidar"])
-    heatmaps = predict_heatmaps(params.head, bev_fuse)
-
-    if weights.get("heatmap", 0.0) > 0:
-        losses["heatmap"] = gaussian_focal_loss(heatmaps, consts["heatmap_targets"])
-
-    if weights.get("box", 0.0) > 0 and len(scene.boxes):
-        feats, ref, _gids = _query_features(config, params, bev_fuse, heatmaps)
-        layers = run_decoder(feats, ref, bev_fuse, params.decoder, grid,
-                             mode=config.attention_mode)
+    if scene.boxes:
+        ref = graph["ref"]
         per_layer = []
-        for layer in layers:
+        for layer in graph["layers"]:
             boxes = layer["boxes"]
             centers = np.stack([boxes["xc"], boxes["yc"]], axis=1)
             pairs = greedy_match(centers, consts["gt_cells"])
-            if not pairs:
-                continue
-            q_idx = [q for q, _ in pairs]
             tgt = np.stack([
                 encode_box(consts["gt_cells"][g], scene.boxes[g].center[2],
                            scene.boxes[g].dims, scene.boxes[g].yaw,
                            (ref[q][0], ref[q][1]))
                 for q, g in pairs])
-            pred_rows = ad.getitem(layer["enc"], (np.array(q_idx),))
+            pred_rows = ad.getitem(layer["enc"],
+                                   (np.array([q for q, _ in pairs]),))
             per_layer.append(l1_encoded(pred_rows, tgt))
-        if per_layer:
-            acc = per_layer[0]
-            for term in per_layer[1:]:
-                acc = ad.add(acc, term)
-            losses["box"] = ad.div(acc, float(len(per_layer)))
-
+        losses["box"] = ad.div(functools.reduce(ad.add, per_layer),
+                               float(len(per_layer)))
     return losses
 
 
@@ -469,21 +464,17 @@ class FitResult:
 
 
 def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
-                   steps, lr, loss_weights=None,
-                   batch_size=None) -> FitResult:
-    """Plain gradient descent of the pipeline generators on synthetic scenes,
-    at the constant step size lr.
+                   steps, lr, batch_size=None) -> FitResult:
+    """Plain gradient descent of every parameter on synthetic scenes, at the
+    constant step size lr, through the graph that `forward` runs.
 
-    loss_weights: {"heatmap": w, "box": w, "height": w}; zero disables a
-    component (and its forward stages). Scenes are visited in fixed
-    round-robin batches, so runs are deterministic. Raises RuntimeError on
-    divergence (total loss above 1e6 or non-finite).
+    A step's loss sums every term of `_scene_losses` over the step's batch
+    of scenes, each term divided by the batch size. Scenes are visited in
+    fixed round-robin batches, so runs are deterministic. Raises
+    RuntimeError on divergence (total loss above 1e6 or non-finite).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    weights = {"heatmap": 1.0, "box": 1.0, "height": 1.0}
-    if loss_weights is not None:
-        weights.update(loss_weights)
+    if steps < 1 or not scenes:
+        raise ValueError("a fit needs steps >= 1 and at least one scene")
 
     consts = [_scene_constants(config, s) for s in scenes]
     lifted, train_vars = ad.lift_tree(params)
@@ -494,24 +485,21 @@ def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
     for step in range(steps):
         idx = [(step * bs + j) % n for j in range(bs)]
         total = None
-        comps = {k: 0.0 for k in weights}
+        comps = {"heatmap": 0.0, "box": 0.0, "height": 0.0}
         for i in idx:
-            losses = _scene_losses(config, lifted, consts[i], weights)
-            for key, term in losses.items():
+            for key, term in _scene_losses(config, lifted, consts[i]).items():
                 comps[key] += float(val(term)) / len(idx)
-                w_term = ad.mul(term, weights[key] / len(idx))
-                total = w_term if total is None else ad.add(total, w_term)
-        total_val = float(val(total)) if total is not None else 0.0
+                term = ad.mul(term, 1.0 / len(idx))
+                total = term if total is None else ad.add(total, term)
+        total_val = float(val(total))
         if not np.isfinite(total_val) or total_val > 1e6:
             raise RuntimeError(
                 f"fit diverged at step {step}: total loss {total_val}")
-        if isinstance(total, ad.Var):
-            total.backward()
-            ad.sgd_step(train_vars, lr)
+        total.backward()
+        ad.sgd_step(train_vars, lr)
         curve.append({"step": step, "total": total_val, **comps})
         # these names hold the step's whole tape; release it before the
         # next step builds its own
-        total = losses = term = w_term = None
+        total = term = None
 
     return FitResult(params=ad.unlift_tree(lifted), curve=curve)
-

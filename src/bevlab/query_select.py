@@ -1,7 +1,7 @@
-"""Group-wise query initialization: center heatmaps, Gaussian targets,
-top-k keypoint extraction, and the per-group shared embeddings that mixed
-queries take their features from (`pipeline._query_features` pairs them
-with the keypoint positions)."""
+"""Group-wise query initialization: center heatmaps, Gaussian targets and
+top-k keypoint extraction. `pipeline._query_features` pairs the keypoint
+positions with the per-group shared embeddings that mixed queries take
+their features from."""
 
 from __future__ import annotations
 
@@ -49,20 +49,6 @@ class GroupSpec:
         return self.n_groups * self.queries_per_group
 
 
-@dataclass(frozen=True)
-class HeatmapHead:
-    """Per-cell scorer producing one center-likelihood channel per class."""
-
-    scorer: LinearMap  # [C -> n_classes]
-
-
-@dataclass(frozen=True)
-class GroupEmbeddings:
-    """One learnable feature vector per group, shared by its queries."""
-
-    table: object  # [n_groups, C]
-
-
 def gaussian_target(boxes, grid: BevGrid, n_classes):
     """Per-class heatmap targets: at each cell the max over that class's
     objects of exp(-d^2 / (2 sigma^2)), d in cells from the cell nearest the
@@ -89,10 +75,11 @@ def gaussian_target(boxes, grid: BevGrid, n_classes):
     return targets, skipped
 
 
-def predict_heatmaps(head: HeatmapHead, bev_fuse):
-    """Sigmoid center-likelihood scores, [n_classes, H, W], entries in (0,1)."""
+def predict_heatmaps(scorer: LinearMap, bev_fuse):
+    """Sigmoid center-likelihood scores, [n_classes, H, W], entries in (0,1):
+    the per-cell scorer [C -> n_classes] applied to every cell."""
     _, H, W = np.shape(val(bev_fuse))
-    scores = ad.sigmoid(linear_apply(head.scorer, chw_to_cells(bev_fuse)))
+    scores = ad.sigmoid(linear_apply(scorer, chw_to_cells(bev_fuse)))
     return cells_to_chw(scores, H, W)
 
 

@@ -59,10 +59,6 @@ class LinearMap:
     def out_dim(self):
         return val(self.weight).shape[0]
 
-    @classmethod
-    def zeros(cls, out_dim, in_dim):
-        return cls(np.zeros((out_dim, in_dim)), np.zeros(out_dim))
-
 
 def linear_apply(m: LinearMap, x):
     """Apply an affine map to a batch of rows [N, in]."""

@@ -33,7 +33,7 @@ from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       _position_aware_mix_batch, corner_sample)
 from .geometry import (BevGrid, FeaturePyramid, project_heights,
                        project_to_image)
-from .query_select import GroupSpec, HeatmapHead, predict_heatmaps, topk_keypoints
+from .query_select import GroupSpec, predict_heatmaps, topk_keypoints
 from .scene_sim import SceneConfig, make_scene
 from .tensor import (LinearMap, cells_to_chw, chw_to_cells, linear_apply,
                      sinusoid_freqs)
@@ -249,6 +249,11 @@ def dense_adaptive_project(params: VtParams, bev_as, lidar_bev):
 # fixture builders
 
 
+def zero_linear(out_dim, in_dim):
+    """The LinearMap whose weight and bias are all zero."""
+    return LinearMap(np.zeros((out_dim, in_dim)), np.zeros(out_dim))
+
+
 def _rand_linear(rng, out_dim, in_dim, scale=0.6):
     return LinearMap(rng.normal(0, scale / np.sqrt(in_dim), (out_dim, in_dim)),
                      rng.normal(0, 0.1, out_dim))
@@ -309,7 +314,7 @@ def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
     Returns the worst relative error."""
     extra_arrays = extra_arrays or {}
     lifted, tvars = ad.lift_tree(params_obj)
-    extras_v = {k: ad.Var(v, requires_grad=True) for k, v in extra_arrays.items()}
+    extras_v = {k: ad.Var(v) for k, v in extra_arrays.items()}
     out = build_loss(lifted, extras_v)
     out.backward()
 
@@ -606,7 +611,7 @@ def run_grad_suite(seed=0):
         return f"worst rel err {worst:.2e}"
 
     def heatmap_path():
-        head = HeatmapHead(_rand_linear(rng, 3, 4))
+        scorer = _rand_linear(rng, 3, 4)
         fuse = rng.normal(size=(4, 6, 6))
         target = np.zeros((3, 6, 6))
         target[0, 2, 3] = 1.0
@@ -615,7 +620,7 @@ def run_grad_suite(seed=0):
         def loss(p, extras):
             return gaussian_focal_loss(predict_heatmaps(p, extras["fuse"]), target)
 
-        worst = _gradcheck_tree(loss, head, {"fuse": fuse})
+        worst = _gradcheck_tree(loss, scorer, {"fuse": fuse})
         return f"worst rel err {worst:.2e}"
 
     def decoder_layer_path():
@@ -696,7 +701,7 @@ def run_grad_suite(seed=0):
                                  ad.sum_(ad.mul(new_feats, 0.05))))
 
         with block_bytes(8 * 2 * 7 * 2):
-            w1 = _gradcheck_tree(op_loss, LinearMap.zeros(1, 1),
+            w1 = _gradcheck_tree(op_loss, zero_linear(1, 1),
                                  {"q": q, "k": k, "v": v})
         with block_bytes(8 * 2 * 16):
             w2 = _gradcheck_tree(layer_loss, params,
@@ -716,7 +721,7 @@ def run_grad_suite(seed=0):
         def l1_l(_p, extras):
             return l1_encoded(extras["enc"], enc_t)
 
-        dummy = LinearMap.zeros(1, 1)
+        dummy = zero_linear(1, 1)
         w1 = _gradcheck_tree(gf_l, dummy, {"hm": hm})
         w2 = _gradcheck_tree(l1_l, dummy, {"enc": rng.normal(size=(4, 8)) + 0.1})
         return f"worst rel errs {max(w1, w2):.2e}"
@@ -787,11 +792,10 @@ def run_props_suite(seed=0):
     def residual_identity():
         rng2 = np.random.default_rng(seed + 1)
         params = _tiny_decoder_params(rng2, n_layers=6)
-        zero = LinearMap.zeros
         params = dataclasses.replace(
             params,
-            out_proj=zero(4, 16), ffn2=zero(4, 8),
-            self_attn=tuple(dataclasses.replace(a, w_o=zero(4, 4))
+            out_proj=zero_linear(4, 16), ffn2=zero_linear(4, 8),
+            self_attn=tuple(dataclasses.replace(a, w_o=zero_linear(4, 4))
                             for a in params.self_attn))
         feats = rng2.normal(size=(3, 4))
         bev = rng2.normal(size=(4, 8, 8))

@@ -117,6 +117,35 @@ class TestBfk:
         assert len(raw) >= 8 + 4 * arr.ndim + 4 * arr.size
 
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bfk"
+        bfk.save(path, np.ones((1, 4, 4)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="payload"):
+            bfk.load(path)
+        assert main(["viz", str(path), "--out", str(tmp_path / "o.pgm")]) == 2
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.binary(max_size=48),
+        st.tuples(st.lists(st.integers(0, 3), max_size=3),
+                  st.integers(-8, 8)).map(
+            lambda t: bfk.MAGIC + len(t[0]).to_bytes(4, "little")
+            + b"".join(x.to_bytes(4, "little") for x in t[0])
+            + bytes(max(0, 4 * math.prod(t[0]) + t[1])))))
+    def test_loaded_bytes_are_exactly_header_and_values(self, raw):
+        # header lengths from the extents, payloads a few bytes either side
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.bfk")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                arr = bfk.load(path)
+            except ValueError:
+                return
+        assert len(raw) == 8 + 4 * arr.ndim + 4 * arr.size
+
+
 class TestRun:
     def test_run_success_and_summary(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -478,6 +507,23 @@ class TestViz:
             out = os.path.join(tmp, "o.pgm")
             for extra in ([], ["--channel", "0"]):
                 assert main(["viz", path, "--out", out] + extra) in (0, 2)
+
+
+@pytest.mark.parametrize("command, out", [
+    pytest.param("run", "file", id="run-out-is-a-file"),
+    pytest.param("run", "file/sub", id="run-out-under-a-file"),
+    pytest.param("bench", "file", id="bench-out-is-a-file"),
+    pytest.param("viz", "missing/x.pgm", id="viz-out-in-a-missing-dir"),
+    pytest.param("viz", "dir", id="viz-out-is-a-dir"),
+])
+def test_unusable_out_exit_2(tiny_config, tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    tensor = tmp_path / "t.bfk"
+    bfk.save(tensor, np.ones((1, 4, 4)))
+    source = str(tensor) if command == "viz" else tiny_config
+    assert main([command, source, "--out", str(tmp_path / out)]) == 2
+    assert "runtime failure" not in capsys.readouterr().err
 
 
 class TestVerify:

@@ -16,7 +16,7 @@ from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
 from bevlab.geometry import BevGrid, world_to_cell
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap, linear_apply
-from bevlab.verify import bilinear_sample
+from bevlab.verify import bilinear_sample, zero_linear
 from helpers import gradcheck
 
 # unit cells make the hand cases read directly in meters
@@ -27,7 +27,7 @@ def tiny_params(rng=None, C=2, n_p=4, n_layers=1, n_heads=1, n_classes=2,
                 scale=0.0):
     def lm(out_d, in_d):
         if scale == 0.0 or rng is None:
-            return LinearMap.zeros(out_d, in_d)
+            return zero_linear(out_d, in_d)
         return LinearMap(rng.normal(0, scale / np.sqrt(in_d), (out_d, in_d)),
                          rng.normal(0, 0.1, out_d))
 
@@ -138,7 +138,7 @@ class TestCornerSample:
 class TestPositionAwareMix:
     def test_zero_out_proj_is_identity(self, rng):
         params = tiny_params(rng, scale=0.5)
-        params = dataclasses.replace(params, out_proj=LinearMap.zeros(2, 8))
+        params = dataclasses.replace(params, out_proj=zero_linear(2, 8))
         q = rng.normal(size=2)
         g = rng.normal(size=(1, 4, 2))
         pts = rng.uniform(0, 30, size=(1, 4, 2))
@@ -226,8 +226,8 @@ class TestSelfAttention:
     def test_zero_value_and_out_projections_identity(self, rng):
         params = tiny_params(rng, C=4, n_heads=2, scale=0.5)
         attn = dataclasses.replace(params.self_attn[0],
-                                   w_v=LinearMap.zeros(4, 4),
-                                   w_o=LinearMap.zeros(4, 4))
+                                   w_v=zero_linear(4, 4),
+                                   w_o=zero_linear(4, 4))
         f = rng.normal(size=(3, 4))
         assert np.array_equal(val(self_attention(f, attn, 2)), f)
 

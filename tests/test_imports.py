@@ -5,12 +5,19 @@ import, the function for a local one), or listed in the module's
 
 Every definition in the modules the program runs is used: each top-level
 function and class is read by code in those modules, exported or a script
-entry point, and each method and property is read as an attribute there."""
+entry point, and each method and property is read as an attribute there.
+A name read only as some other object's attribute passes that static
+check, so a second check runs `bevlab run` in every mode and a fit, and
+requires every method and property of the program's classes to run."""
 
 import ast
 import collections
+import functools
+import importlib
+import json
 import pathlib
 import tomllib
+import types
 
 import pytest
 
@@ -161,3 +168,77 @@ def test_program_modules_define_only_what_they_use():
     assert sorted(set(found) - set(REACHED_FROM_OUTSIDE)) == []
     # an allowlisted name that the program reads again leaves the list
     assert set(REACHED_FROM_OUTSIDE) <= set(found)
+
+
+# ---------------------------------------------------------------------------
+# the same rule at run time: every method and property of the program's
+# classes runs in `bevlab run` (all modes) or a fit
+
+# `bevlab run` configs that together use every VT, query-init and attention
+# mode, at sizes that run in milliseconds
+RUN_SIZES = {
+    "model": {"channels": 4, "n_heights": 1, "n_points": 4, "n_layers": 1,
+              "n_heads": 1, "queries_per_group": 1},
+    "grid": {"x_range": [-8, 8], "y_range": [-8, 8], "z_range": [-5, 3],
+             "cells": [8, 8]},
+    "scene": {"n_boxes": 1, "image_size": [16, 16], "strides": [4, 8],
+              "n_cameras": 1, "fixed_dims": [3.0, 1.5, 1.5]},
+}
+
+
+def _program_members():
+    """(class, name) of every method, property and classmethod defined by a
+    class of the program modules; dunder methods are exempt."""
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    for path in PROGRAM:
+        module = importlib.import_module(f"bevlab.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name, attr in vars(cls).items():
+                    if not name.startswith("__") and isinstance(attr, kinds):
+                        yield cls, name
+
+
+def _recording(attr, mark):
+    """`attr` (a function, property or class/static method) with every call
+    through it first calling mark()."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            mark()
+            return fn(*args, **kwargs)
+        return wrapper
+
+    if isinstance(attr, property):
+        return property(wrap(attr.fget), attr.fset and wrap(attr.fset))
+    if isinstance(attr, (classmethod, staticmethod)):
+        return type(attr)(wrap(attr.__func__))
+    return wrap(attr)
+
+
+def test_program_members_all_run(tmp_path, monkeypatch):
+    from bevlab import cli, pipeline
+    from bevlab.decoder import ATTENTION_MODES
+
+    ran, members = set(), set()
+    for cls, name in _program_members():
+        key = f"{cls.__name__}.{name}"
+        members.add(key)
+        monkeypatch.setattr(cls, name, _recording(
+            vars(cls)[name], lambda key=key: ran.add(key)))
+
+    mode_lists = (pipeline.VT_MODES, pipeline.QUERY_INIT_MODES, ATTENTION_MODES)
+    for i in range(max(map(len, mode_lists))):
+        vt, query_init, attention = (m[i % len(m)] for m in mode_lists)
+        doc = dict(RUN_SIZES, model=dict(
+            RUN_SIZES["model"], vt_mode=vt, query_init=query_init,
+            attention_mode=attention))
+        config = tmp_path / f"config_{i}.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["run", str(config), "--out",
+                         str(tmp_path / f"out_{i}")]) == 0
+    pipeline_cfg, scene_cfg = cli.build_configs(cli.load_config(config))
+    pipeline.fit_generators(pipeline_cfg, pipeline.init_params(pipeline_cfg, 0),
+                            [cli.make_scene(scene_cfg, seed=0)], steps=2,
+                            lr=1e-3)
+    assert sorted(members - ran - set(REACHED_FROM_OUTSIDE)) == []

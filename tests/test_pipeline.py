@@ -10,12 +10,13 @@ import pytest
 
 from bevlab import autodiff as ad
 from bevlab.geometry import BevGrid
-from bevlab.pipeline import (DetectionOutput, PipelineConfig, fit_generators,
-                             forward, greedy_match, init_params,
-                             vanilla_heights, write_detections)
+from bevlab.pipeline import (QUERY_INIT_MODES, VT_MODES, DetectionOutput,
+                             PipelineConfig, _height_loss, _scene_constants,
+                             fit_generators, forward, greedy_match,
+                             init_params, vanilla_heights, write_detections)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
-from bevlab.tensor import LinearMap
+from bevlab.verify import zero_linear
 from helpers import tracemalloc_peak
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (16, 16))
@@ -44,7 +45,6 @@ class TestForward:
 
     def test_mode_matrix_all_combinations_run(self):
         scene = tiny_scene(seed=0)
-        from bevlab.pipeline import QUERY_INIT_MODES, VT_MODES
         from bevlab.decoder import ATTENTION_MODES
 
         for vt, qi, am in itertools.product(VT_MODES, QUERY_INIT_MODES,
@@ -183,8 +183,7 @@ class TestFit:
         cfg = tiny_config()
         params = init_params(cfg, seed=1)
         scenes = [tiny_scene(seed=0)]
-        res = fit_generators(cfg, params, scenes, steps=5, lr=0.0,
-                             loss_weights={"box": 0.0})
+        res = fit_generators(cfg, params, scenes, steps=5, lr=0.0)
         totals = [c["total"] for c in res.curve]
         assert all(t == totals[0] for t in totals)
 
@@ -192,9 +191,9 @@ class TestFit:
         cfg = tiny_config()
         params = init_params(cfg, seed=2)
         scenes = [tiny_scene(seed=s) for s in range(2)]
-        res = fit_generators(cfg, params, scenes, steps=40, lr=0.05,
-                             loss_weights={"box": 0.0})
-        assert res.curve[-1]["total"] < res.curve[0]["total"]
+        res = fit_generators(cfg, params, scenes, steps=40, lr=0.05)
+        for key in ("total", "heatmap", "height"):
+            assert res.curve[-1][key] < res.curve[0][key]
 
     def test_divergence_raises(self):
         # the box path is unbounded, so an absurd step size blows it up
@@ -205,19 +204,21 @@ class TestFit:
             fit_generators(cfg, params, scenes, steps=50, lr=1e4)
 
     def test_height_supervision_converges(self):
-        # a single scene, height loss alone: predicted heights at occupied
-        # cells end up within 0.25 m of the true object height
+        # a single scene, 1000 gradient steps on the height loss alone:
+        # predicted heights at occupied cells end up within 0.25 m of the
+        # true object height
         cfg = tiny_config()
-        params = init_params(cfg, seed=4)
         scene = tiny_scene(seed=3)
-        res = fit_generators(cfg, params, [scene], steps=1000, lr=0.01,
-                             loss_weights={"heatmap": 0.0, "box": 0.0,
-                                           "height": 1.0})
+        consts = _scene_constants(cfg, scene)
+        lifted, leaves = ad.lift_tree(init_params(cfg, seed=4))
+        for _ in range(1000):
+            _height_loss(cfg, lifted, consts).backward()
+            ad.sgd_step(leaves, 0.01)
         from bevlab.scene_sim import footprint_mask, render_camera_features
         from bevlab.view_transform import adaptive_sample
         lidar = rasterize_lidar_bev(scene, GRID)
         pyramids = render_camera_features(scene, GRID, cfg.strides)
-        heights = adaptive_sample(res.params.vt, lidar, pyramids,
+        heights = adaptive_sample(ad.unlift_tree(lifted).vt, lidar, pyramids,
                                   scene.cameras, GRID).per_cell_heights
         occ = footprint_mask(scene, GRID)
         worst = 0.0
@@ -265,9 +266,9 @@ class TestFit:
         cfg = tiny_config()
         scenes = [tiny_scene(seed=0)]
         a = fit_generators(cfg, init_params(cfg, seed=5), scenes, steps=10,
-                           lr=0.3, loss_weights={"box": 0.0})
+                           lr=0.3)
         b = fit_generators(cfg, init_params(cfg, seed=5), scenes, steps=10,
-                           lr=0.3, loss_weights={"box": 0.0})
+                           lr=0.3)
         assert a.curve == b.curve
         assert np.array_equal(a.params.vt.height_gen.weight,
                               b.params.vt.height_gen.weight)
@@ -277,10 +278,25 @@ class TestFit:
                                             (6, 7), (8, 9)), 2))
         params = init_params(cfg, seed=6)
         scene = tiny_scene(seed=5)
-        res = fit_generators(cfg, params, [scene], steps=60, lr=0.2,
-                             loss_weights={"heatmap": 1.0, "box": 1.0,
-                                           "height": 0.0})
+        res = fit_generators(cfg, params, [scene], steps=60, lr=0.2)
         assert res.curve[-1]["box"] < res.curve[0]["box"]
+
+    @pytest.mark.parametrize("vt_mode, query_init",
+                             zip(VT_MODES, QUERY_INIT_MODES))
+    def test_every_mode_fits_all_three_terms(self, vt_mode, query_init):
+        # seed 3 puts a box in a camera's view, so the camera branch is live;
+        # `learnable` queries select without heatmaps, yet the heatmap loss
+        # still trains the scorer
+        cfg = tiny_config(vt_mode=vt_mode, query_init=query_init)
+        params = init_params(cfg, seed=1)
+        res = fit_generators(cfg, params, [tiny_scene(seed=3)], steps=2,
+                             lr=0.05)
+        for entry in res.curve:
+            for key in ("height", "heatmap", "box"):
+                assert np.isfinite(entry[key]) and entry[key] > 0
+        for old, new in ((params.vt.height_gen, res.params.vt.height_gen),
+                         (params.head, res.params.head)):
+            assert not np.array_equal(old.weight, new.weight)
 
     @pytest.mark.parametrize("mode", ["vanilla", "ap_only"])
     def test_vanilla_sampling_built_once_per_scene(self, mode, monkeypatch):
@@ -303,29 +319,29 @@ class TestFit:
 class TestParamChecks:
     # tiny_config: C = 4, 2 heights, 2 scales, 4 points, 2 heads
     @pytest.mark.parametrize("part, field, bad, match", [
-        pytest.param("vt", "height_gen", LinearMap.zeros(0, 4), "weight_gen",
+        pytest.param("vt", "height_gen", zero_linear(0, 4), "weight_gen",
                      id="vt-no-heights"),
-        pytest.param("vt", "weight_gen", LinearMap.zeros(3, 4), "weight_gen",
+        pytest.param("vt", "weight_gen", zero_linear(3, 4), "weight_gen",
                      id="vt-weights-not-per-height"),
-        pytest.param("vt", "weight_gen", LinearMap.zeros(0, 4), "weight_gen",
+        pytest.param("vt", "weight_gen", zero_linear(0, 4), "weight_gen",
                      id="vt-no-scales"),
-        pytest.param("vt", "kernel_gen", LinearMap.zeros(9, 4), "kernel_gen",
+        pytest.param("vt", "kernel_gen", zero_linear(9, 4), "kernel_gen",
                      id="vt-kernel-out"),
-        pytest.param("vt", "kernel_gen", LinearMap.zeros(16, 3), "kernel_gen",
+        pytest.param("vt", "kernel_gen", zero_linear(16, 3), "kernel_gen",
                      id="vt-kernel-in"),
-        pytest.param("vt", "fuse", LinearMap.zeros(4, 4), "fuse",
+        pytest.param("vt", "fuse", zero_linear(4, 4), "fuse",
                      id="vt-fuse-in"),
-        pytest.param("vt", "fuse", LinearMap.zeros(3, 8), "fuse",
+        pytest.param("vt", "fuse", zero_linear(3, 8), "fuse",
                      id="vt-fuse-out"),
-        pytest.param("decoder", "point_weight_gen", LinearMap.zeros(6, 4),
+        pytest.param("decoder", "point_weight_gen", zero_linear(6, 4),
                      "n_points", id="decoder-points-not-corners"),
-        pytest.param("decoder", "pos_embed_proj", LinearMap.zeros(4, 6),
+        pytest.param("decoder", "pos_embed_proj", zero_linear(4, 6),
                      "pe_dim", id="decoder-pe-dim"),
         pytest.param("decoder", "n_heads", 3, "n_heads",
                      id="decoder-heads"),
-        pytest.param("decoder", "offset_gen", LinearMap.zeros(6, 4),
+        pytest.param("decoder", "offset_gen", zero_linear(6, 4),
                      "offset_gen", id="decoder-offsets"),
-        pytest.param("decoder", "reg_head", LinearMap.zeros(7, 4),
+        pytest.param("decoder", "reg_head", zero_linear(7, 4),
                      "reg_head", id="decoder-reg-head"),
     ])
     def test_inconsistent_arrays_rejected(self, part, field, bad, match):

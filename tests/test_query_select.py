@@ -9,12 +9,11 @@ from bevlab.autodiff import val
 from bevlab.decoder import _initial_state
 from bevlab.geometry import BevGrid
 from bevlab.pipeline import PipelineConfig, _query_features, init_params
-from bevlab.query_select import (DEFAULT_GROUPS, GroupEmbeddings, GroupSpec,
-                                 HeatmapHead, gaussian_target,
+from bevlab.query_select import (DEFAULT_GROUPS, GroupSpec, gaussian_target,
                                  predict_heatmaps, topk_keypoints)
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap
-from bevlab.verify import cell_to_world
+from bevlab.verify import cell_to_world, zero_linear
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
 
@@ -69,12 +68,12 @@ class TestGaussianTarget:
 
 class TestPredictHeatmaps:
     def test_zero_model_gives_half(self):
-        head = HeatmapHead(LinearMap.zeros(4, 3))
+        head = zero_linear(4, 3)
         hm = val(predict_heatmaps(head, np.zeros((3, 5, 5))))
         assert np.all(hm == 0.5)
 
     def test_monotone_in_positive_weight_feature(self):
-        head = HeatmapHead(LinearMap(np.array([[1.0, 0.0]]), np.zeros(1)))
+        head = LinearMap(np.array([[1.0, 0.0]]), np.zeros(1))
         lo = val(predict_heatmaps(head, np.zeros((2, 2, 2))))
         hi_map = np.zeros((2, 2, 2))
         hi_map[0] = 1.0
@@ -82,14 +81,14 @@ class TestPredictHeatmaps:
         assert np.all(hi > lo)
 
     def test_hand_case(self):
-        head = HeatmapHead(LinearMap(np.array([[2.0]]), np.array([-1.0])))
+        head = LinearMap(np.array([[2.0]]), np.array([-1.0]))
         fm = np.array([[[0.0, 1.0], [2.0, -1.0]]])
         hm = val(predict_heatmaps(head, fm))
         expect = 1.0 / (1.0 + np.exp(-(2.0 * fm[0] - 1.0)))
         assert np.allclose(hm[0], expect, atol=1e-12)
 
     def test_open_interval(self, rng):
-        head = HeatmapHead(LinearMap(rng.normal(size=(2, 3)), rng.normal(size=2)))
+        head = LinearMap(rng.normal(size=(2, 3)), rng.normal(size=2))
         hm = val(predict_heatmaps(head, rng.normal(size=(3, 6, 6)) * 5))
         assert hm.min() > 0.0 and hm.max() < 1.0
 
@@ -139,7 +138,7 @@ def mixed_queries(spec, table, heatmaps):
     config = PipelineConfig(grid=grid, channels=table.shape[1], n_heads=1,
                             groups=spec, query_init="mixed_groupwise")
     params = dataclasses.replace(init_params(config, seed=0),
-                                 group_embeds=GroupEmbeddings(table))
+                                 group_embeds=table)
     feats, ref, gids = _query_features(config, params, None, heatmaps)
     return val(feats), ref, gids
 

@@ -15,7 +15,8 @@ from bevlab.scene_sim import (SceneConfig, SceneSpec, Box, make_scene,
                               render_camera_features)
 from bevlab.tensor import LinearMap
 from bevlab.verify import (bilinear_sample, cell_to_world,
-                           dense_adaptive_project, random_vt_instance)
+                           dense_adaptive_project, random_vt_instance,
+                           zero_linear)
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, vanilla_vt_output)
 from bevlab.geometry import project_heights, project_to_image
@@ -40,8 +41,8 @@ def full_view_instance(rng, C=3, H=6, n_h=2, n_s=2):
         height_gen=LinearMap(rng.normal(0, 0.3, (n_h, C)), rng.normal(0, 0.2, n_h)),
         weight_gen=LinearMap(rng.normal(0, 0.3, (n_s * n_h, C)),
                              rng.normal(0, 0.2, n_s * n_h)),
-        kernel_gen=LinearMap.zeros(C * C, C),
-        fuse=LinearMap.zeros(C, 2 * C))
+        kernel_gen=zero_linear(C * C, C),
+        fuse=zero_linear(C, 2 * C))
     lidar = rng.normal(size=(C, H, H))
     strides = (2, 4)[:n_s]
     levels = tuple((s, rng.normal(size=(C, 64 // s, 64 // s))) for s in strides)
@@ -53,9 +54,9 @@ class TestGenerateHeights:
 
     def params(self, height_gen, C=2):
         return VtParams(height_gen=height_gen,
-                        weight_gen=LinearMap.zeros(height_gen.out_dim, C),
-                        kernel_gen=LinearMap.zeros(C * C, C),
-                        fuse=LinearMap.zeros(C, 2 * C))
+                        weight_gen=zero_linear(height_gen.out_dim, C),
+                        kernel_gen=zero_linear(C * C, C),
+                        fuse=zero_linear(C, 2 * C))
 
     def heights(self, params, lidar, u, v):
         """Sampling heights of cell (u, v) from the batched sampler."""
@@ -65,7 +66,7 @@ class TestGenerateHeights:
         return out.per_cell_heights[:, v, u]
 
     def test_zero_generator_gives_midpoint(self):
-        p = self.params(LinearMap.zeros(3, 2))
+        p = self.params(zero_linear(3, 2))
         z = self.heights(p, np.zeros((2, 8, 8)), 4, 4)
         assert np.allclose(z, -1.0)
 
@@ -160,9 +161,9 @@ class TestAdaptiveSample:
 
 class TestAdaptiveProject:
     def make_params(self, C, kernel_gen):
-        return VtParams(height_gen=LinearMap.zeros(1, C),
-                        weight_gen=LinearMap.zeros(1, C),
-                        kernel_gen=kernel_gen, fuse=LinearMap.zeros(C, 2 * C))
+        return VtParams(height_gen=zero_linear(1, C),
+                        weight_gen=zero_linear(1, C),
+                        kernel_gen=kernel_gen, fuse=zero_linear(C, 2 * C))
 
     def test_identity_kernel(self, rng):
         C = 3
@@ -174,7 +175,7 @@ class TestAdaptiveProject:
 
     def test_zero_kernel(self, rng):
         C = 3
-        p = self.make_params(C, LinearMap.zeros(C * C, C))
+        p = self.make_params(C, zero_linear(C * C, C))
         out = adaptive_project(p, rng.normal(size=(C, 4, 4)),
                                rng.normal(size=(C, 4, 4)))
         assert np.all(val(out) == 0)
@@ -211,7 +212,7 @@ class TestAdaptiveProject:
             assert np.array_equal(a, b)
 
     def test_shape_mismatch(self, rng):
-        p = self.make_params(2, LinearMap.zeros(4, 2))
+        p = self.make_params(2, zero_linear(4, 2))
         with pytest.raises(ValueError):
             adaptive_project(p, rng.normal(size=(2, 4, 4)),
                              rng.normal(size=(2, 5, 4)))
@@ -219,9 +220,9 @@ class TestAdaptiveProject:
 
 class TestFuseBev:
     def make_params(self, C, fuse):
-        return VtParams(height_gen=LinearMap.zeros(1, C),
-                        weight_gen=LinearMap.zeros(1, C),
-                        kernel_gen=LinearMap.zeros(C * C, C), fuse=fuse)
+        return VtParams(height_gen=zero_linear(1, C),
+                        weight_gen=zero_linear(1, C),
+                        kernel_gen=zero_linear(C * C, C), fuse=fuse)
 
     def test_select_camera(self, rng):
         C = 3
@@ -270,7 +271,7 @@ class TestVanilla:
         tuned = dataclasses.replace(
             params,
             height_gen=LinearMap(np.zeros((2, 3)), bias),
-            weight_gen=LinearMap.zeros(4, 3))
+            weight_gen=zero_linear(4, 3))
         a = val(adaptive_sample(tuned, lidar, pyramids, cams, grid).bev)
         b = val(vanilla_vt_output(pyramids, cams, grid, fixed).bev)
         assert np.allclose(a, b, atol=1e-12)
@@ -298,8 +299,8 @@ class TestSmearOrdering:
         bias = np.full(4, np.arctanh((z_true - mid) / half))
         params = VtParams(
             height_gen=LinearMap(np.zeros((4, 6)), bias),
-            weight_gen=LinearMap.zeros(8, 6),
-            kernel_gen=LinearMap.zeros(36, 6), fuse=LinearMap.zeros(6, 12))
+            weight_gen=zero_linear(8, 6),
+            kernel_gen=zero_linear(36, 6), fuse=zero_linear(6, 12))
         lidar = rasterize_lidar_bev(scene, grid)
         adaptive = val(adaptive_sample(params, lidar, pyramids,
                                        scene.cameras, grid).bev)

@@ -166,15 +166,12 @@ def div(a, b):
 
 
 def power(a, p):
-    """a ** p for a constant exponent p."""
+    """a ** p for a constant, nonzero exponent p."""
     va = val(a)
     y = va ** p
 
     def vjp(g):
-        if p == 0:
-            _accum(a, np.zeros_like(va))
-        else:
-            _accum(a, g * p * va ** (p - 1))
+        _accum(a, g * p * va ** (p - 1))
 
     return _node(y, (a,), vjp)
 
@@ -293,24 +290,22 @@ def matmul(a, b):
     return _node(y, (a, b), vjp)
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     va = np.asarray(val(a))
-    y = va.sum(axis=axis, keepdims=keepdims)
+    y = va.sum(axis=axis)
 
     def vjp(g):
         gg = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         _accum(a, np.broadcast_to(gg, va.shape).copy())
 
     return _node(y, (a,), vjp)
 
 
-def mean(a, axis=None, keepdims=False):
-    va = val(a)
-    n = va.size if axis is None else np.prod(
-        [va.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    return div(sum_(a, axis=axis, keepdims=keepdims), float(n))
+def mean(a):
+    """Mean of all entries."""
+    return div(sum_(a), float(np.size(val(a))))
 
 
 def reshape(a, shape):
@@ -394,15 +389,15 @@ def scatter_rows(n, idxs, parts):
     return _node(y, tuple(parts), vjp)
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax along `axis`."""
+def softmax(a):
+    """Numerically stable softmax along the last axis."""
     va = np.asarray(val(a))
-    shifted = va - va.max(axis=axis, keepdims=True)
+    shifted = va - va.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(a, y * (g - dot))
 
     return _node(y, (a,), vjp)

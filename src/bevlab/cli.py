@@ -3,6 +3,12 @@ four view-transform modes (`bench`: the median and p90 of each stage over
 `--reps` warm repetitions, default 5), render feature maps, and execute the
 verification suites.
 
+`run --out DIR` writes the same files in every mode: per scene i
+scene_i.json, bev_camera_i.bfk, bev_fuse_i.bfk and heatmaps_i.bfk (also
+for `learnable` queries, which do not select from them), then
+detections.json (every decoder layer's boxes and class scores) and
+summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss).
+
 Exit codes: 0 success, 1 verification failures, 2 invalid config or input
 file, 3 runtime failure. All outputs are deterministic given (config, seed)
 except the timings in bench.csv.
@@ -212,9 +218,7 @@ def cmd_run(config_path, out_dir):
         bfk.save(os.path.join(out_dir, f"bev_camera_{i}.bfk"),
                  extras["bev_camera"])
         bfk.save(os.path.join(out_dir, f"bev_fuse_{i}.bfk"), extras["bev_fuse"])
-        if extras["heatmaps"] is not None:
-            bfk.save(os.path.join(out_dir, f"heatmaps_{i}.bfk"),
-                     extras["heatmaps"])
+        bfk.save(os.path.join(out_dir, f"heatmaps_{i}.bfk"), extras["heatmaps"])
 
         entry = {
             "scene": i,
@@ -224,11 +228,10 @@ def cmd_run(config_path, out_dir):
         if scene.boxes:
             entry["ray_smear"] = ray_smear_metric(extras["bev_camera"], scene,
                                                   pipeline_cfg.grid)
-            if extras["heatmaps"] is not None:
-                targets, _ = gaussian_target(scene.boxes, pipeline_cfg.grid,
-                                             pipeline_cfg.groups.n_classes)
-                entry["heatmap_loss"] = float(ad.val(
-                    gaussian_focal_loss(extras["heatmaps"], targets)))
+            targets, _ = gaussian_target(scene.boxes, pipeline_cfg.grid,
+                                         pipeline_cfg.groups.n_classes)
+            entry["heatmap_loss"] = float(ad.val(
+                gaussian_focal_loss(extras["heatmaps"], targets)))
         summary_scenes.append(entry)
 
     write_detections(os.path.join(out_dir, "detections.json"), detections,

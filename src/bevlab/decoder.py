@@ -251,19 +251,21 @@ def self_attention(feats, attn: AttentionParams, n_heads):
 # box state
 
 
-def _decode_state(enc, ref_points):
+def _decode_state(enc, ref_points, grid: BevGrid):
     """Detached box arrays for the next layer's sampling geometry; a
-    zero-norm heading decodes to yaw 0."""
+    zero-norm heading decodes to yaw 0.
+
+    No box side is longer than the diagonal of the grid's volume: the
+    log-dims are clipped to its log before `np.exp`, which overflows to inf
+    above 709 (an untrained head on very noisy features reaches that, and
+    an infinite side makes the next layer's corners NaN)."""
     e = val(enc)
-    return {
-        "xc": ref_points[:, 0] + e[:, 0],
-        "yc": ref_points[:, 1] + e[:, 1],
-        "z": e[:, 2],
-        "l": np.exp(e[:, 3]),
-        "w": np.exp(e[:, 4]),
-        "h": np.exp(e[:, 5]),
-        "yaw": np.arctan2(e[:, 6], e[:, 7]),
-    }
+    diagonal = math.hypot(grid.x_range[1] - grid.x_range[0],
+                          grid.y_range[1] - grid.y_range[0], grid.z_span)
+    l, w, h = np.exp(np.minimum(e[:, 3:6], math.log(diagonal))).T
+    return {"xc": ref_points[:, 0] + e[:, 0], "yc": ref_points[:, 1] + e[:, 1],
+            "z": e[:, 2], "l": l, "w": w, "h": h,
+            "yaw": np.arctan2(e[:, 6], e[:, 7])}
 
 
 def _initial_state(ref_points):
@@ -303,7 +305,7 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
         if mode == "geometry_aware":
             feats = _position_aware_mix_batch(feats, sampled, points, params, grid)
         else:
-            w = ad.softmax(linear_apply(params.point_weight_gen, feats), axis=-1)
+            w = ad.softmax(linear_apply(params.point_weight_gen, feats))
             nq, n_p = np.shape(val(w))
             agg = ad.sum_(ad.mul(sampled, ad.reshape(w, (nq, n_p, 1))), axis=1)
             feats = ad.add(feats, linear_apply(params.deform_out_proj, agg))
@@ -313,7 +315,7 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
 
     enc = linear_apply(params.reg_head, feats)
     cls = linear_apply(params.cls_head, feats)
-    return feats, enc, cls, _decode_state(enc, ref_points)
+    return feats, enc, cls, _decode_state(enc, ref_points, grid)
 
 
 def run_decoder(feats, ref_points, bev_fuse, params: DecoderParams,

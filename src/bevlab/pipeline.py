@@ -21,8 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .decoder import (AttentionParams, DecoderParams, encode_box, run_decoder,
-                      gaussian_focal_loss, l1_encoded, ATTENTION_MODES)
+from .decoder import (AttentionParams, DecoderParams, corner_sample,
+                      encode_box, run_decoder, gaussian_focal_loss, l1_encoded,
+                      ATTENTION_MODES)
 from .geometry import BevGrid, world_to_cell
 from .query_select import (GroupSpec, predict_heatmaps, topk_keypoints,
                            gaussian_target)
@@ -192,7 +193,6 @@ def _query_features(config: PipelineConfig, params: PipelineParams,
     elif config.query_init == "mixed_instancewise":
         feats = params.instance_embeds
     else:  # heatmap: raw bilinear feature sampling at the keypoints
-        from .decoder import corner_sample
         feats = corner_sample(bev_fuse, ref)
     return feats, ref, group_ids
 
@@ -309,9 +309,10 @@ def _build(config: PipelineConfig, params: PipelineParams, inputs):
     after.
 
     Returns a dict: bev_camera, diag (the VtOutput), bev_fuse, heatmaps
-    (None in `learnable` mode, whose queries select without them), ref
-    [Nq, 2], group_ids [Nq], layers (`run_decoder`'s) and stage_times
-    (seconds per stage: vt, fuse, select, decoder).
+    (in every query-init mode: `learnable` queries do not read them, the
+    heatmap loss does), ref [Nq, 2], group_ids [Nq], layers
+    (`run_decoder`'s) and stage_times (seconds per stage: vt, fuse, select,
+    decoder).
     """
     grid, lidar, pyramids = config.grid, inputs["lidar"], inputs["pyramids"]
     cams = inputs["scene"].cameras
@@ -330,9 +331,7 @@ def _build(config: PipelineConfig, params: PipelineParams, inputs):
     bev_fuse = fuse_bev(params.vt, bev_camera, lidar)
     t_fuse = time.perf_counter()
 
-    heatmaps = None
-    if config.query_init != "learnable":
-        heatmaps = predict_heatmaps(params.head, bev_fuse)
+    heatmaps = predict_heatmaps(params.head, bev_fuse)
     feats, ref, group_ids = _query_features(config, params, bev_fuse, heatmaps)
     t_select = time.perf_counter()
 
@@ -350,13 +349,13 @@ def _build(config: PipelineConfig, params: PipelineParams, inputs):
 def forward(config: PipelineConfig, params: PipelineParams, scene):
     """Full pipeline on one scene: `_build` on the scene's inputs.
 
-    Returns (DetectionOutput, VtOutput, extras). extras holds the camera
-    and fused BEV maps, the heatmaps (None in `learnable` mode) and
-    stage_times, the wall time of each stage in seconds.
+    Returns (DetectionOutput, VtOutput, extras). Class scores are the
+    heatmaps' `ad.sigmoid` of each layer's logits. extras holds the camera
+    and fused BEV maps, the heatmaps and stage_times (seconds per stage).
     """
     graph = _build(config, params, _scene_inputs(config, scene))
     layers = [{"enc": val(layer["enc"]),
-               "cls_probs": 1.0 / (1.0 + np.exp(-val(layer["cls"]))),
+               "cls_probs": ad.sigmoid(val(layer["cls"])),
                "boxes": layer["boxes"]} for layer in graph["layers"]]
     det = DetectionOutput(ref_points=graph["ref"],
                           group_ids=graph["group_ids"], layers=layers)
@@ -422,20 +421,17 @@ def _height_loss(config: PipelineConfig, params: PipelineParams, consts):
 def _scene_losses(config: PipelineConfig, params: PipelineParams, consts):
     """The loss terms of one scene, on the graph `_build` makes: "height"
     (`_height_loss`; absent when no cell is occupied), "heatmap" (Gaussian
-    focal loss of the heatmaps; in `learnable` mode they are predicted for
-    this loss alone) and "box" (the L1 loss of each decoder layer's
-    greedily matched boxes, averaged over the layers; absent in a scene
-    without boxes)."""
+    focal loss of the graph's heatmaps, in every query-init mode) and "box"
+    (the L1 loss of each decoder layer's greedily matched boxes, averaged
+    over the layers; absent in a scene without boxes)."""
     scene = consts["scene"]
     losses = {}
     if len(consts["occ_idx"]):
         losses["height"] = _height_loss(config, params, consts)
 
     graph = _build(config, params, consts)
-    heatmaps = graph["heatmaps"]
-    if heatmaps is None:
-        heatmaps = predict_heatmaps(params.head, graph["bev_fuse"])
-    losses["heatmap"] = gaussian_focal_loss(heatmaps, consts["heatmap_targets"])
+    losses["heatmap"] = gaussian_focal_loss(graph["heatmaps"],
+                                            consts["heatmap_targets"])
 
     if scene.boxes:
         ref = graph["ref"]

@@ -32,9 +32,10 @@ from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       _corner_points_batch, _initial_state, _mha,
                       _position_aware_mix_batch, corner_sample)
 from .geometry import (BevGrid, FeaturePyramid, project_heights,
-                       project_to_image)
-from .query_select import GroupSpec, predict_heatmaps, topk_keypoints
-from .scene_sim import SceneConfig, make_scene
+                       project_to_image, world_to_cell)
+from .query_select import (GroupSpec, gaussian_target, predict_heatmaps,
+                           topk_keypoints)
+from .scene_sim import SceneConfig, camera_ring, make_scene
 from .tensor import (LinearMap, cells_to_chw, chw_to_cells, linear_apply,
                      sinusoid_freqs)
 from .view_transform import (VtParams, adaptive_project, adaptive_sample,
@@ -197,8 +198,6 @@ def naive_topk(heatmaps, spec: GroupSpec):
 
 def naive_gaussian_target(boxes, grid, n_classes):
     """Cell-by-cell loop version of the Gaussian heatmap targets."""
-    from .geometry import world_to_cell
-
     H, W = grid.height, grid.width
     out = np.zeros((n_classes, H, W))
     for box in boxes:
@@ -276,8 +275,6 @@ def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2,
         kernel_gen=_rand_linear(rng, C * C, C),
         fuse=_rand_linear(rng, C, 2 * C))
     lidar = rng.normal(size=(C, H, H))
-    from .scene_sim import camera_ring
-
     cams = camera_ring(ring or n_cams, (img, img), 80.0, 1.5)[:n_cams]
     strides = (2, 4)[:n_s]
     pyramids = []
@@ -545,8 +542,6 @@ def run_oracle_suite(seed=0, n_instances=8):
         return "20 heatmaps"
 
     def gaussian_targets_match():
-        from .query_select import gaussian_target
-
         grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (16, 16))
         # two classes for four boxes: same-class overlaps take the max
         scene = make_scene(SceneConfig(grid=grid, channels=4, n_boxes=4,

@@ -175,7 +175,7 @@ def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams,
     lidar_flat = chw_to_cells(lidar_bev)
     raw = linear_apply(params.height_gen, lidar_flat)
     heights = _heights_from_raw(raw, grid.z_range)
-    weights = ad.softmax(linear_apply(params.weight_gen, lidar_flat), axis=-1)
+    weights = ad.softmax(linear_apply(params.weight_gen, lidar_flat))
     return _vt_engine(heights, weights, pyramids, cams, grid)
 
 

@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, file formats, determinism, verify gating."""
 
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bevlab import bfk
 from bevlab.cli import DEFAULTS, main
+from bevlab.decoder import ATTENTION_MODES
+from bevlab.pipeline import QUERY_INIT_MODES, VT_MODES
 from bevlab.scene_sim import MAX_NOISE_STD
 
 TINY = {
@@ -260,8 +263,18 @@ class TestRun:
         doc = dict(TINY, **{section: {**TINY[section], **update}})
         self.assert_rejected(doc, tmp_path, capsys)
 
-    def test_noise_at_bound_runs_clean(self, tmp_path):
-        doc = dict(TINY, scene={**TINY["scene"], "noise_std": MAX_NOISE_STD})
+    # every attention x query-init mode, cycling the VT modes
+    @pytest.mark.parametrize("attention_mode, query_init, vt_mode", [
+        pytest.param(attention, init, VT_MODES[i % len(VT_MODES)],
+                     id=f"{attention}-{init}-{VT_MODES[i % len(VT_MODES)]}")
+        for i, (attention, init) in enumerate(
+            itertools.product(ATTENTION_MODES, QUERY_INIT_MODES))])
+    def test_noise_at_bound_runs_clean(self, tmp_path, attention_mode,
+                                       query_init, vt_mode):
+        doc = dict(TINY, scene={**TINY["scene"], "noise_std": MAX_NOISE_STD},
+                   model={**TINY["model"], "vt_mode": vt_mode,
+                          "query_init": query_init,
+                          "attention_mode": attention_mode})
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
@@ -270,7 +283,8 @@ class TestRun:
             assert main(["run", str(path), "--out", str(out)]) == 0
         for dump in out.glob("*.bfk"):
             assert np.isfinite(bfk.load(dump)).all()
-        assert "NaN" not in (out / "detections.json").read_text()
+        text = (out / "detections.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
 
     @pytest.mark.parametrize("update", [
         pytest.param({"seed": "abc"}, id="update0"),

@@ -259,7 +259,7 @@ def decode(params, ref):
     """Box (x_c, y_c cells, z, l, w, h m, yaw rad) that the regression head
     gives one zero-feature query at reference point `ref`."""
     enc = linear_apply(params.reg_head, np.zeros((1, params.channels)))
-    state = _decode_state(enc, np.array([ref]))
+    state = _decode_state(enc, np.array([ref]), GRID)
     return tuple(float(state[k][0])
                  for k in ("xc", "yc", "z", "l", "w", "h", "yaw"))
 
@@ -299,6 +299,17 @@ class TestDecodeBox:
     def test_encode_rejects_degenerate_dims(self):
         with pytest.raises(ValueError):
             encode_box((0, 0), 0.0, (0.0, 1.0, 1.0), 0.0, (0, 0))
+
+    def test_sides_bounded_by_the_grid_diagonal(self):
+        # 32 x 32 x 8 m: a log-dim of 1e6 would overflow np.exp; 40 m sides
+        # stay as encoded
+        diagonal = math.sqrt(32.0 ** 2 + 32.0 ** 2 + 8.0 ** 2)
+        enc = np.zeros((2, 8))
+        enc[0, 3:6] = 1e6
+        enc[1, 3:6] = math.log(40.0)
+        state = _decode_state(enc, np.zeros((2, 2)), GRID)
+        for key in ("l", "w", "h"):
+            assert np.allclose(state[key], [diagonal, 40.0], rtol=1e-12)
 
 
 class TestDecoderLayer:

@@ -44,9 +44,11 @@ class TestForward:
         assert np.allclose(vanilla_heights(GRID, 1), [-1.0])
 
     def test_mode_matrix_all_combinations_run(self):
-        scene = tiny_scene(seed=0)
+        # seed 3 puts a box in a camera's view, so the camera branch is live
+        scene = tiny_scene(seed=3)
         from bevlab.decoder import ATTENTION_MODES
 
+        camera_maps = {}
         for vt, qi, am in itertools.product(VT_MODES, QUERY_INIT_MODES,
                                             ATTENTION_MODES):
             cfg = tiny_config(vt_mode=vt, query_init=qi, attention_mode=am)
@@ -54,9 +56,15 @@ class TestForward:
             det, diag, extras = forward(cfg, params, scene)
             assert det.n_layers == cfg.n_layers
             assert det.ref_points.shape == (12, 2)
+            assert extras["heatmaps"].shape == (10, 16, 16)
             for layer in det.layers:
                 assert np.isfinite(layer["enc"]).all()
                 assert np.isfinite(layer["cls_probs"]).all()
+            camera_maps[vt] = extras["bev_camera"]
+        for vt in VT_MODES:
+            assert np.abs(camera_maps[vt]).max() > 0, vt
+        for a, b in itertools.combinations(VT_MODES, 2):
+            assert not np.array_equal(camera_maps[a], camera_maps[b]), (a, b)
 
     def test_asap_vs_as_only_differ_exactly_by_projection(self):
         scene = tiny_scene(seed=1)
@@ -72,11 +80,16 @@ class TestForward:
         assert np.array_equal(again, asap["bev_camera"])
 
     def test_learnable_init_ignores_heatmaps(self):
-        scene = tiny_scene(seed=2)
+        # seed 4 puts a box in a camera's view: the heatmaps are those of
+        # the mixed queries, yet the queries stay at the learnable points
+        scene = tiny_scene(seed=4)
         cfg = tiny_config(query_init="learnable")
         params = init_params(cfg, seed=3)
         det, _, extras = forward(cfg, params, scene)
-        assert extras["heatmaps"] is None
+        _, _, mixed = forward(dataclasses.replace(
+            cfg, query_init="mixed_groupwise"), params, scene)
+        assert np.abs(extras["bev_camera"]).max() > 0
+        assert np.array_equal(extras["heatmaps"], mixed["heatmaps"])
         assert np.array_equal(det.ref_points, params.learnable_points)
 
     def test_zero_model_on_empty_scene(self):
@@ -182,7 +195,7 @@ class TestFit:
     def test_zero_lr_constant_curve(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=1)
-        scenes = [tiny_scene(seed=0)]
+        scenes = [tiny_scene(seed=3)]  # a live camera branch
         res = fit_generators(cfg, params, scenes, steps=5, lr=0.0)
         totals = [c["total"] for c in res.curve]
         assert all(t == totals[0] for t in totals)
@@ -264,7 +277,7 @@ class TestFit:
 
     def test_fit_deterministic(self):
         cfg = tiny_config()
-        scenes = [tiny_scene(seed=0)]
+        scenes = [tiny_scene(seed=3)]  # a live camera branch
         a = fit_generators(cfg, init_params(cfg, seed=5), scenes, steps=10,
                            lr=0.3)
         b = fit_generators(cfg, init_params(cfg, seed=5), scenes, steps=10,

@@ -408,10 +408,26 @@ def softmax(a):
 # 8 MiB keeps the [8, 300, 300] self-attention of a 300-query model in one
 # block, where values and gradients equal the dense softmax's bit for bit,
 # so fits follow the same trajectory (a last-bit change can flip a top-k
-# query choice a few steps later). On a 2-vCPU host 2 MiB is as fast for
-# self-attention and ~25% slower for cross-attention over 32,400 cells;
-# `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
+# query choice a few steps later). Past one block, `attention` works one
+# head at a time, so a block rereads only that head's keys and values: 2 MB
+# at 32,400 keys and dh = 4, where all 8 heads' take 17 MB. For that
+# [8, 300, 32,400] cross-attention on a 2-vCPU host (2 MiB of L2 per core),
+# per-head budgets of 256 KiB to 4 MiB made the forward 1.12-1.66x as slow
+# as 8 MiB, and 16 MiB made it 0.94x but its vjp 1.43x. `dynamic_filter`
+# runs as fast in blocks of 128 to 2,048 rows.
 _BLOCK_BYTES = 8 * 2**20
+
+
+def _attention_blocks(h, nq, nk):
+    """Block plan of ``attention`` for h heads, nq query rows and nk keys:
+    a list of (head slice, row slice) pairs covering every (head, row) once.
+    One block over all heads and rows when their scores fit in the budget;
+    otherwise one head times budget // (8 nk) query rows per block."""
+    if 8 * h * nq * nk <= _BLOCK_BYTES:
+        return [(slice(0, h), slice(0, nq))]
+    step = max(1, _BLOCK_BYTES // (8 * nk))
+    return [(slice(i, i + 1), slice(lo, min(lo + step, nq)))
+            for i in range(h) for lo in range(0, nq, step)]
 
 
 def attention(q, k, v):
@@ -419,12 +435,16 @@ def attention(q, k, v):
 
     q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
     Returns [h, Nq, dh]. Each row's softmax is independent, so the forward
-    finishes a block of budget // (8 h Nk) query rows (scores, max, exp,
-    normalize, times v) before it starts the next, and keeps only each
-    row's max and sum. The vjp walks the same row blocks: it recomputes
-    each block's probabilities from them, writes that block's dq and adds
-    its share to dk and dv, holding at most three blocks at a time. In one
-    block the values and gradients equal the dense softmax's bit for bit.
+    finishes one block of `_attention_blocks` (scores, max, exp, normalize,
+    times v) before it starts the next, and keeps only each row's max and
+    sum. The plan has two regimes. When all heads' scores fit in the
+    budget, one block covers every head and row, and the values and
+    gradients equal the dense softmax's bit for bit. Otherwise a block is
+    one head's budget // (8 Nk) query rows, so it reads only that head's k
+    and v, which then stay in cache from block to block. The vjp walks the
+    same plan: it recomputes each block's probabilities from the kept max
+    and sum, writes that block's dq and adds its share to that head's dk
+    and dv, holding at most three blocks at a time.
     """
     vq = val(q)
     h, nq, _ = vq.shape
@@ -440,16 +460,15 @@ def attention(q, k, v):
     out = np.empty((h, nq, vv.shape[2]), dtype=dtype)
     row_max = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
-    step = max(1, _BLOCK_BYTES // (8 * h * nk))
-    row_blocks = [slice(lo, min(lo + step, nq)) for lo in range(0, nq, step)]
-    for b in row_blocks:
-        s = np.matmul(vq[:, b], kt)
-        row_max[:, b] = s.max(axis=-1, keepdims=True)
-        s -= row_max[:, b]
+    blocks = _attention_blocks(h, nq, nk)
+    for hs, b in blocks:
+        s = np.matmul(vq[hs, b], kt[hs])
+        row_max[hs, b] = s.max(axis=-1, keepdims=True)
+        s -= row_max[hs, b]
         np.exp(s, out=s)
-        row_sum[:, b] = s.sum(axis=-1, keepdims=True)
-        s /= row_sum[:, b]
-        out[:, b] = np.matmul(s, vv)
+        row_sum[hs, b] = s.sum(axis=-1, keepdims=True)
+        s /= row_sum[hs, b]
+        out[hs, b] = np.matmul(s, vv[hs])
         del s  # before the next block's scores are made
 
     def vjp(g):
@@ -459,18 +478,18 @@ def attention(q, k, v):
         dq = np.empty(vq.shape, dtype=dtype)
         dkt = np.zeros(kt.shape, dtype=dtype)
         dv = np.zeros(vv.shape, dtype=dtype)
-        for b in row_blocks:
-            p = np.matmul(vq[:, b], kt)
-            p -= row_max[:, b]
+        for hs, b in blocks:
+            p = np.matmul(vq[hs, b], kt[hs])
+            p -= row_max[hs, b]
             np.exp(p, out=p)
-            p /= row_sum[:, b]
-            dv += np.matmul(np.swapaxes(p, 1, 2), g[:, b])
-            ds = np.matmul(g[:, b], vt)
+            p /= row_sum[hs, b]
+            dv[hs] += np.matmul(np.swapaxes(p, 1, 2), g[hs, b])
+            ds = np.matmul(g[hs, b], vt[hs])
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
             del p
-            dq[:, b] = np.matmul(ds, kk)
-            dkt += np.matmul(qt[:, :, b], ds)
+            dq[hs, b] = np.matmul(ds, kk[hs])
+            dkt[hs] += np.matmul(qt[hs, :, b], ds)
             del ds
         _accum(q, dq)
         _accum(k, np.swapaxes(dkt, 1, 2))

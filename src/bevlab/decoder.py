@@ -14,10 +14,13 @@ sample around the center instead and pool the samples with predicted
 weights; the `standard` baseline attends densely to every BEV cell.
 
 Self-attention and `standard` cross-attention both go through `_mha`,
-whose softmax attention (`autodiff.attention`) works one block of query
-rows at a time: memory grows with queries + keys, not their product, so
+whose softmax attention (`autodiff.attention`) works one block of scores
+at a time: memory grows with queries + keys, not their product, so
 `standard` never holds the [heads, queries, cells] scores (1.9 GB at the
-default 8 heads, 900 queries and 32,400 cells).
+default 8 heads, 900 queries and 32,400 cells). Scores that fit the block
+budget, such as a 300-query self-attention, form one block over all heads.
+Larger ones go one head at a time, in blocks of 32 query rows over 32,400
+cells, so each block rereads only its own head's keys and values.
 
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.

@@ -345,7 +345,7 @@ def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
         ana = leaf.grad if leaf.grad is not None else np.zeros_like(base)
         scale = max(float(np.max(np.abs(num))), 1e-8)
         err = float(np.max(np.abs(ana - num)) / scale)
-        if err >= rtol:
+        if not err < rtol:  # a NaN error fails too
             raise AssertionError(f"{path}: gradient rel err {err:.3e} >= {rtol}")
         worst = max(worst, err)
     return worst
@@ -364,29 +364,78 @@ def block_bytes(n):
         ad._BLOCK_BYTES = keep
 
 
-def check_attention_blocked(rng, shapes=((2, 1200, 1200), (2, 64, 20000))):
+def check_attention_blocked(rng, shapes=((2, 1700, 1700), (2, 150, 20000))):
     """``ad.attention`` (through ``decoder._mha``) against the dense
     ``naive_mha`` on (heads, Nq, Nk) shapes: self-attention (Nq = Nk) and
-    cross-attention (Nk >> Nq). With the current block budget every shape
-    must split into several blocks of query rows with a ragged last one."""
+    cross-attention (Nk >> Nq). With the current block budget, the op's
+    block plan must split each head of every shape into several blocks of
+    query rows with a ragged last one."""
     C = 8
     worst = 0.0
     blocks = []
     for h, nq, nk in shapes:
-        rows = max(1, ad._BLOCK_BYTES // (8 * h * nk))
-        assert nq > rows and nq % rows, (
-            f"{nq} query rows in blocks of {rows} do not give several "
-            "blocks with a ragged last one")
-        blocks.append(str(-(-nq // rows)))
+        rows = [b for hs, b in ad._attention_blocks(h, nq, nk)
+                if hs == slice(0, 1)]
+        assert len(rows) > 1 and nq % rows[0].stop, (
+            f"{nq} query rows of {h} heads over {nk} keys do not give each "
+            "head several blocks with a ragged last one")
+        blocks.append(f"{h}x{len(rows)}")
         attn = AttentionParams(*(_rand_linear(rng, C, C) for _ in range(4)))
         q_in = rng.normal(size=(nq, C))
         kv_in = q_in if nq == nk else rng.normal(size=(nk, C))
         fast = val(_mha(q_in, kv_in, attn, h))
-        worst = max(worst, float(np.max(np.abs(
-            fast - naive_mha(q_in, kv_in, attn, h)))))
-    assert worst < 1e-12, f"max deviation {worst:.3e}"
+        dev = float(np.max(np.abs(fast - naive_mha(q_in, kv_in, attn, h))))
+        assert dev < 1e-12, f"{h}x{nq}x{nk}: max deviation {dev:.3e}"
+        worst = max(worst, dev)
     return (f"max deviation {worst:.2e}; {'/'.join(blocks)} blocks of "
-            "query rows")
+            "heads x query rows")
+
+
+def check_attention_grad(rng, grid):
+    """Finite-difference check of ``ad.attention``'s vjp, on the op alone
+    and inside a `standard` decoder layer, with a block budget under which
+    each head spans several blocks of query rows."""
+    # the op on 5 query rows in blocks of 2 (2 + 2 + 1) per head ...
+    q, k, v = (rng.normal(size=(2, n, 3)) for n in (5, 7, 7))
+    w = rng.normal(size=(2, 5, 3))
+
+    def op_loss(_p, extras):
+        out = ad.attention(extras["q"], extras["k"], extras["v"])
+        return ad.sum_(ad.mul(out, w))
+
+    # ... and a `standard` decoder layer: per head, self-attention over 5
+    # queries in row blocks of 3 (3 + 2), cross-attention over 16 cells in
+    # row blocks of 1
+    params = _tiny_decoder_params(rng)
+    feats = rng.normal(size=(5, 4))
+    bev = rng.normal(size=(4, 4, 4))
+    ref = rng.uniform(0.5, 3.5, size=(5, 2))
+    state = _initial_state(ref)
+
+    def zero_key_bias(a):
+        return dataclasses.replace(
+            a, w_k=LinearMap(a.w_k.weight, np.zeros(a.w_k.out_dim)))
+
+    def layer_loss(p, extras):
+        # a key bias adds the same amount to every score of a row, so its
+        # exact gradient is 0 and a finite difference of it sees only
+        # rounding: the key biases are held at zero
+        p = dataclasses.replace(
+            p, self_attn=tuple(map(zero_key_bias, p.self_attn)),
+            cross_attn=zero_key_bias(p.cross_attn))
+        new_feats, enc, cls, _ = decoder_layer(
+            extras["feats"], ref, state, extras["bev"], p, 0, grid,
+            mode="standard")
+        return ad.add(ad.sum_(ad.mul(enc, 0.2)),
+                      ad.add(ad.sum_(ad.mul(cls, 0.1)),
+                             ad.sum_(ad.mul(new_feats, 0.05))))
+
+    with block_bytes(8 * 7 * 2):
+        w1 = _gradcheck_tree(op_loss, zero_linear(1, 1),
+                             {"q": q, "k": k, "v": v})
+    with block_bytes(8 * 16):
+        w2 = _gradcheck_tree(layer_loss, params, {"feats": feats, "bev": bev})
+    return f"worst rel err {max(w1, w2):.2e}"
 
 
 def check_adaptive_project_blocked(rng, C=32, H=50):
@@ -660,49 +709,6 @@ def run_grad_suite(seed=0):
         worst = _gradcheck_tree(loss, params, {"feats": feats, "bev": bev})
         return f"worst rel err {worst:.2e}"
 
-    def attention_path():
-        # the op's vjp on 5 query rows in blocks of 2 (2 + 2 + 1) ...
-        q, k, v = (rng.normal(size=(2, n, 3)) for n in (5, 7, 7))
-        w = rng.normal(size=(2, 5, 3))
-
-        def op_loss(_p, extras):
-            out = ad.attention(extras["q"], extras["k"], extras["v"])
-            return ad.sum_(ad.mul(out, w))
-
-        # ... and a `standard` decoder layer: self-attention over 5 queries
-        # in row blocks of 3, cross-attention over 16 cells in row blocks of 1
-        params = _tiny_decoder_params(rng)
-        feats = rng.normal(size=(5, 4))
-        bev = rng.normal(size=(4, 4, 4))
-        ref = rng.uniform(0.5, 3.5, size=(5, 2))
-        state = _initial_state(ref)
-
-        def zero_key_bias(a):
-            return dataclasses.replace(
-                a, w_k=LinearMap(a.w_k.weight, np.zeros(a.w_k.out_dim)))
-
-        def layer_loss(p, extras):
-            # a key bias adds the same amount to every score of a row, so
-            # its exact gradient is 0 and a finite difference of it sees
-            # only rounding: the key biases are held at zero
-            p = dataclasses.replace(
-                p, self_attn=tuple(map(zero_key_bias, p.self_attn)),
-                cross_attn=zero_key_bias(p.cross_attn))
-            new_feats, enc, cls, _ = decoder_layer(
-                extras["feats"], ref, state, extras["bev"], p, 0, grid,
-                mode="standard")
-            return ad.add(ad.sum_(ad.mul(enc, 0.2)),
-                          ad.add(ad.sum_(ad.mul(cls, 0.1)),
-                                 ad.sum_(ad.mul(new_feats, 0.05))))
-
-        with block_bytes(8 * 2 * 7 * 2):
-            w1 = _gradcheck_tree(op_loss, zero_linear(1, 1),
-                                 {"q": q, "k": k, "v": v})
-        with block_bytes(8 * 2 * 16):
-            w2 = _gradcheck_tree(layer_loss, params,
-                                 {"feats": feats, "bev": bev})
-        return f"worst rel err {max(w1, w2):.2e}"
-
     def loss_paths():
         hm = 1 / (1 + np.exp(-rng.normal(size=(2, 5, 5))))
         tgt = np.zeros((2, 5, 5))
@@ -727,7 +733,7 @@ def run_grad_suite(seed=0):
         ("grad.heatmap_head", heatmap_path),
         ("grad.corner_offsets_position_mixing", decoder_layer_path),
         ("grad.full_decoder_layer", full_layer_path),
-        ("grad.attention", attention_path),
+        ("grad.attention", lambda: check_attention_grad(rng, grid)),
         ("grad.losses", loss_paths),
     ])
 

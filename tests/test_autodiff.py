@@ -165,6 +165,28 @@ def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "row-blocks"])
+def test_attention_heads_are_independent_bit_for_bit(rng, monkeypatch, rows):
+    # each head of a 3-head call against a 1-head call on its slices: in one
+    # block over all heads, and per head in blocks of 3 rows (3 + 3 + 1)
+    h, nq, nk, dh = 3, 7, 11, 4
+    if rows is not None:
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * rows)
+    base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
+    w = rng.normal(size=(h, nq, dh))
+
+    def run(head):
+        q, k, v = (ad.Var(x[head]) for x in base)
+        out = ad.attention(q, k, v)
+        ad.sum_(ad.mul(out, w[head])).backward()
+        return [out.data, q.grad, k.grad, v.grad]
+
+    whole = run(slice(None))
+    for i in range(h):
+        for a, b in zip(whole, run(slice(i, i + 1))):
+            assert np.array_equal(a[i:i + 1], b)
+
+
 def test_dynamic_filter_grads(rng, monkeypatch):
     # 5 rows in blocks of 2 as 2 + 3 (the one-row tail joins the block
     # before it); generator inputs narrower than C

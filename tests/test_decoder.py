@@ -248,9 +248,10 @@ class TestSelfAttention:
             assert np.allclose(out[i, 0], expect, atol=1e-12)
 
     def test_blocked_attention_matches_dense_oracle(self, rng, monkeypatch):
-        # 30-row blocks split 40 self-attention queries 30 + 10, 3-row
-        # blocks split 10 cross-attention queries over 400 keys 3+3+3+1
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * 2 * 40 * 30)
+        # per head, 30-row blocks split 40 self-attention queries 30 + 10,
+        # 3-row blocks split 10 cross-attention queries over 400 keys
+        # 3+3+3+1
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * 40 * 30)
         verify.check_attention_blocked(rng, shapes=((2, 40, 40),
                                                     (2, 10, 400)))
 

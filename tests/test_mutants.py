@@ -1,0 +1,55 @@
+"""Mutation gate: each named fault, applied in-process by monkeypatching,
+must make the check that guards it fail (mutation analysis: DeMillo,
+Lipton & Sayward, "Hints on test data selection", IEEE Computer 1978)."""
+
+import numpy as np
+import pytest
+
+from bevlab import autodiff as ad
+from bevlab import verify
+from bevlab.geometry import BevGrid
+
+_attention_blocks = ad._attention_blocks
+
+
+def drop_each_heads_last_row_block(h, nq, nk):
+    return [(hs, b) for hs, b in _attention_blocks(h, nq, nk) if b.stop < nq]
+
+
+def shift_a_blocks_head_by_one(h, nq, nk):
+    (hs, b), *rest = _attention_blocks(h, nq, nk)
+    return [(slice(hs.start + 1, hs.stop + 1), b), *rest]
+
+
+def oracle_attention_blocked(rng):
+    # each head in 3 or 4 blocks of rows, so that a plan without its last
+    # block still passes the check's several-ragged-blocks precondition
+    with verify.block_bytes(8 * 40 * 15):
+        verify.check_attention_blocked(rng,
+                                       shapes=((2, 40, 40), (2, 10, 160)))
+
+
+def grad_attention(rng):
+    verify.check_attention_grad(
+        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
+
+
+# (module attribute, fault, check that must fail, its failure message)
+MUTANTS = {
+    "attention-drop-last-row-block": (
+        "_attention_blocks", drop_each_heads_last_row_block,
+        oracle_attention_blocked, "max deviation"),
+    "attention-shift-block-head": (
+        "_attention_blocks", shift_a_blocks_head_by_one,
+        grad_attention, "gradient rel err"),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_check_catches_mutant(monkeypatch, name):
+    target, fault, check, message = MUTANTS[name]
+    monkeypatch.setattr(ad, target, fault)
+    # inputs no other test draws: a fault that leaves part of an output
+    # unwritten must not find a correct result left in reused memory
+    with pytest.raises(AssertionError, match=message):
+        check(np.random.default_rng(1978))

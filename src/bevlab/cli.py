@@ -8,6 +8,8 @@ scene_i.json, bev_camera_i.bfk, bev_fuse_i.bfk and heatmaps_i.bfk (also
 for `learnable` queries, which do not select from them), then
 detections.json (every decoder layer's boxes and class scores) and
 summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss).
+Every JSON file is compact, with sorted keys and a closing newline; json
+writes non-finite floats as NaN, Infinity and -Infinity.
 
 Exit codes: 0 success, 1 verification failures, 2 invalid config or input
 file, 3 runtime failure. All outputs are deterministic given (config, seed)
@@ -30,10 +32,10 @@ from . import autodiff as ad
 from . import bfk
 from .decoder import gaussian_focal_loss
 from .geometry import BevGrid
-from .pipeline import (PipelineConfig, VT_MODES, forward, init_params,
-                       write_detections)
+from .pipeline import PipelineConfig, VT_MODES, forward, init_params
 from .query_select import DEFAULT_GROUPS, GroupSpec, gaussian_target
-from .scene_sim import (SceneConfig, make_scene, ray_smear_metric, save_scene)
+from .scene_sim import (SceneConfig, make_scene, ray_smear_metric,
+                        scene_to_json)
 
 
 class ConfigError(ValueError):
@@ -174,9 +176,11 @@ def load_config(path):
 
 
 def _json_dump(path, obj):
+    """Write obj as compact JSON with sorted keys and a closing newline, in
+    one write. `json.dumps` encodes in C; `json.dump` would stream the
+    document through json's pure-Python encoder, several times slower."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,8 @@ def cmd_run(config_path, out_dir):
     detections = []
     summary_scenes = []
     for i, scene in enumerate(scenes):
-        save_scene(os.path.join(out_dir, f"scene_{i}.json"), scene)
+        _json_dump(os.path.join(out_dir, f"scene_{i}.json"),
+                   scene_to_json(scene))
         det, diag, extras = forward(pipeline_cfg, params, scene)
         detections.append(det)
 
@@ -234,8 +239,9 @@ def cmd_run(config_path, out_dir):
                 gaussian_focal_loss(extras["heatmaps"], targets)))
         summary_scenes.append(entry)
 
-    write_detections(os.path.join(out_dir, "detections.json"), detections,
-                     pipeline_cfg.grid)
+    _json_dump(os.path.join(out_dir, "detections.json"),
+               [{"layers": det.to_json_dict(pipeline_cfg.grid), "scene": i}
+                for i, det in enumerate(detections)])
     _json_dump(os.path.join(out_dir, "summary.json"), {
         "n_scenes": cfg["scene"]["n_scenes"],
         "n_queries": pipeline_cfg.groups.n_queries,

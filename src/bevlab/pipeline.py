@@ -211,90 +211,27 @@ class DetectionOutput:
 
     def to_json_dict(self, grid: BevGrid):
         """The layers of one scene in detections.json's schema: per layer
-        {"layer", "final", "predictions"}, per prediction {"query",
-        "group", "box": {x, y, z, l, w, h, yaw} in metres and radians,
-        "scores"}. `write_detections` writes the same document without
-        building it."""
+        {"final", "layer", "predictions"}, per prediction {"box": {h, l, w,
+        x, y, yaw, z} in metres and radians, "group", "query", "scores"}.
+        It holds only Python bools, ints and floats, from `tolist()`
+        columns, and each dict's keys are already in the sorted order that
+        `cli._json_dump` writes."""
+        groups = self.group_ids.tolist()
         out = []
         for li, layer in enumerate(self.layers):
-            boxes = layer["boxes"]
-            preds = []
-            for qi in range(self.ref_points.shape[0]):
-                u, vv = boxes["xc"][qi], boxes["yc"][qi]
-                x = grid.x_range[0] + (u + 0.5) * grid.cell_size_x
-                y = grid.y_range[0] + (vv + 0.5) * grid.cell_size_y
-                preds.append({
-                    "query": int(qi),
-                    "group": int(self.group_ids[qi]),
-                    "box": {"x": float(x), "y": float(y),
-                            "z": float(boxes["z"][qi]),
-                            "l": float(boxes["l"][qi]),
-                            "w": float(boxes["w"][qi]),
-                            "h": float(boxes["h"][qi]),
-                            "yaw": float(boxes["yaw"][qi])},
-                    "scores": [float(s) for s in layer["cls_probs"][qi]],
-                })
-            out.append({"layer": li, "final": li == len(self.layers) - 1,
+            b = layer["boxes"]
+            xs = grid.x_range[0] + (b["xc"] + 0.5) * grid.cell_size_x
+            ys = grid.y_range[0] + (b["yc"] + 0.5) * grid.cell_size_y
+            boxes = zip(*(a.tolist() for a in (
+                b["h"], b["l"], b["w"], xs, ys, b["yaw"], b["z"])))
+            preds = [{"box": {"h": h, "l": l, "w": w, "x": x, "y": y,
+                              "yaw": yaw, "z": z},
+                      "group": g, "query": q, "scores": s}
+                     for q, (g, (h, l, w, x, y, yaw, z), s) in enumerate(
+                         zip(groups, boxes, layer["cls_probs"].tolist()))]
+            out.append({"final": li == self.n_layers - 1, "layer": li,
                         "predictions": preds})
         return out
-
-
-def _json_rows(table):
-    """Rows of a float table as Python floats (whose str() is json's float
-    text), with each non-finite value replaced by json's token for it."""
-    rows = table.tolist()
-    finite = np.isfinite(table)
-    if not finite.all():
-        for i, j in zip(*np.nonzero(~finite)):
-            v = rows[i][j]
-            rows[i][j] = "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    return rows
-
-
-def _prediction_json(query, group, r):
-    """One prediction of `_layer_json`: r holds the box values in sorted key
-    order (h, l, w, x, y, yaw, z), then the class scores."""
-    scores = ",\n       ".join(map(str, r[7:]))
-    return (f'     {{\n      "box": {{\n       "h": {r[0]},\n       "l": {r[1]},\n'
-            f'       "w": {r[2]},\n       "x": {r[3]},\n       "y": {r[4]},\n'
-            f'       "yaw": {r[5]},\n       "z": {r[6]}\n      }},\n'
-            f'      "group": {group},\n      "query": {query},\n'
-            f'      "scores": [\n       {scores}\n      ]\n     }}')
-
-
-def _layer_json(det: DetectionOutput, li, grid: BevGrid):
-    layer = det.layers[li]
-    boxes = layer["boxes"]
-    x = grid.x_range[0] + (boxes["xc"] + 0.5) * grid.cell_size_x
-    y = grid.y_range[0] + (boxes["yc"] + 0.5) * grid.cell_size_y
-    rows = _json_rows(np.column_stack([
-        boxes["h"], boxes["l"], boxes["w"], x, y, boxes["yaw"], boxes["z"],
-        layer["cls_probs"]]))
-    preds = ",\n".join(_prediction_json(q, g, r) for q, (g, r) in
-                       enumerate(zip(det.group_ids.tolist(), rows)))
-    final = "true" if li == det.n_layers - 1 else "false"
-    return (f'   {{\n    "final": {final},\n    "layer": {li},\n'
-            f'    "predictions": [\n{preds}\n    ]\n   }}')
-
-
-def write_detections(path, outputs, grid: BevGrid):
-    """Write detections.json for a list of per-scene DetectionOutputs.
-
-    The file holds [{"scene": i, "layers": outputs[i].to_json_dict(grid)}]
-    byte for byte as ``json.dump(..., indent=1, sort_keys=True)`` plus a
-    newline would write it. It is built from fixed per-prediction
-    templates, because ``json`` indents with its pure-Python encoder, which
-    walks the dicts one value at a time.
-    Floats are written by repr, as json writes them; NaN and infinities as
-    json's NaN, Infinity and -Infinity.
-    """
-    scenes = []
-    for i, det in enumerate(outputs):
-        layers = ",\n".join(_layer_json(det, li, grid)
-                            for li in range(det.n_layers))
-        scenes.append(f' {{\n  "layers": [\n{layers}\n  ],\n  "scene": {i}\n }}')
-    with open(path, "w") as fh:
-        fh.write("[\n" + ",\n".join(scenes) + "\n]\n" if scenes else "[]\n")
 
 
 def _build(config: PipelineConfig, params: PipelineParams, inputs):

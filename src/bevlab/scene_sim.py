@@ -12,7 +12,6 @@ default_rng (PCG64).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -345,8 +344,3 @@ def scene_to_json(scene: SceneSpec):
         ],
         "signatures": scene.signatures.tolist(),
     }
-
-
-def save_scene(path, scene):
-    with open(path, "w") as fh:
-        json.dump(scene_to_json(scene), fh, indent=1, sort_keys=True)

@@ -493,9 +493,24 @@ def check_decoder_layer(rng, n_trials=4):
         f = f + apply(params.ffn2, np.maximum(apply(params.ffn1, f), 0.0))
         for fast, slow in zip(out, (f, apply(params.reg_head, f),
                                     apply(params.cls_head, f))):
-            worst = max(worst, float(np.max(np.abs(val(fast)[0] - slow))))
-    assert worst < 1e-12, f"max deviation {worst:.3e}"
+            dev = float(np.max(np.abs(val(fast)[0] - slow)))
+            assert dev < 1e-12, f"max deviation {dev:.3e}"
+            worst = max(worst, dev)
     return f"max deviation {worst:.2e} over {n_trials} layers"
+
+
+def check_vt_equivalence(rng, n_instances=8):
+    """The view-transform sampler against the naive oracle on random
+    instances."""
+    worst = 0.0
+    for _ in range(n_instances):
+        params, lidar, pyramids, cams, grid = random_vt_instance(rng)
+        fast = val(adaptive_sample(params, lidar, pyramids, cams, grid).bev)
+        slow, _ = naive_adaptive_sample(params, lidar, pyramids, cams, grid)
+        dev = float(np.max(np.abs(fast - slow)))
+        assert dev < 1e-12, f"max deviation {dev:.3e}"
+        worst = max(worst, dev)
+    return f"max deviation {worst:.2e} over {n_instances} instances"
 
 
 def check_vt_edge_lanes(rng, n_instances=4):
@@ -516,7 +531,9 @@ def check_vt_edge_lanes(rng, n_instances=4):
         fast = adaptive_sample(params, lidar, pyramids, cams, grid)
         slow, frac = naive_adaptive_sample(params, lidar, pyramids, cams,
                                            grid)
-        worst = max(worst, float(np.max(np.abs(val(fast.bev) - slow))))
+        dev = float(np.max(np.abs(val(fast.bev) - slow)))
+        assert dev < 1e-12, f"max deviation {dev:.3e}"
+        worst = max(worst, dev)
         assert np.array_equal(fast.validity_fraction, frac), \
             "validity fraction differs from the naive count"
 
@@ -535,7 +552,6 @@ def check_vt_edge_lanes(rng, n_instances=4):
     assert unseen and edge and shared, (
         f"instances lack an edge-lane kind: {unseen} unseen cells, "
         f"{edge} box-edge lanes, {shared} shared cells")
-    assert worst < 1e-12, f"max deviation {worst:.3e}"
     return (f"max deviation {worst:.2e}; {unseen} unseen cells, {edge} "
             f"box-edge lanes, {shared} shared cells")
 
@@ -557,17 +573,6 @@ def _run_checks(checks):
 
 def run_oracle_suite(seed=0, n_instances=8):
     rng = np.random.default_rng(seed)
-
-    def vt_equivalence():
-        worst = 0.0
-        for _ in range(n_instances):
-            params, lidar, pyramids, cams, grid = random_vt_instance(rng)
-            fast = val(adaptive_sample(params, lidar, pyramids, cams, grid).bev)
-            slow, _ = naive_adaptive_sample(params, lidar, pyramids, cams,
-                                            grid)
-            worst = max(worst, float(np.max(np.abs(fast - slow))))
-        assert worst < 1e-12, f"max deviation {worst:.3e}"
-        return f"max deviation {worst:.2e} over {n_instances} instances"
 
     def bilinear_vectorized():
         fmap = rng.normal(size=(3, 9, 11))
@@ -605,7 +610,8 @@ def run_oracle_suite(seed=0, n_instances=8):
         return f"max deviation {worst:.2e}; 4 boxes in 2 classes"
 
     return _run_checks([
-        ("oracle.vt_equivalence", vt_equivalence),
+        ("oracle.vt_equivalence",
+         lambda: check_vt_equivalence(rng, n_instances)),
         ("oracle.vt_edge_lanes", lambda: check_vt_edge_lanes(rng)),
         ("oracle.attention_blocked", lambda: check_attention_blocked(rng)),
         ("oracle.adaptive_project_blocked",

@@ -83,13 +83,6 @@ def test_no_unused_imports(path):
 # so its own definitions are not held to the rule and its reads reach nothing.
 PROGRAM = sorted(p for p in SRC.glob("*.py") if p.name != "verify.py")
 
-# Definitions that stay although no program module reads them, and why.
-REACHED_FROM_OUTSIDE = {
-    "DetectionOutput.to_json_dict":
-        "perfbench's tracer reads it from the class dict to wrap it "
-        "(perfbench/tracer.py TARGETS)",
-}
-
 
 def _entry_points():
     """'module.function' of every [project.scripts] entry of the package."""
@@ -165,9 +158,7 @@ def test_checker_finds_an_unreachable_definition():
 def test_program_modules_define_only_what_they_use():
     found = unreachable({p.stem: p.read_text() for p in PROGRAM},
                         _entry_points())
-    assert sorted(set(found) - set(REACHED_FROM_OUTSIDE)) == []
-    # an allowlisted name that the program reads again leaves the list
-    assert set(REACHED_FROM_OUTSIDE) <= set(found)
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -241,4 +232,4 @@ def test_program_members_all_run(tmp_path, monkeypatch):
     pipeline.fit_generators(pipeline_cfg, pipeline.init_params(pipeline_cfg, 0),
                             [cli.make_scene(scene_cfg, seed=0)], steps=2,
                             lr=1e-3)
-    assert sorted(members - ran - set(REACHED_FROM_OUTSIDE)) == []
+    assert sorted(members - ran) == []

@@ -2,6 +2,8 @@
 must make the check that guards it fail (mutation analysis: DeMillo,
 Lipton & Sayward, "Hints on test data selection", IEEE Computer 1978)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from bevlab import verify
 from bevlab.geometry import BevGrid
 
 _attention_blocks = ad._attention_blocks
+_adaptive_sample = verify.adaptive_sample
+_decoder_layer = verify.decoder_layer
 
 
 def drop_each_heads_last_row_block(h, nq, nk):
@@ -19,6 +23,23 @@ def drop_each_heads_last_row_block(h, nq, nk):
 def shift_a_blocks_head_by_one(h, nq, nk):
     (hs, b), *rest = _attention_blocks(h, nq, nk)
     return [(slice(hs.start + 1, hs.stop + 1), b), *rest]
+
+
+def with_nan_lane(a):
+    """A copy of the array `a` with NaN in its first lane."""
+    a = np.array(ad.val(a), dtype=float)
+    a.flat[0] = np.nan
+    return a
+
+
+def sample_with_a_nan_cell(*args, **kwargs):
+    out = _adaptive_sample(*args, **kwargs)
+    return dataclasses.replace(out, bev=with_nan_lane(out.bev))
+
+
+def layer_with_a_nan_logit(*args, **kwargs):
+    feats, enc, cls, boxes = _decoder_layer(*args, **kwargs)
+    return feats, enc, with_nan_lane(cls), boxes
 
 
 def oracle_attention_blocked(rng):
@@ -34,21 +55,36 @@ def grad_attention(rng):
         rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
 
 
-# (module attribute, fault, check that must fail, its failure message)
+# (module, attribute, fault put in its place, check that must fail, its
+# failure message)
 MUTANTS = {
     "attention-drop-last-row-block": (
-        "_attention_blocks", drop_each_heads_last_row_block,
+        ad, "_attention_blocks", drop_each_heads_last_row_block,
         oracle_attention_blocked, "max deviation"),
     "attention-shift-block-head": (
-        "_attention_blocks", shift_a_blocks_head_by_one,
+        ad, "_attention_blocks", shift_a_blocks_head_by_one,
         grad_attention, "gradient rel err"),
+    "vt-equivalence-nan-cell": (
+        verify, "adaptive_sample", sample_with_a_nan_cell,
+        verify.check_vt_equivalence, "max deviation nan"),
+    "vt-edge-lanes-nan-cell": (
+        verify, "adaptive_sample", sample_with_a_nan_cell,
+        verify.check_vt_edge_lanes, "max deviation nan"),
+    "decoder-layer-nan-logit": (
+        verify, "decoder_layer", layer_with_a_nan_logit,
+        verify.check_decoder_layer, "max deviation nan"),
+    "decoder-no-relu": (
+        ad, "relu", lambda a: a, verify.check_decoder_layer, "max deviation"),
+    "layer-norm-eps-1e-4": (
+        ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
+        "max deviation"),
 }
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_check_catches_mutant(monkeypatch, name):
-    target, fault, check, message = MUTANTS[name]
-    monkeypatch.setattr(ad, target, fault)
+    module, target, fault, check, message = MUTANTS[name]
+    monkeypatch.setattr(module, target, fault)
     # inputs no other test draws: a fault that leaves part of an output
     # unwritten must not find a correct result left in reused memory
     with pytest.raises(AssertionError, match=message):

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
+from bevlab import cli
 from bevlab.geometry import BevGrid
 from bevlab.pipeline import (QUERY_INIT_MODES, VT_MODES, DetectionOutput,
                              PipelineConfig, _height_loss, _scene_constants,
                              fit_generators, forward, greedy_match,
-                             init_params, vanilla_heights, write_detections)
+                             init_params, vanilla_heights)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
-from bevlab.verify import zero_linear
+from bevlab.verify import cell_to_world, zero_linear
 from helpers import tracemalloc_peak
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (16, 16))
@@ -120,9 +121,11 @@ class TestForward:
         doc = det.to_json_dict(GRID)
         assert len(doc) == cfg.n_layers
         assert doc[-1]["final"] and not doc[0]["final"]
+        # every dict's keys come in the sorted order the writer uses
+        assert list(doc[0]) == ["final", "layer", "predictions"]
         pred = doc[0]["predictions"][0]
-        assert set(pred) == {"query", "group", "box", "scores"}
-        assert set(pred["box"]) == {"x", "y", "z", "l", "w", "h", "yaw"}
+        assert list(pred) == ["box", "group", "query", "scores"]
+        assert list(pred["box"]) == ["h", "l", "w", "x", "y", "yaw", "z"]
 
 
 def one_query_output(box, scores):
@@ -135,40 +138,94 @@ def one_query_output(box, scores):
                  "boxes": {k: np.array([v]) for k, v in zip(keys, box)}}])
 
 
+# a `bevlab run` config of tiny_config's model on tiny_scene's scenes
+RUN_DOC = {
+    "model": {"channels": 4, "n_heights": 2, "n_points": 4, "n_layers": 2,
+              "n_heads": 2, "queries_per_group": 2,
+              "groups": [list(g) for g in TINY_GROUPS.groups]},
+    "grid": {"x_range": [-16.0, 16.0], "y_range": [-16.0, 16.0],
+             "z_range": [-5.0, 3.0], "cells": [16, 16]},
+    "scene": {"n_scenes": 2, "seed": 11, "n_boxes": 2, "image_size": [32, 32],
+              "strides": [4, 8], "n_cameras": 2,
+              "fixed_dims": [3.0, 1.5, 1.5]},
+}
+
+
+def exact(values):
+    """Each value's repr: equal lists hold the same floats bit for bit,
+    -0.0, infinities and NaN included."""
+    return [repr(float(v)) for v in values]
+
+
 class TestWriteDetections:
-    """The template writer against json.dump of `to_json_dict`."""
+    """detections.json as `bevlab run` writes it, value by value against
+    the DetectionOutputs of its forward passes."""
 
     @staticmethod
-    def assert_same_bytes(outputs, tmp_path):
-        path = tmp_path / "detections.json"
-        write_detections(path, outputs, GRID)
-        doc = [{"scene": i, "layers": det.to_json_dict(GRID)}
-               for i, det in enumerate(outputs)]
-        expected = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-        assert path.read_text() == expected
+    def run(tmp_path, monkeypatch, output=None):
+        """`bevlab run` on RUN_DOC; each scene's DetectionOutput is recorded
+        or, if given, replaced by `output`. Returns the file's text and the
+        outputs."""
+        outputs = []
 
-    def test_two_scenes(self, tmp_path):
-        cfg = tiny_config()
-        params = init_params(cfg, seed=10)
-        outputs = [forward(cfg, params, tiny_scene(seed=s))[0]
-                   for s in (11, 12)]
-        self.assert_same_bytes(outputs, tmp_path)
+        def recording(*args):
+            det, diag, extras = forward(*args)
+            outputs.append(det if output is None else output)
+            return outputs[-1], diag, extras
 
-    def test_one_layer_one_query(self, tmp_path):
+        monkeypatch.setattr(cli, "forward", recording)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(RUN_DOC))
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == 0
+        return (tmp_path / "detections.json").read_text(), outputs
+
+    @staticmethod
+    def assert_scene(layers, det):
+        """One scene's layers against `det`; returns how many of its boxes
+        are in the grid, where x and y are checked."""
+        n = det.n_layers
+        assert [(d["layer"], d["final"]) for d in layers] == [
+            (li, li == n - 1) for li in range(n)]
+        in_grid = 0
+        for doc, layer in zip(layers, det.layers):
+            preds, boxes = doc["predictions"], layer["boxes"]
+            assert [(p["query"], p["group"]) for p in preds] == list(
+                enumerate(det.group_ids.tolist()))
+            for key in ("z", "l", "w", "h", "yaw"):
+                assert exact(p["box"][key] for p in preds) == exact(boxes[key])
+            assert [exact(p["scores"]) for p in preds] == [
+                exact(s) for s in layer["cls_probs"]]
+            for p, u, v in zip(preds, boxes["xc"], boxes["yc"]):
+                if 0 <= u < GRID.width and 0 <= v < GRID.height:
+                    assert (p["box"]["x"], p["box"]["y"]) == \
+                        cell_to_world(GRID, u, v)
+                    in_grid += 1
+        return in_grid
+
+    def test_two_scenes(self, tmp_path, monkeypatch):
+        text, outputs = self.run(tmp_path, monkeypatch)
+        doc = json.loads(text)
+        assert [d["scene"] for d in doc] == [0, 1]
+        assert sum(self.assert_scene(d["layers"], det)
+                   for d, det in zip(doc, outputs, strict=True)) > 0
+
+    def test_one_layer_one_query(self, tmp_path, monkeypatch):
         out = one_query_output((3.25, 1.0, -0.5, 4.0, 1.75, 1.5, 2.0),
                                [0.125, 1e-300, 0.999])
-        self.assert_same_bytes([out], tmp_path)
+        text, _ = self.run(tmp_path, monkeypatch, out)
+        for d in json.loads(text):
+            assert self.assert_scene(d["layers"], out) == 1
 
-    def test_non_finite_and_negative_zero(self, tmp_path):
+    def test_non_finite_and_negative_zero(self, tmp_path, monkeypatch):
         # json writes NaN, Infinity and -Infinity where repr gives nan, inf
         nan, inf = float("nan"), float("inf")
         out = one_query_output((nan, -0.0, inf, -inf, 0.0, nan, -0.0),
                                [-inf, nan, -0.0, inf])
-        self.assert_same_bytes([out], tmp_path)
-        assert "NaN" in (tmp_path / "detections.json").read_text()
-
-    def test_no_scenes(self, tmp_path):
-        self.assert_same_bytes([], tmp_path)
+        text, _ = self.run(tmp_path, monkeypatch, out)
+        for d in json.loads(text):
+            assert self.assert_scene(d["layers"], out) == 0
+        for token in ("NaN", "Infinity", "-Infinity", "-0.0"):
+            assert token in text
 
 
 class TestGreedyMatch:

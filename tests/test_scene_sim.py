@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from bevlab import cli
 from bevlab.geometry import BevGrid, project_to_image
 from bevlab.scene_sim import (CLASS_NAMES, Box, SceneConfig, SceneSpec,
                               camera_ring, dilate_mask, footprint_mask,
                               make_scene, rasterize_lidar_bev, ray_smear_metric,
-                              render_camera_features, save_scene)
+                              render_camera_features)
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
 
@@ -191,11 +192,20 @@ class TestCameraRing:
 
 class TestSceneJson:
     def test_round_trip(self, tmp_path):
-        # the saved document holds every field of the scene exactly
+        # scene_0.json as `bevlab run` writes it holds every field of the
+        # scene exactly
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": {"channels": 8, "n_heights": 1, "n_points": 4,
+                      "n_layers": 1, "n_heads": 1, "queries_per_group": 1},
+            "grid": {"x_range": [-16.0, 16.0], "y_range": [-16.0, 16.0],
+                     "z_range": [-5.0, 3.0], "cells": [32, 32]},
+            "scene": {"seed": 13, "n_boxes": 4, "noise_std": 0.1,
+                      "image_size": [64, 64], "strides": [4, 8],
+                      "n_cameras": 4}}))
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == 0
         scene = make_scene(small_config(n_boxes=4, noise_std=0.1), seed=13)
-        path = tmp_path / "scene.json"
-        save_scene(path, scene)
-        doc = json.loads(path.read_text())
+        doc = json.loads((tmp_path / "scene_0.json").read_text())
         assert sorted(doc) == ["boxes", "cameras", "channels", "noise_std",
                                "seed", "signatures"]
         assert (doc["seed"], doc["noise_std"], doc["channels"]) == (

@@ -166,7 +166,7 @@ def _corner_points_batch(feats, boxes, params: DecoderParams, grid: BevGrid,
 
     x = ad.add(dx, ad.reshape(boxes["xc"], (nq, 1)))
     y = ad.add(dy, ad.reshape(boxes["yc"], (nq, 1)))
-    return ad.stack([x, y], axis=2), ad.stack([dx, dy], axis=2)
+    return ad.stack([x, y], axis=2)
 
 
 def corner_sample(bev_fuse, points):
@@ -303,7 +303,7 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
         feats = ad.add(feats, _mha(feats, chw_to_cells(bev_fuse),
                                    params.cross_attn, params.n_heads))
     else:
-        points, _ = _corner_points_batch(feats, boxes, params, grid, mode=mode)
+        points = _corner_points_batch(feats, boxes, params, grid, mode=mode)
         sampled = corner_sample(bev_fuse, points)
         if mode == "geometry_aware":
             feats = _position_aware_mix_batch(feats, sampled, points, params, grid)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (BevGrid, CameraModel, FeaturePyramid, is_int,
-                       project_to_image)
+from .geometry import (NEAR_PLANE, BevGrid, CameraModel, FeaturePyramid,
+                       is_int, project_to_image)
 
 N_RESERVED_CHANNELS = 2  # -2: true height, -1: occupancy
 BOX_MARGIN = 2.0  # boxes keep this far inside the ROI, meters
@@ -91,10 +91,16 @@ class SceneConfig:
         if not (len(self.image_size) == 2
                 and all(is_int(n) and n > 0 for n in self.image_size)):
             raise ValueError("image_size must be two positive integers")
-        # camera_ring's focal length (W / 2) / tan(fov / 2) must be finite
+        # a pixel coordinate is at most camera_ring's focal length
+        # (W / 2) / tan(fov / 2) times the farthest grid point's distance from
+        # the camera (on the z axis) over the near plane: it must be finite
         tan_half = math.tan(math.radians(self.fov_deg) / 2)
-        if not (tan_half > 0 and math.isfinite(self.image_size[0] / 2 / tan_half)):
-            raise ValueError("fov_deg is too small for a finite focal length")
+        g = self.grid
+        reach = math.hypot(max(map(abs, g.x_range)), max(map(abs, g.y_range)),
+                           max(abs(z - self.cam_height) for z in g.z_range))
+        if not (tan_half > 0 and math.isfinite(
+                self.image_size[0] / 2 / tan_half * reach / NEAR_PLANE)):
+            raise ValueError("fov_deg and cam_height overflow the projection")
         if any(n % s for n in self.image_size for s in self.strides):
             raise ValueError(f"image size {self.image_size} is not divisible "
                              f"by every stride of {self.strides}")
@@ -109,7 +115,6 @@ class SceneConfig:
             raise ValueError("fixed_dims must be three positive numbers (l, w, h)")
         # make_scene centres each box at least BOX_MARGIN + l / 2 from the edges
         longest = max((self.fixed_dims or CLASS_DIMS[c])[0] for c in self.classes)
-        g = self.grid
         room = min(g.x_range[1] - g.x_range[0], g.y_range[1] - g.y_range[0])
         if self.n_boxes and longest > room - 2 * BOX_MARGIN:
             raise ValueError(f"boxes {longest:g} m long do not fit the grid")

@@ -687,7 +687,7 @@ def run_grad_suite(seed=0):
         def loss(p, extras):
             box_vars = {k: extras[f"box_{k}"] for k in ("l", "w", "yaw")}
             box_vars.update({k: boxes[k] for k in ("xc", "yc", "z", "h")})
-            pts, _ = _corner_points_batch(extras["feats"], box_vars, p, grid)
+            pts = _corner_points_batch(extras["feats"], box_vars, p, grid)
             sampled = corner_sample(extras["bev"], pts)
             out = _position_aware_mix_batch(extras["feats"], sampled, pts, p, grid)
             return ad.sum_(ad.mul(out, 0.1))
@@ -788,8 +788,9 @@ def run_props_suite(seed=0):
                     "l": np.array([l]), "w": np.array([w]),
                     "yaw": np.array([theta])}
             rot = dict(base, yaw=np.array([theta + phi]))
-            _, off1 = _corner_points_batch(feat, base, params, grid)
-            _, off2 = _corner_points_batch(feat, rot, params, grid)
+            # at center 0 the points are the offsets
+            off1 = _corner_points_batch(feat, base, params, grid)
+            off2 = _corner_points_batch(feat, rot, params, grid)
             c, s = math.cos(phi), math.sin(phi)
             R = np.array([[c, -s], [s, c]])
             rotated = val(off1)[0] @ R.T

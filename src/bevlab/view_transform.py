@@ -8,10 +8,13 @@ channel kernels, and fusion concatenates the camera and LiDAR maps through a
 per-cell linear map.
 
 Sampling gathers image features only where they exist: each (height, camera)
-pair projects every cell, but bilinear lookups, and their gradients, run only
-on the cells that land inside that camera's image (about a fifth of them for
-a surround rig of narrow cameras). Pooling over cameras, heights and scales is
-vectorized over the H*W cells with a fixed summation order.
+pair is projected once over every cell, but bilinear lookups, and their
+gradients, run only on the cells that land inside that camera's image (about
+a fifth of them for a surround rig of narrow cameras). Each camera's level is
+gathered inside the (scale, height) loop that pools it, so an untraced call
+holds at most one (scale, height)'s gathered rows. Pooling over cameras,
+heights and scales is vectorized over the H*W cells with a fixed summation
+order.
 """
 
 from __future__ import annotations
@@ -84,25 +87,6 @@ def _heights_from_raw(raw, z_range):
     return ad.add(ad.mul(ad.tanh(raw), half), mid)
 
 
-def _sample_one(pyramid, cam, X, Y, Z):
-    """All pyramid-level samples of one (height, camera) pair, gathered only
-    at the cells whose projection lands in front of the camera and inside
-    the image.
-
-    Returns (idx [M], [(features [M, C], valid [M]), ...] per level): idx
-    holds the projection-valid cells; a lane outside a level's sampleable
-    box has a zero row and valid False.
-    """
-    x_px, y_px, proj_ok = project_heights(cam, X, Y, Z)
-    idx = np.flatnonzero(proj_ok)
-    x_in = ad.getitem(x_px, idx)
-    y_in = ad.getitem(y_px, idx)
-    levels = [ad.bilinear_gather(fmap, ad.div(x_in, float(stride)),
-                                 ad.div(y_in, float(stride)))
-              for stride, fmap in pyramid.levels]
-    return idx, levels
-
-
 def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     """Shared sampling core of both samplers.
 
@@ -110,10 +94,12 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     to 1, flattened scale-major (index j * N_h + i). Per sampled point the
     feature is the mean over cameras with a valid sample, zero when none.
 
-    Every (height, camera) pair projects all N cells but gathers only at
-    the M cells its camera sees; the [M, C] rows are scattered back into
-    the dense per-(height, scale) camera sum, cameras in a fixed order.
-    Backward touches only the gathered lanes as well.
+    Each (height, camera) pair is projected once, keeping only the M lanes
+    that land in front of the camera and inside its image. Each camera's
+    level is gathered at those lanes inside the (scale, height) loop that
+    pools it: the [M, C] rows are scattered into the dense camera sum,
+    cameras in a fixed order, so an untraced call holds at most one
+    (scale, height)'s rows. Backward touches only the gathered lanes too.
     """
     if len(pyramids) != len(cams):
         raise ValueError("one pyramid per camera required")
@@ -124,9 +110,13 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     X, Y = grid.cell_centers_flat()
     N = X.size
 
-    z_cols = [ad.getitem(heights, (slice(None), i)) for i in range(n_h)]
-    samples = {(i, k): _sample_one(pyramids[k], cams[k], X, Y, z_cols[i])
-               for i in range(n_h) for k in range(n_cams)}
+    lanes = {}
+    for i in range(n_h):
+        z = ad.getitem(heights, (slice(None), i))
+        for k in range(n_cams):
+            x_px, y_px, proj_ok = project_heights(cams[k], X, Y, z)
+            idx = np.flatnonzero(proj_ok)
+            lanes[i, k] = idx, ad.getitem(x_px, idx), ad.getitem(y_px, idx)
 
     out = None
     valid_total = np.zeros(N)
@@ -135,8 +125,11 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
             idxs, rows = [], []
             count = np.zeros(N)
             for k in range(n_cams):
-                idx, levels = samples[i, k]
-                feats, ok = levels[j]
+                idx, x_in, y_in = lanes[i, k]
+                stride, fmap = pyramids[k].levels[j]
+                feats, ok = ad.bilinear_gather(
+                    fmap, ad.div(x_in, float(stride)),
+                    ad.div(y_in, float(stride)))
                 idxs.append(idx)
                 rows.append(feats)
                 count[idx] += ok

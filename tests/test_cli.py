@@ -258,6 +258,11 @@ class TestRun:
         pytest.param("scene", {"n_boxes": 60}, id="scene-update43"),
         # float32 overflow: the camera BEV dump held 9 infinities
         pytest.param("scene", {"noise_std": 1e19}, id="scene-noise_std-1e19"),
+        # finite camera models whose pixel coordinates overflow
+        pytest.param("scene", {"cam_height": 1e307},
+                     id="scene-cam_height-1e307"),
+        pytest.param("scene", {"cam_height": 50, "fov_deg": 1e-303},
+                     id="scene-fov_deg-1e-303"),
     ])
     def test_shape_config_exit_2(self, tmp_path, capsys, section, update):
         doc = dict(TINY, **{section: {**TINY[section], **update}})

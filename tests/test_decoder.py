@@ -51,13 +51,14 @@ def ln(row):
 
 
 def corners(params, grid, center, l=0.0, w=0.0, yaw=0.0):
-    """Sampling points and offsets [N_p, 2] of one query with a zero
-    feature and the given box (center in cells, l and w in meters)."""
+    """Sampling points and their offsets from the center, [N_p, 2] each, of
+    one query with a zero feature and the given box (center in cells, l and
+    w in meters)."""
     boxes = {"xc": np.array([center[0]]), "yc": np.array([center[1]]),
              "l": np.array([l]), "w": np.array([w]), "yaw": np.array([yaw])}
-    pts, offs = _corner_points_batch(np.zeros((1, params.channels)), boxes,
-                                     params, grid)
-    return val(pts)[0], val(offs)[0]
+    pts = val(_corner_points_batch(np.zeros((1, params.channels)), boxes,
+                                   params, grid))[0]
+    return pts, pts - center
 
 
 class TestCornerOffsets:
@@ -107,7 +108,7 @@ class TestCornerOffsets:
 
         def loss(t):
             boxes = dict(base, l=t["l"], w=t["w"], yaw=t["yaw"])
-            pts, _offs = _corner_points_batch(t["feats"], boxes, params, GRID)
+            pts = _corner_points_batch(t["feats"], boxes, params, GRID)
             return ad.sum_(ad.mul(pts, wts))
 
         gradcheck(loss, {"feats": feats, "l": base["l"], "w": base["w"],
@@ -321,11 +322,11 @@ class TestDecoderLayer:
         state = _initial_state(np.array([[8.0, 8.0]]))
         assert state["l"][0] == 0.0 and state["yaw"][0] == 0.0
         feats = rng.normal(size=(1, 2))
-        pts, offs = _corner_points_batch(feats, state, params, GRID)
+        pts = _corner_points_batch(feats, state, params, GRID)
         raw = val(ad.reshape(
             ad.matmul(feats, val(params.offset_gen.weight).T)
             + val(params.offset_gen.bias), (1, 4, 2)))
-        assert np.allclose(val(offs), raw, atol=1e-12)
+        assert np.allclose(val(pts) - [8.0, 8.0], raw, atol=1e-12)
 
     def test_deformable_modes_run_and_differ(self, rng):
         params = tiny_params(rng, scale=0.4, n_layers=2)

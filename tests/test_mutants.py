@@ -12,6 +12,8 @@ from bevlab import verify
 from bevlab.geometry import BevGrid
 
 _attention_blocks = ad._attention_blocks
+_bilinear_gather = ad.bilinear_gather
+_scatter_rows = ad.scatter_rows
 _adaptive_sample = verify.adaptive_sample
 _decoder_layer = verify.decoder_layer
 
@@ -23,6 +25,14 @@ def drop_each_heads_last_row_block(h, nq, nk):
 def shift_a_blocks_head_by_one(h, nq, nk):
     (hs, b), *rest = _attention_blocks(h, nq, nk)
     return [(slice(hs.start + 1, hs.stop + 1), b), *rest]
+
+
+def scatter_without_last_block(n, idxs, parts):
+    return _scatter_rows(n, idxs[:-1], parts[:-1])
+
+
+def gather_at_half_coordinates(fmap, xs, ys):
+    return _bilinear_gather(fmap, ad.mul(xs, 0.5), ad.mul(ys, 0.5))
 
 
 def with_nan_lane(a):
@@ -64,6 +74,12 @@ MUTANTS = {
     "attention-shift-block-head": (
         ad, "_attention_blocks", shift_a_blocks_head_by_one,
         grad_attention, "gradient rel err"),
+    "vt-pool-drops-last-camera": (
+        ad, "scatter_rows", scatter_without_last_block,
+        verify.check_vt_equivalence, "max deviation"),
+    "vt-gather-at-wrong-stride": (
+        ad, "bilinear_gather", gather_at_half_coordinates,
+        verify.check_vt_equivalence, "max deviation"),
     "vt-equivalence-nan-cell": (
         verify, "adaptive_sample", sample_with_a_nan_cell,
         verify.check_vt_equivalence, "max deviation nan"),

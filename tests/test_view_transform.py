@@ -20,7 +20,7 @@ from bevlab.verify import (bilinear_sample, cell_to_world,
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, vanilla_vt_output)
 from bevlab.geometry import project_heights, project_to_image
-from helpers import gradcheck
+from helpers import gradcheck, tracemalloc_peak
 
 
 def downward_camera(img=64, f=20.0):
@@ -103,6 +103,27 @@ class TestCompaction:
                       for cam in cams)
         assert sum(lookups) == params.n_scales * in_view
         assert in_view < 3 * len(cams) * X.size
+
+    def test_holds_rows_of_one_scale_and_height_at_once(self, rng):
+        # an untraced call gathers each level in the loop that pools it:
+        # 4 heights peak at 1.44x one height's memory, 2.11x when every
+        # (height, camera) pair's levels are gathered before pooling
+        grid = BevGrid((-54.0, 54.0), (-54.0, 54.0), (-5.0, 3.0), (48, 48))
+        scene = make_scene(SceneConfig(grid, channels=8), seed=0)
+        lidar = rasterize_lidar_bev(scene, grid)
+        pyramids = render_camera_features(scene, grid, (4, 8))
+        peaks = []
+        for n_h in (1, 4):
+            params = VtParams(
+                height_gen=LinearMap(rng.normal(0, 0.3, (n_h, 8)),
+                                     np.zeros(n_h)),
+                weight_gen=LinearMap(rng.normal(0, 0.3, (2 * n_h, 8)),
+                                     np.zeros(2 * n_h)),
+                kernel_gen=zero_linear(64, 8), fuse=zero_linear(8, 16))
+            with tracemalloc_peak() as mem:
+                adaptive_sample(params, lidar, pyramids, scene.cameras, grid)
+            peaks.append(mem.peak)
+        assert peaks[1] < 1.8 * peaks[0]
 
 
 class TestAdaptiveSample:

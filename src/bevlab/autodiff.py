@@ -19,9 +19,8 @@ __all__ = [
     "add", "sub", "mul", "div", "power", "log",
     "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "clip",
     "matmul", "sum_", "mean", "reshape", "transpose", "concat", "stack",
-    "getitem", "scatter_rows", "where_mask", "softmax", "attention",
-    "dynamic_filter",
-    "layer_norm", "bilinear_gather",
+    "getitem", "where_mask", "softmax", "attention", "dynamic_filter",
+    "layer_norm", "bilinear_gather", "sample_pool",
     "lift_tree", "unlift_tree", "sgd_step",
 ]
 
@@ -126,8 +125,10 @@ def add(a, b):
     y = va + vb
 
     def vjp(g):
-        _accum(a, _unbroadcast(g, np.shape(va)))
-        _accum(b, _unbroadcast(g, np.shape(vb)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g, np.shape(va)))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(g, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -137,8 +138,10 @@ def sub(a, b):
     y = va - vb
 
     def vjp(g):
-        _accum(a, _unbroadcast(g, np.shape(va)))
-        _accum(b, _unbroadcast(-g, np.shape(vb)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g, np.shape(va)))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(-g, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -148,8 +151,10 @@ def mul(a, b):
     y = va * vb
 
     def vjp(g):
-        _accum(a, _unbroadcast(g * vb, np.shape(va)))
-        _accum(b, _unbroadcast(g * va, np.shape(vb)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g * vb, np.shape(va)))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(g * va, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -159,8 +164,10 @@ def div(a, b):
     y = va / vb
 
     def vjp(g):
-        _accum(a, _unbroadcast(g / vb, np.shape(va)))
-        _accum(b, _unbroadcast(-g * va / (vb * vb), np.shape(vb)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g / vb, np.shape(va)))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(-g * va / (vb * vb), np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -260,8 +267,10 @@ def where_mask(mask, a, b):
     y = np.where(m, va, vb)
 
     def vjp(g):
-        _accum(a, _unbroadcast(g * m, np.shape(va)))
-        _accum(b, _unbroadcast(g * ~m, np.shape(vb)))
+        if isinstance(a, Var):
+            _accum(a, _unbroadcast(g * m, np.shape(va)))
+        if isinstance(b, Var):
+            _accum(b, _unbroadcast(g * ~m, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -278,12 +287,16 @@ def matmul(a, b):
 
     if na == 2 and nb == 2:
         def vjp(g):
-            _accum(a, g @ vb.T)
-            _accum(b, va.T @ g)
+            if isinstance(a, Var):
+                _accum(a, g @ vb.T)
+            if isinstance(b, Var):
+                _accum(b, va.T @ g)
     elif na == 3 and nb == 3:
         def vjp(g):
-            _accum(a, np.matmul(g, vb.swapaxes(-1, -2)))
-            _accum(b, np.matmul(va.swapaxes(-1, -2), g))
+            if isinstance(a, Var):
+                _accum(a, np.matmul(g, vb.swapaxes(-1, -2)))
+            if isinstance(b, Var):
+                _accum(b, np.matmul(va.swapaxes(-1, -2), g))
     else:
         raise ValueError(f"unsupported matmul ranks: {na} @ {nb}")
 
@@ -369,26 +382,6 @@ def getitem(a, idx):
     return _node(y, (a,), vjp)
 
 
-def scatter_rows(n, idxs, parts):
-    """Sum of row blocks placed into n zero rows: out[idxs[k]] += parts[k]
-    for k in list order.
-
-    Each idxs[k] holds distinct row indices, so every output row is the sum
-    of its blocks in list order, exactly as adding the blocks as dense
-    [n, C] maps with zero rows elsewhere. The vjp of parts[k] is g[idxs[k]].
-    """
-    vs = [val(p) for p in parts]
-    y = np.zeros((n, vs[0].shape[1]), dtype=np.result_type(*vs))
-    for idx, v in zip(idxs, vs):
-        y[idx] += v
-
-    def vjp(g):
-        for p, idx in zip(parts, idxs):
-            _accum(p, g[idx])
-
-    return _node(y, tuple(parts), vjp)
-
-
 def softmax(a):
     """Numerically stable softmax along the last axis."""
     va = np.asarray(val(a))
@@ -403,8 +396,9 @@ def softmax(a):
     return _node(y, (a,), vjp)
 
 
-# bytes of one block of float64 intermediates in the row-blocked ops: the
-# scores of `attention` and the generated kernels of `dynamic_filter`.
+# bytes of one block of float64 intermediates in the blocked ops: the scores
+# of `attention`, and the generated kernels of `dynamic_filter` (a block of
+# cells) and the columns of its kernel gradient (a block of kernel rows).
 # 8 MiB keeps the [8, 300, 300] self-attention of a 300-query model in one
 # block, where values and gradients equal the dense softmax's bit for bit,
 # so fits follow the same trajectory (a last-bit change can flip a top-k
@@ -498,6 +492,14 @@ def attention(q, k, v):
     return _node(out, (q, k, v), vjp)
 
 
+def _kernel_row_blocks(n, c):
+    """Block plan of ``dynamic_filter``'s d(K) for n rows and C channels:
+    slices of kernel rows, budget // (8 n C) per block, whose [n, rows C]
+    columns of d(K) fit in the budget (at least one kernel row)."""
+    step = max(1, _BLOCK_BYTES // (8 * n * c))
+    return [slice(i, min(i + step, c)) for i in range(0, c, step)]
+
+
 def dynamic_filter(x, z, w, b):
     """Row times its own generated kernel: out[n] = x[n] @ K[n] with
     K[n] = reshape(z[n] @ wᵀ + b, (C, C)), a dynamic filter (Jia et al.,
@@ -509,10 +511,15 @@ def dynamic_filter(x, z, w, b):
     rows before it starts the next. Every row's product equals the dense
     composition's bit for bit.
 
-    The vjp regenerates each block's kernels for that block's d(x). d(K) =
-    x[n]ᵀ g[n] is made for all rows at once and reduced into d(b), d(w) and
-    d(z) by the same products, in the same order, as the dense composition,
-    so the gradients equal its gradients bit for bit.
+    The vjp regenerates each block's kernels for that block's d(x). It
+    never holds the [N, C²] d(K), whose column i C + j is x[:, i] g[:, j]:
+    it makes the columns of one block of `_kernel_row_blocks` at a time and
+    reduces them into d(b) and d(w), each column summing all N rows in one
+    product. So d(x) and d(b) equal the dense composition's bit for bit,
+    and d(w) does wherever BLAS gives a block of columns the values of
+    those columns of the whole product (OpenBLAS does for the budget's
+    blocks; 4-column blocks differ by ~4e-15). d(z) adds up the blocks'
+    products, so it differs from the dense d(K) @ w in the last bits.
     """
     vx = np.ascontiguousarray(val(x))
     vz, vw, vb = val(z), val(w), val(b)
@@ -546,14 +553,25 @@ def dynamic_filter(x, z, w, b):
             for r in row_blocks:
                 dx[r] = np.matmul(g3[r], kernels(r).swapaxes(-1, -2))[:, 0]
             _accum(x, dx)
-        if is_traced(z, w, b):
-            dk = np.matmul(vx[:, :, None], g3).reshape(n, c * c)
+        if not is_traced(z, w, b):
+            return
+        db = np.empty(c * c, dtype=out.dtype)
+        dwt = np.empty((vw.shape[1], c * c), dtype=out.dtype)
+        dz = np.zeros(np.shape(vz), dtype=out.dtype) if is_traced(z) else None
+        for rows in _kernel_row_blocks(n, c):
+            cols = slice(rows.start * c, rows.stop * c)
+            # the [N, 1] x [1, C] products that the dense d(K) holds, exactly
+            dkb = (vx[:, rows, None] * g3).reshape(n, -1)
             if is_traced(b):
-                _accum(b, dk.sum(axis=0))
+                db[cols] = dkb.sum(axis=0)
             if is_traced(w):
-                _accum(w, (vz.T @ dk).T)
-            if is_traced(z):
-                _accum(z, dk @ vw)
+                dwt[:, cols] = vz.T @ dkb
+            if dz is not None:
+                dz += dkb @ vw[cols]
+            del dkb  # before the next block's columns are made
+        _accum(b, db)
+        _accum(w, dwt.T)
+        _accum(z, dz)
 
     return _node(out, (x, z, w, b), vjp)
 
@@ -578,21 +596,15 @@ def layer_norm(a):
     return _node(y, (a,), vjp)
 
 
-def bilinear_gather(fmap, xs, ys):
-    """Bilinear samples of a [C, H, W] map at N continuous (x, y) points.
+def _bilinear(vf, vx, vy, d_map, d_x, d_y):
+    """Bilinear samples of the plain [C, H, W] map vf at N points (vx, vy),
+    and the vjp of the inputs whose flag is set.
 
-    x indexes columns (width), y indexes rows (height). Points outside the
-    closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row and
-    valid=False.
-    Differentiable in the map and in both coordinate arrays. A traced call's
-    tape keeps the output, the corner indices and weights, and the [C, N]
-    corner differences d/dx (when xs is traced) and d/dy (when ys is
-    traced), not the four [C, N] corner gathers; an untraced call computes
-    neither difference.
-
-    Returns (samples [N, C], valid [N] plain bool array).
+    Returns (samples [N, C], valid [N], back). back(g) returns the gradients
+    (map, xs, ys), None where the flag is off. It keeps the corner indices
+    and weights, the mask, and the [C, N] corner difference d/dx (when d_x)
+    and d/dy (when d_y), not the four [C, N] corner gathers.
     """
-    vf, vx, vy = val(fmap), val(xs), val(ys)
     C, H, W = vf.shape
     valid = (vx >= 0) & (vx <= W - 1) & (vy >= 0) & (vy <= H - 1)
 
@@ -612,29 +624,124 @@ def bilinear_gather(fmap, xs, ys):
     out = (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
            + v10 * (1 - fx) * fy + v11 * fx * fy)
     out = (out * valid).T  # [N, C]
-    # the vjp reads the corners only through these [C, N] differences, so
-    # its closure keeps them instead of the four gathers
-    ddx = ddy = None
-    if is_traced(xs):
-        ddx = (v01 - v00) * (1 - fy) + (v11 - v10) * fy
-    if is_traced(ys):
-        ddy = (v10 - v00) * (1 - fx) + (v11 - v01) * fx
+    ddx = (v01 - v00) * (1 - fy) + (v11 - v10) * fy if d_x else None
+    ddy = (v10 - v00) * (1 - fx) + (v11 - v01) * fx if d_y else None
 
-    def vjp(g):
+    def back(g):
         gv = g * valid[:, None]  # [N, C]
-        if isinstance(fmap, Var):
+        gmap = None
+        if d_map:
             acc = np.zeros((H * W, C))
             np.add.at(acc, y0 * W + x0, gv * ((1 - fx) * (1 - fy))[:, None])
             np.add.at(acc, y0 * W + x1, gv * (fx * (1 - fy))[:, None])
             np.add.at(acc, y1 * W + x0, gv * ((1 - fx) * fy)[:, None])
             np.add.at(acc, y1 * W + x1, gv * (fx * fy)[:, None])
-            _accum(fmap, acc.T.reshape(C, H, W))
-        if ddx is not None:
-            _accum(xs, (gv * ddx.T).sum(axis=1))
-        if ddy is not None:
-            _accum(ys, (gv * ddy.T).sum(axis=1))
+            gmap = acc.T.reshape(C, H, W)
+        return (gmap,
+                None if ddx is None else (gv * ddx.T).sum(axis=1),
+                None if ddy is None else (gv * ddy.T).sum(axis=1))
+
+    return out, valid, back
+
+
+def bilinear_gather(fmap, xs, ys):
+    """Bilinear samples of a [C, H, W] map at N continuous (x, y) points.
+
+    x indexes columns (width), y indexes rows (height). Points outside the
+    closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row and
+    valid=False. Differentiable in the map and in both coordinate arrays: a
+    traced call's tape keeps the output and the state of `_bilinear`'s vjp,
+    and an untraced call computes no corner difference.
+
+    Returns (samples [N, C], valid [N] plain bool array).
+    """
+    out, valid, back = _bilinear(val(fmap), val(xs), val(ys),
+                                 isinstance(fmap, Var), is_traced(xs),
+                                 is_traced(ys))
+
+    def vjp(g):
+        for p, d in zip((fmap, xs, ys), back(g)):
+            _accum(p, d)
 
     return _node(out, (fmap, xs, ys), vjp), valid
+
+
+def sample_pool(levels, lanes, weights):
+    """Multi-scale bilinear samples from every camera, pooled with per-cell
+    weights: the sample-weight-sum of multi-scale deformable attention (Zhu
+    et al., arXiv 2010.04159) as one tape node.
+
+    levels[k]: camera k's (stride, [C, h, w] map) per scale j. lanes[i][k]:
+    (idx, x, y), the M cells where camera k sees height i and their pixel
+    coordinates. weights: [N, n_s n_h], column j n_h + i. For each scale j,
+    then height i, the cameras' samples at (x, y) / stride are added into
+    their cells, camera by camera; that camera sum, over the cell's count
+    of valid samples (at least 1), times the weight column, is added to
+    the output. Returns (out [N, C], valid [N] plain count of valid
+    samples over all terms).
+
+    Differentiable in the maps, the coordinates and the weights. An
+    untraced call keeps nothing from one term to the next; a traced call
+    keeps each term's camera sum and denominator and each camera's
+    `_bilinear` vjp, and recomputes the mean for d(weights). Values and
+    gradients are those of the same expressions as separate nodes.
+    """
+    vw = val(weights)
+    n = vw.shape[0]
+    n_h, n_cams, n_s = len(lanes), len(levels), len(levels[0])
+    maps = [fmap for cam in levels for _, fmap in cam]
+    coords = [c for row in lanes for _, x, y in row for c in (x, y)]
+    traced = is_traced(*maps, *coords, weights)
+    c = np.shape(val(maps[0]))[0]
+    out = None
+    valid = np.zeros(n)
+    terms = []
+    for j in range(n_s):
+        for i in range(n_h):
+            feat_sum = np.zeros((n, c))
+            count = np.zeros(n)
+            backs = []
+            for k in range(n_cams):
+                idx, x, y = lanes[i][k]
+                stride, fmap = levels[k][j]
+                rows, ok, back = _bilinear(
+                    val(fmap), val(x) / float(stride), val(y) / float(stride),
+                    isinstance(fmap, Var), isinstance(x, Var),
+                    isinstance(y, Var))
+                feat_sum[idx] += rows
+                count[idx] += ok
+                if traced:
+                    backs.append(back)
+            valid += count
+            denom = np.maximum(count, 1.0)[:, None]
+            term = feat_sum / denom * vw[:, j * n_h + i].reshape(n, 1)
+            out = term if out is None else out + term
+            if traced:
+                terms.append((j, i, feat_sum, denom, backs))
+
+    def vjp(g):
+        dw = np.zeros_like(vw) if isinstance(weights, Var) else None
+        for j, i, feat_sum, denom, backs in terms:
+            col = j * n_h + i
+            if dw is not None:
+                dw[:, col] += (g * (feat_sum / denom)).sum(axis=1)
+            g_sum = g * vw[:, col].reshape(n, 1) / denom
+            for k, back in enumerate(backs):
+                idx, x, y = lanes[i][k]
+                stride, fmap = levels[k][j]
+                dmap, dx, dy = back(g_sum[idx])
+                _accum(fmap, dmap)
+                if dx is not None:
+                    _accum(x, dx / float(stride))
+                if dy is not None:
+                    _accum(y, dy / float(stride))
+        _accum(weights, dw)
+
+    # backward's depth-first walk takes the last parent first: the weights,
+    # then the coordinates from the last height and camera back. The
+    # separate gather, divide, scatter and multiply nodes were reached in
+    # that order too, so the gradients passed upstream add up alike
+    return _node(out, (*maps, *coords, weights), vjp), valid
 
 
 # ---------------------------------------------------------------------------

@@ -623,42 +623,49 @@ def run_oracle_suite(seed=0, n_instances=8):
     ])
 
 
+def check_adaptive_sampling_grad(rng):
+    """Gradients of adaptive sampling, heights included, for the
+    generators, the LiDAR map and one camera's two levels."""
+    params, lidar, pyramids, cams, g = random_vt_instance(
+        rng, C=4, H=8, n_h=2, n_s=2)
+
+    def loss(p, extras):
+        pyr = [FeaturePyramid(((pyramids[0].strides[0], extras["f0"]),
+                               (pyramids[0].strides[1], extras["f1"]))),
+               pyramids[1]]
+        out = adaptive_sample(p, extras["lidar"], pyr, cams, g)
+        return ad.sum_(ad.mul(out.bev, 0.3))
+
+    worst = _gradcheck_tree(
+        loss, params,
+        {"lidar": lidar, "f0": val(pyramids[0].levels[0][1]),
+         "f1": val(pyramids[0].levels[1][1])})
+    return f"worst rel err {worst:.2e}"
+
+
+def check_adaptive_projection_grad(rng):
+    """Gradients of adaptive projection followed by fusion, with the cells
+    and the kernel gradient's rows in several blocks."""
+    params, lidar, pyramids, cams, g = random_vt_instance(
+        rng, C=4, H=8, n_h=2, n_s=1)
+    bev_as = rng.normal(size=(4, 8, 8))
+
+    def loss(p, extras):
+        cam_bev = adaptive_project(p, extras["bev_as"], extras["lidar"])
+        fused = fuse_bev(p, cam_bev, extras["lidar"])
+        return ad.sum_(ad.mul(fused, 0.2))
+
+    # the 64 cells in blocks of 10 (6 x 10 + 4), d(K) one kernel row at a
+    # time
+    with block_bytes(8 * 4 * 4 * 10):
+        worst = _gradcheck_tree(loss, params,
+                                {"bev_as": bev_as, "lidar": lidar})
+    return f"worst rel err {worst:.2e}"
+
+
 def run_grad_suite(seed=0):
     rng = np.random.default_rng(seed)
     grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8))
-
-    def as_path():
-        params, lidar, pyramids, cams, g = random_vt_instance(
-            rng, C=4, H=8, n_h=2, n_s=2)
-
-        def loss(p, extras):
-            pyr = [FeaturePyramid(((pyramids[0].strides[0], extras["f0"]),
-                                   (pyramids[0].strides[1], extras["f1"]))),
-                   pyramids[1]]
-            out = adaptive_sample(p, extras["lidar"], pyr, cams, g)
-            return ad.sum_(ad.mul(out.bev, 0.3))
-
-        worst = _gradcheck_tree(
-            loss, params,
-            {"lidar": lidar, "f0": val(pyramids[0].levels[0][1]),
-             "f1": val(pyramids[0].levels[1][1])})
-        return f"worst rel err {worst:.2e}"
-
-    def ap_and_fuse_path():
-        params, lidar, pyramids, cams, g = random_vt_instance(
-            rng, C=4, H=8, n_h=2, n_s=1)
-        bev_as = rng.normal(size=(4, 8, 8))
-
-        def loss(p, extras):
-            cam_bev = adaptive_project(p, extras["bev_as"], extras["lidar"])
-            fused = fuse_bev(p, cam_bev, extras["lidar"])
-            return ad.sum_(ad.mul(fused, 0.2))
-
-        # the 64 cells in blocks of 10 (6 x 10 + 4)
-        with block_bytes(8 * 4 * 4 * 10):
-            worst = _gradcheck_tree(loss, params,
-                                    {"bev_as": bev_as, "lidar": lidar})
-        return f"worst rel err {worst:.2e}"
 
     def heatmap_path():
         scorer = _rand_linear(rng, 3, 4)
@@ -734,8 +741,10 @@ def run_grad_suite(seed=0):
         return f"worst rel errs {max(w1, w2):.2e}"
 
     return _run_checks([
-        ("grad.adaptive_sampling_incl_heights", as_path),
-        ("grad.adaptive_projection_fusion", ap_and_fuse_path),
+        ("grad.adaptive_sampling_incl_heights",
+         lambda: check_adaptive_sampling_grad(rng)),
+        ("grad.adaptive_projection_fusion",
+         lambda: check_adaptive_projection_grad(rng)),
         ("grad.heatmap_head", heatmap_path),
         ("grad.corner_offsets_position_mixing", decoder_layer_path),
         ("grad.full_decoder_layer", full_layer_path),

@@ -10,11 +10,12 @@ per-cell linear map.
 Sampling gathers image features only where they exist: each (height, camera)
 pair is projected once over every cell, but bilinear lookups, and their
 gradients, run only on the cells that land inside that camera's image (about
-a fifth of them for a surround rig of narrow cameras). Each camera's level is
-gathered inside the (scale, height) loop that pools it, so an untraced call
-holds at most one (scale, height)'s gathered rows. Pooling over cameras,
-heights and scales is vectorized over the H*W cells with a fixed summation
-order.
+a fifth of them for a surround rig of narrow cameras). One tape node,
+`ad.sample_pool`, gathers each camera's level inside the (scale, height) loop
+that pools it and pools over cameras, heights and scales, vectorized over the
+H*W cells with a fixed summation order. An untraced call holds at most one
+(scale, height)'s gathered rows; a traced one keeps one [H*W, C] camera sum
+per (scale, height).
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     feature is the mean over cameras with a valid sample, zero when none.
 
     Each (height, camera) pair is projected once, keeping only the M lanes
-    that land in front of the camera and inside its image. Each camera's
-    level is gathered at those lanes inside the (scale, height) loop that
-    pools it: the [M, C] rows are scattered into the dense camera sum,
-    cameras in a fixed order, so an untraced call holds at most one
-    (scale, height)'s rows. Backward touches only the gathered lanes too.
+    that land in front of the camera and inside its image. `ad.sample_pool`
+    gathers every camera's levels at those lanes and pools them in one tape
+    node, so neither the gathered rows nor the pooling's intermediate
+    [N, C] maps stay on the tape. Backward touches only the gathered lanes
+    too.
     """
     if len(pyramids) != len(cams):
         raise ValueError("one pyramid per camera required")
@@ -110,36 +111,17 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     X, Y = grid.cell_centers_flat()
     N = X.size
 
-    lanes = {}
+    lanes = []
     for i in range(n_h):
         z = ad.getitem(heights, (slice(None), i))
+        row = []
         for k in range(n_cams):
             x_px, y_px, proj_ok = project_heights(cams[k], X, Y, z)
             idx = np.flatnonzero(proj_ok)
-            lanes[i, k] = idx, ad.getitem(x_px, idx), ad.getitem(y_px, idx)
-
-    out = None
-    valid_total = np.zeros(N)
-    for j in range(n_s):
-        for i in range(n_h):
-            idxs, rows = [], []
-            count = np.zeros(N)
-            for k in range(n_cams):
-                idx, x_in, y_in = lanes[i, k]
-                stride, fmap = pyramids[k].levels[j]
-                feats, ok = ad.bilinear_gather(
-                    fmap, ad.div(x_in, float(stride)),
-                    ad.div(y_in, float(stride)))
-                idxs.append(idx)
-                rows.append(feats)
-                count[idx] += ok
-            valid_total += count
-            feat_sum = ad.scatter_rows(N, idxs, rows)
-            denom = np.maximum(count, 1.0)[:, None]
-            point_feat = ad.div(feat_sum, denom)
-            w_col = ad.getitem(weights, (slice(None), j * n_h + i))
-            term = ad.mul(point_feat, ad.reshape(w_col, (N, 1)))
-            out = term if out is None else ad.add(out, term)
+            row.append((idx, ad.getitem(x_px, idx), ad.getitem(y_px, idx)))
+        lanes.append(row)
+    out, valid_total = ad.sample_pool([p.levels for p in pyramids], lanes,
+                                      weights)
 
     return VtOutput(
         bev=cells_to_chw(out, H, W),

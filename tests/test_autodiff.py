@@ -201,7 +201,8 @@ def test_dynamic_filter_grads(rng, monkeypatch):
 
 def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
     # adaptive projection at the default grid: the dense [32400, 1024]
-    # kernels take 265 MB, twice over (the product, then the bias added)
+    # kernels take 265 MB, twice over (the product, then the bias added),
+    # and so does their gradient d(K)
     n, c = 32400, 32
     x, z = rng.normal(size=(2, n, c))
     w, b = rng.normal(size=(c * c, c)), rng.normal(size=c * c)
@@ -210,6 +211,13 @@ def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
         ad.dynamic_filter(x, z, w, b)
     # one block of kernels and the output
     assert forward.peak < ad._BLOCK_BYTES + 2 * x.nbytes < dense / 20
+    # the generator's gradients, as in a fit (whose LiDAR rows are plain):
+    # one block of d(K) columns at a time
+    out = ad.dynamic_filter(x, z, ad.Var(w), ad.Var(b))
+    g = np.ones(out.data.shape)
+    with tracemalloc_peak() as backward:
+        out._vjp(g)
+    assert backward.peak < ad._BLOCK_BYTES + x.nbytes < dense / 20
 
 
 def test_layer_norm_grad(rng):

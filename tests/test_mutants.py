@@ -12,8 +12,9 @@ from bevlab import verify
 from bevlab.geometry import BevGrid
 
 _attention_blocks = ad._attention_blocks
-_bilinear_gather = ad.bilinear_gather
-_scatter_rows = ad.scatter_rows
+_bilinear = ad._bilinear
+_kernel_row_blocks = ad._kernel_row_blocks
+_sample_pool = ad.sample_pool
 _adaptive_sample = verify.adaptive_sample
 _decoder_layer = verify.decoder_layer
 
@@ -27,12 +28,20 @@ def shift_a_blocks_head_by_one(h, nq, nk):
     return [(slice(hs.start + 1, hs.stop + 1), b), *rest]
 
 
-def scatter_without_last_block(n, idxs, parts):
-    return _scatter_rows(n, idxs[:-1], parts[:-1])
+def pool_without_last_camera(levels, lanes, weights):
+    return _sample_pool(levels[:-1], [row[:-1] for row in lanes], weights)
 
 
-def gather_at_half_coordinates(fmap, xs, ys):
-    return _bilinear_gather(fmap, ad.mul(xs, 0.5), ad.mul(ys, 0.5))
+def gather_at_half_coordinates(vf, vx, vy, *flags):
+    return _bilinear(vf, vx * 0.5, vy * 0.5, *flags)
+
+
+def pool_without_d_weights(levels, lanes, weights):
+    return _sample_pool(levels, lanes, ad.val(weights))
+
+
+def kernel_rows_without_last_block(n, c):
+    return _kernel_row_blocks(n, c)[:-1]
 
 
 def with_nan_lane(a):
@@ -75,11 +84,17 @@ MUTANTS = {
         ad, "_attention_blocks", shift_a_blocks_head_by_one,
         grad_attention, "gradient rel err"),
     "vt-pool-drops-last-camera": (
-        ad, "scatter_rows", scatter_without_last_block,
+        ad, "sample_pool", pool_without_last_camera,
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-at-wrong-stride": (
-        ad, "bilinear_gather", gather_at_half_coordinates,
+        ad, "_bilinear", gather_at_half_coordinates,
         verify.check_vt_equivalence, "max deviation"),
+    "vt-pool-vjp-without-d-weights": (
+        ad, "sample_pool", pool_without_d_weights,
+        verify.check_adaptive_sampling_grad, "gradient rel err"),
+    "dynamic-filter-vjp-skips-last-kernel-rows": (
+        ad, "_kernel_row_blocks", kernel_rows_without_last_block,
+        verify.check_adaptive_projection_grad, "gradient rel err"),
     "vt-equivalence-nan-cell": (
         verify, "adaptive_sample", sample_with_a_nan_cell,
         verify.check_vt_equivalence, "max deviation nan"),

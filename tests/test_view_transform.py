@@ -84,17 +84,17 @@ class TestGenerateHeights:
 class TestCompaction:
     def test_gathers_only_projection_valid_lanes(self, rng, monkeypatch):
         # guards the compaction: a dense gather would pass every cell to
-        # bilinear_gather for every (height, camera, level)
+        # the bilinear gather for every (height, camera, level)
         params, lidar, pyramids, cams, grid = random_vt_instance(
             rng, C=3, H=12, n_h=3, n_s=2, n_cams=2, ring=6)
         lookups = []
-        orig = ad.bilinear_gather
+        orig = ad._bilinear
 
-        def counting(fmap, xs, ys):
-            lookups.append(np.size(val(xs)))
-            return orig(fmap, xs, ys)
+        def counting(vf, vx, *args):
+            lookups.append(np.size(vx))
+            return orig(vf, vx, *args)
 
-        monkeypatch.setattr(ad, "bilinear_gather", counting)
+        monkeypatch.setattr(ad, "_bilinear", counting)
         out = adaptive_sample(params, lidar, pyramids, cams, grid)
 
         X, Y = grid.cell_centers_flat()
@@ -124,6 +124,25 @@ class TestCompaction:
                 adaptive_sample(params, lidar, pyramids, scene.cameras, grid)
             peaks.append(mem.peak)
         assert peaks[1] < 1.8 * peaks[0]
+
+    def test_traced_tape_keeps_one_map_per_scale_and_height(self, rng):
+        # a traced call's tape holds, per (scale, height) term, the camera
+        # sum and each camera's gather vjp state, beside the projections:
+        # 5.6 [N, C] maps per term at C = 32, and 9.6 when every term kept
+        # its gathered rows and four dense [N, C] maps
+        grid = BevGrid((-54.0, 54.0), (-54.0, 54.0), (-5.0, 3.0), (48, 48))
+        scene = make_scene(SceneConfig(grid, channels=32), seed=0)
+        lidar = rasterize_lidar_bev(scene, grid)
+        pyramids = render_camera_features(scene, grid, (4, 8))
+        params = ad.lift_tree(VtParams(
+            height_gen=LinearMap(rng.normal(0, 0.3, (4, 32)), np.zeros(4)),
+            weight_gen=LinearMap(rng.normal(0, 0.3, (8, 32)), np.zeros(8)),
+            kernel_gen=zero_linear(32 * 32, 32),
+            fuse=zero_linear(32, 64)))[0]
+        with tracemalloc_peak() as mem:
+            out = adaptive_sample(params, lidar, pyramids, scene.cameras, grid)
+        assert isinstance(out.bev, ad.Var)
+        assert mem.retained < 7 * 8 * (48 * 48 * 32 * 8)
 
 
 class TestAdaptiveSample:
@@ -225,12 +244,26 @@ class TestAdaptiveProject:
         w = rng.normal(size=(C, H, H))
         results = []
         for project in (adaptive_project, dense_adaptive_project):
-            lifted, leaves = ad.lift_tree((p, bev, lidar))
+            lifted = ad.lift_tree((p, bev, lidar))[0]
             out = project(*lifted)
             ad.sum_(ad.mul(out, w)).backward()
-            results.append([out.data] + [v.grad for v in leaves])
-        for a, b in zip(*results):
-            assert np.array_equal(a, b)
+            kernel_gen = lifted[0].kernel_gen
+            results.append({"out": out.data, "d_bev": lifted[1].grad,
+                            "d_kernel_b": kernel_gen.bias.grad,
+                            "d_kernel_w": kernel_gen.weight.grad,
+                            "d_lidar": lifted[2].grad})
+        # d(lidar) adds up d(K) @ w over blocks of kernel rows. d(w) takes
+        # each block's columns from one product: at the budget's wide
+        # blocks they equal the whole product's columns, but 4-column
+        # blocks go through a small-matrix BLAS kernel that sums them in
+        # another order
+        near = {"d_lidar"} if rows is None else {"d_lidar", "d_kernel_w"}
+        fast, dense = results
+        for name in fast:
+            if name in near:
+                assert np.max(np.abs(fast[name] - dense[name])) < 1e-12, name
+            else:
+                assert np.array_equal(fast[name], dense[name]), name
 
     def test_shape_mismatch(self, rng):
         p = self.make_params(2, zero_linear(4, 2))

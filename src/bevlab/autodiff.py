@@ -125,10 +125,8 @@ def add(a, b):
     y = va + vb
 
     def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g, np.shape(va)))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(g, np.shape(vb)))
+        _accum(a, _unbroadcast(g, np.shape(va)))
+        _accum(b, _unbroadcast(g, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -138,10 +136,8 @@ def sub(a, b):
     y = va - vb
 
     def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g, np.shape(va)))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(-g, np.shape(vb)))
+        _accum(a, _unbroadcast(g, np.shape(va)))
+        _accum(b, _unbroadcast(-g, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -151,10 +147,8 @@ def mul(a, b):
     y = va * vb
 
     def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g * vb, np.shape(va)))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(g * va, np.shape(vb)))
+        _accum(a, _unbroadcast(g * vb, np.shape(va)))
+        _accum(b, _unbroadcast(g * va, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -164,10 +158,8 @@ def div(a, b):
     y = va / vb
 
     def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g / vb, np.shape(va)))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(-g * va / (vb * vb), np.shape(vb)))
+        _accum(a, _unbroadcast(g / vb, np.shape(va)))
+        _accum(b, _unbroadcast(-g * va / (vb * vb), np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -267,10 +259,8 @@ def where_mask(mask, a, b):
     y = np.where(m, va, vb)
 
     def vjp(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g * m, np.shape(va)))
-        if isinstance(b, Var):
-            _accum(b, _unbroadcast(g * ~m, np.shape(vb)))
+        _accum(a, _unbroadcast(g * m, np.shape(va)))
+        _accum(b, _unbroadcast(g * ~m, np.shape(vb)))
 
     return _node(y, (a, b), vjp)
 
@@ -287,16 +277,12 @@ def matmul(a, b):
 
     if na == 2 and nb == 2:
         def vjp(g):
-            if isinstance(a, Var):
-                _accum(a, g @ vb.T)
-            if isinstance(b, Var):
-                _accum(b, va.T @ g)
+            _accum(a, g @ vb.T)
+            _accum(b, va.T @ g)
     elif na == 3 and nb == 3:
         def vjp(g):
-            if isinstance(a, Var):
-                _accum(a, np.matmul(g, vb.swapaxes(-1, -2)))
-            if isinstance(b, Var):
-                _accum(b, np.matmul(va.swapaxes(-1, -2), g))
+            _accum(a, np.matmul(g, vb.swapaxes(-1, -2)))
+            _accum(b, np.matmul(va.swapaxes(-1, -2), g))
     else:
         raise ValueError(f"unsupported matmul ranks: {na} @ {nb}")
 
@@ -514,12 +500,14 @@ def dynamic_filter(x, z, w, b):
     The vjp regenerates each block's kernels for that block's d(x). It
     never holds the [N, C²] d(K), whose column i C + j is x[:, i] g[:, j]:
     it makes the columns of one block of `_kernel_row_blocks` at a time and
-    reduces them into d(b) and d(w), each column summing all N rows in one
-    product. So d(x) and d(b) equal the dense composition's bit for bit,
-    and d(w) does wherever BLAS gives a block of columns the values of
-    those columns of the whole product (OpenBLAS does for the budget's
-    blocks; 4-column blocks differ by ~4e-15). d(z) adds up the blocks'
-    products, so it differs from the dense d(K) @ w in the last bits.
+    reduces them into d(b) and the matching rows of d(w), each summing all
+    N rows in one product. So d(x) and d(b) equal the dense composition's
+    bit for bit, and d(w) does wherever BLAS gives a block's rows the values
+    of those rows of the whole product. OpenBLAS does, for blocks of 4 to
+    640 columns, when the block is taken as d(K)ᵀ @ z; taken as zᵀ @ d(K),
+    its small-matrix kernel gave a 4-column block other last bits (~4e-15).
+    d(z) adds up the blocks' products, so it differs from the dense
+    d(K) @ w in the last bits.
     """
     vx = np.ascontiguousarray(val(x))
     vz, vw, vb = val(z), val(w), val(b)
@@ -556,7 +544,7 @@ def dynamic_filter(x, z, w, b):
         if not is_traced(z, w, b):
             return
         db = np.empty(c * c, dtype=out.dtype)
-        dwt = np.empty((vw.shape[1], c * c), dtype=out.dtype)
+        dw = np.empty(vw.shape, dtype=out.dtype)
         dz = np.zeros(np.shape(vz), dtype=out.dtype) if is_traced(z) else None
         for rows in _kernel_row_blocks(n, c):
             cols = slice(rows.start * c, rows.stop * c)
@@ -565,12 +553,12 @@ def dynamic_filter(x, z, w, b):
             if is_traced(b):
                 db[cols] = dkb.sum(axis=0)
             if is_traced(w):
-                dwt[:, cols] = vz.T @ dkb
+                dw[cols] = dkb.T @ vz
             if dz is not None:
                 dz += dkb @ vw[cols]
             del dkb  # before the next block's columns are made
         _accum(b, db)
-        _accum(w, dwt.T)
+        _accum(w, dw)
         _accum(z, dz)
 
     return _node(out, (x, z, w, b), vjp)

@@ -230,12 +230,15 @@ class TestAdaptiveProject:
         # row-vector times matrix: [1, 2] x [[0, 1], [1, 0]] = [2, 1]
         assert np.allclose(out[:, 0, 0], [2.0, 1.0])
 
-    @pytest.mark.parametrize("C, H, rows", [(4, 6, 7), (32, 40, None)])
+    @pytest.mark.parametrize("C, H, rows",
+                             [(4, 6, 7), (32, 40, 64), (32, 40, None)])
     def test_equals_the_dense_chain_bit_for_bit(self, rng, monkeypatch,
                                                 C, H, rows):
         # rows per block: 7 splits 36 cells as 4 x 7 + 8 (the one-row tail
-        # joins the last block); None keeps the budget, which splits 1,600
-        # cells at C = 32 as 1,024 + 576
+        # joins the last block) and d(K) into 4-column blocks; 64 splits
+        # 1,600 cells as 25 x 64 and d(K) into blocks of one kernel row (32
+        # columns), as a DEFAULTS fit does; None keeps the budget, which
+        # splits the cells as 1,024 + 576 and d(K) as 640 + 384 columns
         if rows is not None:
             monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * C * C * rows)
         p = self.make_params(C, LinearMap(rng.normal(size=(C * C, C)),
@@ -252,15 +255,11 @@ class TestAdaptiveProject:
                             "d_kernel_b": kernel_gen.bias.grad,
                             "d_kernel_w": kernel_gen.weight.grad,
                             "d_lidar": lifted[2].grad})
-        # d(lidar) adds up d(K) @ w over blocks of kernel rows. d(w) takes
-        # each block's columns from one product: at the budget's wide
-        # blocks they equal the whole product's columns, but 4-column
-        # blocks go through a small-matrix BLAS kernel that sums them in
-        # another order
-        near = {"d_lidar"} if rows is None else {"d_lidar", "d_kernel_w"}
+        # d(lidar) adds up d(K) @ w over blocks of kernel rows, so only it
+        # may differ in the last bits
         fast, dense = results
         for name in fast:
-            if name in near:
+            if name == "d_lidar":
                 assert np.max(np.abs(fast[name] - dense[name])) < 1e-12, name
             else:
                 assert np.array_equal(fast[name], dense[name]), name

@@ -392,9 +392,10 @@ def softmax(a):
 # head at a time, so a block rereads only that head's keys and values: 2 MB
 # at 32,400 keys and dh = 4, where all 8 heads' take 17 MB. For that
 # [8, 300, 32,400] cross-attention on a 2-vCPU host (2 MiB of L2 per core),
-# per-head budgets of 256 KiB to 4 MiB made the forward 1.12-1.66x as slow
-# as 8 MiB, and 16 MiB made it 0.94x but its vjp 1.43x. `dynamic_filter`
-# runs as fast in blocks of 128 to 2,048 rows.
+# with each block's [rows, dh] product divided by its row sums, per-head
+# budgets of 1 to 4 MiB made the forward 1.07-1.36x as slow as 8 MiB and
+# 256 KiB 2.0-2.3x; 16 MiB made it 0.97-1.10x and its vjp 1.57-1.62x.
+# `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
 _BLOCK_BYTES = 8 * 2**20
 
 
@@ -415,16 +416,25 @@ def attention(q, k, v):
 
     q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
     Returns [h, Nq, dh]. Each row's softmax is independent, so the forward
-    finishes one block of `_attention_blocks` (scores, max, exp, normalize,
-    times v) before it starts the next, and keeps only each row's max and
-    sum. The plan has two regimes. When all heads' scores fit in the
-    budget, one block covers every head and row, and the values and
+    finishes one block of `_attention_blocks` before it starts the next,
+    and keeps only each row's max and sum. The plan has two regimes. When
+    all heads' scores fit in the budget, one block covers every head and
+    row and takes e = exp(s - max), then (e / sum) @ v, so values and
     gradients equal the dense softmax's bit for bit. Otherwise a block is
     one head's budget // (8 Nk) query rows, so it reads only that head's k
-    and v, which then stay in cache from block to block. The vjp walks the
-    same plan: it recomputes each block's probabilities from the kept max
-    and sum, writes that block's dq and adds its share to that head's dk
-    and dv, holding at most three blocks at a time.
+    and v, which then stay in cache from block to block; it takes
+    (e @ v) / sum, dividing the [rows, dh] product instead of the
+    [rows, Nk] block (as FlashAttention does; Dao et al., arXiv
+    2205.14135), and its values differ from the dense softmax's in the
+    last bits.
+
+    So the heads of one call are independent bit for bit only within one
+    regime: a head of a many-head call in row blocks may differ in the last
+    bits from the same head called alone in one block. The vjp is the same
+    in both regimes: it walks the plan, recomputes each block's
+    probabilities from the kept max and sum, writes that block's dq and
+    adds its share to that head's dk and dv, holding at most three blocks
+    at a time.
     """
     vq = val(q)
     h, nq, _ = vq.shape
@@ -441,14 +451,18 @@ def attention(q, k, v):
     row_max = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
     blocks = _attention_blocks(h, nq, nk)
+    dense = len(blocks) == 1
     for hs, b in blocks:
         s = np.matmul(vq[hs, b], kt[hs])
         row_max[hs, b] = s.max(axis=-1, keepdims=True)
         s -= row_max[hs, b]
         np.exp(s, out=s)
         row_sum[hs, b] = s.sum(axis=-1, keepdims=True)
-        s /= row_sum[hs, b]
-        out[hs, b] = np.matmul(s, vv[hs])
+        if dense:  # the dense softmax's probabilities, then times v
+            s /= row_sum[hs, b]
+            out[hs, b] = np.matmul(s, vv[hs])
+        else:  # divide the [rows, dh] product, not the [rows, Nk] block
+            out[hs, b] = np.matmul(s, vv[hs]) / row_sum[hs, b]
         del s  # before the next block's scores are made
 
     def vjp(g):
@@ -604,16 +618,37 @@ def _bilinear(vf, vx, vy, d_map, d_x, d_y):
     y1 = np.minimum(y0 + 1, H - 1)
     fx = xc - x0
     fy = yc - y0
+    gx = 1 - fx
+    gy = 1 - fy
 
     v00 = vf[:, y0, x0]  # [C, N]
     v01 = vf[:, y0, x1]
     v10 = vf[:, y1, x0]
     v11 = vf[:, y1, x1]
-    out = (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
-           + v10 * (1 - fx) * fy + v11 * fx * fy)
-    out = (out * valid).T  # [N, C]
-    ddx = (v01 - v00) * (1 - fy) + (v11 - v10) * fy if d_x else None
-    ddy = (v10 - v00) * (1 - fx) + (v11 - v01) * fx if d_y else None
+    # (v00 gx) gy + (v01 fx) gy + (v10 gx) fy + (v11 fx) fy, added left to
+    # right, each corner term made in one scratch array
+    out = np.multiply(v00, gx)
+    out *= gy
+    term = np.empty_like(out)
+    for v, wx, wy in ((v01, fx, gy), (v10, gx, fy), (v11, fx, fy)):
+        np.multiply(v, wx, out=term)
+        term *= wy
+        out += term
+    out *= valid
+    out = out.T  # [N, C]
+    ddx = ddy = None
+    if d_x:  # (v01 - v00) gy + (v11 - v10) fy
+        ddx = np.subtract(v01, v00)
+        ddx *= gy
+        np.subtract(v11, v10, out=term)
+        term *= fy
+        ddx += term
+    if d_y:  # (v10 - v00) gx + (v11 - v01) fx
+        ddy = np.subtract(v10, v00)
+        ddy *= gx
+        np.subtract(v11, v01, out=term)
+        term *= fx
+        ddy += term
 
     def back(g):
         gv = g * valid[:, None]  # [N, C]

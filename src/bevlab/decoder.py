@@ -18,9 +18,13 @@ whose softmax attention (`autodiff.attention`) works one block of scores
 at a time: memory grows with queries + keys, not their product, so
 `standard` never holds the [heads, queries, cells] scores (1.9 GB at the
 default 8 heads, 900 queries and 32,400 cells). Scores that fit the block
-budget, such as a 300-query self-attention, form one block over all heads.
-Larger ones go one head at a time, in blocks of 32 query rows over 32,400
-cells, so each block rereads only its own head's keys and values.
+budget, such as a 300-query self-attention, form one block over all heads
+and equal the dense softmax bit for bit. Larger ones, such as the default
+900-query self-attention, go one head at a time, in blocks of 32 query rows
+over 32,400 cells, so each block rereads only its own head's keys and
+values; such a block divides its [rows, dh] product by the softmax sums
+instead of its [rows, cells] exponentials, and differs from the dense
+softmax in the last bits.
 
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.

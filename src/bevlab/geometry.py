@@ -170,13 +170,17 @@ def project_heights(cam: CameraModel, X, Y, Z):
     """Vectorized projection of (X[N], Y[N], Z[N]) world points.
 
     X and Y are plain arrays (cell centers); Z may be traced, so the pixel
-    coordinates stay differentiable in Z. Returns (x_px, y_px, valid) where
-    valid is a plain bool array.
+    coordinates stay differentiable in Z. A camera-frame coordinate whose
+    rotation row has no Z term (R[i, 2] == 0) cannot depend on Z, so it is
+    computed from the plain Z by the same expression, with the same values.
+    For a level camera, as every camera of `scene_sim.camera_ring` is, x_px
+    is then a plain array and only y_px is traced, and a gather at these
+    points keeps no d/dx. Returns (x_px, y_px, valid) where valid is a
+    plain bool array.
     """
     R, t = cam.rotation, cam.translation
-    xc = ad.add(ad.mul(Z, R[0, 2]), R[0, 0] * X + R[0, 1] * Y + t[0])
-    yc = ad.add(ad.mul(Z, R[1, 2]), R[1, 0] * X + R[1, 1] * Y + t[1])
-    zc = ad.add(ad.mul(Z, R[2, 2]), R[2, 0] * X + R[2, 1] * Y + t[2])
+    xc, yc, zc = (ad.add(ad.mul(val(Z) if R[i, 2] == 0.0 else Z, R[i, 2]),
+                         R[i, 0] * X + R[i, 1] * Y + t[i]) for i in range(3))
     depth_ok = val(zc) > NEAR_PLANE
     # keep the division finite where depth is invalid; those lanes are masked
     zc_safe = ad.where_mask(depth_ok, zc, np.ones_like(val(zc)))

@@ -31,8 +31,8 @@ from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       gaussian_focal_loss, l1_encoded,
                       _corner_points_batch, _initial_state, _mha,
                       _position_aware_mix_batch, corner_sample)
-from .geometry import (BevGrid, FeaturePyramid, project_heights,
-                       project_to_image, world_to_cell)
+from .geometry import (BevGrid, CameraModel, FeaturePyramid,
+                       project_heights, project_to_image, world_to_cell)
 from .query_select import (GroupSpec, gaussian_target, predict_heatmaps,
                            topk_keypoints)
 from .scene_sim import SceneConfig, camera_ring, make_scene
@@ -283,6 +283,21 @@ def random_vt_instance(rng, C=None, H=None, n_h=None, n_s=None, n_cams=2,
                        for s in strides)
         pyramids.append(FeaturePyramid(levels))
     return params, lidar, pyramids, cams, grid
+
+
+def pitch_camera(cam: CameraModel, deg):
+    """cam with its optical axis tilted down by deg about its own x axis,
+    from the same center. A `camera_ring` camera is level, so its pixel x
+    does not depend on a point's height; a pitched one's does, through the
+    depth."""
+    a = math.radians(deg)
+    tilt = np.array([[1.0, 0.0, 0.0],
+                     [0.0, math.cos(a), -math.sin(a)],
+                     [0.0, math.sin(a), math.cos(a)]])
+    center = -cam.rotation.T @ cam.translation
+    rotation = tilt @ cam.rotation
+    return CameraModel(cam.intrinsics, rotation, -rotation @ center,
+                       cam.image_size)
 
 
 def _tiny_decoder_params(rng, C=4, n_p=4, n_layers=1, n_heads=2, n_classes=3):
@@ -625,9 +640,13 @@ def run_oracle_suite(seed=0, n_instances=8):
 
 def check_adaptive_sampling_grad(rng):
     """Gradients of adaptive sampling, heights included, for the
-    generators, the LiDAR map and one camera's two levels."""
+    generators, the LiDAR map and one camera's two levels. The second
+    camera is pitched down 5 degrees, so that its pixel x depends on the
+    heights too (a level camera's does not) and the gather's d/dx is
+    checked."""
     params, lidar, pyramids, cams, g = random_vt_instance(
         rng, C=4, H=8, n_h=2, n_s=2)
+    cams = (cams[0], pitch_camera(cams[1], 5.0))
 
     def loss(p, extras):
         pyr = [FeaturePyramid(((pyramids[0].strides[0], extras["f0"]),

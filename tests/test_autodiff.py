@@ -165,6 +165,55 @@ def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
         assert np.array_equal(a, b)
 
 
+def _attention_and_grads(base, w, dense=False):
+    """Output and q, k, v gradients of sum(attention(q, k, v) * w), by
+    ``ad.attention`` or by the dense composition softmax(q kᵀ) v."""
+    q, k, v = (ad.Var(x) for x in base)
+    if dense:
+        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
+        out = ad.matmul(ad.softmax(scores), v)
+    else:
+        out = ad.attention(q, k, v)
+    ad.sum_(ad.mul(out, w)).backward()
+    return [out.data, q.grad, k.grad, v.grad]
+
+
+def test_attention_in_row_blocks_is_the_dense_softmax(rng, monkeypatch):
+    # per head, 40 query rows over 600 keys in blocks of 15 (15 + 15 + 10),
+    # each block's product divided by its row sums
+    h, nq, nk, dh = 2, 40, 600, 4
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * 15)
+    blocks = ad._attention_blocks(h, nq, nk)
+    assert len(blocks) == 6 and nq % blocks[0][1].stop
+    base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
+    w = rng.normal(size=(h, nq, dh))
+    for a, b in zip(_attention_and_grads(base, w),
+                    _attention_and_grads(base, w, dense=True)):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_attention_block_plans_of_the_default_model():
+    # the default 900-query self-attention and the [8, 300, 32,400]
+    # cross-attention of `standard` mode run in row blocks
+    assert len(ad._attention_blocks(8, 900, 900)) > 1
+    assert len(ad._attention_blocks(8, 300, 32400)) > 1
+
+
+def test_attention_heads_agree_across_the_block_regimes(rng):
+    # each head of an 8-head 900x900 call (row blocks) against its 1-head
+    # call (one block over all its rows)
+    h, n, dh = 8, 900, 4
+    assert len(ad._attention_blocks(h, n, n)) > 1
+    assert len(ad._attention_blocks(1, n, n)) == 1
+    base = [rng.normal(size=(h, n, dh)) for _ in range(3)]
+    w = rng.normal(size=(h, n, dh))
+    whole = _attention_and_grads(base, w)
+    for i in range(h):
+        one = _attention_and_grads([x[i:i + 1] for x in base], w[i:i + 1])
+        for a, b in zip(whole, one):
+            assert np.max(np.abs(a[i:i + 1] - b)) < 1e-12
+
+
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "row-blocks"])
 def test_attention_heads_are_independent_bit_for_bit(rng, monkeypatch, rows):
     # each head of a 3-head call against a 1-head call on its slices: in one

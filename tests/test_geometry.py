@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from bevlab import autodiff as ad
 from bevlab.geometry import (BevGrid, CameraModel, FeaturePyramid,
                              project_heights, project_to_image, world_to_cell)
-from bevlab.verify import cell_to_world
+from bevlab.scene_sim import camera_ring
+from bevlab.verify import cell_to_world, pitch_camera
+from helpers import gradcheck
 
 
 def make_camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, R=None, t=None,
@@ -123,6 +126,35 @@ class TestCameraModel:
             assert ok[i] == ok1
             if ok1:
                 assert abs(xs[i] - x1) < 1e-12 and abs(ys[i] - y1) < 1e-12
+
+    def test_level_camera_traces_only_the_height_row(self, rng):
+        # a ring camera's rows right and forward have no Z term: its pixel
+        # x is a plain array, and traced heights change no value
+        cam = camera_ring(6, (64, 64), 70.0, 1.8)[1]
+        X, Y = rng.uniform(-6, 6, size=(2, 200))
+        Z = rng.uniform(-3, 3, size=200)
+        x, y, ok = project_heights(cam, X, Y, ad.Var(Z))
+        x0, y0, ok0 = project_heights(cam, X, Y, Z)
+        assert not isinstance(x, ad.Var) and isinstance(y, ad.Var)
+        assert ok.any() and np.array_equal(ok, ok0)
+        assert np.array_equal(x, x0) and np.array_equal(y.data, y0)
+
+    def test_pitched_camera_traces_x(self, rng):
+        cam = pitch_camera(camera_ring(6, (64, 64), 70.0, 1.8)[1], 5.0)
+        X, Y = rng.uniform(-6, 6, size=(2, 200))
+        Z = rng.uniform(-3, 3, size=200)
+        _, _, ok = project_heights(cam, X, Y, Z)
+        assert ok.sum() > 20
+        X, Y, Z = X[ok], Y[ok], Z[ok]
+        x, y, _ = project_heights(cam, X, Y, ad.Var(Z))
+        assert isinstance(x, ad.Var) and isinstance(y, ad.Var)
+        wx, wy = rng.normal(size=(2, Z.size))
+
+        def loss(t):
+            x, y, _ = project_heights(cam, X, Y, t["Z"])
+            return ad.add(ad.sum_(ad.mul(x, wx)), ad.sum_(ad.mul(y, wy)))
+
+        gradcheck(loss, {"Z": Z})
 
 
 class TestFeaturePyramid:

@@ -11,6 +11,7 @@ from bevlab import autodiff as ad
 from bevlab import verify
 from bevlab.geometry import BevGrid
 
+_attention = ad.attention
 _attention_blocks = ad._attention_blocks
 _bilinear = ad._bilinear
 _kernel_row_blocks = ad._kernel_row_blocks
@@ -34,6 +35,24 @@ def pool_without_last_camera(levels, lanes, weights):
 
 def gather_at_half_coordinates(vf, vx, vy, *flags):
     return _bilinear(vf, vx * 0.5, vy * 0.5, *flags)
+
+
+def gather_with_negated_d_dx(vf, vx, vy, *flags):
+    out, valid, back = _bilinear(vf, vx, vy, *flags)
+
+    def negated(g):
+        gmap, dx, dy = back(g)
+        return gmap, None if dx is None else -dx, dy
+
+    return out, valid, negated
+
+
+def attention_vjp_of_minus_g(q, k, v):
+    out = _attention(q, k, v)
+    if isinstance(out, ad.Var):
+        vjp = out._vjp
+        out._vjp = lambda g: vjp(-g)
+    return out
 
 
 def pool_without_d_weights(levels, lanes, weights):
@@ -83,12 +102,18 @@ MUTANTS = {
     "attention-shift-block-head": (
         ad, "_attention_blocks", shift_a_blocks_head_by_one,
         grad_attention, "gradient rel err"),
+    "attention-vjp-of-minus-g": (
+        ad, "attention", attention_vjp_of_minus_g,
+        grad_attention, "gradient rel err"),
     "vt-pool-drops-last-camera": (
         ad, "sample_pool", pool_without_last_camera,
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-at-wrong-stride": (
         ad, "_bilinear", gather_at_half_coordinates,
         verify.check_vt_equivalence, "max deviation"),
+    "vt-gather-vjp-negates-d-dx": (
+        ad, "_bilinear", gather_with_negated_d_dx,
+        verify.check_adaptive_sampling_grad, "gradient rel err"),
     "vt-pool-vjp-without-d-weights": (
         ad, "sample_pool", pool_without_d_weights,
         verify.check_adaptive_sampling_grad, "gradient rel err"),

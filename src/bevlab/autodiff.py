@@ -385,12 +385,11 @@ def softmax(a):
 # bytes of one block of float64 intermediates in the blocked ops: the scores
 # of `attention`, and the generated kernels of `dynamic_filter` (a block of
 # cells) and the columns of its kernel gradient (a block of kernel rows).
-# 8 MiB keeps the [8, 300, 300] self-attention of a 300-query model in one
-# block, where values and gradients equal the dense softmax's bit for bit,
-# so fits follow the same trajectory (a last-bit change can flip a top-k
-# query choice a few steps later). Past one block, `attention` works one
-# head at a time, so a block rereads only that head's keys and values: 2 MB
-# at 32,400 keys and dh = 4, where all 8 heads' take 17 MB. For that
+# 8 MiB holds the [8, 300, 300] scores of a 300-query model's
+# self-attention, which then keeps the dense softmax's bits, so fits follow
+# the same trajectory (a last-bit change can flip a top-k query choice a few
+# steps later). A block of `attention` rereads one head's keys and values:
+# 2 MB at 32,400 keys and dh = 4, where all 8 heads' take 17 MB. For that
 # [8, 300, 32,400] cross-attention on a 2-vCPU host (2 MiB of L2 per core),
 # with each block's [rows, dh] product divided by its row sums, per-head
 # budgets of 1 to 4 MiB made the forward 1.07-1.36x as slow as 8 MiB and
@@ -402,10 +401,8 @@ _BLOCK_BYTES = 8 * 2**20
 def _attention_blocks(h, nq, nk):
     """Block plan of ``attention`` for h heads, nq query rows and nk keys:
     a list of (head slice, row slice) pairs covering every (head, row) once.
-    One block over all heads and rows when their scores fit in the budget;
-    otherwise one head times budget // (8 nk) query rows per block."""
-    if 8 * h * nq * nk <= _BLOCK_BYTES:
-        return [(slice(0, h), slice(0, nq))]
+    A block is one head times budget // (8 nk) query rows (at least one, at
+    most nq), so one head's [rows, nk] scores fit in the budget."""
     step = max(1, _BLOCK_BYTES // (8 * nk))
     return [(slice(i, i + 1), slice(lo, min(lo + step, nq)))
             for i in range(h) for lo in range(0, nq, step)]
@@ -417,21 +414,22 @@ def attention(q, k, v):
     q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
     Returns [h, Nq, dh]. Each row's softmax is independent, so the forward
     finishes one block of `_attention_blocks` before it starts the next,
-    and keeps only each row's max and sum. The plan has two regimes. When
-    all heads' scores fit in the budget, one block covers every head and
-    row and takes e = exp(s - max), then (e / sum) @ v, so values and
-    gradients equal the dense softmax's bit for bit. Otherwise a block is
-    one head's budget // (8 Nk) query rows, so it reads only that head's k
-    and v, which then stay in cache from block to block; it takes
-    (e @ v) / sum, dividing the [rows, dh] product instead of the
-    [rows, Nk] block (as FlashAttention does; Dao et al., arXiv
-    2205.14135), and its values differ from the dense softmax's in the
-    last bits.
+    and keeps only each row's max and sum. A block is one head's
+    budget // (8 Nk) query rows, so it reads only that head's k and v,
+    which then stay in cache from block to block; ``np.matmul`` on a stack
+    of heads runs the same product per head, so splitting by head changes
+    no bit. The budget decides only the order of division. When all heads'
+    scores fit in it, a block takes e = exp(s - max), then (e / sum) @ v,
+    so values and gradients equal the dense softmax's bit for bit.
+    Otherwise it takes (e @ v) / sum, dividing the [rows, dh] product
+    instead of the [rows, Nk] block (as FlashAttention does; Dao et al.,
+    arXiv 2205.14135), and its values differ from the dense softmax's in
+    the last bits.
 
-    So the heads of one call are independent bit for bit only within one
-    regime: a head of a many-head call in row blocks may differ in the last
-    bits from the same head called alone in one block. The vjp is the same
-    in both regimes: it walks the plan, recomputes each block's
+    So the heads of one call are independent bit for bit only on one side
+    of the budget: a head of a many-head call past it may differ in the
+    last bits from the same head called alone within it. The vjp is the
+    same on both sides: it walks the plan, recomputes each block's
     probabilities from the kept max and sum, writes that block's dq and
     adds its share to that head's dk and dv, holding at most three blocks
     at a time.
@@ -451,7 +449,7 @@ def attention(q, k, v):
     row_max = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
     blocks = _attention_blocks(h, nq, nk)
-    dense = len(blocks) == 1
+    dense = 8 * h * nq * nk <= _BLOCK_BYTES
     for hs, b in blocks:
         s = np.matmul(vq[hs, b], kt[hs])
         row_max[hs, b] = s.max(axis=-1, keepdims=True)

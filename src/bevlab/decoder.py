@@ -17,14 +17,14 @@ Self-attention and `standard` cross-attention both go through `_mha`,
 whose softmax attention (`autodiff.attention`) works one block of scores
 at a time: memory grows with queries + keys, not their product, so
 `standard` never holds the [heads, queries, cells] scores (1.9 GB at the
-default 8 heads, 900 queries and 32,400 cells). Scores that fit the block
-budget, such as a 300-query self-attention, form one block over all heads
-and equal the dense softmax bit for bit. Larger ones, such as the default
-900-query self-attention, go one head at a time, in blocks of 32 query rows
-over 32,400 cells, so each block rereads only its own head's keys and
-values; such a block divides its [rows, dh] product by the softmax sums
-instead of its [rows, cells] exponentials, and differs from the dense
-softmax in the last bits.
+default 8 heads, 900 queries and 32,400 cells). A block is always one
+head's query rows, so it rereads only its own head's keys and values: one
+head times 900 rows for the default 900-query self-attention, one head
+times 32 rows over 32,400 cells for `standard` cross-attention. Where all
+heads' scores fit the block budget, as in a 300-query self-attention, the
+blocks equal the dense softmax bit for bit. Past it, a block divides its
+[rows, dh] product by the softmax sums instead of its [rows, keys]
+exponentials, and differs from the dense softmax in the last bits.
 
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.

@@ -123,27 +123,31 @@ def test_softmax_grad_and_rows(rng):
 
 
 def test_attention_memory_is_bounded_by_its_blocks(rng):
-    # the dense [2, 256, 20000] float64 scores alone would take 82 MB
-    h, nq, nk, dh = 2, 256, 20000, 4
-    q, k, v = (rng.normal(size=(h, n, dh)) for n in (nq, nk, nk))
-    io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
-    budget = ad._BLOCK_BYTES
-    dense = 8 * h * nq * nk
-    with tracemalloc_peak() as forward:
-        ad.attention(q, k, v)
-    qv, kv, vv = (ad.Var(x) for x in (q, k, v))
-    out = ad.attention(qv, kv, vv)
-    with tracemalloc_peak() as backward:
-        out._vjp(np.ones(out.data.shape))
-    assert forward.peak < budget + io_bytes < dense / 6
-    # the vjp holds a block of probabilities, one of their gradients and,
-    # while it takes their row sums, one of their products; it builds
-    # gradients as large as the inputs
-    assert backward.peak < 3 * budget + 2 * io_bytes < dense / 2
+    # the dense [2, 256, 20000] float64 scores alone would take 82 MB, and a
+    # block holds at most the budget; the [8, 300, 300] scores of a 300-query
+    # self-attention take 5.8 MB, and a block holds one head's 0.7 MB
+    for h, nq, nk, block in ((2, 256, 20000, ad._BLOCK_BYTES),
+                             (8, 300, 300, 8 * 300 * 300)):
+        dh = 4
+        q, k, v = (rng.normal(size=(h, n, dh)) for n in (nq, nk, nk))
+        io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
+        dense = 8 * h * nq * nk
+        with tracemalloc_peak() as forward:
+            ad.attention(q, k, v)
+        qv, kv, vv = (ad.Var(x) for x in (q, k, v))
+        out = ad.attention(qv, kv, vv)
+        with tracemalloc_peak() as backward:
+            out._vjp(np.ones(out.data.shape))
+        assert forward.peak < block + io_bytes < dense / 5
+        # the vjp holds a block of probabilities, one of their gradients
+        # and, while it takes their row sums, one of their products; it
+        # builds gradients as large as the inputs
+        assert backward.peak < 3 * block + 2 * io_bytes < dense / 2
 
 
 def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
-    # a 300-query model's self-attention: fitting it must follow the same
+    # a 300-query model's self-attention, one head per block, with all
+    # heads' scores within the budget: fitting it must follow the same
     # trajectory as the dense path, forward and backward
     h, n, dh = 8, 300, 4
     assert 8 * h * n * n <= ad._BLOCK_BYTES
@@ -193,18 +197,44 @@ def test_attention_in_row_blocks_is_the_dense_softmax(rng, monkeypatch):
 
 
 def test_attention_block_plans_of_the_default_model():
-    # the default 900-query self-attention and the [8, 300, 32,400]
-    # cross-attention of `standard` mode run in row blocks
-    assert len(ad._attention_blocks(8, 900, 900)) > 1
-    assert len(ad._attention_blocks(8, 300, 32400)) > 1
+    # past the budget, the default 900-query self-attention runs one head's
+    # 900 rows per block, and the [8, 300, 32,400] cross-attention of
+    # `standard` mode one head's 32 rows (9 x 32 + 12)
+    assert ad._attention_blocks(8, 900, 900) == [
+        (slice(i, i + 1), slice(0, 900)) for i in range(8)]
+    assert ad._attention_blocks(8, 300, 32400) == [
+        (slice(i, i + 1), slice(lo, min(lo + 32, 300)))
+        for i in range(8) for lo in range(0, 300, 32)]
+
+
+def test_attention_plan_of_a_300_query_self_attention():
+    assert ad._attention_blocks(8, 300, 300) == [
+        (slice(i, i + 1), slice(0, 300)) for i in range(8)]
+
+
+@pytest.mark.parametrize("h, nq, nk, rows", [
+    (8, 300, 300, None), (8, 900, 900, None), (8, 300, 32400, None),
+    (3, 7, 11, 3), (2, 40, 600, 15), (1, 5, 10**7, None)])
+def test_attention_plan_covers_each_head_and_row_once(monkeypatch, h, nq, nk,
+                                                      rows):
+    if rows is not None:
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * rows)
+    seen = np.zeros((h, nq), dtype=int)
+    for hs, b in ad._attention_blocks(h, nq, nk):
+        assert hs.stop - hs.start == 1
+        # one head's scores fit the budget, unless one row alone does not
+        assert b.stop - b.start == 1 or 8 * (b.stop - b.start) * nk <= (
+            ad._BLOCK_BYTES)
+        seen[hs, b] += 1
+    assert (seen == 1).all()
 
 
 def test_attention_heads_agree_across_the_block_regimes(rng):
-    # each head of an 8-head 900x900 call (row blocks) against its 1-head
-    # call (one block over all its rows)
+    # each head of an 8-head 900x900 call (past the budget: each block
+    # divides its value product) against its 1-head call (within the
+    # budget: the dense softmax's division)
     h, n, dh = 8, 900, 4
-    assert len(ad._attention_blocks(h, n, n)) > 1
-    assert len(ad._attention_blocks(1, n, n)) == 1
+    assert 8 * n * n <= ad._BLOCK_BYTES < 8 * h * n * n
     base = [rng.normal(size=(h, n, dh)) for _ in range(3)]
     w = rng.normal(size=(h, n, dh))
     whole = _attention_and_grads(base, w)
@@ -216,8 +246,9 @@ def test_attention_heads_agree_across_the_block_regimes(rng):
 
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "row-blocks"])
 def test_attention_heads_are_independent_bit_for_bit(rng, monkeypatch, rows):
-    # each head of a 3-head call against a 1-head call on its slices: in one
-    # block over all heads, and per head in blocks of 3 rows (3 + 3 + 1)
+    # each head of a 3-head call against a 1-head call on its slices: with
+    # all heads' scores within the budget, and past it in blocks of 3 rows
+    # (3 + 3 + 1)
     h, nq, nk, dh = 3, 7, 11, 4
     if rows is not None:
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * rows)

@@ -3,6 +3,8 @@ must make the check that guards it fail (mutation analysis: DeMillo,
 Lipton & Sayward, "Hints on test data selection", IEEE Computer 1978)."""
 
 import dataclasses
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,13 +13,23 @@ from bevlab import autodiff as ad
 from bevlab import verify
 from bevlab.geometry import BevGrid
 
-_attention = ad.attention
 _attention_blocks = ad._attention_blocks
 _bilinear = ad._bilinear
 _kernel_row_blocks = ad._kernel_row_blocks
 _sample_pool = ad.sample_pool
 _adaptive_sample = verify.adaptive_sample
 _decoder_layer = verify.decoder_layer
+
+
+def mutated(fn, old, new):
+    """The function `fn` compiled again from its source with the one
+    occurrence of `old` replaced by `new`, in `fn`'s module globals."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, f"{old!r} is not in {fn.__name__} once"
+    scope = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, scope)
+    return scope[fn.__name__]
 
 
 def drop_each_heads_last_row_block(h, nq, nk):
@@ -47,12 +59,16 @@ def gather_with_negated_d_dx(vf, vx, vy, *flags):
     return out, valid, negated
 
 
-def attention_vjp_of_minus_g(q, k, v):
-    out = _attention(q, k, v)
-    if isinstance(out, ad.Var):
-        vjp = out._vjp
-        out._vjp = lambda g: vjp(-g)
-    return out
+def vjp_of_minus_g(op):
+    """`op` with its vjp taking the negated output gradient."""
+    def negated(*args):
+        out = op(*args)
+        if isinstance(out, ad.Var):
+            vjp = out._vjp
+            out._vjp = lambda g: vjp(-g)
+        return out
+
+    return negated
 
 
 def pool_without_d_weights(levels, lanes, weights):
@@ -103,13 +119,17 @@ MUTANTS = {
         ad, "_attention_blocks", shift_a_blocks_head_by_one,
         grad_attention, "gradient rel err"),
     "attention-vjp-of-minus-g": (
-        ad, "attention", attention_vjp_of_minus_g,
+        ad, "attention", vjp_of_minus_g(ad.attention),
         grad_attention, "gradient rel err"),
     "vt-pool-drops-last-camera": (
         ad, "sample_pool", pool_without_last_camera,
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-at-wrong-stride": (
         ad, "_bilinear", gather_at_half_coordinates,
+        verify.check_vt_equivalence, "max deviation"),
+    "vt-gather-right-corner-is-left": (
+        ad, "_bilinear", mutated(ad._bilinear,
+                                 "x1 = np.minimum(x0 + 1, W - 1)", "x1 = x0"),
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-vjp-negates-d-dx": (
         ad, "_bilinear", gather_with_negated_d_dx,
@@ -120,6 +140,14 @@ MUTANTS = {
     "dynamic-filter-vjp-skips-last-kernel-rows": (
         ad, "_kernel_row_blocks", kernel_rows_without_last_block,
         verify.check_adaptive_projection_grad, "gradient rel err"),
+    "dynamic-filter-vjp-untransposed-kernel-for-d-x": (
+        ad, "dynamic_filter", mutated(ad.dynamic_filter,
+                                      "kernels(r).swapaxes(-1, -2)",
+                                      "kernels(r)"),
+        verify.check_adaptive_projection_grad, "gradient rel err"),
+    "softmax-vjp-of-minus-g": (
+        ad, "softmax", vjp_of_minus_g(ad.softmax),
+        verify.check_adaptive_sampling_grad, "gradient rel err"),
     "vt-equivalence-nan-cell": (
         verify, "adaptive_sample", sample_with_a_nan_cell,
         verify.check_vt_equivalence, "max deviation nan"),

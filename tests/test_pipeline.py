@@ -343,6 +343,33 @@ class TestFit:
         assert np.array_equal(a.params.vt.height_gen.weight,
                               b.params.vt.height_gen.weight)
 
+    def test_fit_equals_the_fit_with_all_heads_in_one_block(self,
+                                                            monkeypatch):
+        # attention splits its blocks by head, and that changes no bit of a
+        # fit: the same fit with each attention whose scores fit the budget
+        # in one block over all heads gives the same curve and parameters
+        cfg = tiny_config()
+        scenes = [tiny_scene(seed=3)]
+        runs = [fit_generators(cfg, init_params(cfg, seed=5), scenes,
+                               steps=3, lr=0.3)]
+        per_head = ad._attention_blocks
+        merged = []
+
+        def all_heads_within_budget(h, nq, nk):
+            if 8 * h * nq * nk > ad._BLOCK_BYTES:
+                return per_head(h, nq, nk)
+            merged.append(h)
+            return [(slice(0, h), slice(0, nq))]
+
+        monkeypatch.setattr(ad, "_attention_blocks", all_heads_within_budget)
+        runs.append(fit_generators(cfg, init_params(cfg, seed=5), scenes,
+                                   steps=3, lr=0.3))
+        assert merged and min(merged) > 1
+        a, b = runs
+        assert a.curve == b.curve
+        for x, y in zip(ad.lift_tree(a.params)[1], ad.lift_tree(b.params)[1]):
+            assert np.array_equal(x.data, y.data)
+
     def test_box_loss_trains_decoder(self):
         cfg = tiny_config(groups=GroupSpec(((0,), (1, 2), (3, 4), (5,),
                                             (6, 7), (8, 9)), 2))

@@ -11,6 +11,7 @@ the gradient suite and the fitting routine.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -391,11 +392,22 @@ def softmax(a):
 # steps later). A block of `attention` rereads one head's keys and values:
 # 2 MB at 32,400 keys and dh = 4, where all 8 heads' take 17 MB. For that
 # [8, 300, 32,400] cross-attention on a 2-vCPU host (2 MiB of L2 per core),
-# with each block's [rows, dh] product divided by its row sums, per-head
-# budgets of 1 to 4 MiB made the forward 1.07-1.36x as slow as 8 MiB and
-# 256 KiB 2.0-2.3x; 16 MiB made it 0.97-1.10x and its vjp 1.57-1.62x.
+# when a block still made 7 passes over its scores (product, max, subtract,
+# exp, sum, value product, divide), per-head budgets of 1 to 4 MiB made the
+# forward 1.07-1.36x as slow as 8 MiB and 256 KiB 2.0-2.3x; 16 MiB made it
+# 0.97-1.10x and its vjp 1.57-1.62x. The 3-pass blocks past the budget have
+# not been timed against other budgets.
 # `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
 _BLOCK_BYTES = 8 * 2**20
+
+# Largest row bound ||q_i|| max_j ||k_j|| that `attention` takes as a row's
+# softmax shift past the budget. Every score of the row lies within the
+# bound (Cauchy-Schwarz), so its largest exp(s - bound) is at least
+# exp(-2 bound) >= exp(-600), a normal double; past exp(-708) a whole row
+# could underflow to 0 and its output be 0 / 0. At the default config the
+# bounds stay near 4 in self-attention and 0.2 in `standard`
+# cross-attention (4.3 and 0.22 on scene seed 1000).
+_SHIFT_LIMIT = 300.0
 
 
 def _attention_blocks(h, nq, nk):
@@ -414,78 +426,131 @@ def attention(q, k, v):
     q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
     Returns [h, Nq, dh]. Each row's softmax is independent, so the forward
     finishes one block of `_attention_blocks` before it starts the next,
-    and keeps only each row's max and sum. A block is one head's
+    and keeps only each row's shift and sum. A block is one head's
     budget // (8 Nk) query rows, so it reads only that head's k and v,
     which then stay in cache from block to block; ``np.matmul`` on a stack
     of heads runs the same product per head, so splitting by head changes
-    no bit. The budget decides only the order of division. When all heads'
-    scores fit in it, a block takes e = exp(s - max), then (e / sum) @ v,
-    so values and gradients equal the dense softmax's bit for bit.
-    Otherwise it takes (e @ v) / sum, dividing the [rows, dh] product
-    instead of the [rows, Nk] block (as FlashAttention does; Dao et al.,
-    arXiv 2205.14135), and its values differ from the dense softmax's in
-    the last bits.
+    no bit.
+
+    When all heads' scores fit in the budget, a block takes
+    e = exp(s - max), then (e / sum) @ v, so values and gradients equal the
+    dense softmax's bit for bit. Otherwise a block makes three passes over
+    its scores instead of seven. Softmax does not change when a row is
+    shifted by any constant (as in the online softmax of Milakov and
+    Gimelshein, arXiv 1805.02867), so the shift of row i is the bound
+    ||q_i|| max_j ||k_j|| on its scores, from norms, not the row's max; a
+    block whose bound passes `_SHIFT_LIMIT` shifts by its exact row maxes.
+    The shift and the softmax sum then ride in the two products, as
+    FlashAttention fuses the softmax's passes (Dao et al., arXiv
+    2205.14135): s = [q | -shift] @ [kᵀ ; 1], exp in place, and
+    p = s @ [v | 1], whose last column is the row sum that divides the
+    rest. These values differ from the dense softmax's in the last bits.
+    The [dh + 1, Nk] and [Nk, dh + 1] copies of k and v are made for one
+    head at a time.
 
     So the heads of one call are independent bit for bit only on one side
     of the budget: a head of a many-head call past it may differ in the
-    last bits from the same head called alone within it. The vjp is the
-    same on both sides: it walks the plan, recomputes each block's
-    probabilities from the kept max and sum, writes that block's dq and
-    adds its share to that head's dk and dv, holding at most three blocks
-    at a time.
+    last bits from the same head called alone within it. The vjp walks the
+    plan, recomputes each block's probabilities from the kept shift and sum
+    (past the budget with the same fused product), writes that block's dq
+    and adds its share to that head's dk and dv, holding at most three
+    blocks at a time.
     """
-    vq = val(q)
-    h, nq, _ = vq.shape
-    nk = val(k).shape[1]
-    # contiguous [h, Nk, dh] copies: a strided k makes the q kᵀ products up
-    # to twice as slow when a block holds few rows. A [h, dh, Nk] copy is
-    # faster still, but its products differ from the dense ones in the
-    # last bits.
-    kk = np.ascontiguousarray(val(k))
-    vv = np.ascontiguousarray(val(v))
-    kt = np.swapaxes(kk, 1, 2)
-    dtype = np.result_type(vq, kk, vv)
-    out = np.empty((h, nq, vv.shape[2]), dtype=dtype)
-    row_max = np.empty((h, nq, 1), dtype=dtype)
+    vq, vk, vv = val(q), val(k), val(v)
+    h, nq, dh = vq.shape
+    nk, dv = vv.shape[1:]
+    dtype = np.result_type(vq, vk, vv)
+    out = np.empty((h, nq, dv), dtype=dtype)
+    shift = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
     blocks = _attention_blocks(h, nq, nk)
     dense = 8 * h * nq * nk <= _BLOCK_BYTES
-    for hs, b in blocks:
-        s = np.matmul(vq[hs, b], kt[hs])
-        row_max[hs, b] = s.max(axis=-1, keepdims=True)
-        s -= row_max[hs, b]
-        np.exp(s, out=s)
-        row_sum[hs, b] = s.sum(axis=-1, keepdims=True)
-        if dense:  # the dense softmax's probabilities, then times v
-            s /= row_sum[hs, b]
-            out[hs, b] = np.matmul(s, vv[hs])
-        else:  # divide the [rows, dh] product, not the [rows, Nk] block
-            out[hs, b] = np.matmul(s, vv[hs]) / row_sum[hs, b]
-        del s  # before the next block's scores are made
+    if dense:
+        # contiguous [h, Nk, dh] copies: a strided k makes the q kᵀ products
+        # up to twice as slow when a block holds few rows. A [h, dh, Nk]
+        # copy is faster still, but its products differ from the dense
+        # ones in the last bits.
+        kk = np.ascontiguousarray(vk)
+        vc = np.ascontiguousarray(vv)
+        kt = np.swapaxes(kk, 1, 2)
+
+        def operands(hs):
+            return kt[hs], vc[hs]
+
+        def exp_scores(hs, b, kt_h):
+            s = np.matmul(vq[hs, b], kt_h)
+            s -= shift[hs, b]
+            return np.exp(s, out=s)
+    else:
+        # each row's bound on its scores
+        shift[...] = np.sqrt((vq * vq).sum(axis=-1, keepdims=True))
+        for i in range(h):
+            shift[i] *= np.sqrt((vk[i] * vk[i]).sum(axis=-1).max())
+
+        def operands(hs):
+            """[kᵀ ; 1] [1, dh + 1, Nk] and [v | 1] [1, Nk, dv + 1] of the
+            head hs."""
+            ka = np.ones((1, dh + 1, nk), dtype=dtype)
+            ka[:, :dh] = np.swapaxes(vk[hs], 1, 2)
+            va = np.ones((1, nk, dv + 1), dtype=dtype)
+            va[:, :, :dv] = vv[hs]
+            return ka, va
+
+        def exp_scores(hs, b, ka):
+            qa = np.empty((1, b.stop - b.start, dh + 1), dtype=dtype)
+            qa[..., :dh] = vq[hs, b]
+            qa[..., dh:] = -shift[hs, b]
+            s = np.matmul(qa, ka)
+            return np.exp(s, out=s)
+
+    # the blocks of one head are consecutive in the plan
+    for hs, head in itertools.groupby(blocks, key=lambda block: block[0]):
+        kt_h, v_h = operands(hs)
+        for _, b in head:
+            if dense:  # the dense softmax's probabilities, then times v
+                s = np.matmul(vq[hs, b], kt_h)
+                shift[hs, b] = s.max(axis=-1, keepdims=True)
+                s -= shift[hs, b]
+                np.exp(s, out=s)
+                row_sum[hs, b] = s.sum(axis=-1, keepdims=True)
+                s /= row_sum[hs, b]
+                out[hs, b] = np.matmul(s, v_h)
+                del s  # before the next block's scores are made
+                continue
+            # past the limit, exp(s - bound) could underflow a whole row:
+            # the block takes its exact row maxes instead (also when a
+            # bound is inf or NaN)
+            if not shift[hs, b].max() <= _SHIFT_LIMIT:
+                shift[hs, b] = np.matmul(vq[hs, b], kt_h[:, :dh]).max(
+                    axis=-1, keepdims=True)
+            p = np.matmul(exp_scores(hs, b, kt_h), v_h)
+            row_sum[hs, b] = p[..., dv:]
+            out[hs, b] = p[..., :dv] / row_sum[hs, b]
 
     def vjp(g):
         # dS = P ∘ (dP - rowsum(dP ∘ P)) with dP = g vᵀ
-        vt = np.swapaxes(vv, 1, 2)
         qt = np.swapaxes(vq, 1, 2)
         dq = np.empty(vq.shape, dtype=dtype)
-        dkt = np.zeros(kt.shape, dtype=dtype)
-        dv = np.zeros(vv.shape, dtype=dtype)
-        for hs, b in blocks:
-            p = np.matmul(vq[hs, b], kt[hs])
-            p -= row_max[hs, b]
-            np.exp(p, out=p)
-            p /= row_sum[hs, b]
-            dv[hs] += np.matmul(np.swapaxes(p, 1, 2), g[hs, b])
-            ds = np.matmul(g[hs, b], vt[hs])
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            del p
-            dq[hs, b] = np.matmul(ds, kk[hs])
-            dkt[hs] += np.matmul(qt[hs, :, b], ds)
-            del ds
+        dkt = np.zeros((h, dh, nk), dtype=dtype)
+        dvv = np.zeros(vv.shape, dtype=dtype)
+        for hs, head in itertools.groupby(blocks, key=lambda block: block[0]):
+            kt_h, v_h = operands(hs)
+            k_h = np.swapaxes(kt_h[:, :dh], 1, 2)
+            vt_h = np.swapaxes(v_h[..., :dv], 1, 2)
+            for _, b in head:
+                p = exp_scores(hs, b, kt_h)
+                p /= row_sum[hs, b]
+                dvv[hs] += np.matmul(np.swapaxes(p, 1, 2), g[hs, b])
+                ds = np.matmul(g[hs, b], vt_h)
+                ds -= (ds * p).sum(axis=-1, keepdims=True)
+                ds *= p
+                del p
+                dq[hs, b] = np.matmul(ds, k_h)
+                dkt[hs] += np.matmul(qt[hs, :, b], ds)
+                del ds
         _accum(q, dq)
         _accum(k, np.swapaxes(dkt, 1, 2))
-        _accum(v, dv)
+        _accum(v, dvv)
 
     return _node(out, (q, k, v), vjp)
 

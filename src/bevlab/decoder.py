@@ -22,9 +22,12 @@ head's query rows, so it rereads only its own head's keys and values: one
 head times 900 rows for the default 900-query self-attention, one head
 times 32 rows over 32,400 cells for `standard` cross-attention. Where all
 heads' scores fit the block budget, as in a 300-query self-attention, the
-blocks equal the dense softmax bit for bit. Past it, a block divides its
-[rows, dh] product by the softmax sums instead of its [rows, keys]
-exponentials, and differs from the dense softmax in the last bits.
+blocks equal the dense softmax bit for bit. Past it, a block shifts each
+row by a bound on its scores and folds the shift and the softmax sum into
+its two products, so it makes three passes over its scores, and differs
+from the dense softmax in the last bits. The layers share the
+`cross_attn` weights, so `run_decoder` projects the BEV cells' keys and
+values once per forward, not once per layer.
 
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.
@@ -225,9 +228,22 @@ def _position_aware_mix_batch(feats, sampled, points, params: DecoderParams,
     return ad.add(feats, linear_apply(params.out_proj, flat))
 
 
-def _mha(q_in, kv_in, attn: AttentionParams, n_heads):
+def _heads(x, n_heads):
+    """Rows x [N, C] split into heads: [heads, N, C / heads]."""
+    n, C = np.shape(val(x))
+    return ad.transpose(ad.reshape(x, (n, n_heads, C // n_heads)), (1, 0, 2))
+
+
+def _keys_values(kv_in, attn: AttentionParams, n_heads):
+    """Keys and values of the rows of kv_in [Nk, C], [heads, Nk, dh] each."""
+    return (_heads(linear_apply(attn.w_k, kv_in), n_heads),
+            _heads(linear_apply(attn.w_v, kv_in), n_heads))
+
+
+def _mha(q_in, kv, attn: AttentionParams, n_heads):
     """Multi-head softmax attention of the rows of q_in [Nq, C] over the
-    rows of kv_in [Nk, C]; returns the pre-residual output [Nq, C].
+    keys and values kv of `_keys_values`; returns the pre-residual output
+    [Nq, C].
 
     The 1/sqrt(dh) score scale is folded into the queries (exact when dh is
     a power of 4, as at the default dh = 4). ``ad.attention`` then works
@@ -235,23 +251,17 @@ def _mha(q_in, kv_in, attn: AttentionParams, n_heads):
     Nq * Nk, in the forward and the backward pass alike.
     """
     nq, C = np.shape(val(q_in))
-    nk = np.shape(val(kv_in))[0]
-    dh = C // n_heads
-
-    def split(x, n):
-        return ad.transpose(ad.reshape(x, (n, n_heads, dh)), (1, 0, 2))
-
-    q = split(ad.mul(linear_apply(attn.w_q, q_in), 1.0 / math.sqrt(dh)), nq)
-    k = split(linear_apply(attn.w_k, kv_in), nk)
-    v = split(linear_apply(attn.w_v, kv_in), nk)
-    ctx = ad.attention(q, k, v)  # [heads, Nq, dh]
+    q = _heads(ad.mul(linear_apply(attn.w_q, q_in),
+                      1.0 / math.sqrt(C // n_heads)), n_heads)
+    ctx = ad.attention(q, *kv)  # [heads, Nq, dh]
     merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (nq, C))
     return linear_apply(attn.w_o, merged)
 
 
 def self_attention(feats, attn: AttentionParams, n_heads):
     """Standard residual multi-head self-attention among query features."""
-    return ad.add(feats, _mha(feats, feats, attn, n_heads))
+    return ad.add(feats, _mha(feats, _keys_values(feats, attn, n_heads), attn,
+                              n_heads))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +299,14 @@ def _initial_state(ref_points):
 
 
 def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
-                  layer_idx, grid: BevGrid, mode="geometry_aware"):
+                  layer_idx, grid: BevGrid, mode="geometry_aware",
+                  cross_kv=None):
     """One decoder layer over a batch of queries.
 
     feats: [Nq, C]; ref_points: [Nq, 2] plain; boxes: detached state dict
-    from the previous layer (or the initial state). Returns
+    from the previous layer (or the initial state). In `standard` mode the
+    layer attends to cross_kv, the BEV cells' keys and values under
+    `cross_attn` (`_keys_values`), instead of sampling bev_fuse. Returns
     (new feats, encoded predictions [Nq, 8], class logits, next box state).
     """
     if layer_idx >= params.n_layers:
@@ -304,8 +317,8 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
     feats = self_attention(feats, params.self_attn[layer_idx], params.n_heads)
 
     if mode == "standard":
-        feats = ad.add(feats, _mha(feats, chw_to_cells(bev_fuse),
-                                   params.cross_attn, params.n_heads))
+        feats = ad.add(feats, _mha(feats, cross_kv, params.cross_attn,
+                                   params.n_heads))
     else:
         points = _corner_points_batch(feats, boxes, params, grid, mode=mode)
         sampled = corner_sample(bev_fuse, points)
@@ -328,12 +341,19 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
 def run_decoder(feats, ref_points, bev_fuse, params: DecoderParams,
                 grid: BevGrid, mode="geometry_aware"):
     """Full decoder stack. Returns a list, one entry per layer, of dicts
-    with encoded predictions, class logits, and decoded box state."""
+    with encoded predictions, class logits, and decoded box state. In
+    `standard` mode the BEV cells' keys and values are projected once, for
+    all layers."""
     boxes = _initial_state(ref_points)
+    cross_kv = None
+    if mode == "standard":
+        cross_kv = _keys_values(chw_to_cells(bev_fuse), params.cross_attn,
+                                params.n_heads)
     layers = []
     for li in range(params.n_layers):
         feats, enc, cls, boxes = decoder_layer(
-            feats, ref_points, boxes, bev_fuse, params, li, grid, mode=mode)
+            feats, ref_points, boxes, bev_fuse, params, li, grid, mode=mode,
+            cross_kv=cross_kv)
         layers.append({"enc": enc, "cls": cls, "boxes": boxes})
     return layers
 

@@ -29,7 +29,8 @@ from . import autodiff as ad
 from .autodiff import val
 from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       gaussian_focal_loss, l1_encoded,
-                      _corner_points_batch, _initial_state, _mha,
+                      _corner_points_batch, _initial_state, _keys_values,
+                      _mha,
                       _position_aware_mix_batch, corner_sample)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
                        project_heights, project_to_image, world_to_cell)
@@ -379,16 +380,21 @@ def block_bytes(n):
         ad._BLOCK_BYTES = keep
 
 
-def check_attention_blocked(rng, shapes=((2, 1700, 1700), (2, 150, 20000))):
+def check_attention_blocked(rng, shapes=((2, 1700, 1700, 1.0),
+                                         (2, 150, 20000, 1.0),
+                                         (2, 150, 20000, 30.0))):
     """``ad.attention`` (through ``decoder._mha``) against the dense
-    ``naive_mha`` on (heads, Nq, Nk) shapes: self-attention (Nq = Nk) and
-    cross-attention (Nk >> Nq). With the current block budget, the op's
-    block plan must split each head of every shape into several blocks of
-    query rows with a ragged last one."""
+    ``naive_mha`` on (heads, Nq, Nk, input scale) instances: self-attention
+    (Nq = Nk), cross-attention (Nk >> Nq), and cross-attention whose inputs
+    are scaled so far that the bounds on its scores pass
+    ``ad._SHIFT_LIMIT``, where a block shifts by its exact row maxes. With
+    the current block budget, the op's block plan must split each head of
+    every instance into several blocks of query rows with a ragged last
+    one."""
     C = 8
     worst = 0.0
     blocks = []
-    for h, nq, nk in shapes:
+    for h, nq, nk, scale in shapes:
         rows = [b for hs, b in ad._attention_blocks(h, nq, nk)
                 if hs == slice(0, 1)]
         assert len(rows) > 1 and nq % rows[0].stop, (
@@ -396,11 +402,11 @@ def check_attention_blocked(rng, shapes=((2, 1700, 1700), (2, 150, 20000))):
             "head several blocks with a ragged last one")
         blocks.append(f"{h}x{len(rows)}")
         attn = AttentionParams(*(_rand_linear(rng, C, C) for _ in range(4)))
-        q_in = rng.normal(size=(nq, C))
-        kv_in = q_in if nq == nk else rng.normal(size=(nk, C))
-        fast = val(_mha(q_in, kv_in, attn, h))
+        q_in = rng.normal(size=(nq, C)) * scale
+        kv_in = q_in if nq == nk else rng.normal(size=(nk, C)) * scale
+        fast = val(_mha(q_in, _keys_values(kv_in, attn, h), attn, h))
         dev = float(np.max(np.abs(fast - naive_mha(q_in, kv_in, attn, h))))
-        assert dev < 1e-12, f"{h}x{nq}x{nk}: max deviation {dev:.3e}"
+        assert dev < 1e-12, f"{h}x{nq}x{nk}x{scale:g}: max deviation {dev:.3e}"
         worst = max(worst, dev)
     return (f"max deviation {worst:.2e}; {'/'.join(blocks)} blocks of "
             "heads x query rows")
@@ -438,9 +444,11 @@ def check_attention_grad(rng, grid):
         p = dataclasses.replace(
             p, self_attn=tuple(map(zero_key_bias, p.self_attn)),
             cross_attn=zero_key_bias(p.cross_attn))
+        kv = _keys_values(chw_to_cells(extras["bev"]), p.cross_attn,
+                          p.n_heads)
         new_feats, enc, cls, _ = decoder_layer(
             extras["feats"], ref, state, extras["bev"], p, 0, grid,
-            mode="standard")
+            mode="standard", cross_kv=kv)
         return ad.add(ad.sum_(ad.mul(enc, 0.2)),
                       ad.add(ad.sum_(ad.mul(cls, 0.1)),
                              ad.sum_(ad.mul(new_feats, 0.05))))
@@ -682,6 +690,35 @@ def check_adaptive_projection_grad(rng):
     return f"worst rel err {worst:.2e}"
 
 
+def check_position_mixing_grad(rng, grid):
+    """Gradients of corner sampling and position-aware mixing, for the
+    decoder weights, the query features, the BEV map and the box sizes
+    and headings."""
+    params = _tiny_decoder_params(rng)
+    feats = rng.normal(size=(3, 4))
+    bev = rng.normal(size=(4, 8, 8))
+    ref = rng.uniform(2, 6, size=(3, 2))
+    boxes = {"xc": ref[:, 0] + rng.normal(0, 0.3, 3),
+             "yc": ref[:, 1] + rng.normal(0, 0.3, 3),
+             "z": rng.normal(0, 0.5, 3), "l": rng.uniform(1, 3, 3),
+             "w": rng.uniform(0.5, 1.5, 3), "h": rng.uniform(1, 2, 3),
+             "yaw": rng.uniform(-2, 2, 3)}
+
+    def loss(p, extras):
+        box_vars = {k: extras[f"box_{k}"] for k in ("l", "w", "yaw")}
+        box_vars.update({k: boxes[k] for k in ("xc", "yc", "z", "h")})
+        pts = _corner_points_batch(extras["feats"], box_vars, p, grid)
+        sampled = corner_sample(extras["bev"], pts)
+        out = _position_aware_mix_batch(extras["feats"], sampled, pts, p, grid)
+        return ad.sum_(ad.mul(out, 0.1))
+
+    worst = _gradcheck_tree(
+        loss, params,
+        {"feats": feats, "bev": bev, "box_l": boxes["l"],
+         "box_w": boxes["w"], "box_yaw": boxes["yaw"]})
+    return f"worst rel err {worst:.2e}"
+
+
 def run_grad_suite(seed=0):
     rng = np.random.default_rng(seed)
     grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8))
@@ -697,31 +734,6 @@ def run_grad_suite(seed=0):
             return gaussian_focal_loss(predict_heatmaps(p, extras["fuse"]), target)
 
         worst = _gradcheck_tree(loss, scorer, {"fuse": fuse})
-        return f"worst rel err {worst:.2e}"
-
-    def decoder_layer_path():
-        params = _tiny_decoder_params(rng)
-        feats = rng.normal(size=(3, 4))
-        bev = rng.normal(size=(4, 8, 8))
-        ref = rng.uniform(2, 6, size=(3, 2))
-        boxes = {"xc": ref[:, 0] + rng.normal(0, 0.3, 3),
-                 "yc": ref[:, 1] + rng.normal(0, 0.3, 3),
-                 "z": rng.normal(0, 0.5, 3), "l": rng.uniform(1, 3, 3),
-                 "w": rng.uniform(0.5, 1.5, 3), "h": rng.uniform(1, 2, 3),
-                 "yaw": rng.uniform(-2, 2, 3)}
-
-        def loss(p, extras):
-            box_vars = {k: extras[f"box_{k}"] for k in ("l", "w", "yaw")}
-            box_vars.update({k: boxes[k] for k in ("xc", "yc", "z", "h")})
-            pts = _corner_points_batch(extras["feats"], box_vars, p, grid)
-            sampled = corner_sample(extras["bev"], pts)
-            out = _position_aware_mix_batch(extras["feats"], sampled, pts, p, grid)
-            return ad.sum_(ad.mul(out, 0.1))
-
-        worst = _gradcheck_tree(
-            loss, params,
-            {"feats": feats, "bev": bev, "box_l": boxes["l"],
-             "box_w": boxes["w"], "box_yaw": boxes["yaw"]})
         return f"worst rel err {worst:.2e}"
 
     def full_layer_path():
@@ -765,7 +777,8 @@ def run_grad_suite(seed=0):
         ("grad.adaptive_projection_fusion",
          lambda: check_adaptive_projection_grad(rng)),
         ("grad.heatmap_head", heatmap_path),
-        ("grad.corner_offsets_position_mixing", decoder_layer_path),
+        ("grad.corner_offsets_position_mixing",
+         lambda: check_position_mixing_grad(rng, grid)),
         ("grad.full_decoder_layer", full_layer_path),
         ("grad.attention", lambda: check_attention_grad(rng, grid)),
         ("grad.losses", loss_paths),

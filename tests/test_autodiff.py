@@ -125,11 +125,22 @@ def test_softmax_grad_and_rows(rng):
 def test_attention_memory_is_bounded_by_its_blocks(rng):
     # the dense [2, 256, 20000] float64 scores alone would take 82 MB, and a
     # block holds at most the budget; the [8, 300, 300] scores of a 300-query
-    # self-attention take 5.8 MB, and a block holds one head's 0.7 MB
-    for h, nq, nk, block in ((2, 256, 20000, ad._BLOCK_BYTES),
-                             (8, 300, 300, 8 * 300 * 300)):
+    # self-attention take 5.8 MB, and a block holds one head's 0.7 MB. Past
+    # the budget the op copies one head's k and v at a time, as [kᵀ ; 1] and
+    # [v | 1], also from the transposed views that `_mha` passes: at
+    # [8, 128, 20000], contiguous copies of all heads would add 10 MB
+    for h, nq, nk, block, strided in (
+            (2, 256, 20000, ad._BLOCK_BYTES, False),
+            (8, 300, 300, 8 * 300 * 300, False),
+            (8, 128, 20000, ad._BLOCK_BYTES, True)):
         dh = 4
-        q, k, v = (rng.normal(size=(h, n, dh)) for n in (nq, nk, nk))
+        q = rng.normal(size=(h, nq, dh))
+        if strided:
+            k, v = (rng.normal(size=(nk, h * dh)).reshape(nk, h, dh)
+                    .transpose(1, 0, 2) for _ in range(2))
+        else:
+            k, v = (rng.normal(size=(h, nk, dh)) for _ in range(2))
+        copies = 2 * 8 * nk * (dh + 1)
         io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
         dense = 8 * h * nq * nk
         with tracemalloc_peak() as forward:
@@ -138,7 +149,10 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
         out = ad.attention(qv, kv, vv)
         with tracemalloc_peak() as backward:
             out._vjp(np.ones(out.data.shape))
-        assert forward.peak < block + io_bytes < dense / 5
+        # besides a block and one head's copies, the forward holds its
+        # output, each row's shift and sum, and a block's [rows, dh + 1]
+        # products
+        assert forward.peak < block + copies + 4 * q.nbytes < dense / 5
         # the vjp holds a block of probabilities, one of their gradients
         # and, while it takes their row sums, one of their products; it
         # builds gradients as large as the inputs
@@ -184,12 +198,34 @@ def _attention_and_grads(base, w, dense=False):
 
 def test_attention_in_row_blocks_is_the_dense_softmax(rng, monkeypatch):
     # per head, 40 query rows over 600 keys in blocks of 15 (15 + 15 + 10),
-    # each block's product divided by its row sums
+    # each block shifted by its rows' score bounds and divided by the sums
+    # that its value product carries
     h, nq, nk, dh = 2, 40, 600, 4
     monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * 15)
     blocks = ad._attention_blocks(h, nq, nk)
     assert len(blocks) == 6 and nq % blocks[0][1].stop
     base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
+    w = rng.normal(size=(h, nq, dh))
+    for a, b in zip(_attention_and_grads(base, w),
+                    _attention_and_grads(base, w, dense=True)):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_attention_past_the_shift_limit_is_the_dense_softmax(rng,
+                                                             monkeypatch):
+    # the same plan with q and k scaled so that every block has a row whose
+    # score bound passes the shift limit: each block shifts by its exact
+    # row maxes, forward and backward (shifted by their bounds, some rows
+    # would underflow to 0 / 0)
+    h, nq, nk, dh = 2, 40, 600, 4
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * 15)
+    base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
+    base[0] *= 30.0
+    base[1] *= 30.0
+    bounds = (np.linalg.norm(base[0], axis=2, keepdims=True)
+              * np.linalg.norm(base[1], axis=2).max(axis=1)[:, None, None])
+    assert all(bounds[hs, b].max() > ad._SHIFT_LIMIT
+               for hs, b in ad._attention_blocks(h, nq, nk))
     w = rng.normal(size=(h, nq, dh))
     for a, b in zip(_attention_and_grads(base, w),
                     _attention_and_grads(base, w, dense=True)):
@@ -231,8 +267,9 @@ def test_attention_plan_covers_each_head_and_row_once(monkeypatch, h, nq, nk,
 
 def test_attention_heads_agree_across_the_block_regimes(rng):
     # each head of an 8-head 900x900 call (past the budget: each block
-    # divides its value product) against its 1-head call (within the
-    # budget: the dense softmax's division)
+    # shifted by its rows' score bounds, with the sums in its value
+    # product) against its 1-head call (within the budget: the dense
+    # softmax's max and division)
     h, n, dh = 8, 900, 4
     assert 8 * n * n <= ad._BLOCK_BYTES < 8 * h * n * n
     base = [rng.normal(size=(h, n, dh)) for _ in range(3)]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bevlab import autodiff as ad, verify
+from bevlab import autodiff as ad, decoder, verify
 from bevlab.autodiff import val
 from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
                             decoder_layer, encode_box, gaussian_focal_loss,
@@ -251,10 +251,11 @@ class TestSelfAttention:
     def test_blocked_attention_matches_dense_oracle(self, rng, monkeypatch):
         # per head, 30-row blocks split 40 self-attention queries 30 + 10,
         # 3-row blocks split 10 cross-attention queries over 400 keys
-        # 3+3+3+1
+        # 3+3+3+1, also with score bounds past the shift limit
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * 40 * 30)
-        verify.check_attention_blocked(rng, shapes=((2, 40, 40),
-                                                    (2, 10, 400)))
+        verify.check_attention_blocked(
+            rng, shapes=((2, 40, 40, 1.0), (2, 10, 400, 1.0),
+                         (2, 10, 400, 30.0)))
 
 
 def decode(params, ref):
@@ -340,6 +341,25 @@ class TestDecoderLayer:
             outs[mode] = val(layers[-1]["enc"])
         assert not np.allclose(outs["geometry_aware"], outs["deformable_center"])
         assert not np.allclose(outs["deformable_center"], outs["standard"])
+
+    def test_standard_projects_the_cells_once(self, rng, monkeypatch):
+        # the layers share `cross_attn`, so one forward projects the BEV
+        # cells' keys and values once, not once per layer
+        params = tiny_params(rng, scale=0.4, n_layers=6)
+        applied = []
+
+        def counting(m, x):
+            applied.append(m)
+            return linear_apply(m, x)
+
+        monkeypatch.setattr(decoder, "linear_apply", counting)
+        run_decoder(rng.normal(size=(3, 2)), rng.uniform(4, 28, size=(3, 2)),
+                    rng.normal(size=(2, 32, 32)), params, GRID,
+                    mode="standard")
+        cross = params.cross_attn
+        assert [sum(m is w for m in applied)
+                for w in (cross.w_q, cross.w_k, cross.w_v, cross.w_o)] == [
+                    6, 1, 1, 6]
 
     def test_invalid_mode_rejected(self, rng):
         params = tiny_params()

@@ -98,10 +98,18 @@ def layer_with_a_nan_logit(*args, **kwargs):
 
 def oracle_attention_blocked(rng):
     # each head in 3 or 4 blocks of rows, so that a plan without its last
-    # block still passes the check's several-ragged-blocks precondition
-    with verify.block_bytes(8 * 40 * 15):
-        verify.check_attention_blocked(rng,
-                                       shapes=((2, 40, 40), (2, 10, 160)))
+    # block still passes the check's several-ragged-blocks precondition;
+    # the last instance's score bounds pass the shift limit, and its rows
+    # shifted by them underflow to 0 / 0 (a NaN to report, not a warning)
+    with verify.block_bytes(8 * 40 * 15), np.errstate(invalid="ignore"):
+        verify.check_attention_blocked(
+            rng, shapes=((2, 40, 40, 1.0), (2, 10, 160, 1.0),
+                         (2, 10, 160, 30.0)))
+
+
+def grad_position_mixing(rng):
+    verify.check_position_mixing_grad(
+        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
 
 
 def grad_attention(rng):
@@ -118,6 +126,17 @@ MUTANTS = {
     "attention-shift-block-head": (
         ad, "_attention_blocks", shift_a_blocks_head_by_one,
         grad_attention, "gradient rel err"),
+    "attention-bias-in-first-block": (
+        ad, "attention", mutated(
+            ad.attention, "out[hs, b] = p[..., :dv] / row_sum[hs, b]",
+            "out[hs, b] = p[..., :dv] / row_sum[hs, b] "
+            "+ 1e-9 * ((hs, b) == blocks[0])"),
+        oracle_attention_blocked, "max deviation"),
+    "attention-never-exact-row-max": (
+        ad, "attention", mutated(
+            ad.attention, "if not shift[hs, b].max() <= _SHIFT_LIMIT:",
+            "if False:"),
+        oracle_attention_blocked, "max deviation nan"),
     "attention-vjp-of-minus-g": (
         ad, "attention", vjp_of_minus_g(ad.attention),
         grad_attention, "gradient rel err"),
@@ -159,6 +178,10 @@ MUTANTS = {
         verify.check_decoder_layer, "max deviation nan"),
     "decoder-no-relu": (
         ad, "relu", lambda a: a, verify.check_decoder_layer, "max deviation"),
+    "layer-norm-vjp-flips-the-y-term": (
+        ad, "layer_norm", mutated(ad.layer_norm, "g - gm - y * gy",
+                                  "g - gm + y * gy"),
+        grad_position_mixing, "gradient rel err"),
     "layer-norm-eps-1e-4": (
         ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
         "max deviation"),

@@ -435,18 +435,17 @@ def attention(q, k, v):
     When all heads' scores fit in the budget, a block takes
     e = exp(s - max), then (e / sum) @ v, so values and gradients equal the
     dense softmax's bit for bit. Otherwise a block makes three passes over
-    its scores instead of seven. Softmax does not change when a row is
-    shifted by any constant (as in the online softmax of Milakov and
-    Gimelshein, arXiv 1805.02867), so the shift of row i is the bound
-    ||q_i|| max_j ||k_j|| on its scores, from norms, not the row's max; a
-    block whose bound passes `_SHIFT_LIMIT` shifts by its exact row maxes.
-    The shift and the softmax sum then ride in the two products, as
+    its scores. Softmax is unchanged by a constant shift of a row (as in
+    the online softmax of Milakov and Gimelshein, arXiv 1805.02867), so
+    row i is shifted by the bound ||q_i|| max_j ||k_j|| on its scores, not
+    by its max (a block whose bound passes `_SHIFT_LIMIT` takes its exact
+    row maxes). The shift and the sum ride in the two products, as
     FlashAttention fuses the softmax's passes (Dao et al., arXiv
     2205.14135): s = [q | -shift] @ [kᵀ ; 1], exp in place, and
-    p = s @ [v | 1], whose last column is the row sum that divides the
-    rest. These values differ from the dense softmax's in the last bits.
-    The [dh + 1, Nk] and [Nk, dh + 1] copies of k and v are made for one
-    head at a time.
+    p = s @ [v | 1], whose last column divides the rest. These
+    [dh + 1, Nk] and [Nk, dh + 1] copies of k and v exist for one head at
+    a time, and the values differ from the dense softmax's in the last
+    bits.
 
     So the heads of one call are independent bit for bit only on one side
     of the budget: a head of a many-head call past it may differ in the

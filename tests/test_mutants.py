@@ -98,9 +98,10 @@ def layer_with_a_nan_logit(*args, **kwargs):
 
 def oracle_attention_blocked(rng):
     # each head in 3 or 4 blocks of rows, so that a plan without its last
-    # block still passes the check's several-ragged-blocks precondition;
-    # the last instance's score bounds pass the shift limit, and its rows
-    # shifted by them underflow to 0 / 0 (a NaN to report, not a warning)
+    # block still passes the check's several-ragged-blocks precondition.
+    # The last instance's score bounds pass the shift limit: shifted by its
+    # bounds, a row underflows to 0 / 0, and that NaN must reach the
+    # check's report, not raise numpy's warning
     with verify.block_bytes(8 * 40 * 15), np.errstate(invalid="ignore"):
         verify.check_attention_blocked(
             rng, shapes=((2, 40, 40, 1.0), (2, 10, 160, 1.0),

@@ -1,29 +1,31 @@
-"""Command-line front door: run pipelines on synthetic scenes, time the
-four view-transform modes (`bench`: the median and p90 of each stage over
-`--reps` warm repetitions, default 5), render feature maps, and execute the
-verification suites.
+"""Command-line front door with three commands: `run` the pipeline on
+synthetic scenes, `viz` a feature map, and `verify` the implementation.
 
 `run --out DIR` writes the same files in every mode: per scene i
 scene_i.json, bev_camera_i.bfk, bev_fuse_i.bfk and heatmaps_i.bfk (also
 for `learnable` queries, which do not select from them), then
-detections.json (every decoder layer's boxes and class scores) and
-summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss).
+detections.json (every decoder layer's boxes and class scores),
+summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss)
+and trace.json, each scene's wall time in seconds per stage (vt, fuse,
+select, decoder; the first scene's include the process's cold start).
 Every JSON file is compact, with sorted keys and a closing newline; json
 writes non-finite floats as NaN, Infinity and -Infinity.
 
+Given (config, seed), every file but trace.json is byte-identical across
+reruns on one machine. Across machines with different core counts,
+detections.json differs in the last bits, because OpenBLAS splits
+attention's value product by thread.
+
 Exit codes: 0 success, 1 verification failures, 2 invalid config or input
-file, 3 runtime failure. All outputs are deterministic given (config, seed)
-except the timings in bench.csv.
+file, 3 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
-import statistics
 import sys
 
 import numpy as np
@@ -32,7 +34,7 @@ from . import autodiff as ad
 from . import bfk
 from .decoder import gaussian_focal_loss
 from .geometry import BevGrid
-from .pipeline import PipelineConfig, VT_MODES, forward, init_params
+from .pipeline import PipelineConfig, forward, init_params
 from .query_select import DEFAULT_GROUPS, GroupSpec, gaussian_target
 from .scene_sim import (SceneConfig, make_scene, ray_smear_metric,
                         scene_to_json)
@@ -214,11 +216,13 @@ def cmd_run(config_path, out_dir):
 
     detections = []
     summary_scenes = []
+    trace_scenes = []
     for i, scene in enumerate(scenes):
         _json_dump(os.path.join(out_dir, f"scene_{i}.json"),
                    scene_to_json(scene))
         det, diag, extras = forward(pipeline_cfg, params, scene)
         detections.append(det)
+        trace_scenes.append({"scene": i, "stage_s": extras["stage_times"]})
 
         bfk.save(os.path.join(out_dir, f"bev_camera_{i}.bfk"),
                  extras["bev_camera"])
@@ -252,37 +256,7 @@ def cmd_run(config_path, out_dir):
         "attention_mode": pipeline_cfg.attention_mode,
         "scenes": summary_scenes,
     })
-    return 0
-
-
-def cmd_bench(config_path, out_dir, reps=5):
-    cfg = load_config(config_path)
-    if reps < 3:
-        raise ConfigError("bench needs at least 3 repetitions")
-    pipeline_cfg, scene_cfg = build_configs(cfg)
-    scene = _make_scenes(cfg, scene_cfg, 1)[0]
-    _make_out_dir(out_dir)
-
-    rows = []
-    for mode in VT_MODES:
-        mode_cfg = dataclasses.replace(pipeline_cfg, vt_mode=mode)
-        params = init_params(mode_cfg, seed=cfg["seed"])
-        samples = {k: [] for k in ("vt", "fuse", "select", "decoder")}
-        for rep in range(reps + 1):  # first run is warmup
-            _, _, extras = forward(mode_cfg, params, scene)
-            if rep == 0:
-                continue
-            for k in samples:
-                samples[k].append(extras["stage_times"][k] * 1000.0)
-        for stage, times in samples.items():
-            rows.append((mode, stage, statistics.median(times),
-                         float(np.percentile(times, 90))))
-
-    path = os.path.join(out_dir, "bench.csv")
-    with open(path, "w") as fh:
-        fh.write("mode,stage,median_ms,p90_ms\n")
-        for mode, stage, med, p90 in rows:
-            fh.write(f"{mode},{stage},{med:.3f},{p90:.3f}\n")
+    _json_dump(os.path.join(out_dir, "trace.json"), {"scenes": trace_scenes})
     return 0
 
 
@@ -366,16 +340,10 @@ def build_parser():
         description="BEV view-transform and detection lab on synthetic scenes")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the pipeline, write detections")
+    run = sub.add_parser("run", help="run the pipeline, write detections "
+                         "and trace.json")
     run.add_argument("config")
     run.add_argument("--out", required=True)
-
-    bench = sub.add_parser("bench", help="time the four VT modes, write bench.csv",
-                           description="Time each stage in all four VT modes.")
-    bench.add_argument("config")
-    bench.add_argument("--out", required=True)
-    bench.add_argument("--reps", type=int, default=5, help="warm repetitions "
-                       "per mode after one warmup, at least 3 (default 5)")
 
     viz = sub.add_parser("viz", help="render a BFK1 tensor to a PGM image")
     viz.add_argument("tensor")
@@ -397,8 +365,6 @@ def main(argv=None):
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out)
-        if args.command == "bench":
-            return cmd_bench(args.config, args.out, reps=args.reps)
         if args.command == "viz":
             return cmd_viz(args.tensor, args.out, channel=args.channel,
                            points=args.points)

@@ -14,18 +14,9 @@ sample around the center instead and pool the samples with predicted
 weights; the `standard` baseline attends densely to every BEV cell.
 
 Self-attention and `standard` cross-attention both go through `_mha`,
-whose softmax attention (`autodiff.attention`) works one block of scores
-at a time: memory grows with queries + keys, not their product, so
-`standard` never holds the [heads, queries, cells] scores (1.9 GB at the
-default 8 heads, 900 queries and 32,400 cells). A block is always one
-head's query rows, so it rereads only its own head's keys and values: one
-head times 900 rows for the default 900-query self-attention, one head
-times 32 rows over 32,400 cells for `standard` cross-attention. Where all
-heads' scores fit the block budget, as in a 300-query self-attention, the
-blocks equal the dense softmax bit for bit. Past it, a block shifts each
-row by a bound on its scores and folds the shift and the softmax sum into
-its two products, so it makes three passes over its scores, and differs
-from the dense softmax in the last bits. The layers share the
+whose softmax attention (`autodiff.attention`, which documents its block
+plan) never holds the [heads, queries, cells] scores: 1.9 GB at the
+default 8 heads, 900 queries and 32,400 cells. The layers share the
 `cross_attn` weights, so `run_decoder` projects the BEV cells' keys and
 values once per forward, not once per layer.
 
@@ -309,8 +300,8 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
     `cross_attn` (`_keys_values`), instead of sampling bev_fuse. Returns
     (new feats, encoded predictions [Nq, 8], class logits, next box state).
     """
-    if layer_idx >= params.n_layers:
-        raise ValueError("layer_idx out of range")
+    if not 0 <= layer_idx < params.n_layers:
+        raise ValueError(f"layer_idx {layer_idx} out of range")
     if mode not in ATTENTION_MODES:
         raise ValueError(f"unknown attention mode: {mode}")
 

@@ -408,6 +408,8 @@ def fit_generators(config: PipelineConfig, params: PipelineParams, scenes,
     """
     if steps < 1 or not scenes:
         raise ValueError("a fit needs steps >= 1 and at least one scene")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
     consts = [_scene_constants(config, s) for s in scenes]
     lifted, train_vars = ad.lift_tree(params)

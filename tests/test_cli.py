@@ -325,7 +325,7 @@ class TestRun:
                 json.dump(doc, fh)
             assert main(["run", path, "--out", os.path.join(tmp, "o")]) in (0, 2)
 
-    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_threads_flag_rejected(self, tiny_config, tmp_path, command):
         with pytest.raises(SystemExit) as exc:
             main([command, tiny_config, "--out", str(tmp_path / "o"),
@@ -338,6 +338,13 @@ class TestRun:
                   str(tmp_path / "o.pgm"), "--norm"])
         assert exc.value.code == 2
 
+    def test_bench_command_rejected(self, tiny_config, tmp_path):
+        # stage times come from `run`'s trace.json
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", tiny_config, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns_and_threads(self, tiny_config, tmp_path):
         # the third run sets the schema's only thread count explicitly
         one_thread = tmp_path / "one_thread.json"
@@ -348,31 +355,32 @@ class TestRun:
             out = tmp_path / name
             assert main(["run", config, "--out", str(out)]) == 0
             outs.append(out)
-        ref = (outs[0] / "detections.json").read_bytes()
+        # every file but trace.json, whose wall times differ run to run
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "trace.json" in names and "bev_camera_0.bfk" in names
         for out in outs[1:]:
-            assert (out / "detections.json").read_bytes() == ref
-        ref_bfk = (outs[0] / "bev_fuse_0.bfk").read_bytes()
-        for out in outs[1:]:
-            assert (out / "bev_fuse_0.bfk").read_bytes() == ref_bfk
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                if name != "trace.json":
+                    assert (out / name).read_bytes() == (
+                        outs[0] / name).read_bytes(), name
 
-
-class TestBench:
-    def test_bench_csv_schema(self, tiny_config, tmp_path):
-        out = tmp_path / "bench"
-        assert main(["bench", tiny_config, "--out", str(out), "--reps", "3"]) == 0
-        lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert lines[0] == "mode,stage,median_ms,p90_ms"
-        rows = [l.split(",") for l in lines[1:]]
-        modes = {r[0] for r in rows}
-        stages = {r[1] for r in rows}
-        assert modes == {"vanilla", "as_only", "ap_only", "asap"}
-        assert stages == {"vt", "fuse", "select", "decoder"}
-        for r in rows:
-            assert float(r[2]) >= 0 and float(r[3]) >= 0
-
-    def test_too_few_reps_exit_2(self, tiny_config, tmp_path):
-        assert main(["bench", tiny_config, "--out", str(tmp_path / "b"),
-                     "--reps", "2"]) == 2
+    def test_trace_holds_each_scenes_stage_times(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY, scene={**TINY["scene"],
+                                                     "n_scenes": 3})))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        text = (out / "trace.json").read_text()
+        assert text.endswith("}\n") and "\n" not in text[:-1]
+        scenes = json.loads(text)["scenes"]
+        assert [entry["scene"] for entry in scenes] == [0, 1, 2]
+        for entry in scenes:
+            assert set(entry) == {"scene", "stage_s"}
+            stages = entry["stage_s"]
+            assert set(stages) == {"vt", "fuse", "select", "decoder"}
+            assert all(type(t) is float and math.isfinite(t) and t >= 0
+                       for t in stages.values())
 
 
 class TestViz:
@@ -531,7 +539,6 @@ class TestViz:
 @pytest.mark.parametrize("command, out", [
     pytest.param("run", "file", id="run-out-is-a-file"),
     pytest.param("run", "file/sub", id="run-out-under-a-file"),
-    pytest.param("bench", "file", id="bench-out-is-a-file"),
     pytest.param("viz", "missing/x.pgm", id="viz-out-in-a-missing-dir"),
     pytest.param("viz", "dir", id="viz-out-is-a-dir"),
 ])

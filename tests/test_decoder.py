@@ -368,6 +368,15 @@ class TestDecoderLayer:
                           _initial_state(np.zeros((1, 2))),
                           np.zeros((2, 4, 4)), params, 0, GRID, mode="bogus")
 
+    @pytest.mark.parametrize("layer_idx", [-1, 1])
+    def test_layer_idx_out_of_range_rejected(self, layer_idx):
+        # -1 would index the last layer's self-attention without a word
+        params = tiny_params(n_layers=1)
+        with pytest.raises(ValueError, match="layer_idx"):
+            decoder_layer(np.zeros((1, 2)), np.zeros((1, 2)),
+                          _initial_state(np.zeros((1, 2))),
+                          np.zeros((2, 4, 4)), params, layer_idx, GRID)
+
 
 class TestLosses:
     def test_gaussian_focal_fixtures(self):

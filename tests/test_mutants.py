@@ -165,6 +165,19 @@ MUTANTS = {
                                       "kernels(r).swapaxes(-1, -2)",
                                       "kernels(r)"),
         verify.check_adaptive_projection_grad, "gradient rel err"),
+    "dynamic-filter-vjp-negates-d-w": (
+        ad, "dynamic_filter", mutated(ad.dynamic_filter,
+                                      "dw[cols] = dkb.T @ vz",
+                                      "dw[cols] = -(dkb.T @ vz)"),
+        verify.check_adaptive_projection_grad, "gradient rel err"),
+    "dynamic-filter-vjp-drops-d-b": (
+        ad, "dynamic_filter", mutated(ad.dynamic_filter,
+                                      "db[cols] = dkb.sum(axis=0)",
+                                      "db[cols] = 0.0"),
+        verify.check_adaptive_projection_grad, "gradient rel err"),
+    "softmax-vjp-drops-the-dot-term": (
+        ad, "softmax", mutated(ad.softmax, "y * (g - dot)", "y * g"),
+        verify.check_adaptive_sampling_grad, "gradient rel err"),
     "softmax-vjp-of-minus-g": (
         ad, "softmax", vjp_of_minus_g(ad.softmax),
         verify.check_adaptive_sampling_grad, "gradient rel err"),

@@ -273,6 +273,13 @@ class TestFit:
         with pytest.raises(RuntimeError):
             fit_generators(cfg, params, scenes, steps=50, lr=1e4)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_empty_batch_rejected(self, batch_size):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="batch_size"):
+            fit_generators(cfg, init_params(cfg, seed=3), [tiny_scene(seed=0)],
+                           steps=1, lr=1e-3, batch_size=batch_size)
+
     def test_height_supervision_converges(self):
         # a single scene, 1000 gradient steps on the height loss alone:
         # predicted heights at occupied cells end up within 0.25 m of the

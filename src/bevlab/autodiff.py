@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -384,21 +385,30 @@ def softmax(a):
 
 
 # bytes of one block of float64 intermediates in the blocked ops: the scores
-# of `attention`, and the generated kernels of `dynamic_filter` (a block of
-# cells) and the columns of its kernel gradient (a block of kernel rows).
-# 8 MiB holds the [8, 300, 300] scores of a 300-query model's
-# self-attention, which then keeps the dense softmax's bits, so fits follow
-# the same trajectory (a last-bit change can flip a top-k query choice a few
-# steps later). A block of `attention` rereads one head's keys and values:
-# 2 MB at 32,400 keys and dh = 4, where all 8 heads' take 17 MB. For that
-# [8, 300, 32,400] cross-attention on a 2-vCPU host (2 MiB of L2 per core),
-# when a block still made 7 passes over its scores (product, max, subtract,
-# exp, sum, value product, divide), per-head budgets of 1 to 4 MiB made the
-# forward 1.07-1.36x as slow as 8 MiB and 256 KiB 2.0-2.3x; 16 MiB made it
-# 0.97-1.10x and its vjp 1.57-1.62x. The 3-pass blocks past the budget have
-# not been timed against other budgets.
-# `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
+# of `attention` when all its heads' fit (past that, `_TILE_BYTES` sets its
+# tiles), and the generated kernels of `dynamic_filter` (a block of cells)
+# and the columns of its kernel gradient (a block of kernel rows). 8 MiB
+# holds the [8, 300, 300] scores of a 300-query model's self-attention,
+# which then keeps the dense softmax's bits, so fits follow the same
+# trajectory (a last-bit change can flip a top-k query choice a few steps
+# later). `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
 _BLOCK_BYTES = 8 * 2**20
+
+# bytes of one tile of `attention`'s scores past `_BLOCK_BYTES`: 256 rows x
+# 256 keys of one head. A tile's scores, keys and values stay in L2 over
+# its two products. Timed on a 2-vCPU host (2 MiB of L2 per core), medians
+# of 5 calls: the [8, 300, 32,400] forward of `standard` cross-attention,
+# with the strided k and v that `_mha` passes, took 0.32, 0.27, 0.24, 0.21,
+# 0.19 and 0.21 s in tiles of 64 KiB to 2 MiB (doubling), against 0.25 s
+# for blocks of one head's 32 rows over all keys; its vjp 0.48, 0.47, 0.53
+# and 0.53 s at 256 KiB to 2 MiB (1.08 s in those blocks); the 900-query
+# self-attention 0.017, 0.016, 0.017 and 0.021 s (0.023 s). Tiles of 32 x
+# 2,048, 64 x 1,024 and 128 x 512 keys ran within 4% of 256 x 256. A
+# tile's products, up to [256, 256] @ [256, 5], give the same bits under
+# one and two OpenBLAS threads, as did each product tried of up to 2.6
+# million multiply-adds; [32, 32,400] @ [32,400, 5] (5.2 million) and
+# [900, 900] @ [900, 5] did not.
+_TILE_BYTES = 2**19
 
 # Largest row bound ||q_i|| max_j ||k_j|| that `attention` takes as a row's
 # softmax shift past the budget. Every score of the row lies within the
@@ -411,49 +421,61 @@ _SHIFT_LIMIT = 300.0
 
 
 def _attention_blocks(h, nq, nk):
-    """Block plan of ``attention`` for h heads, nq query rows and nk keys:
-    a list of (head slice, row slice) pairs covering every (head, row) once.
-    A block is one head times budget // (8 nk) query rows (at least one, at
-    most nq), so one head's [rows, nk] scores fit in the budget."""
-    step = max(1, _BLOCK_BYTES // (8 * nk))
-    return [(slice(i, i + 1), slice(lo, min(lo + step, nq)))
-            for i in range(h) for lo in range(0, nq, step)]
+    """Tile plan of ``attention`` for h heads, nq query rows and nk keys: a
+    list of (head, rows, keys) slices covering every (head, row, key) once,
+    in which the key tiles of one (head, rows) block are consecutive, as are
+    the blocks of one head. When all heads' scores fit `_BLOCK_BYTES`, a
+    tile is one whole head. Otherwise a tile's scores fit `_TILE_BYTES`:
+    one head times isqrt(`_TILE_BYTES` / 8) keys (all of them if fewer)
+    and as many query rows as fit with them, 256 x 256 at the default;
+    the last block of rows and the last of keys may be smaller."""
+    if 8 * h * nq * nk <= _BLOCK_BYTES:
+        rows, keys = nq, nk
+    else:
+        keys = min(nk, max(1, math.isqrt(_TILE_BYTES // 8)))
+        rows = max(1, _TILE_BYTES // (8 * keys))
+    row_blocks = [slice(r, min(r + rows, nq)) for r in range(0, nq, rows)]
+    key_tiles = [slice(c, min(c + keys, nk)) for c in range(0, nk, keys)]
+    return [(slice(i, i + 1), b, c)
+            for i in range(h) for b in row_blocks for c in key_tiles]
 
 
 def attention(q, k, v):
     """Softmax attention softmax(q kᵀ) v without the [h, Nq, Nk] scores.
 
     q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
-    Returns [h, Nq, dh]. Each row's softmax is independent, so the forward
-    finishes one block of `_attention_blocks` before it starts the next,
-    and keeps only each row's shift and sum. A block is one head's
-    budget // (8 Nk) query rows, so it reads only that head's k and v,
-    which then stay in cache from block to block; ``np.matmul`` on a stack
-    of heads runs the same product per head, so splitting by head changes
-    no bit.
+    Returns [h, Nq, dh]. The forward and the vjp walk the tiles of
+    `_attention_blocks`, one head's block of query rows times one block of
+    keys at a time, and keep only each row's shift and sum between them.
+    ``np.matmul`` on a stack of heads runs the same product per head, so
+    splitting by head changes no bit.
 
-    When all heads' scores fit in the budget, a block takes
+    When all heads' scores fit in `_BLOCK_BYTES`, a tile is one whole head:
     e = exp(s - max), then (e / sum) @ v, so values and gradients equal the
-    dense softmax's bit for bit. Otherwise a block makes three passes over
-    its scores. Softmax is unchanged by a constant shift of a row (as in
-    the online softmax of Milakov and Gimelshein, arXiv 1805.02867), so
-    row i is shifted by the bound ||q_i|| max_j ||k_j|| on its scores, not
-    by its max (a block whose bound passes `_SHIFT_LIMIT` takes its exact
-    row maxes). The shift and the sum ride in the two products, as
-    FlashAttention fuses the softmax's passes (Dao et al., arXiv
-    2205.14135): s = [q | -shift] @ [kᵀ ; 1], exp in place, and
-    p = s @ [v | 1], whose last column divides the rest. These
-    [dh + 1, Nk] and [Nk, dh + 1] copies of k and v exist for one head at
-    a time, and the values differ from the dense softmax's in the last
-    bits.
+    dense softmax's bit for bit. Otherwise a tile's scores fit
+    `_TILE_BYTES` and are made once per pass. Softmax is unchanged by a
+    constant shift of a row (as in the online softmax of Milakov and
+    Gimelshein, arXiv 1805.02867), so row i is shifted by the bound
+    ||q_i|| max_j ||k_j|| on its scores, fixed before its first tile, and
+    no tile rescales the ones before it (a block of rows whose bound passes
+    `_SHIFT_LIMIT` takes its exact row maxes, tile by tile). The shift and
+    the sum ride in the two products, as FlashAttention fuses the softmax's
+    passes (Dao et al., arXiv 2205.14135): per tile, s = [q | -shift] @
+    [kᵀ ; 1], exp in place, and p += s @ [v | 1], whose last column divides
+    the rest after the row's last tile. These [dh + 1, Nk] and [Nk, dh + 1]
+    copies of k and v exist for one head at a time. The values differ from
+    the dense softmax's in the last bits, but not with the number of
+    OpenBLAS threads: a tile's products are small enough to give the same
+    bits under one and two (see `_TILE_BYTES`).
 
     So the heads of one call are independent bit for bit only on one side
     of the budget: a head of a many-head call past it may differ in the
-    last bits from the same head called alone within it. The vjp walks the
-    plan, recomputes each block's probabilities from the kept shift and sum
-    (past the budget with the same fused product), writes that block's dq
-    and adds its share to that head's dk and dv, holding at most three
-    blocks at a time.
+    last bits from the same head called alone within it. The vjp recomputes
+    each tile's probabilities from the kept shift and sum, and takes
+    dS = P ∘ (dP - D) with dP = g vᵀ. Within the budget D = rowsum(dP ∘ P);
+    past it, as in FlashAttention-2 (Dao, arXiv 2307.08691), the equal
+    D_i = g_i · out_i, so no whole row of scores is held: per tile,
+    dv += pᵀ g, ds = p ∘ (g vᵀ - D), dq += ds k and dk += dsᵀ q.
     """
     vq, vk, vv = val(q), val(k), val(v)
     h, nq, dh = vq.shape
@@ -462,7 +484,12 @@ def attention(q, k, v):
     out = np.empty((h, nq, dv), dtype=dtype)
     shift = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
-    blocks = _attention_blocks(h, nq, nk)
+    # the tiles grouped by head, then by block of rows: [(head, [(rows,
+    # [keys, ...]), ...]), ...]
+    plan = [(hs, [(b, [c for *_, c in block]) for b, block in
+                  itertools.groupby(head, key=lambda t: t[1])])
+            for hs, head in itertools.groupby(_attention_blocks(h, nq, nk),
+                                              key=lambda t: t[0])]
     dense = 8 * h * nq * nk <= _BLOCK_BYTES
     if dense:
         # contiguous [h, Nk, dh] copies: a strided k makes the q kᵀ products
@@ -476,8 +503,11 @@ def attention(q, k, v):
         def operands(hs):
             return kt[hs], vc[hs]
 
-        def exp_scores(hs, b, kt_h):
-            s = np.matmul(vq[hs, b], kt_h)
+        def query_operand(hs, b):
+            return vq[hs, b]
+
+        def exp_scores(a, kt_c, hs, b):
+            s = np.matmul(a, kt_c)
             s -= shift[hs, b]
             return np.exp(s, out=s)
     else:
@@ -495,58 +525,72 @@ def attention(q, k, v):
             va[:, :, :dv] = vv[hs]
             return ka, va
 
-        def exp_scores(hs, b, ka):
+        def query_operand(hs, b):
+            """[q | -shift] [1, rows, dh + 1] of the block of rows b."""
             qa = np.empty((1, b.stop - b.start, dh + 1), dtype=dtype)
             qa[..., :dh] = vq[hs, b]
             qa[..., dh:] = -shift[hs, b]
-            s = np.matmul(qa, ka)
+            return qa
+
+        def exp_scores(a, ka_c, hs, b):
+            s = np.matmul(a, ka_c)
             return np.exp(s, out=s)
 
-    # the blocks of one head are consecutive in the plan
-    for hs, head in itertools.groupby(blocks, key=lambda block: block[0]):
+    for hs, blocks in plan:
         kt_h, v_h = operands(hs)
-        for _, b in head:
+        for b, keys in blocks:
             if dense:  # the dense softmax's probabilities, then times v
-                s = np.matmul(vq[hs, b], kt_h)
+                (c,) = keys
+                s = np.matmul(vq[hs, b], kt_h[..., c])
                 shift[hs, b] = s.max(axis=-1, keepdims=True)
                 s -= shift[hs, b]
                 np.exp(s, out=s)
                 row_sum[hs, b] = s.sum(axis=-1, keepdims=True)
                 s /= row_sum[hs, b]
-                out[hs, b] = np.matmul(s, v_h)
+                out[hs, b] = np.matmul(s, v_h[:, c])
                 del s  # before the next block's scores are made
                 continue
             # past the limit, exp(s - bound) could underflow a whole row:
-            # the block takes its exact row maxes instead (also when a
-            # bound is inf or NaN)
+            # the block takes its exact row maxes, tile by tile, instead
+            # (also when a bound is inf or NaN)
             if not shift[hs, b].max() <= _SHIFT_LIMIT:
-                shift[hs, b] = np.matmul(vq[hs, b], kt_h[:, :dh]).max(
-                    axis=-1, keepdims=True)
-            p = np.matmul(exp_scores(hs, b, kt_h), v_h)
+                m = shift[hs, b]
+                m[...] = -np.inf
+                for c in keys:
+                    np.maximum(m, np.matmul(vq[hs, b], kt_h[:, :dh, c]).max(
+                        axis=-1, keepdims=True), out=m)
+            qa = query_operand(hs, b)
+            p = sum(np.matmul(exp_scores(qa, kt_h[..., c], hs, b), v_h[:, c])
+                    for c in keys)
             row_sum[hs, b] = p[..., dv:]
             out[hs, b] = p[..., :dv] / row_sum[hs, b]
+        del kt_h, v_h  # before the next head's copies are made
 
     def vjp(g):
-        # dS = P ∘ (dP - rowsum(dP ∘ P)) with dP = g vᵀ
         qt = np.swapaxes(vq, 1, 2)
-        dq = np.empty(vq.shape, dtype=dtype)
+        dq = np.zeros(vq.shape, dtype=dtype)
         dkt = np.zeros((h, dh, nk), dtype=dtype)
         dvv = np.zeros(vv.shape, dtype=dtype)
-        for hs, head in itertools.groupby(blocks, key=lambda block: block[0]):
+        for hs, blocks in plan:
             kt_h, v_h = operands(hs)
-            k_h = np.swapaxes(kt_h[:, :dh], 1, 2)
-            vt_h = np.swapaxes(v_h[..., :dv], 1, 2)
-            for _, b in head:
-                p = exp_scores(hs, b, kt_h)
-                p /= row_sum[hs, b]
-                dvv[hs] += np.matmul(np.swapaxes(p, 1, 2), g[hs, b])
-                ds = np.matmul(g[hs, b], vt_h)
-                ds -= (ds * p).sum(axis=-1, keepdims=True)
-                ds *= p
-                del p
-                dq[hs, b] = np.matmul(ds, k_h)
-                dkt[hs] += np.matmul(qt[hs, :, b], ds)
-                del ds
+            for b, keys in blocks:
+                a = query_operand(hs, b)
+                gb = g[hs, b]
+                if not dense:
+                    d = (gb * out[hs, b]).sum(axis=-1, keepdims=True)
+                for c in keys:
+                    p = exp_scores(a, kt_h[..., c], hs, b)
+                    p /= row_sum[hs, b]
+                    dvv[hs, c] += np.matmul(np.swapaxes(p, 1, 2), gb)
+                    ds = np.matmul(gb, np.swapaxes(v_h[:, c, :dv], 1, 2))
+                    ds -= (ds * p).sum(axis=-1, keepdims=True) if dense else d
+                    ds *= p
+                    del p
+                    dq[hs, b] += np.matmul(
+                        ds, np.swapaxes(kt_h[:, :dh, c], 1, 2))
+                    dkt[hs, :, c] += np.matmul(qt[hs, :, b], ds)
+                    del ds
+            del kt_h, v_h
         _accum(q, dq)
         _accum(k, np.swapaxes(dkt, 1, 2))
         _accum(v, dvv)

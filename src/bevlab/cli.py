@@ -12,9 +12,10 @@ Every JSON file is compact, with sorted keys and a closing newline; json
 writes non-finite floats as NaN, Infinity and -Infinity.
 
 Given (config, seed), every file but trace.json is byte-identical across
-reruns on one machine. Across machines with different core counts,
-detections.json differs in the last bits, because OpenBLAS splits
-attention's value product by thread.
+reruns. It is also byte-identical under one and two OpenBLAS threads, as
+measured at DEFAULTS in every VT mode and with `standard` attention:
+attention works in tiles whose products give the same bits under either
+(`autodiff._TILE_BYTES`).
 
 Exit codes: 0 success, 1 verification failures, 2 invalid config or input
 file, 3 runtime failure.

@@ -14,9 +14,12 @@ sample around the center instead and pool the samples with predicted
 weights; the `standard` baseline attends densely to every BEV cell.
 
 Self-attention and `standard` cross-attention both go through `_mha`,
-whose softmax attention (`autodiff.attention`, which documents its block
+whose softmax attention (`autodiff.attention`, which documents its tile
 plan) never holds the [heads, queries, cells] scores: 1.9 GB at the
-default 8 heads, 900 queries and 32,400 cells. The layers share the
+default 8 heads, 900 queries and 32,400 cells. Past 8 MiB of scores (the
+default 900-query self-attention, and `standard` cross-attention) it
+works in 0.5 MiB tiles of one head's 256 queries times 256 keys, whose
+bits do not depend on the number of BLAS threads. The layers share the
 `cross_attn` weights, so `run_decoder` projects the BEV cells' keys and
 values once per forward, not once per layer.
 
@@ -238,8 +241,8 @@ def _mha(q_in, kv, attn: AttentionParams, n_heads):
 
     The 1/sqrt(dh) score scale is folded into the queries (exact when dh is
     a power of 4, as at the default dh = 4). ``ad.attention`` then works
-    through blocks of query rows, so memory grows with Nq + Nk, not with
-    Nq * Nk, in the forward and the backward pass alike.
+    through tiles of query rows times keys, so memory grows with Nq + Nk,
+    not with Nq * Nk, in the forward and the backward pass alike.
     """
     nq, C = np.shape(val(q_in))
     q = _heads(ad.mul(linear_apply(attn.w_q, q_in),

@@ -370,37 +370,51 @@ def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
 @contextlib.contextmanager
 def block_bytes(n):
     """Set the block budget of the row-blocked ops (``ad.attention``,
-    ``ad.dynamic_filter``) to n bytes, so that small problems span several
-    blocks of rows."""
-    keep = ad._BLOCK_BYTES
-    ad._BLOCK_BYTES = n
+    ``ad.dynamic_filter``) and the tile budget of ``ad.attention`` to n
+    bytes, so that small problems span several blocks of rows and several
+    tiles of keys."""
+    keep = ad._BLOCK_BYTES, ad._TILE_BYTES
+    ad._BLOCK_BYTES = ad._TILE_BYTES = n
     try:
         yield
     finally:
-        ad._BLOCK_BYTES = keep
+        ad._BLOCK_BYTES, ad._TILE_BYTES = keep
 
 
-def check_attention_blocked(rng, shapes=((2, 1700, 1700, 1.0),
-                                         (2, 150, 20000, 1.0),
-                                         (2, 150, 20000, 30.0))):
+def _attention_tiles(h, nq, nk):
+    """Numbers of row blocks and key tiles of each head in ``ad.attention``'s
+    plan for h heads, nq query rows and nk keys, which must both be several
+    with a ragged last one."""
+    tiles = [(b, c) for hs, b, c in ad._attention_blocks(h, nq, nk)
+             if hs == slice(0, 1)]
+    rows = sorted({(b.start, b.stop) for b, _ in tiles})
+    keys = sorted({(c.start, c.stop) for _, c in tiles})
+    assert len(rows) > 1 and nq % rows[0][1], (
+        f"{nq} query rows of {h} heads over {nk} keys do not give each head "
+        "several blocks of rows with a ragged last one")
+    assert len(keys) > 1 and nk % keys[0][1], (
+        f"{nq} query rows of {h} heads over {nk} keys do not give each head "
+        "several tiles of keys with a ragged last one")
+    return len(rows), len(keys)
+
+
+def check_attention_blocked(rng, shapes=((2, 900, 900, 1.0),
+                                         (2, 300, 4000, 1.0),
+                                         (2, 300, 4000, 30.0))):
     """``ad.attention`` (through ``decoder._mha``) against the dense
     ``naive_mha`` on (heads, Nq, Nk, input scale) instances: self-attention
     (Nq = Nk), cross-attention (Nk >> Nq), and cross-attention whose inputs
     are scaled so far that the bounds on its scores pass
-    ``ad._SHIFT_LIMIT``, where a block shifts by its exact row maxes. With
-    the current block budget, the op's block plan must split each head of
-    every instance into several blocks of query rows with a ragged last
-    one."""
+    ``ad._SHIFT_LIMIT``, where a block of rows shifts by its exact row
+    maxes. With the current budgets, the op's tile plan must split each
+    head of every instance into several blocks of query rows and several
+    tiles of keys, each with a ragged last one."""
     C = 8
     worst = 0.0
-    blocks = []
+    tiles = []
     for h, nq, nk, scale in shapes:
-        rows = [b for hs, b in ad._attention_blocks(h, nq, nk)
-                if hs == slice(0, 1)]
-        assert len(rows) > 1 and nq % rows[0].stop, (
-            f"{nq} query rows of {h} heads over {nk} keys do not give each "
-            "head several blocks with a ragged last one")
-        blocks.append(f"{h}x{len(rows)}")
+        rows, keys = _attention_tiles(h, nq, nk)
+        tiles.append(f"{h}x{rows}x{keys}")
         attn = AttentionParams(*(_rand_linear(rng, C, C) for _ in range(4)))
         q_in = rng.normal(size=(nq, C)) * scale
         kv_in = q_in if nq == nk else rng.normal(size=(nk, C)) * scale
@@ -408,15 +422,16 @@ def check_attention_blocked(rng, shapes=((2, 1700, 1700, 1.0),
         dev = float(np.max(np.abs(fast - naive_mha(q_in, kv_in, attn, h))))
         assert dev < 1e-12, f"{h}x{nq}x{nk}x{scale:g}: max deviation {dev:.3e}"
         worst = max(worst, dev)
-    return (f"max deviation {worst:.2e}; {'/'.join(blocks)} blocks of "
-            "heads x query rows")
+    return (f"max deviation {worst:.2e}; {'/'.join(tiles)} tiles of heads x "
+            "query rows x keys")
 
 
 def check_attention_grad(rng, grid):
     """Finite-difference check of ``ad.attention``'s vjp, on the op alone
-    and inside a `standard` decoder layer, with a block budget under which
-    each head spans several blocks of query rows."""
-    # the op on 5 query rows in blocks of 2 (2 + 2 + 1) per head ...
+    and inside a `standard` decoder layer, with budgets under which each
+    head spans several blocks of query rows and several tiles of keys."""
+    # the op on 5 query rows over 7 keys, per head in tiles of 4 rows x 3
+    # keys (rows 4 + 1, keys 3 + 3 + 1) ...
     q, k, v = (rng.normal(size=(2, n, 3)) for n in (5, 7, 7))
     w = rng.normal(size=(2, 5, 3))
 
@@ -425,8 +440,8 @@ def check_attention_grad(rng, grid):
         return ad.sum_(ad.mul(out, w))
 
     # ... and a `standard` decoder layer: per head, self-attention over 5
-    # queries in row blocks of 3 (3 + 2), cross-attention over 16 cells in
-    # row blocks of 1
+    # queries and cross-attention over 16 cells, both in tiles of 4 rows x
+    # 4 keys
     params = _tiny_decoder_params(rng)
     feats = rng.normal(size=(5, 4))
     bev = rng.normal(size=(4, 4, 4))
@@ -454,6 +469,7 @@ def check_attention_grad(rng, grid):
                              ad.sum_(ad.mul(new_feats, 0.05))))
 
     with block_bytes(8 * 7 * 2):
+        _attention_tiles(2, 5, 7)
         w1 = _gradcheck_tree(op_loss, zero_linear(1, 1),
                              {"q": q, "k": k, "v": v})
     with block_bytes(8 * 16):

@@ -1,5 +1,10 @@
 """Gradient checks for every tape op against central finite differences."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -123,16 +128,15 @@ def test_softmax_grad_and_rows(rng):
 
 
 def test_attention_memory_is_bounded_by_its_blocks(rng):
-    # the dense [2, 256, 20000] float64 scores alone would take 82 MB, and a
-    # block holds at most the budget; the [8, 300, 300] scores of a 300-query
-    # self-attention take 5.8 MB, and a block holds one head's 0.7 MB. Past
-    # the budget the op copies one head's k and v at a time, as [kᵀ ; 1] and
-    # [v | 1], also from the transposed views that `_mha` passes: at
-    # [8, 128, 20000], contiguous copies of all heads would add 10 MB
-    for h, nq, nk, block, strided in (
-            (2, 256, 20000, ad._BLOCK_BYTES, False),
-            (8, 300, 300, 8 * 300 * 300, False),
-            (8, 128, 20000, ad._BLOCK_BYTES, True)):
+    # the dense [2, 256, 20000] float64 scores alone would take 82 MB, and
+    # past the budget a tile holds at most the tile budget (0.5 MiB); the
+    # [8, 300, 300] scores of a 300-query self-attention take 5.8 MB, within
+    # the budget, and a tile holds one head's 0.7 MB. Past the budget the
+    # op copies one head's k and v at a time, as [kᵀ ; 1] and [v | 1], also
+    # from the transposed views that `_mha` passes: at [8, 128, 20000],
+    # contiguous copies of all heads would add 10 MB
+    for h, nq, nk, strided in ((2, 256, 20000, False), (8, 300, 300, False),
+                               (8, 128, 20000, True)):
         dh = 4
         q = rng.normal(size=(h, nq, dh))
         if strided:
@@ -143,20 +147,27 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
         copies = 2 * 8 * nk * (dh + 1)
         io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
         dense = 8 * h * nq * nk
+        # the vjp holds a tile of probabilities and one of their gradients,
+        # and within the budget also their product while it takes its row
+        # sums
+        if dense <= ad._BLOCK_BYTES:
+            tile, held = dense // h, 3
+        else:
+            tile, held = ad._TILE_BYTES, 2
+        tiles = len(ad._attention_blocks(h, nq, nk))
         with tracemalloc_peak() as forward:
             ad.attention(q, k, v)
         qv, kv, vv = (ad.Var(x) for x in (q, k, v))
         out = ad.attention(qv, kv, vv)
         with tracemalloc_peak() as backward:
             out._vjp(np.ones(out.data.shape))
-        # besides a block and one head's copies, the forward holds its
-        # output, each row's shift and sum, and a block's [rows, dh + 1]
-        # products
-        assert forward.peak < block + copies + 4 * q.nbytes < dense / 5
-        # the vjp holds a block of probabilities, one of their gradients
-        # and, while it takes their row sums, one of their products; it
-        # builds gradients as large as the inputs
-        assert backward.peak < 3 * block + 2 * io_bytes < dense / 2
+        # besides a tile and one head's copies, the forward holds its
+        # output, each row's shift and sum, a block's [rows, dh + 1]
+        # products, and the plan (under 512 bytes a tile)
+        assert (forward.peak < tile + copies + 4 * q.nbytes + 512 * tiles
+                < dense / 5)
+        # the vjp builds gradients as large as the inputs
+        assert backward.peak < held * tile + copies + 2 * io_bytes < dense / 2
 
 
 def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
@@ -196,14 +207,23 @@ def _attention_and_grads(base, w, dense=False):
     return [out.data, q.grad, k.grad, v.grad]
 
 
+def _patch_budgets(monkeypatch, block, tile):
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(ad, "_TILE_BYTES", tile)
+
+
 def test_attention_in_row_blocks_is_the_dense_softmax(rng, monkeypatch):
-    # per head, 40 query rows over 600 keys in blocks of 15 (15 + 15 + 10),
-    # each block shifted by its rows' score bounds and divided by the sums
-    # that its value product carries
+    # per head, 40 query rows over 600 keys in tiles of 16 x 16: rows
+    # 16 + 16 + 8, keys 37 x 16 + 8, each block of rows shifted by its
+    # rows' score bounds and divided by the sums that its value products
+    # carry over the tiles
     h, nq, nk, dh = 2, 40, 600, 4
-    monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * 15)
-    blocks = ad._attention_blocks(h, nq, nk)
-    assert len(blocks) == 6 and nq % blocks[0][1].stop
+    _patch_budgets(monkeypatch, 8 * nk * 15, 8 * 16 * 16)
+    plan = ad._attention_blocks(h, nq, nk)
+    rows = sorted({(b.start, b.stop) for _, b, _ in plan})
+    keys = sorted({(c.start, c.stop) for *_, c in plan})
+    assert (len(rows), len(keys)) == (3, 38)
+    assert rows[-1] == (32, 40) and keys[-1] == (592, 600)
     base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
     w = rng.normal(size=(h, nq, dh))
     for a, b in zip(_attention_and_grads(base, w),
@@ -213,19 +233,19 @@ def test_attention_in_row_blocks_is_the_dense_softmax(rng, monkeypatch):
 
 def test_attention_past_the_shift_limit_is_the_dense_softmax(rng,
                                                              monkeypatch):
-    # the same plan with q and k scaled so that every block has a row whose
-    # score bound passes the shift limit: each block shifts by its exact
-    # row maxes, forward and backward (shifted by their bounds, some rows
-    # would underflow to 0 / 0)
+    # the same plan with q and k scaled so that every block of rows has a
+    # row whose score bound passes the shift limit: each block shifts by
+    # its exact row maxes, taken over its key tiles, forward and backward
+    # (shifted by their bounds, some rows would underflow to 0 / 0)
     h, nq, nk, dh = 2, 40, 600, 4
-    monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * 15)
+    _patch_budgets(monkeypatch, 8 * nk * 15, 8 * 16 * 16)
     base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
     base[0] *= 30.0
     base[1] *= 30.0
     bounds = (np.linalg.norm(base[0], axis=2, keepdims=True)
               * np.linalg.norm(base[1], axis=2).max(axis=1)[:, None, None])
     assert all(bounds[hs, b].max() > ad._SHIFT_LIMIT
-               for hs, b in ad._attention_blocks(h, nq, nk))
+               for hs, b, _ in ad._attention_blocks(h, nq, nk))
     w = rng.normal(size=(h, nq, dh))
     for a, b in zip(_attention_and_grads(base, w),
                     _attention_and_grads(base, w, dense=True)):
@@ -233,19 +253,27 @@ def test_attention_past_the_shift_limit_is_the_dense_softmax(rng,
 
 
 def test_attention_block_plans_of_the_default_model():
-    # past the budget, the default 900-query self-attention runs one head's
-    # 900 rows per block, and the [8, 300, 32,400] cross-attention of
-    # `standard` mode one head's 32 rows (9 x 32 + 12)
-    assert ad._attention_blocks(8, 900, 900) == [
-        (slice(i, i + 1), slice(0, 900)) for i in range(8)]
-    assert ad._attention_blocks(8, 300, 32400) == [
-        (slice(i, i + 1), slice(lo, min(lo + 32, 300)))
-        for i in range(8) for lo in range(0, 300, 32)]
+    # past the budget, the default 900-query self-attention runs each head
+    # in 256 x 256 tiles (rows and keys 3 x 256 + 132), and the
+    # [8, 300, 32,400] cross-attention of `standard` mode in tiles of 256
+    # rows (256 + 44) x 256 keys (126 x 256 + 144)
+    def grid(nq, nk):
+        rows = [slice(r, min(r + 256, nq)) for r in range(0, nq, 256)]
+        keys = [slice(c, min(c + 256, nk)) for c in range(0, nk, 256)]
+        return [(slice(i, i + 1), b, c)
+                for i in range(8) for b in rows for c in keys]
+
+    assert ad._TILE_BYTES == 8 * 256 * 256
+    assert ad._attention_blocks(8, 900, 900) == grid(900, 900)
+    assert len(grid(900, 900)) == 8 * 4 * 4
+    assert ad._attention_blocks(8, 300, 32400) == grid(300, 32400)
+    assert len(grid(300, 32400)) == 8 * 2 * 127
 
 
 def test_attention_plan_of_a_300_query_self_attention():
+    # within the budget, a tile is one whole head
     assert ad._attention_blocks(8, 300, 300) == [
-        (slice(i, i + 1), slice(0, 300)) for i in range(8)]
+        (slice(i, i + 1), slice(0, 300), slice(0, 300)) for i in range(8)]
 
 
 @pytest.mark.parametrize("h, nq, nk, rows", [
@@ -253,23 +281,35 @@ def test_attention_plan_of_a_300_query_self_attention():
     (3, 7, 11, 3), (2, 40, 600, 15), (1, 5, 10**7, None)])
 def test_attention_plan_covers_each_head_and_row_once(monkeypatch, h, nq, nk,
                                                       rows):
+    # each (head, row, key) exactly once, in tiles of one head whose scores
+    # fit the tile budget past the block budget, or are one whole head
+    # within it; `rows` patches both budgets, the tiles to rows x rows
     if rows is not None:
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * rows)
-    seen = np.zeros((h, nq), dtype=int)
-    for hs, b in ad._attention_blocks(h, nq, nk):
+        _patch_budgets(monkeypatch, 8 * nk * rows, 8 * rows * rows)
+    dense = 8 * h * nq * nk <= ad._BLOCK_BYTES
+    spans = {}
+    for hs, b, c in ad._attention_blocks(h, nq, nk):
         assert hs.stop - hs.start == 1
-        # one head's scores fit the budget, unless one row alone does not
-        assert b.stop - b.start == 1 or 8 * (b.stop - b.start) * nk <= (
-            ad._BLOCK_BYTES)
-        seen[hs, b] += 1
-    assert (seen == 1).all()
+        assert b.start < b.stop and c.start < c.stop
+        if dense:
+            assert (b, c) == (slice(0, nq), slice(0, nk))
+        else:
+            assert 8 * (b.stop - b.start) * (c.stop - c.start) <= (
+                ad._TILE_BYTES)
+        for r in range(b.start, b.stop):
+            spans.setdefault((hs.start, r), []).append((c.start, c.stop))
+    assert sorted(spans) == [(i, r) for i in range(h) for r in range(nq)]
+    for row in spans.values():
+        row.sort()
+        assert [lo for lo, _ in row] == [0] + [hi for _, hi in row[:-1]]
+        assert row[-1][1] == nk
 
 
 def test_attention_heads_agree_across_the_block_regimes(rng):
-    # each head of an 8-head 900x900 call (past the budget: each block
-    # shifted by its rows' score bounds, with the sums in its value
-    # product) against its 1-head call (within the budget: the dense
-    # softmax's max and division)
+    # each head of an 8-head 900x900 call (past the budget: in tiles, each
+    # block of rows shifted by its rows' score bounds, with the sums in its
+    # value products) against its 1-head call (within the budget: the
+    # dense softmax's max and division)
     h, n, dh = 8, 900, 4
     assert 8 * n * n <= ad._BLOCK_BYTES < 8 * h * n * n
     base = [rng.normal(size=(h, n, dh)) for _ in range(3)]
@@ -284,11 +324,11 @@ def test_attention_heads_agree_across_the_block_regimes(rng):
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "row-blocks"])
 def test_attention_heads_are_independent_bit_for_bit(rng, monkeypatch, rows):
     # each head of a 3-head call against a 1-head call on its slices: with
-    # all heads' scores within the budget, and past it in blocks of 3 rows
-    # (3 + 3 + 1)
+    # all heads' scores within the budget, and past it in tiles of 3 x 3
+    # (rows 3 + 3 + 1, keys 3 + 3 + 3 + 2)
     h, nq, nk, dh = 3, 7, 11, 4
     if rows is not None:
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * nk * rows)
+        _patch_budgets(monkeypatch, 8 * nk * rows, 8 * rows * rows)
     base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
     w = rng.normal(size=(h, nq, dh))
 
@@ -302,6 +342,53 @@ def test_attention_heads_are_independent_bit_for_bit(rng, monkeypatch, rows):
     for i in range(h):
         for a, b in zip(whole, run(slice(i, i + 1))):
             assert np.array_equal(a[i:i + 1], b)
+
+
+_THREADS_CHILD = """
+import sys
+import numpy as np
+from bevlab import autodiff as ad
+
+rng = np.random.default_rng(11)
+arrays = {}
+for nq, nk in ((900, 900), (300, 5000)):
+    q = rng.normal(size=(8, nq, 4)) * 0.5
+    k, v = (rng.normal(size=(nk, 32)).reshape(nk, 8, 4).transpose(1, 0, 2)
+            for _ in range(2))
+    qv, kv, vv = ad.Var(q), ad.Var(k), ad.Var(v)
+    out = ad.attention(qv, kv, vv)
+    ad.sum_(ad.mul(out, rng.normal(size=out.data.shape))).backward()
+    for name, x in (("out", out.data), ("dq", qv.grad), ("dk", kv.grad),
+                    ("dv", vv.grad)):
+        arrays[f"{name}_{nq}x{nk}"] = x
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def test_attention_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the default 900-query self-attention and a cross-attention over 20
+    # key tiles, both past the budget, with the strided k and v that `_mha`
+    # passes: outputs and gradients are equal bit for bit under one and
+    # two OpenBLAS threads (whole-row value products, whose inner dimension
+    # is every key, differed in most outputs)
+    assert 8 * 8 * 300 * 5000 > ad._BLOCK_BYTES
+    assert len({(c.start, c.stop)
+                for *_, c in ad._attention_blocks(8, 300, 5000)}) == 20
+    src = str(pathlib.Path(ad.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads_{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _THREADS_CHILD, str(path)],
+                       env=env, check=True, timeout=300)
+        with np.load(path) as z:
+            results.append({name: z[name] for name in z.files})
+    one, two = results
+    assert sorted(one) == sorted(two) and len(one) == 8
+    for name in one:
+        assert np.array_equal(one[name], two[name]), name
 
 
 def test_dynamic_filter_grads(rng, monkeypatch):

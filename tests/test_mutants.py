@@ -33,12 +33,18 @@ def mutated(fn, old, new):
 
 
 def drop_each_heads_last_row_block(h, nq, nk):
-    return [(hs, b) for hs, b in _attention_blocks(h, nq, nk) if b.stop < nq]
+    return [(hs, b, c) for hs, b, c in _attention_blocks(h, nq, nk)
+            if b.stop < nq]
 
 
-def shift_a_blocks_head_by_one(h, nq, nk):
-    (hs, b), *rest = _attention_blocks(h, nq, nk)
-    return [(slice(hs.start + 1, hs.stop + 1), b), *rest]
+def drop_each_heads_last_key_tile(h, nq, nk):
+    return [(hs, b, c) for hs, b, c in _attention_blocks(h, nq, nk)
+            if c.stop < nk]
+
+
+def shift_a_tiles_head_by_one(h, nq, nk):
+    (hs, b, c), *rest = _attention_blocks(h, nq, nk)
+    return [(slice(hs.start + 1, hs.stop + 1), b, c), *rest]
 
 
 def pool_without_last_camera(levels, lanes, weights):
@@ -97,15 +103,16 @@ def layer_with_a_nan_logit(*args, **kwargs):
 
 
 def oracle_attention_blocked(rng):
-    # each head in 3 or 4 blocks of rows, so that a plan without its last
-    # block still passes the check's several-ragged-blocks precondition.
-    # The last instance's score bounds pass the shift limit: shifted by its
-    # bounds, a row underflows to 0 / 0, and that NaN must reach the
-    # check's report, not raise numpy's warning
+    # each head in tiles of 25 rows x 24 keys: 3 blocks of rows and 3 or 7
+    # tiles of keys, so that a plan without its last block of rows or its
+    # last key tile still passes the check's several-ragged-tiles
+    # precondition. The last instance's score bounds pass the shift limit:
+    # shifted by its bounds, a row underflows to 0 / 0, and that NaN must
+    # reach the check's report, not raise numpy's warning
     with verify.block_bytes(8 * 40 * 15), np.errstate(invalid="ignore"):
         verify.check_attention_blocked(
-            rng, shapes=((2, 40, 40, 1.0), (2, 10, 160, 1.0),
-                         (2, 10, 160, 30.0)))
+            rng, shapes=((2, 70, 70, 1.0), (2, 70, 160, 1.0),
+                         (2, 70, 160, 30.0)))
 
 
 def grad_position_mixing(rng):
@@ -124,14 +131,17 @@ MUTANTS = {
     "attention-drop-last-row-block": (
         ad, "_attention_blocks", drop_each_heads_last_row_block,
         oracle_attention_blocked, "max deviation"),
+    "attention-drop-last-key-tile": (
+        ad, "_attention_blocks", drop_each_heads_last_key_tile,
+        oracle_attention_blocked, "max deviation"),
     "attention-shift-block-head": (
-        ad, "_attention_blocks", shift_a_blocks_head_by_one,
+        ad, "_attention_blocks", shift_a_tiles_head_by_one,
         grad_attention, "gradient rel err"),
     "attention-bias-in-first-block": (
         ad, "attention", mutated(
             ad.attention, "out[hs, b] = p[..., :dv] / row_sum[hs, b]",
             "out[hs, b] = p[..., :dv] / row_sum[hs, b] "
-            "+ 1e-9 * ((hs, b) == blocks[0])"),
+            "+ 1e-9 * (hs == plan[0][0] and b == plan[0][1][0][0])"),
         oracle_attention_blocked, "max deviation"),
     "attention-never-exact-row-max": (
         ad, "attention", mutated(
@@ -140,6 +150,12 @@ MUTANTS = {
         oracle_attention_blocked, "max deviation nan"),
     "attention-vjp-of-minus-g": (
         ad, "attention", vjp_of_minus_g(ad.attention),
+        grad_attention, "gradient rel err"),
+    "attention-vjp-without-its-d-term": (
+        ad, "attention", mutated(
+            ad.attention,
+            "ds -= (ds * p).sum(axis=-1, keepdims=True) if dense else d",
+            "ds -= (ds * p).sum(axis=-1, keepdims=True) if dense else 0.0"),
         grad_attention, "gradient rel err"),
     "vt-pool-drops-last-camera": (
         ad, "sample_pool", pool_without_last_camera,

@@ -366,7 +366,7 @@ class TestFit:
             if 8 * h * nq * nk > ad._BLOCK_BYTES:
                 return per_head(h, nq, nk)
             merged.append(h)
-            return [(slice(0, h), slice(0, nq))]
+            return [(slice(0, h), slice(0, nq), slice(0, nk))]
 
         monkeypatch.setattr(ad, "_attention_blocks", all_heads_within_budget)
         runs.append(fit_generators(cfg, init_params(cfg, seed=5), scenes,

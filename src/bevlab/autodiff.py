@@ -704,16 +704,18 @@ def layer_norm(a):
     return _node(y, (a,), vjp)
 
 
-def _bilinear(vf, vx, vy, d_map, d_x, d_y):
-    """Bilinear samples of the plain [C, H, W] map vf at N points (vx, vy),
-    and the vjp of the inputs whose flag is set.
+def _bilinear(rows, H, W, vx, vy, d_map, d_x, d_y):
+    """Bilinear samples at N points (vx, vy) of the plain map whose cells
+    are the [H*W, C] rows `rows`, in `tensor.chw_to_cells` order, and the
+    vjp of the inputs whose flag is set.
 
     Returns (samples [N, C], valid [N], back). back(g) returns the gradients
-    (map, xs, ys), None where the flag is off. It keeps the corner indices
-    and weights, the mask, and the [C, N] corner difference d/dx (when d_x)
-    and d/dy (when d_y), not the four [C, N] corner gathers.
+    (map [C, H, W], xs, ys), None where the flag is off. It keeps the corner
+    indices and weights, the mask, and the [N, C] corner difference d/dx
+    (when d_x) and d/dy (when d_y), not the four [N, C] corner gathers,
+    whose memory the output's terms reuse.
     """
-    C, H, W = vf.shape
+    C = rows.shape[1]
     valid = (vx >= 0) & (vx <= W - 1) & (vy >= 0) & (vy <= H - 1)
 
     xc = np.clip(np.nan_to_num(vx), 0.0, W - 1.0)
@@ -722,55 +724,60 @@ def _bilinear(vf, vx, vy, d_map, d_x, d_y):
     y0 = np.minimum(np.floor(yc), max(H - 2, 0)).astype(np.intp)
     x1 = np.minimum(x0 + 1, W - 1)
     y1 = np.minimum(y0 + 1, H - 1)
-    fx = xc - x0
-    fy = yc - y0
+    fx = (xc - x0)[:, None]  # [N, 1] weight columns
+    fy = (yc - y0)[:, None]
     gx = 1 - fx
     gy = 1 - fy
+    corners = (y0 * W + x0, y0 * W + x1, y1 * W + x0, y1 * W + x1)
 
-    v00 = vf[:, y0, x0]  # [C, N]
-    v01 = vf[:, y0, x1]
-    v10 = vf[:, y1, x0]
-    v11 = vf[:, y1, x1]
-    # (v00 gx) gy + (v01 fx) gy + (v10 gx) fy + (v11 fx) fy, added left to
-    # right, each corner term made in one scratch array
-    out = np.multiply(v00, gx)
-    out *= gy
-    term = np.empty_like(out)
-    for v, wx, wy in ((v01, fx, gy), (v10, gx, fy), (v11, fx, fy)):
-        np.multiply(v, wx, out=term)
-        term *= wy
-        out += term
-    out *= valid
-    out = out.T  # [N, C]
+    v00, v01, v10, v11 = (rows[r] for r in corners)  # [N, C]
     ddx = ddy = None
     if d_x:  # (v01 - v00) gy + (v11 - v10) fy
         ddx = np.subtract(v01, v00)
         ddx *= gy
-        np.subtract(v11, v10, out=term)
+        term = np.subtract(v11, v10)
         term *= fy
         ddx += term
     if d_y:  # (v10 - v00) gx + (v11 - v01) fx
         ddy = np.subtract(v10, v00)
         ddy *= gx
-        np.subtract(v11, v01, out=term)
+        term = np.subtract(v11, v01)
         term *= fx
         ddy += term
+    # (v00 gx) gy + (v01 fx) gy + (v10 gx) fy + (v11 fx) fy, added left to
+    # right, each corner weighted in place
+    out = v00
+    out *= gx
+    out *= gy
+    for v, wx, wy in ((v01, fx, gy), (v10, gx, fy), (v11, fx, fy)):
+        v *= wx
+        v *= wy
+        out += v
+    out *= valid[:, None]
 
     def back(g):
         gv = g * valid[:, None]  # [N, C]
         gmap = None
         if d_map:
-            acc = np.zeros((H * W, C))
-            np.add.at(acc, y0 * W + x0, gv * ((1 - fx) * (1 - fy))[:, None])
-            np.add.at(acc, y0 * W + x1, gv * (fx * (1 - fy))[:, None])
-            np.add.at(acc, y1 * W + x0, gv * ((1 - fx) * fy)[:, None])
-            np.add.at(acc, y1 * W + x1, gv * (fx * fy)[:, None])
-            gmap = acc.T.reshape(C, H, W)
+            # one flat scatter per corner, at element r C + c of the rows
+            acc = np.zeros(H * W * C)
+            chans = np.arange(C)
+            for r, w in zip(corners, ((1 - fx) * (1 - fy), fx * (1 - fy),
+                                      (1 - fx) * fy, fx * fy)):
+                np.add.at(acc, (r[:, None] * C + chans).ravel(),
+                          (gv * w).ravel())
+            gmap = acc.reshape(H * W, C).T.reshape(C, H, W)
         return (gmap,
-                None if ddx is None else (gv * ddx.T).sum(axis=1),
-                None if ddy is None else (gv * ddy.T).sum(axis=1))
+                None if ddx is None else (gv * ddx).sum(axis=1),
+                None if ddy is None else (gv * ddy).sum(axis=1))
 
     return out, valid, back
+
+
+def _cell_rows(vf):
+    """The [C, H, W] map vf as [H*W, C] rows (a view when vf is one)."""
+    C, H, W = vf.shape
+    return np.ascontiguousarray(np.transpose(vf, (1, 2, 0))).reshape(H * W, C)
 
 
 def bilinear_gather(fmap, xs, ys):
@@ -782,9 +789,15 @@ def bilinear_gather(fmap, xs, ys):
     traced call's tape keeps the output and the state of `_bilinear`'s vjp,
     and an untraced call computes no corner difference.
 
+    The map's cells are gathered as rows of `_cell_rows(fmap)`: a copy of
+    a plain [C, H, W] map, free for one that is a view of cell rows, as
+    `tensor.cells_to_chw` makes.
+
     Returns (samples [N, C], valid [N] plain bool array).
     """
-    out, valid, back = _bilinear(val(fmap), val(xs), val(ys),
+    vf = val(fmap)
+    _, H, W = vf.shape
+    out, valid, back = _bilinear(_cell_rows(vf), H, W, val(xs), val(ys),
                                  isinstance(fmap, Var), is_traced(xs),
                                  is_traced(ys))
 
@@ -809,11 +822,14 @@ def sample_pool(levels, lanes, weights):
     the output. Returns (out [N, C], valid [N] plain count of valid
     samples over all terms).
 
-    Differentiable in the maps, the coordinates and the weights. An
-    untraced call keeps nothing from one term to the next; a traced call
-    keeps each term's camera sum and denominator and each camera's
-    `_bilinear` vjp, and recomputes the mean for d(weights). Values and
-    gradients are those of the same expressions as separate nodes.
+    Each scale's levels are copied to cell rows once, before its heights.
+    The first term is pooled in the output itself and every later one in
+    one [N, C] scratch array, divided and weighted in place.
+
+    Differentiable in the maps, the coordinates and the weights. A traced
+    call keeps each term's camera mean and denominator and each camera's
+    `_bilinear` vjp. Values and gradients are those of the same
+    expressions as separate nodes.
     """
     vw = val(weights)
     n = vw.shape[0]
@@ -822,38 +838,45 @@ def sample_pool(levels, lanes, weights):
     coords = [c for row in lanes for _, x, y in row for c in (x, y)]
     traced = is_traced(*maps, *coords, weights)
     c = np.shape(val(maps[0]))[0]
-    out = None
+    out = np.zeros((n, c))
+    scratch = np.empty((n, c))
     valid = np.zeros(n)
     terms = []
     for j in range(n_s):
+        cells = [_cell_rows(val(levels[k][j][1])) for k in range(n_cams)]
         for i in range(n_h):
-            feat_sum = np.zeros((n, c))
+            feat_sum = out if j == i == 0 else scratch
+            feat_sum.fill(0.0)
             count = np.zeros(n)
             backs = []
             for k in range(n_cams):
                 idx, x, y = lanes[i][k]
                 stride, fmap = levels[k][j]
+                _, h, w = np.shape(val(fmap))
                 rows, ok, back = _bilinear(
-                    val(fmap), val(x) / float(stride), val(y) / float(stride),
-                    isinstance(fmap, Var), isinstance(x, Var),
-                    isinstance(y, Var))
+                    cells[k], h, w, val(x) / float(stride),
+                    val(y) / float(stride), isinstance(fmap, Var),
+                    isinstance(x, Var), isinstance(y, Var))
                 feat_sum[idx] += rows
                 count[idx] += ok
                 if traced:
                     backs.append(back)
             valid += count
             denom = np.maximum(count, 1.0)[:, None]
-            term = feat_sum / denom * vw[:, j * n_h + i].reshape(n, 1)
-            out = term if out is None else out + term
+            weight = vw[:, j * n_h + i].reshape(n, 1)
             if traced:
-                terms.append((j, i, feat_sum, denom, backs))
+                terms.append((j, i, feat_sum / denom, denom, backs))
+            feat_sum /= denom
+            feat_sum *= weight
+            if feat_sum is not out:
+                out += feat_sum
 
     def vjp(g):
         dw = np.zeros_like(vw) if isinstance(weights, Var) else None
-        for j, i, feat_sum, denom, backs in terms:
+        for j, i, mean, denom, backs in terms:
             col = j * n_h + i
             if dw is not None:
-                dw[:, col] += (g * (feat_sum / denom)).sum(axis=1)
+                dw[:, col] += (g * mean).sum(axis=1)
             g_sum = g * vw[:, col].reshape(n, 1) / denom
             for k, back in enumerate(backs):
                 idx, x, y = lanes[i][k]

@@ -4,7 +4,7 @@ synthetic scenes, `viz` a feature map, and `verify` the implementation.
 `run --out DIR` writes the same files in every mode: per scene i
 scene_i.json, bev_camera_i.bfk, bev_fuse_i.bfk and heatmaps_i.bfk (also
 for `learnable` queries, which do not select from them), then
-detections.json (every decoder layer's boxes and class scores),
+detections.json (the final decoder layer's boxes and class scores),
 summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss)
 and trace.json, each scene's wall time in seconds per stage (vt, fuse,
 select, decoder; the first scene's include the process's cold start).

@@ -210,28 +210,28 @@ class DetectionOutput:
         return len(self.layers)
 
     def to_json_dict(self, grid: BevGrid):
-        """The layers of one scene in detections.json's schema: per layer
-        {"final", "layer", "predictions"}, per prediction {"box": {h, l, w,
-        x, y, yaw, z} in metres and radians, "group", "query", "scores"}.
-        It holds only Python bools, ints and floats, from `tolist()`
-        columns, and each dict's keys are already in the sorted order that
+        """The final layer of one scene in detections.json's schema: a
+        one-entry list [{"final": true, "layer": n_layers - 1,
+        "predictions"}], per prediction {"box": {h, l, w, x, y, yaw, z} in
+        metres and radians, "group", "query", "scores"}. The earlier layers
+        feed only the fit's deep supervision, which reads the graph. It
+        holds only Python bools, ints and floats, from `tolist()` columns,
+        and each dict's keys are already in the sorted order that
         `cli._json_dump` writes."""
-        groups = self.group_ids.tolist()
-        out = []
-        for li, layer in enumerate(self.layers):
-            b = layer["boxes"]
-            xs = grid.x_range[0] + (b["xc"] + 0.5) * grid.cell_size_x
-            ys = grid.y_range[0] + (b["yc"] + 0.5) * grid.cell_size_y
-            boxes = zip(*(a.tolist() for a in (
-                b["h"], b["l"], b["w"], xs, ys, b["yaw"], b["z"])))
-            preds = [{"box": {"h": h, "l": l, "w": w, "x": x, "y": y,
-                              "yaw": yaw, "z": z},
-                      "group": g, "query": q, "scores": s}
-                     for q, (g, (h, l, w, x, y, yaw, z), s) in enumerate(
-                         zip(groups, boxes, layer["cls_probs"].tolist()))]
-            out.append({"final": li == self.n_layers - 1, "layer": li,
-                        "predictions": preds})
-        return out
+        layer = self.layers[-1]
+        b = layer["boxes"]
+        xs = grid.x_range[0] + (b["xc"] + 0.5) * grid.cell_size_x
+        ys = grid.y_range[0] + (b["yc"] + 0.5) * grid.cell_size_y
+        boxes = zip(*(a.tolist() for a in (
+            b["h"], b["l"], b["w"], xs, ys, b["yaw"], b["z"])))
+        preds = [{"box": {"h": h, "l": l, "w": w, "x": x, "y": y,
+                          "yaw": yaw, "z": z},
+                  "group": g, "query": q, "scores": s}
+                 for q, (g, (h, l, w, x, y, yaw, z), s) in enumerate(
+                     zip(self.group_ids.tolist(), boxes,
+                         layer["cls_probs"].tolist()))]
+        return [{"final": True, "layer": self.n_layers - 1,
+                 "predictions": preds}]
 
 
 def _build(config: PipelineConfig, params: PipelineParams, inputs):

@@ -34,6 +34,7 @@ from .decoder import (AttentionParams, DecoderParams, decoder_layer,
                       _position_aware_mix_batch, corner_sample)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
                        project_heights, project_to_image, world_to_cell)
+from .pipeline import PipelineConfig, _query_features, init_params
 from .query_select import (GroupSpec, gaussian_target, predict_heatmaps,
                            topk_keypoints)
 from .scene_sim import SceneConfig, camera_ring, make_scene
@@ -735,6 +736,31 @@ def check_position_mixing_grad(rng, grid):
     return f"worst rel err {worst:.2e}"
 
 
+def check_group_query_grad(rng, grid):
+    """Gradients of `mixed_groupwise` queries through one decoder layer,
+    for the group embeddings: each group's three queries gather the same
+    row, so its gradient is the sum over them."""
+    cfg = PipelineConfig(grid, channels=4, groups=GroupSpec(((0,), (1, 2)), 3),
+                         n_heads=2, query_init="mixed_groupwise")
+    params = init_params(cfg, seed=0)
+    dec = _tiny_decoder_params(rng)
+    bev = rng.normal(size=(4, 8, 8))
+    heatmaps = rng.uniform(size=(3, 8, 8))
+
+    def loss(_p, extras):
+        p = dataclasses.replace(params, group_embeds=extras["group_embeds"])
+        feats, ref, _ = _query_features(cfg, p, bev, heatmaps)
+        new_feats, enc, cls, _ = decoder_layer(
+            feats, ref, _initial_state(ref), bev, dec, 0, grid)
+        return ad.add(ad.sum_(ad.mul(enc, 0.2)),
+                      ad.add(ad.sum_(ad.mul(cls, 0.1)),
+                             ad.sum_(ad.mul(new_feats, 0.05))))
+
+    worst = _gradcheck_tree(loss, zero_linear(1, 1),
+                            {"group_embeds": rng.normal(size=(2, 4))})
+    return f"worst rel err {worst:.2e}"
+
+
 def run_grad_suite(seed=0):
     rng = np.random.default_rng(seed)
     grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8))
@@ -798,6 +824,8 @@ def run_grad_suite(seed=0):
         ("grad.full_decoder_layer", full_layer_path),
         ("grad.attention", lambda: check_attention_grad(rng, grid)),
         ("grad.losses", loss_paths),
+        ("grad.mixed_groupwise_queries",
+         lambda: check_group_query_grad(rng, grid)),
     ])
 
 

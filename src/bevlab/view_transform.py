@@ -13,9 +13,10 @@ gradients, run only on the cells that land inside that camera's image (about
 a fifth of them for a surround rig of narrow cameras). One tape node,
 `ad.sample_pool`, gathers each camera's level inside the (scale, height) loop
 that pools it and pools over cameras, heights and scales, vectorized over the
-H*W cells with a fixed summation order. An untraced call holds at most one
-(scale, height)'s gathered rows; a traced one keeps one [H*W, C] camera sum
-per (scale, height).
+H*W cells with a fixed summation order. It gathers [M, C] rows from a
+cell-major [h*w, C] copy of each level, made once per scale. An untraced call
+pools in place in two [H*W, C] arrays; a traced one keeps one [H*W, C]
+camera mean per (scale, height).
 """
 
 from __future__ import annotations

@@ -51,12 +51,12 @@ def pool_without_last_camera(levels, lanes, weights):
     return _sample_pool(levels[:-1], [row[:-1] for row in lanes], weights)
 
 
-def gather_at_half_coordinates(vf, vx, vy, *flags):
-    return _bilinear(vf, vx * 0.5, vy * 0.5, *flags)
+def gather_at_half_coordinates(rows, H, W, vx, vy, *flags):
+    return _bilinear(rows, H, W, vx * 0.5, vy * 0.5, *flags)
 
 
-def gather_with_negated_d_dx(vf, vx, vy, *flags):
-    out, valid, back = _bilinear(vf, vx, vy, *flags)
+def gather_with_negated_d_dx(rows, H, W, vx, vy, *flags):
+    out, valid, back = _bilinear(rows, H, W, vx, vy, *flags)
 
     def negated(g):
         gmap, dx, dy = back(g)
@@ -120,6 +120,11 @@ def grad_position_mixing(rng):
         rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
 
 
+def grad_group_queries(rng):
+    verify.check_group_query_grad(
+        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
+
+
 def grad_attention(rng):
     verify.check_attention_grad(
         rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
@@ -173,6 +178,16 @@ MUTANTS = {
     "vt-pool-vjp-without-d-weights": (
         ad, "sample_pool", pool_without_d_weights,
         verify.check_adaptive_sampling_grad, "gradient rel err"),
+    "vt-pool-later-term-overwrites-first": (
+        ad, "sample_pool", mutated(
+            ad.sample_pool, "feat_sum = out if j == i == 0 else scratch",
+            "feat_sum = out"),
+        verify.check_vt_equivalence, "max deviation"),
+    "gather-vjp-scatters-at-wrong-channel": (
+        ad, "_bilinear", mutated(ad._bilinear,
+                                 "r[:, None] * C + chans",
+                                 "r[:, None] * C + chans[::-1]"),
+        grad_position_mixing, "gradient rel err"),
     "dynamic-filter-vjp-skips-last-kernel-rows": (
         ad, "_kernel_row_blocks", kernel_rows_without_last_block,
         verify.check_adaptive_projection_grad, "gradient rel err"),
@@ -208,6 +223,10 @@ MUTANTS = {
         verify.check_decoder_layer, "max deviation nan"),
     "decoder-no-relu": (
         ad, "relu", lambda a: a, verify.check_decoder_layer, "max deviation"),
+    "getitem-vjp-drops-repeated-indices": (
+        ad, "getitem", mutated(ad.getitem, "np.add.at(ga, idx, g)",
+                               "ga[idx] = g"),
+        grad_group_queries, "gradient rel err"),
     "layer-norm-vjp-flips-the-y-term": (
         ad, "layer_norm", mutated(ad.layer_norm, "g - gm - y * gy",
                                   "g - gm + y * gy"),

@@ -119,8 +119,9 @@ class TestForward:
         params = init_params(cfg, seed=9)
         det, _, _ = forward(cfg, params, scene)
         doc = det.to_json_dict(GRID)
-        assert len(doc) == cfg.n_layers
-        assert doc[-1]["final"] and not doc[0]["final"]
+        # the final layer alone
+        assert [(d["layer"], d["final"]) for d in doc] == [
+            (cfg.n_layers - 1, True)]
         # every dict's keys come in the sorted order the writer uses
         assert list(doc[0]) == ["final", "layer", "predictions"]
         pred = doc[0]["predictions"][0]
@@ -181,25 +182,25 @@ class TestWriteDetections:
 
     @staticmethod
     def assert_scene(layers, det):
-        """One scene's layers against `det`; returns how many of its boxes
-        are in the grid, where x and y are checked."""
-        n = det.n_layers
-        assert [(d["layer"], d["final"]) for d in layers] == [
-            (li, li == n - 1) for li in range(n)]
+        """One scene's layers against `det`: exactly one entry, the final
+        layer, with `det.layers[-1]`'s values. Returns how many of its
+        boxes are in the grid, where x and y are checked."""
+        [doc] = layers
+        assert (doc["layer"], doc["final"]) == (det.n_layers - 1, True)
+        preds, layer = doc["predictions"], det.layers[-1]
+        boxes = layer["boxes"]
+        assert [(p["query"], p["group"]) for p in preds] == list(
+            enumerate(det.group_ids.tolist()))
+        for key in ("z", "l", "w", "h", "yaw"):
+            assert exact(p["box"][key] for p in preds) == exact(boxes[key])
+        assert [exact(p["scores"]) for p in preds] == [
+            exact(s) for s in layer["cls_probs"]]
         in_grid = 0
-        for doc, layer in zip(layers, det.layers):
-            preds, boxes = doc["predictions"], layer["boxes"]
-            assert [(p["query"], p["group"]) for p in preds] == list(
-                enumerate(det.group_ids.tolist()))
-            for key in ("z", "l", "w", "h", "yaw"):
-                assert exact(p["box"][key] for p in preds) == exact(boxes[key])
-            assert [exact(p["scores"]) for p in preds] == [
-                exact(s) for s in layer["cls_probs"]]
-            for p, u, v in zip(preds, boxes["xc"], boxes["yc"]):
-                if 0 <= u < GRID.width and 0 <= v < GRID.height:
-                    assert (p["box"]["x"], p["box"]["y"]) == \
-                        cell_to_world(GRID, u, v)
-                    in_grid += 1
+        for p, u, v in zip(preds, boxes["xc"], boxes["yc"]):
+            if 0 <= u < GRID.width and 0 <= v < GRID.height:
+                assert (p["box"]["x"], p["box"]["y"]) == \
+                    cell_to_world(GRID, u, v)
+                in_grid += 1
         return in_grid
 
     def test_two_scenes(self, tmp_path, monkeypatch):

@@ -90,9 +90,9 @@ class TestCompaction:
         lookups = []
         orig = ad._bilinear
 
-        def counting(vf, vx, *args):
+        def counting(rows, H, W, vx, *args):
             lookups.append(np.size(vx))
-            return orig(vf, vx, *args)
+            return orig(rows, H, W, vx, *args)
 
         monkeypatch.setattr(ad, "_bilinear", counting)
         out = adaptive_sample(params, lidar, pyramids, cams, grid)

@@ -6,6 +6,12 @@ set, no graph optimization). Every op accepts plain numpy arrays or scalars
 and returns a plain array when no ``Var`` is involved, so the same forward
 code serves both the fast inference path and the differentiable path used by
 the gradient suite and the fitting routine.
+
+Most ops build their tape node with `_unary` or `_binary`, passing the
+output and the gradient of each input as a function of the output gradient
+g. That function is lazy: it runs only in backward, never in an untraced
+call. Each one keeps its expression's operation order, so gradients keep
+their bits (``g * p * va ** (p - 1)`` is not ``g * (p * va ** (p - 1))``).
 """
 
 from __future__ import annotations
@@ -118,153 +124,102 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _unary(a, y, grad):
+    """Tape node of the output y of a one-input op on a: its vjp adds
+    grad(g) into a."""
+    return _node(y, (a,), lambda g: _accum(a, grad(g)))
+
+
+def _binary(a, b, y, grad_a, grad_b):
+    """Tape node of the output y of a two-input op on a and b, which numpy
+    may have broadcast: its vjp adds grad_a(g), summed back to a's shape,
+    into a, then grad_b(g), summed back to b's, into b."""
+    def vjp(g):
+        _accum(a, _unbroadcast(grad_a(g), np.shape(val(a))))
+        _accum(b, _unbroadcast(grad_b(g), np.shape(val(b))))
+
+    return _node(y, (a, b), vjp)
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 
 def add(a, b):
-    va, vb = val(a), val(b)
-    y = va + vb
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g, np.shape(va)))
-        _accum(b, _unbroadcast(g, np.shape(vb)))
-
-    return _node(y, (a, b), vjp)
+    return _binary(a, b, val(a) + val(b), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    va, vb = val(a), val(b)
-    y = va - vb
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g, np.shape(va)))
-        _accum(b, _unbroadcast(-g, np.shape(vb)))
-
-    return _node(y, (a, b), vjp)
+    return _binary(a, b, val(a) - val(b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     va, vb = val(a), val(b)
-    y = va * vb
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g * vb, np.shape(va)))
-        _accum(b, _unbroadcast(g * va, np.shape(vb)))
-
-    return _node(y, (a, b), vjp)
+    return _binary(a, b, va * vb, lambda g: g * vb, lambda g: g * va)
 
 
 def div(a, b):
     va, vb = val(a), val(b)
-    y = va / vb
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g / vb, np.shape(va)))
-        _accum(b, _unbroadcast(-g * va / (vb * vb), np.shape(vb)))
-
-    return _node(y, (a, b), vjp)
+    return _binary(a, b, va / vb, lambda g: g / vb,
+                   lambda g: -g * va / (vb * vb))
 
 
 def power(a, p):
     """a ** p for a constant, nonzero exponent p."""
     va = val(a)
-    y = va ** p
-
-    def vjp(g):
-        _accum(a, g * p * va ** (p - 1))
-
-    return _node(y, (a,), vjp)
+    return _unary(a, va ** p, lambda g: g * p * va ** (p - 1))
 
 
 def log(a):
     va = val(a)
-
-    def vjp(g):
-        _accum(a, g / va)
-
-    return _node(np.log(va), (a,), vjp)
+    return _unary(a, np.log(va), lambda g: g / va)
 
 
 def tanh(a):
     y = np.tanh(val(a))
-
-    def vjp(g):
-        _accum(a, g * (1.0 - y * y))
-
-    return _node(y, (a,), vjp)
+    return _unary(a, y, lambda g: g * (1.0 - y * y))
 
 
 def sigmoid(a):
     va = val(a)
     e = np.exp(-np.abs(va))
     y = np.where(va >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def vjp(g):
-        _accum(a, g * y * (1.0 - y))
-
-    return _node(y, (a,), vjp)
+    return _unary(a, y, lambda g: g * y * (1.0 - y))
 
 
 def relu(a):
     va = val(a)
-    y = np.maximum(va, 0.0)
-
-    def vjp(g):
-        _accum(a, g * (va > 0))
-
-    return _node(y, (a,), vjp)
+    return _unary(a, np.maximum(va, 0.0), lambda g: g * (va > 0))
 
 
 def absolute(a):
     va = val(a)
-
-    def vjp(g):
-        _accum(a, g * np.sign(va))
-
-    return _node(np.abs(va), (a,), vjp)
+    return _unary(a, np.abs(va), lambda g: g * np.sign(va))
 
 
 def sin(a):
     va = val(a)
-
-    def vjp(g):
-        _accum(a, g * np.cos(va))
-
-    return _node(np.sin(va), (a,), vjp)
+    return _unary(a, np.sin(va), lambda g: g * np.cos(va))
 
 
 def cos(a):
     va = val(a)
-
-    def vjp(g):
-        _accum(a, -g * np.sin(va))
-
-    return _node(np.cos(va), (a,), vjp)
+    return _unary(a, np.cos(va), lambda g: -g * np.sin(va))
 
 
 def clip(a, lo, hi):
     """Clamp with zero gradient outside (lo, hi)."""
     va = val(a)
     inside = (va > lo) & (va < hi)
-
-    def vjp(g):
-        _accum(a, g * inside)
-
-    return _node(np.clip(va, lo, hi), (a,), vjp)
+    return _unary(a, np.clip(va, lo, hi), lambda g: g * inside)
 
 
 def where_mask(mask, a, b):
     """Elementwise select by a constant boolean mask (gradient splits)."""
     m = np.asarray(mask, dtype=bool)
     va, vb = val(a), val(b)
-    y = np.where(m, va, vb)
-
-    def vjp(g):
-        _accum(a, _unbroadcast(g * m, np.shape(va)))
-        _accum(b, _unbroadcast(g * ~m, np.shape(vb)))
-
-    return _node(y, (a, b), vjp)
+    return _binary(a, b, np.where(m, va, vb), lambda g: g * m,
+                   lambda g: g * ~m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +230,23 @@ def matmul(a, b):
     """2D@2D and batched 3D@3D; the only shapes the pipeline needs."""
     va, vb = val(a), val(b)
     na, nb = np.ndim(va), np.ndim(vb)
-    y = np.matmul(va, vb)
-
-    if na == 2 and nb == 2:
-        def vjp(g):
-            _accum(a, g @ vb.T)
-            _accum(b, va.T @ g)
-    elif na == 3 and nb == 3:
-        def vjp(g):
-            _accum(a, np.matmul(g, vb.swapaxes(-1, -2)))
-            _accum(b, np.matmul(va.swapaxes(-1, -2), g))
-    else:
+    if na != nb or na not in (2, 3):
         raise ValueError(f"unsupported matmul ranks: {na} @ {nb}")
-
-    return _node(y, (a, b), vjp)
+    return _binary(a, b, np.matmul(va, vb),
+                   lambda g: np.matmul(g, vb.swapaxes(-1, -2)),
+                   lambda g: np.matmul(va.swapaxes(-1, -2), g))
 
 
 def sum_(a, axis=None):
     va = np.asarray(val(a))
-    y = va.sum(axis=axis)
 
-    def vjp(g):
+    def grad(g):
         gg = np.asarray(g)
         if axis is not None:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, va.shape).copy())
+        return np.broadcast_to(gg, va.shape).copy()
 
-    return _node(y, (a,), vjp)
+    return _unary(a, va.sum(axis=axis), grad)
 
 
 def mean(a):
@@ -311,25 +256,12 @@ def mean(a):
 
 def reshape(a, shape):
     va = np.asarray(val(a))
-
-    def vjp(g):
-        _accum(a, g.reshape(va.shape))
-
-    return _node(va.reshape(shape), (a,), vjp)
+    return _unary(a, va.reshape(shape), lambda g: g.reshape(va.shape))
 
 
 def transpose(a, axes=None):
-    va = val(a)
-    y = np.transpose(va, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
-
-    def vjp(g):
-        _accum(a, np.transpose(g, inv))
-
-    return _node(y, (a,), vjp)
+    inv = None if axes is None else np.argsort(axes)
+    return _unary(a, np.transpose(val(a), axes), lambda g: np.transpose(g, inv))
 
 
 def concat(parts, axis=0):
@@ -360,14 +292,13 @@ def stack(parts, axis=0):
 
 def getitem(a, idx):
     va = val(a)
-    y = va[idx]
 
-    def vjp(g):
+    def grad(g):
         ga = np.zeros_like(va)
         np.add.at(ga, idx, g)
-        _accum(a, ga)
+        return ga
 
-    return _node(y, (a,), vjp)
+    return _unary(a, va[idx], grad)
 
 
 def softmax(a):
@@ -377,11 +308,11 @@ def softmax(a):
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
+    def grad(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - dot))
+        return y * (g - dot)
 
-    return _node(y, (a,), vjp)
+    return _unary(a, y, grad)
 
 
 # bytes of one block of float64 intermediates in the blocked ops: the scores
@@ -696,12 +627,12 @@ def layer_norm(a):
     s = np.sqrt(var + LAYER_NORM_EPS)
     y = xc / s
 
-    def vjp(g):
+    def grad(g):
         gm = g.mean(axis=-1, keepdims=True)
         gy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(a, (g - gm - y * gy) / s)
+        return (g - gm - y * gy) / s
 
-    return _node(y, (a,), vjp)
+    return _unary(a, y, grad)
 
 
 def _bilinear(rows, H, W, vx, vy, d_map, d_x, d_y):

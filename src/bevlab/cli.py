@@ -31,7 +31,6 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from . import bfk
 from .decoder import gaussian_focal_loss
 from .geometry import BevGrid
@@ -240,8 +239,8 @@ def cmd_run(config_path, out_dir):
                                                   pipeline_cfg.grid)
             targets, _ = gaussian_target(scene.boxes, pipeline_cfg.grid,
                                          pipeline_cfg.groups.n_classes)
-            entry["heatmap_loss"] = float(ad.val(
-                gaussian_focal_loss(extras["heatmaps"], targets)))
+            entry["heatmap_loss"] = float(
+                gaussian_focal_loss(extras["heatmaps"], targets))
         summary_scenes.append(entry)
 
     _json_dump(os.path.join(out_dir, "detections.json"),

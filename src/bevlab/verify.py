@@ -321,6 +321,16 @@ def _tiny_decoder_params(rng, C=4, n_p=4, n_layers=1, n_heads=2, n_classes=3):
         cls_head=_rand_linear(rng, n_classes, C))
 
 
+def _readout_loss(layer_out):
+    """The scalar the decoder-layer gradient checks differentiate: the sums
+    of a `decoder_layer` result's encoded boxes x 0.2, class logits x 0.1
+    and new features x 0.05."""
+    new_feats, enc, cls, _ = layer_out
+    return ad.add(ad.sum_(ad.mul(enc, 0.2)),
+                  ad.add(ad.sum_(ad.mul(cls, 0.1)),
+                         ad.sum_(ad.mul(new_feats, 0.05))))
+
+
 def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
                     rtol=1e-4):
     """Check every ndarray leaf of a parameter dataclass (plus extra named
@@ -462,12 +472,9 @@ def check_attention_grad(rng, grid):
             cross_attn=zero_key_bias(p.cross_attn))
         kv = _keys_values(chw_to_cells(extras["bev"]), p.cross_attn,
                           p.n_heads)
-        new_feats, enc, cls, _ = decoder_layer(
+        return _readout_loss(decoder_layer(
             extras["feats"], ref, state, extras["bev"], p, 0, grid,
-            mode="standard", cross_kv=kv)
-        return ad.add(ad.sum_(ad.mul(enc, 0.2)),
-                      ad.add(ad.sum_(ad.mul(cls, 0.1)),
-                             ad.sum_(ad.mul(new_feats, 0.05))))
+            mode="standard", cross_kv=kv))
 
     with block_bytes(8 * 7 * 2):
         _attention_tiles(2, 5, 7)
@@ -750,14 +757,38 @@ def check_group_query_grad(rng, grid):
     def loss(_p, extras):
         p = dataclasses.replace(params, group_embeds=extras["group_embeds"])
         feats, ref, _ = _query_features(cfg, p, bev, heatmaps)
-        new_feats, enc, cls, _ = decoder_layer(
-            feats, ref, _initial_state(ref), bev, dec, 0, grid)
-        return ad.add(ad.sum_(ad.mul(enc, 0.2)),
-                      ad.add(ad.sum_(ad.mul(cls, 0.1)),
-                             ad.sum_(ad.mul(new_feats, 0.05))))
+        return _readout_loss(decoder_layer(feats, ref, _initial_state(ref),
+                                           bev, dec, 0, grid))
 
     worst = _gradcheck_tree(loss, zero_linear(1, 1),
                             {"group_embeds": rng.normal(size=(2, 4))})
+    return f"worst rel err {worst:.2e}"
+
+
+def check_deformable_layer_grad(rng, grid):
+    """Gradients of a `deformable_scaled_rotated` decoder layer, whose
+    softmax-weighted point pooling is the program's one `ad.sum_` over an
+    axis, for the query features, the BEV map, the point weights and the
+    offset weights. The box state has nonzero sizes and headings, so the
+    offsets are scaled and rotated."""
+    dec = _tiny_decoder_params(rng, C=2, n_heads=1)
+    feats = rng.normal(size=(3, 2))
+    bev = rng.normal(size=(2, 8, 8))
+    ref = rng.uniform(2, 6, size=(3, 2))
+    state = dict(_initial_state(ref), l=rng.uniform(1, 3, 3),
+                 w=rng.uniform(0.5, 1.5, 3), yaw=rng.uniform(-2, 2, 3))
+
+    def loss(p, extras):
+        d = dataclasses.replace(
+            dec, point_weight_gen=p,
+            offset_gen=LinearMap(extras["offset_w"], dec.offset_gen.bias))
+        return _readout_loss(decoder_layer(
+            extras["feats"], ref, state, extras["bev"], d, 0, grid,
+            mode="deformable_scaled_rotated"))
+
+    worst = _gradcheck_tree(
+        loss, dec.point_weight_gen,
+        {"feats": feats, "bev": bev, "offset_w": dec.offset_gen.weight})
     return f"worst rel err {worst:.2e}"
 
 
@@ -786,11 +817,8 @@ def run_grad_suite(seed=0):
         state = _initial_state(ref)
 
         def loss(p, extras):
-            new_feats, enc, cls, _ = decoder_layer(
-                extras["feats"], ref, state, extras["bev"], p, 0, grid)
-            return ad.add(ad.sum_(ad.mul(enc, 0.2)),
-                          ad.add(ad.sum_(ad.mul(cls, 0.1)),
-                                 ad.sum_(ad.mul(new_feats, 0.05))))
+            return _readout_loss(decoder_layer(
+                extras["feats"], ref, state, extras["bev"], p, 0, grid))
 
         worst = _gradcheck_tree(loss, params, {"feats": feats, "bev": bev})
         return f"worst rel err {worst:.2e}"
@@ -826,6 +854,8 @@ def run_grad_suite(seed=0):
         ("grad.losses", loss_paths),
         ("grad.mixed_groupwise_queries",
          lambda: check_group_query_grad(rng, grid)),
+        ("grad.deformable_layer",
+         lambda: check_deformable_layer_grad(rng, grid)),
     ])
 
 

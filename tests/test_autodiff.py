@@ -552,10 +552,68 @@ def test_backward_requires_scalar(rng):
         ad.add(v, 1.0).backward()
 
 
-def test_plain_arrays_stay_plain(rng):
-    a = rng.normal(size=(3, 3))
-    out = ad.add(ad.matmul(a, a), 1.0)
-    assert isinstance(out, np.ndarray)
+# every op whose tape node `_unary` or `_binary` builds, on two plain
+# [3, 3] arrays with entries in [0.5, 2)
+HELPER_OPS = {
+    "add": lambda a, b: ad.add(a, 1.0),
+    "sub": lambda a, b: ad.sub(1.0, b),
+    "mul": ad.mul,
+    "div": ad.div,
+    "where_mask": lambda a, b: ad.where_mask(a > b, a, b),
+    "matmul": ad.matmul,
+    "power": lambda a, b: ad.power(a, 1.5),
+    "log": lambda a, b: ad.log(a),
+    "tanh": lambda a, b: ad.tanh(a),
+    "sigmoid": lambda a, b: ad.sigmoid(a),
+    "relu": lambda a, b: ad.relu(a),
+    "absolute": lambda a, b: ad.absolute(a),
+    "sin": lambda a, b: ad.sin(a),
+    "cos": lambda a, b: ad.cos(a),
+    "clip": lambda a, b: ad.clip(a, 0.8, 1.2),
+    "sum_": lambda a, b: ad.sum_(a, axis=1),
+    "reshape": lambda a, b: ad.reshape(a, (9,)),
+    "transpose": lambda a, b: ad.transpose(a, (1, 0)),
+    "getitem": lambda a, b: ad.getitem(a, (slice(None), 1)),
+    "softmax": lambda a, b: ad.softmax(a),
+    "layer_norm": lambda a, b: ad.layer_norm(a),
+}
+
+
+@pytest.mark.parametrize("name", HELPER_OPS)
+def test_plain_arrays_stay_plain(rng, name):
+    a, b = rng.uniform(0.5, 2.0, size=(2, 3, 3))
+    assert isinstance(HELPER_OPS[name](a, b), np.ndarray)
+
+
+def test_gradients_keep_their_operation_order(rng):
+    """Traced gradients equal their expressions written out in the vjp's
+    order, bit for bit; a regrouped expression differs in the last bits."""
+    x, b = rng.uniform(0.5, 2.0, size=(2, 5, 10))
+    g = rng.normal(size=(5, 10))
+
+    def grads(op, *args):
+        vs = [ad.Var(v) for v in args]
+        ad.sum_(ad.mul(op(*vs), g)).backward()
+        return [v.grad for v in vs]
+
+    (dx,) = grads(lambda v: ad.power(v, 2.5), x)
+    assert np.array_equal(dx, g * 2.5 * x ** (2.5 - 1))
+    assert not np.array_equal(dx, g * (2.5 * x ** (2.5 - 1)))
+
+    da, db = grads(ad.div, x, b)
+    assert np.array_equal(da, g / b)
+    assert np.array_equal(db, -g * x / (b * b))
+
+    y = ad.sigmoid(x)
+    (dx,) = grads(ad.sigmoid, x)
+    assert np.array_equal(dx, g * y * (1.0 - y))
+
+    xc = x - x.mean(axis=-1, keepdims=True)
+    s = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+    y = xc / s
+    (dx,) = grads(ad.layer_norm, x)
+    assert np.array_equal(dx, (g - g.mean(axis=-1, keepdims=True)
+                               - y * (g * y).mean(axis=-1, keepdims=True)) / s)
 
 
 def test_grad_accumulates_over_reuse(rng):

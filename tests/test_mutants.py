@@ -130,8 +130,14 @@ def grad_attention(rng):
         rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
 
 
+def grad_deformable_layer(rng):
+    verify.check_deformable_layer_grad(
+        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
+
+
 # (module, attribute, fault put in its place, check that must fail, its
-# failure message)
+# failure message, or the (exception, message) it raises when that is not
+# an AssertionError)
 MUTANTS = {
     "attention-drop-last-row-block": (
         ad, "_attention_blocks", drop_each_heads_last_row_block,
@@ -231,6 +237,23 @@ MUTANTS = {
         ad, "layer_norm", mutated(ad.layer_norm, "g - gm - y * gy",
                                   "g - gm + y * gy"),
         grad_position_mixing, "gradient rel err"),
+    "sub-vjp-b-side-takes-g": (
+        ad, "sub", mutated(ad.sub, "lambda g: -g", "lambda g: g"),
+        grad_position_mixing, "gradient rel err"),
+    "div-vjp-b-side-sign-flipped": (
+        ad, "div", mutated(ad.div, "-g * va / (vb * vb)",
+                           "g * va / (vb * vb)"),
+        verify.check_adaptive_sampling_grad, "gradient rel err"),
+    "tanh-vjp-one-plus-y-squared": (
+        ad, "tanh", mutated(ad.tanh, "1.0 - y * y", "1.0 + y * y"),
+        verify.check_adaptive_sampling_grad, "gradient rel err"),
+    "cos-vjp-sign-flipped": (
+        ad, "cos", mutated(ad.cos, "-g * np.sin(va)", "g * np.sin(va)"),
+        grad_position_mixing, "gradient rel err"),
+    # the [Nq, C] gradient does not broadcast back over the N_p points
+    "sum-axis-vjp-drops-expand-dims": (
+        ad, "sum_", mutated(ad.sum_, "np.expand_dims(gg, axis)", "gg"),
+        grad_deformable_layer, (ValueError, "broadcast")),
     "layer-norm-eps-1e-4": (
         ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
         "max deviation"),
@@ -239,9 +262,11 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_check_catches_mutant(monkeypatch, name):
-    module, target, fault, check, message = MUTANTS[name]
+    module, target, fault, check, expected = MUTANTS[name]
+    error, message = ((AssertionError, expected) if isinstance(expected, str)
+                      else expected)
     monkeypatch.setattr(module, target, fault)
     # inputs no other test draws: a fault that leaves part of an output
     # unwritten must not find a correct result left in reused memory
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(error, match=message):
         check(np.random.default_rng(1978))

@@ -7,6 +7,12 @@ and returns a plain array when no ``Var`` is involved, so the same forward
 code serves both the fast inference path and the differentiable path used by
 the gradient suite and the fitting routine.
 
+The tape holds nodes, not values. A ``Var`` is a handle: its array and its
+`_Node`. A node holds its parents' nodes, its vjp and the gradient it is
+accumulating. A vjp captures parent nodes, the arrays it reads, and shapes;
+never a ``Var``. So a value that no vjp reads, such as a linear map's product
+before its bias, is freed in the forward pass when its last handle goes.
+
 Most ops build their tape node with `_unary` or `_binary`, passing the
 output and the gradient of each input as a function of the output gradient
 g. That function is lazy: it runs only in backward, never in an untraced
@@ -42,19 +48,40 @@ def is_traced(*xs):
     return any(isinstance(x, Var) for x in xs)
 
 
+class _Node:
+    """An entry of the backward tape: the nodes of the op's traced inputs,
+    its vjp (None for a leaf), and the gradient being accumulated into it."""
+
+    __slots__ = ("parents", "vjp", "grad")
+
+    def __init__(self):
+        self.parents = ()
+        self.vjp = None
+        self.grad = None
+
+
 class Var:
-    """A node in the backward tape wrapping a float64 ndarray. Every Var is
+    """A float64 ndarray and its node on the backward tape. Every Var is
     traced: a leaf (from `lift_tree`, or built by hand) receives a .grad
     from backward(), and an op builds a Var only when one of its inputs is
-    a Var."""
+    a Var. The tape does not hold the Var: its array lives as long as a
+    handle or a vjp that reads it."""
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self.node = _Node()
+
+    @property
+    def grad(self):
+        """The gradient accumulated into this Var's node (a leaf's, after
+        backward())."""
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
@@ -62,13 +89,14 @@ class Var:
         Only leaves keep a .grad afterwards: each inner node's gradient is
         dropped as soon as its vjp has passed it on, so the reverse pass
         holds the tape plus the gradients still to be consumed. The tape
-        itself stays, and a repeated backward() starts again from zero.
+        (each node's vjp and the arrays it reads) stays, and a repeated
+        backward() starts again from zero.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self.node, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -78,36 +106,42 @@ class Var:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         for node in topo:
             node.grad = None
-        self.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._vjp is not None and node.grad is not None:
-                node._vjp(node.grad)
+            if node.vjp is not None and node.grad is not None:
+                node.vjp(node.grad)
                 node.grad = None
 
     def __repr__(self):
         return f"Var(shape={self.data.shape})"
 
 
-def _node(data, parents, vjp):
-    """Build a tape node; collapse to a plain array when no parent is a
-    Var."""
-    live = tuple(p for p in parents if isinstance(p, Var))
-    if not live:
+def _node_of(x):
+    """The tape node of a Var, None for a plain value."""
+    return x.node if isinstance(x, Var) else None
+
+
+def _node(data, inputs, vjp):
+    """A Var of data whose node has vjp and, as parents, the nodes of the
+    Vars among the op's inputs; a plain array when no input is a Var."""
+    parents = tuple(p.node for p in inputs if isinstance(p, Var))
+    if not parents:
         return np.asarray(data)
     out = Var(data)
-    out._parents = live
-    out._vjp = vjp
+    out.node.parents = parents
+    out.node.vjp = vjp
     return out
 
 
-def _accum(p, g):
-    if isinstance(p, Var):
-        p.grad = g if p.grad is None else p.grad + g
+def _accum(node, g):
+    """Add g into the gradient of node (nothing for None, a plain input)."""
+    if node is not None:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -126,17 +160,25 @@ def _unbroadcast(g, shape):
 
 def _unary(a, y, grad):
     """Tape node of the output y of a one-input op on a: its vjp adds
-    grad(g) into a."""
-    return _node(y, (a,), lambda g: _accum(a, grad(g)))
+    grad(g) into a's node. grad may capture the arrays it reads and
+    shapes, never a Var."""
+    node = _node_of(a)
+    return _node(y, (a,), lambda g: _accum(node, grad(g)))
 
 
 def _binary(a, b, y, grad_a, grad_b):
     """Tape node of the output y of a two-input op on a and b, which numpy
     may have broadcast: its vjp adds grad_a(g), summed back to a's shape,
-    into a, then grad_b(g), summed back to b's, into b."""
+    into a's node, then grad_b(g), summed back to b's, into b's. It keeps
+    only a traced side's gradient function, so what grad_a or grad_b
+    captures (arrays and shapes, never a Var) is held only for a gradient
+    that backward takes."""
+    sides = [(x.node, x.data.shape, grad)
+             for x, grad in ((a, grad_a), (b, grad_b)) if isinstance(x, Var)]
+
     def vjp(g):
-        _accum(a, _unbroadcast(grad_a(g), np.shape(val(a))))
-        _accum(b, _unbroadcast(grad_b(g), np.shape(val(b))))
+        for node, shape, grad in sides:
+            _accum(node, _unbroadcast(grad(g), shape))
 
     return _node(y, (a, b), vjp)
 
@@ -189,7 +231,8 @@ def sigmoid(a):
 
 def relu(a):
     va = val(a)
-    return _unary(a, np.maximum(va, 0.0), lambda g: g * (va > 0))
+    mask = va > 0 if isinstance(a, Var) else None
+    return _unary(a, np.maximum(va, 0.0), lambda g: g * mask)
 
 
 def absolute(a):
@@ -239,12 +282,13 @@ def matmul(a, b):
 
 def sum_(a, axis=None):
     va = np.asarray(val(a))
+    shape = va.shape
 
     def grad(g):
         gg = np.asarray(g)
         if axis is not None:
             gg = np.expand_dims(gg, axis)
-        return np.broadcast_to(gg, va.shape).copy()
+        return np.broadcast_to(gg, shape).copy()
 
     return _unary(a, va.sum(axis=axis), grad)
 
@@ -256,7 +300,8 @@ def mean(a):
 
 def reshape(a, shape):
     va = np.asarray(val(a))
-    return _unary(a, va.reshape(shape), lambda g: g.reshape(va.shape))
+    shape_in = va.shape
+    return _unary(a, va.reshape(shape), lambda g: g.reshape(shape_in))
 
 
 def transpose(a, axes=None):
@@ -269,32 +314,35 @@ def concat(parts, axis=0):
     y = np.concatenate(vs, axis=axis)
     sizes = [v.shape[axis] for v in vs]
     offsets = np.cumsum([0] + sizes)
+    nodes = [_node_of(p) for p in parts]
 
     def vjp(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
+            _accum(node, g[tuple(sl)])
 
-    return _node(y, tuple(parts), vjp)
+    return _node(y, parts, vjp)
 
 
 def stack(parts, axis=0):
     vs = [val(p) for p in parts]
     y = np.stack(vs, axis=axis)
+    nodes = [_node_of(p) for p in parts]
 
     def vjp(g):
-        for i, p in enumerate(parts):
-            _accum(p, np.take(g, i, axis=axis))
+        for i, node in enumerate(nodes):
+            _accum(node, np.take(g, i, axis=axis))
 
-    return _node(y, tuple(parts), vjp)
+    return _node(y, parts, vjp)
 
 
 def getitem(a, idx):
     va = val(a)
+    shape, dtype = np.shape(va), np.result_type(va)
 
     def grad(g):
-        ga = np.zeros_like(va)
+        ga = np.zeros(shape, dtype=dtype)
         np.add.at(ga, idx, g)
         return ga
 
@@ -409,6 +457,7 @@ def attention(q, k, v):
     dv += pᵀ g, ds = p ∘ (g vᵀ - D), dq += ds k and dk += dsᵀ q.
     """
     vq, vk, vv = val(q), val(k), val(v)
+    q_node, k_node, v_node = map(_node_of, (q, k, v))
     h, nq, dh = vq.shape
     nk, dv = vv.shape[1:]
     dtype = np.result_type(vq, vk, vv)
@@ -522,9 +571,9 @@ def attention(q, k, v):
                     dkt[hs, :, c] += np.matmul(qt[hs, :, b], ds)
                     del ds
             del kt_h, v_h
-        _accum(q, dq)
-        _accum(k, np.swapaxes(dkt, 1, 2))
-        _accum(v, dvv)
+        _accum(q_node, dq)
+        _accum(k_node, np.swapaxes(dkt, 1, 2))
+        _accum(v_node, dvv)
 
     return _node(out, (q, k, v), vjp)
 
@@ -562,6 +611,7 @@ def dynamic_filter(x, z, w, b):
     """
     vx = np.ascontiguousarray(val(x))
     vz, vw, vb = val(z), val(w), val(b)
+    x_node, z_node, w_node, b_node = map(_node_of, (x, z, w, b))
     n, c = vx.shape
     if vw.shape[0] != c * c or np.shape(vz) != (n, vw.shape[1]):
         raise ValueError(
@@ -587,30 +637,30 @@ def dynamic_filter(x, z, w, b):
 
     def vjp(g):
         g3 = np.ascontiguousarray(g).reshape(n, 1, c)
-        if is_traced(x):
+        if x_node is not None:
             dx = np.empty_like(out)
             for r in row_blocks:
                 dx[r] = np.matmul(g3[r], kernels(r).swapaxes(-1, -2))[:, 0]
-            _accum(x, dx)
-        if not is_traced(z, w, b):
+            _accum(x_node, dx)
+        if z_node is None and w_node is None and b_node is None:
             return
         db = np.empty(c * c, dtype=out.dtype)
         dw = np.empty(vw.shape, dtype=out.dtype)
-        dz = np.zeros(np.shape(vz), dtype=out.dtype) if is_traced(z) else None
+        dz = None if z_node is None else np.zeros(np.shape(vz), out.dtype)
         for rows in _kernel_row_blocks(n, c):
             cols = slice(rows.start * c, rows.stop * c)
             # the [N, 1] x [1, C] products that the dense d(K) holds, exactly
             dkb = (vx[:, rows, None] * g3).reshape(n, -1)
-            if is_traced(b):
+            if b_node is not None:
                 db[cols] = dkb.sum(axis=0)
-            if is_traced(w):
+            if w_node is not None:
                 dw[cols] = dkb.T @ vz
             if dz is not None:
                 dz += dkb @ vw[cols]
             del dkb  # before the next block's columns are made
-        _accum(b, db)
-        _accum(w, dw)
-        _accum(z, dz)
+        _accum(b_node, db)
+        _accum(w_node, dw)
+        _accum(z_node, dz)
 
     return _node(out, (x, z, w, b), vjp)
 
@@ -717,8 +767,8 @@ def bilinear_gather(fmap, xs, ys):
     x indexes columns (width), y indexes rows (height). Points outside the
     closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row and
     valid=False. Differentiable in the map and in both coordinate arrays: a
-    traced call's tape keeps the output and the state of `_bilinear`'s vjp,
-    and an untraced call computes no corner difference.
+    traced call's tape keeps only the state of `_bilinear`'s vjp, and an
+    untraced call computes no corner difference.
 
     The map's cells are gathered as rows of `_cell_rows(fmap)`: a copy of
     a plain [C, H, W] map, free for one that is a view of cell rows, as
@@ -732,9 +782,11 @@ def bilinear_gather(fmap, xs, ys):
                                  isinstance(fmap, Var), is_traced(xs),
                                  is_traced(ys))
 
+    nodes = [_node_of(p) for p in (fmap, xs, ys)]
+
     def vjp(g):
-        for p, d in zip((fmap, xs, ys), back(g)):
-            _accum(p, d)
+        for node, d in zip(nodes, back(g)):
+            _accum(node, d)
 
     return _node(out, (fmap, xs, ys), vjp), valid
 
@@ -758,9 +810,10 @@ def sample_pool(levels, lanes, weights):
     one [N, C] scratch array, divided and weighted in place.
 
     Differentiable in the maps, the coordinates and the weights. A traced
-    call keeps each term's camera mean and denominator and each camera's
-    `_bilinear` vjp. Values and gradients are those of the same
-    expressions as separate nodes.
+    call keeps each term's camera mean and denominator and, per camera, its
+    `_bilinear` vjp, its lanes and the nodes of its map and coordinates.
+    Values and gradients are those of the same expressions as separate
+    nodes.
     """
     vw = val(weights)
     n = vw.shape[0]
@@ -768,6 +821,7 @@ def sample_pool(levels, lanes, weights):
     maps = [fmap for cam in levels for _, fmap in cam]
     coords = [c for row in lanes for _, x, y in row for c in (x, y)]
     traced = is_traced(*maps, *coords, weights)
+    w_node = _node_of(weights)
     c = np.shape(val(maps[0]))[0]
     out = np.zeros((n, c))
     scratch = np.empty((n, c))
@@ -791,7 +845,8 @@ def sample_pool(levels, lanes, weights):
                 feat_sum[idx] += rows
                 count[idx] += ok
                 if traced:
-                    backs.append(back)
+                    backs.append((back, idx, float(stride), _node_of(fmap),
+                                  _node_of(x), _node_of(y)))
             valid += count
             denom = np.maximum(count, 1.0)[:, None]
             weight = vw[:, j * n_h + i].reshape(n, 1)
@@ -803,22 +858,20 @@ def sample_pool(levels, lanes, weights):
                 out += feat_sum
 
     def vjp(g):
-        dw = np.zeros_like(vw) if isinstance(weights, Var) else None
+        dw = np.zeros_like(vw) if w_node is not None else None
         for j, i, mean, denom, backs in terms:
             col = j * n_h + i
             if dw is not None:
                 dw[:, col] += (g * mean).sum(axis=1)
             g_sum = g * vw[:, col].reshape(n, 1) / denom
-            for k, back in enumerate(backs):
-                idx, x, y = lanes[i][k]
-                stride, fmap = levels[k][j]
+            for back, idx, stride, map_node, x_node, y_node in backs:
                 dmap, dx, dy = back(g_sum[idx])
-                _accum(fmap, dmap)
+                _accum(map_node, dmap)
                 if dx is not None:
-                    _accum(x, dx / float(stride))
+                    _accum(x_node, dx / stride)
                 if dy is not None:
-                    _accum(y, dy / float(stride))
-        _accum(weights, dw)
+                    _accum(y_node, dy / stride)
+        _accum(w_node, dw)
 
     # backward's depth-first walk takes the last parent first: the weights,
     # then the coordinates from the last height and camera back. The

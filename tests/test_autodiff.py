@@ -160,7 +160,7 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
         qv, kv, vv = (ad.Var(x) for x in (q, k, v))
         out = ad.attention(qv, kv, vv)
         with tracemalloc_peak() as backward:
-            out._vjp(np.ones(out.data.shape))
+            out.node.vjp(np.ones(out.data.shape))
         # besides a tile and one head's copies, the forward holds its
         # output, each row's shift and sum, a block's [rows, dh + 1]
         # products, and the plan (under 512 bytes a tile)
@@ -420,7 +420,7 @@ def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
     out = ad.dynamic_filter(x, z, ad.Var(w), ad.Var(b))
     g = np.ones(out.data.shape)
     with tracemalloc_peak() as backward:
-        out._vjp(g)
+        out.node.vjp(g)
     assert backward.peak < ad._BLOCK_BYTES + x.nbytes < dense / 20
 
 
@@ -544,6 +544,43 @@ def test_backward_frees_each_inner_gradient(rng):
     for node in reversed(nodes[1:]):
         expected = expected * (1.0 - node.data * node.data)
     assert np.array_equal(x.grad, expected)
+
+
+def test_tape_holds_only_what_backward_reads(rng):
+    # K blocks relu(h W_iᵀ + b_i) over [N, C] rows, each W_i traced. Once
+    # the interior handles are gone, the tape holds each block's input and
+    # its relu's bool mask: the first input is x, made before tracing, and
+    # the sum reads only the last output's shape. A tape that also keeps
+    # each block's product, its sum and the relu's float input holds about
+    # three times as much
+    from bevlab.tensor import LinearMap, linear_apply
+
+    k, n, c = 8, 1000, 32
+    x = rng.normal(size=(n, c))
+    ws = [rng.normal(size=(c, c)) / np.sqrt(c) for _ in range(k)]
+    bs = [rng.normal(size=c) for _ in range(k)]
+    maps = [LinearMap(ad.Var(w), b) for w, b in zip(ws, bs)]
+    with tracemalloc_peak() as mem:
+        h = x
+        for m in maps:
+            h = ad.relu(linear_apply(m, h))
+        loss = ad.sum_(h)
+        del h
+    # K - 1 [N, C] float64 inputs and K [N, C] masks, plus 64 KiB for the
+    # nodes, the closures and the transposed weights' views (25 KB here)
+    assert mem.retained < (k - 1) * 8 * n * c + k * n * c + 2**16
+    loss.backward()
+    # the same chain written out, in the vjps' order
+    hs, masks = [x], []
+    for w, b in zip(ws, bs):
+        pre = hs[-1] @ w.T + b
+        masks.append(pre > 0)
+        hs.append(np.maximum(pre, 0.0))
+    g = np.ones((n, c))
+    for i in reversed(range(k)):
+        g = g * masks[i]
+        assert np.array_equal(maps[i].weight.grad, (hs[i].T @ g).T)
+        g = g @ ws[i]
 
 
 def test_backward_requires_scalar(rng):

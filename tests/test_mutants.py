@@ -70,8 +70,8 @@ def vjp_of_minus_g(op):
     def negated(*args):
         out = op(*args)
         if isinstance(out, ad.Var):
-            vjp = out._vjp
-            out._vjp = lambda g: vjp(-g)
+            vjp = out.node.vjp
+            out.node.vjp = lambda g: vjp(-g)
         return out
 
     return negated

@@ -319,11 +319,10 @@ class TestFit:
             peaks.append(mem.peak)
         assert peaks[1] < 1.1 * peaks[0]
 
-    def test_backward_peak_near_forward_tape(self, monkeypatch):
-        # a step's peak over what it holds when backward starts (the scene
-        # constants, the parameters and the forward tape): 1.54 when every
-        # inner gradient lives to the end of backward and each gather keeps
-        # its four corners, 1.19 when neither does
+    @staticmethod
+    def _one_step_memory(monkeypatch):
+        """(bytes held when backward starts, peak bytes) of one fit step at
+        the tiny config on scene 0, both traced from the step's start."""
         cfg = tiny_config()
         scenes = [tiny_scene(seed=0)]
         at_backward = []
@@ -338,7 +337,23 @@ class TestFit:
             fit_generators(cfg, init_params(cfg, seed=5), scenes, steps=1,
                            lr=1e-3)
         assert len(at_backward) == 1
-        assert mem.peak < 1.35 * at_backward[0]
+        return at_backward[0], mem.peak
+
+    def test_backward_peak_near_forward_tape(self, monkeypatch):
+        # a step's peak over what it holds when backward starts (the scene
+        # constants, the parameters and the forward tape): 1.54 when every
+        # inner gradient lives to the end of backward and each gather keeps
+        # its four corners, 1.19 when neither does, 1.29 once the tape keeps
+        # only what its vjps read
+        at_backward, peak = self._one_step_memory(monkeypatch)
+        assert peak < 1.35 * at_backward
+
+    def test_step_tape_holds_what_backward_reads(self, monkeypatch):
+        # what a step holds when backward starts: 1.00-1.03 MB when the
+        # tape keeps every op's output and inputs alive, 0.70-0.73 MB when
+        # it keeps only the arrays its vjps read (the bound leaves 9%)
+        at_backward, _ = self._one_step_memory(monkeypatch)
+        assert at_backward < 0.8e6
 
     def test_fit_deterministic(self):
         cfg = tiny_config()

@@ -765,22 +765,22 @@ def bilinear_gather(fmap, xs, ys):
     """Bilinear samples of a [C, H, W] map at N continuous (x, y) points.
 
     x indexes columns (width), y indexes rows (height). Points outside the
-    closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row and
-    valid=False. Differentiable in the map and in both coordinate arrays: a
-    traced call's tape keeps only the state of `_bilinear`'s vjp, and an
-    untraced call computes no corner difference.
+    closed box [0, W-1] x [0, H-1], and NaN points, yield a zero row.
+    Differentiable in the map and in both coordinate arrays: a traced
+    call's tape keeps only the state of `_bilinear`'s vjp, and an untraced
+    call computes no corner difference.
 
     The map's cells are gathered as rows of `_cell_rows(fmap)`: a copy of
     a plain [C, H, W] map, free for one that is a view of cell rows, as
     `tensor.cells_to_chw` makes.
 
-    Returns (samples [N, C], valid [N] plain bool array).
+    Returns the samples [N, C].
     """
     vf = val(fmap)
     _, H, W = vf.shape
-    out, valid, back = _bilinear(_cell_rows(vf), H, W, val(xs), val(ys),
-                                 isinstance(fmap, Var), is_traced(xs),
-                                 is_traced(ys))
+    out, _, back = _bilinear(_cell_rows(vf), H, W, val(xs), val(ys),
+                             isinstance(fmap, Var), is_traced(xs),
+                             is_traced(ys))
 
     nodes = [_node_of(p) for p in (fmap, xs, ys)]
 
@@ -788,7 +788,7 @@ def bilinear_gather(fmap, xs, ys):
         for node, d in zip(nodes, back(g)):
             _accum(node, d)
 
-    return _node(out, (fmap, xs, ys), vjp), valid
+    return _node(out, (fmap, xs, ys), vjp)
 
 
 def sample_pool(levels, lanes, weights):
@@ -891,9 +891,6 @@ def lift_tree(obj, out=None):
         out = []
         lifted = lift_tree(obj, out)
         return lifted, out
-    if isinstance(obj, Var):
-        out.append(obj)
-        return obj
     if isinstance(obj, np.ndarray):
         v = Var(obj.copy())
         out.append(v)

@@ -7,7 +7,8 @@ for `learnable` queries, which do not select from them), then
 detections.json (the final decoder layer's boxes and class scores),
 summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss)
 and trace.json, each scene's wall time in seconds per stage (vt, fuse,
-select, decoder; the first scene's include the process's cold start).
+select, decoder; the first scene's include the process's cold start; vt
+excludes building the parameter-free vanilla sampling, a scene input).
 Every JSON file is compact, with sorted keys and a closing newline; json
 writes non-finite floats as NaN, Infinity and -Infinity.
 
@@ -237,8 +238,8 @@ def cmd_run(config_path, out_dir):
         if scene.boxes:
             entry["ray_smear"] = ray_smear_metric(extras["bev_camera"], scene,
                                                   pipeline_cfg.grid)
-            targets, _ = gaussian_target(scene.boxes, pipeline_cfg.grid,
-                                         pipeline_cfg.groups.n_classes)
+            targets = gaussian_target(scene.boxes, pipeline_cfg.grid,
+                                      pipeline_cfg.groups.n_classes)
             entry["heatmap_loss"] = float(
                 gaussian_focal_loss(extras["heatmaps"], targets))
         summary_scenes.append(entry)

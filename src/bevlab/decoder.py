@@ -178,7 +178,7 @@ def corner_sample(bev_fuse, points):
     flat = ad.reshape(points, (n, 2))
     xs = ad.getitem(flat, (slice(None), 0))
     ys = ad.getitem(flat, (slice(None), 1))
-    feats, _ = ad.bilinear_gather(bev_fuse, xs, ys)
+    feats = ad.bilinear_gather(bev_fuse, xs, ys)
     C = np.shape(val(bev_fuse))[0]
     return ad.reshape(feats, shp[:-1] + (C,))
 

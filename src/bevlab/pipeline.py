@@ -156,21 +156,18 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
                           learnable_points=pts, decoder=dec)
 
 
-def vanilla_heights(grid: BevGrid, n_heights):
-    """Cell-independent baseline heights, evenly spread over the z-range
-    (bin centers; the midpoint for a single height)."""
-    k = np.arange(n_heights)
-    return grid.z_range[0] + (k + 0.5) * grid.z_span / n_heights
-
-
 def _scene_inputs(config: PipelineConfig, scene):
     """A scene's view-transform inputs: the scene, its LiDAR raster, its
-    camera pyramids, and a `vanilla` slot that `_build` fills."""
-    return {"scene": scene,
-            "lidar": rasterize_lidar_bev(scene, config.grid),
-            "pyramids": render_camera_features(scene, config.grid,
-                                               config.strides),
-            "vanilla": None}
+    camera pyramids and "vanilla", its `vanilla_vt_output` in the `vanilla`
+    and `ap_only` modes (no parameter reaches it) and None in the others."""
+    grid = config.grid
+    pyramids = render_camera_features(scene, grid, config.strides)
+    vanilla = None
+    if config.vt_mode in ("vanilla", "ap_only"):
+        vanilla = vanilla_vt_output(pyramids, scene.cameras, grid,
+                                    config.n_heights)
+    return {"scene": scene, "lidar": rasterize_lidar_bev(scene, grid),
+            "pyramids": pyramids, "vanilla": vanilla}
 
 
 def _query_features(config: PipelineConfig, params: PipelineParams,
@@ -185,8 +182,7 @@ def _query_features(config: PipelineConfig, params: PipelineParams,
         ref = val(params.learnable_points).copy()
         return params.instance_embeds, ref, group_ids
 
-    kps = topk_keypoints(val(heatmaps), spec)
-    ref = np.concatenate([pos for pos, _ in kps], axis=0)
+    ref = np.concatenate(topk_keypoints(heatmaps, spec), axis=0)
 
     if config.query_init == "mixed_groupwise":
         feats = ad.getitem(params.group_embeds, (group_ids,))
@@ -199,27 +195,24 @@ def _query_features(config: PipelineConfig, params: PipelineParams,
 
 @dataclass
 class DetectionOutput:
-    """Per-layer predictions of one forward pass; the last layer is final."""
+    """The final decoder layer of one forward pass: each query's group id,
+    its boxes (`run_decoder`'s state arrays) and class scores [Nq, K], and
+    the decoder's layer count."""
 
-    ref_points: np.ndarray
     group_ids: np.ndarray
-    layers: list  # dicts: enc [Nq,8], cls_probs [Nq,K], boxes (state arrays)
-
-    @property
-    def n_layers(self):
-        return len(self.layers)
+    n_layers: int
+    boxes: dict
+    cls_probs: np.ndarray
 
     def to_json_dict(self, grid: BevGrid):
         """The final layer of one scene in detections.json's schema: a
         one-entry list [{"final": true, "layer": n_layers - 1,
         "predictions"}], per prediction {"box": {h, l, w, x, y, yaw, z} in
-        metres and radians, "group", "query", "scores"}. The earlier layers
-        feed only the fit's deep supervision, which reads the graph. It
-        holds only Python bools, ints and floats, from `tolist()` columns,
-        and each dict's keys are already in the sorted order that
-        `cli._json_dump` writes."""
-        layer = self.layers[-1]
-        b = layer["boxes"]
+        metres and radians, "group", "query", "scores"}. It holds only
+        Python bools, ints and floats, from `tolist()` columns, and each
+        dict's keys are already in the sorted order that `cli._json_dump`
+        writes."""
+        b = self.boxes
         xs = grid.x_range[0] + (b["xc"] + 0.5) * grid.cell_size_x
         ys = grid.y_range[0] + (b["yc"] + 0.5) * grid.cell_size_y
         boxes = zip(*(a.tolist() for a in (
@@ -229,7 +222,7 @@ class DetectionOutput:
                   "group": g, "query": q, "scores": s}
                  for q, (g, (h, l, w, x, y, yaw, z), s) in enumerate(
                      zip(self.group_ids.tolist(), boxes,
-                         layer["cls_probs"].tolist()))]
+                         self.cls_probs.tolist()))]
         return [{"final": True, "layer": self.n_layers - 1,
                  "predictions": preds}]
 
@@ -238,12 +231,8 @@ def _build(config: PipelineConfig, params: PipelineParams, inputs):
     """The detection graph on one scene's `_scene_inputs`, with each stage's
     wall time: view transform, fusion, query selection, decoder. On
     `lift_tree`d parameters the graph is traced, so the fit trains the
-    graph that `forward` runs.
-
-    The vanilla sampling (`vanilla` and `ap_only` modes) does not depend on
-    the parameters: it is built into inputs["vanilla"] the first time the
-    scene needs it, at `vanilla_heights(grid, config.n_heights)`, and reused
-    after.
+    graph that `forward` runs. The view transform is inputs["vanilla"] when
+    it is set, and `adaptive_sample` otherwise; `inputs` is only read.
 
     Returns a dict: bev_camera, diag (the VtOutput), bev_fuse, heatmaps
     (in every query-init mode: `learnable` queries do not read them, the
@@ -252,15 +241,11 @@ def _build(config: PipelineConfig, params: PipelineParams, inputs):
     decoder).
     """
     grid, lidar, pyramids = config.grid, inputs["lidar"], inputs["pyramids"]
-    cams = inputs["scene"].cameras
     t_start = time.perf_counter()
-    if config.vt_mode in ("asap", "as_only"):
-        diag = adaptive_sample(params.vt, lidar, pyramids, cams, grid)
-    else:
-        if inputs["vanilla"] is None:
-            inputs["vanilla"] = vanilla_vt_output(
-                pyramids, cams, grid, vanilla_heights(grid, config.n_heights))
-        diag = inputs["vanilla"]
+    diag = inputs["vanilla"]
+    if diag is None:
+        diag = adaptive_sample(params.vt, lidar, pyramids,
+                               inputs["scene"].cameras, grid)
     bev_camera = diag.bev
     if config.vt_mode in ("asap", "ap_only"):
         bev_camera = adaptive_project(params.vt, diag.bev, lidar)
@@ -286,16 +271,16 @@ def _build(config: PipelineConfig, params: PipelineParams, inputs):
 def forward(config: PipelineConfig, params: PipelineParams, scene):
     """Full pipeline on one scene: `_build` on the scene's inputs.
 
-    Returns (DetectionOutput, VtOutput, extras). Class scores are the
-    heatmaps' `ad.sigmoid` of each layer's logits. extras holds the camera
-    and fused BEV maps, the heatmaps and stage_times (seconds per stage).
+    Returns (DetectionOutput, VtOutput, extras). The detections are the
+    final layer's, its class scores the heatmaps' `ad.sigmoid` of its
+    logits. extras holds the camera and fused BEV maps, the heatmaps and
+    stage_times (seconds per stage).
     """
     graph = _build(config, params, _scene_inputs(config, scene))
-    layers = [{"enc": val(layer["enc"]),
-               "cls_probs": ad.sigmoid(val(layer["cls"])),
-               "boxes": layer["boxes"]} for layer in graph["layers"]]
-    det = DetectionOutput(ref_points=graph["ref"],
-                          group_ids=graph["group_ids"], layers=layers)
+    final = graph["layers"][-1]
+    det = DetectionOutput(group_ids=graph["group_ids"],
+                          n_layers=len(graph["layers"]), boxes=final["boxes"],
+                          cls_probs=ad.sigmoid(val(final["cls"])))
     extras = {key: val(graph[key])
               for key in ("bev_camera", "bev_fuse", "heatmaps", "stage_times")}
     return det, graph["diag"], extras
@@ -337,7 +322,7 @@ def _scene_constants(config: PipelineConfig, scene):
     grid = config.grid
     consts = _scene_inputs(config, scene)
     lidar = consts["lidar"]
-    targets, _ = gaussian_target(scene.boxes, grid, config.groups.n_classes)
+    targets = gaussian_target(scene.boxes, grid, config.groups.n_classes)
     C = scene.channels
     occ_idx = np.nonzero(lidar[C - 1].ravel() > 0.5)[0]
     consts.update(heatmap_targets=targets, occ_idx=occ_idx,

@@ -5,7 +5,6 @@ their features from."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +13,6 @@ from . import autodiff as ad
 from .autodiff import val
 from .geometry import BevGrid, is_int, world_to_cell
 from .tensor import LinearMap, cells_to_chw, chw_to_cells, linear_apply
-
-log = logging.getLogger(__name__)
 
 # similarly sized classes share a group (ids into scene_sim.CLASS_NAMES)
 DEFAULT_GROUPS = ((0,), (1, 2), (3, 4), (5,), (6, 7), (8, 9))
@@ -53,26 +50,23 @@ def gaussian_target(boxes, grid: BevGrid, n_classes):
     """Per-class heatmap targets: at each cell the max over that class's
     objects of exp(-d^2 / (2 sigma^2)), d in cells from the cell nearest the
     object center, sigma = max(1, min(l, w) / (3 cell)) cells. The peak cell
-    is exactly 1. Boxes whose center cell falls outside the grid are skipped.
+    is exactly 1. A box whose center cell falls outside the grid is skipped;
+    `scene_sim.make_scene` keeps every center `BOX_MARGIN` inside it.
 
-    Returns (targets [n_classes, H, W], skipped count).
+    Returns the targets [n_classes, H, W].
     """
     H, W = grid.height, grid.width
     targets = np.zeros((n_classes, H, W))
     uu, vv = np.meshgrid(np.arange(W), np.arange(H))
-    skipped = 0
     for box in boxes:
         u, v = world_to_cell(grid, box.center[0], box.center[1])
         u0, v0 = int(round(u)), int(round(v))
         if not (0 <= u0 < W and 0 <= v0 < H):
-            skipped += 1
             continue
         sigma = max(1.0, min(box.dims[0], box.dims[1]) / (3.0 * grid.cell_size_x))
         gauss = np.exp(-((uu - u0) ** 2 + (vv - v0) ** 2) / (2.0 * sigma ** 2))
         targets[box.class_id] = np.maximum(targets[box.class_id], gauss)
-    if skipped:
-        log.warning("gaussian_target: skipped %d boxes outside the grid", skipped)
-    return targets, skipped
+    return targets
 
 
 def predict_heatmaps(scorer: LinearMap, bev_fuse):
@@ -105,7 +99,7 @@ def topk_keypoints(heatmaps, spec: GroupSpec):
     broken by row-major index). When fewer than k cells survive, the best
     suppressed cells fill the remainder.
 
-    Returns a list per group of (positions [k, 2] float (u, v), scores [k]).
+    Returns a list per group of its positions [k, 2], float (u, v).
     """
     hm = val(heatmaps)
     K, H, W = hm.shape
@@ -122,7 +116,6 @@ def topk_keypoints(heatmaps, spec: GroupSpec):
         survivors = order[keep[order]]
         suppressed = order[~keep[order]]
         chosen = np.concatenate([survivors, suppressed])[:k]
-        pos = np.stack([(chosen % W).astype(float),
-                        (chosen // W).astype(float)], axis=1)
-        out.append((pos, flat[chosen].copy()))
+        out.append(np.stack([(chosen % W).astype(float),
+                             (chosen // W).astype(float)], axis=1))
     return out

@@ -192,9 +192,7 @@ def naive_topk(heatmaps, spec: GroupSpec):
                 cells.append((suppressed, -gmap[v, u], v * W + u, u, v))
         cells.sort()
         top = cells[:spec.queries_per_group]
-        pos = np.array([[float(c[3]), float(c[4])] for c in top])
-        scores = np.array([-c[1] for c in top])
-        results.append((pos, scores))
+        results.append(np.array([[float(c[3]), float(c[4])] for c in top]))
     return results
 
 
@@ -586,7 +584,7 @@ def check_vt_edge_lanes(rng, n_instances=4):
 
         X, Y = grid.cell_centers_flat()
         seen_by = np.zeros((len(cams), X.size), dtype=bool)
-        for z in fast.per_cell_heights.reshape(params.n_heights, -1):
+        for z in fast.per_cell_heights.T:
             for k, (cam, pyr) in enumerate(zip(cams, pyramids)):
                 x, y, ok = project_heights(cam, X, Y, z)
                 seen_by[k] |= ok
@@ -625,10 +623,9 @@ def run_oracle_suite(seed=0, n_instances=8):
         fmap = rng.normal(size=(3, 9, 11))
         xs = rng.uniform(-2, 12, size=60)
         ys = rng.uniform(-2, 10, size=60)
-        fast, valid = ad.bilinear_gather(fmap, xs, ys)
+        fast = ad.bilinear_gather(fmap, xs, ys)
         for i in range(60):
-            ref, ok = bilinear_sample(fmap, (xs[i], ys[i]))
-            assert ok == bool(valid[i])
+            ref, _ = bilinear_sample(fmap, (xs[i], ys[i]))
             assert np.max(np.abs(fast[i] - ref)) < 1e-12
         return "60 points"
 
@@ -638,8 +635,8 @@ def run_oracle_suite(seed=0, n_instances=8):
             hm = rng.uniform(size=(3, 12, 12))
             fast = topk_keypoints(hm, spec)
             slow = naive_topk(hm, spec)
-            for (fp, fs), (sp, ss) in zip(fast, slow):
-                assert np.array_equal(fp, sp) and np.allclose(fs, ss)
+            for fp, sp in zip(fast, slow, strict=True):
+                assert np.array_equal(fp, sp)
         return "20 heatmaps"
 
     def gaussian_targets_match():
@@ -650,7 +647,7 @@ def run_oracle_suite(seed=0, n_instances=8):
                                        n_cameras=2, classes=(0, 1),
                                        fixed_dims=(3.0, 1.5, 1.5)),
                            seed=int(rng.integers(1000)))
-        fast, _ = gaussian_target(scene.boxes, grid, 10)
+        fast = gaussian_target(scene.boxes, grid, 10)
         slow = naive_gaussian_target(scene.boxes, grid, 10)
         worst = float(np.max(np.abs(fast - slow)))
         assert worst < 1e-12, f"max deviation {worst:.3e}"
@@ -884,7 +881,7 @@ def run_props_suite(seed=0):
         params, lidar, pyramids, cams, grid = random_vt_instance(
             rng, C=4, H=8, n_h=3, n_s=2)
         out = adaptive_sample(params, lidar, pyramids, cams, grid)
-        sums = out.per_cell_weights.sum(axis=0)
+        sums = out.per_cell_weights.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
         assert out.per_cell_weights.min() > 0 and out.per_cell_weights.max() < 1
         assert out.per_cell_heights.min() >= grid.z_range[0] - 1e-12

@@ -73,11 +73,13 @@ class VtParams:
 
 @dataclass(frozen=True)
 class VtOutput:
-    """Sampled BEV map plus per-cell diagnostics."""
+    """Sampled BEV map plus per-cell diagnostics: the engine's own height
+    and pooling-weight rows, one per cell in `tensor.chw_to_cells` order,
+    and the fraction of each cell's samples that found an image."""
 
     bev: object                # [C, H, W]
-    per_cell_heights: np.ndarray   # [N_h, H, W]
-    per_cell_weights: np.ndarray   # [N_s*N_h, H, W]
+    per_cell_heights: np.ndarray   # [H*W, N_h]
+    per_cell_weights: np.ndarray   # [H*W, N_s*N_h]
     validity_fraction: np.ndarray  # [H, W]
 
 
@@ -110,7 +112,6 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     n_s = len(pyramids[0].levels)
     n_cams = len(cams)
     X, Y = grid.cell_centers_flat()
-    N = X.size
 
     lanes = []
     for i in range(n_h):
@@ -124,12 +125,10 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     out, valid_total = ad.sample_pool([p.levels for p in pyramids], lanes,
                                       weights)
 
-    return VtOutput(
-        bev=cells_to_chw(out, H, W),
-        per_cell_heights=val(heights).T.reshape(n_h, H, W).copy(),
-        per_cell_weights=val(weights).T.reshape(n_s * n_h, H, W).copy(),
-        validity_fraction=(valid_total / (n_h * n_s * n_cams)).reshape(H, W),
-    )
+    frac = valid_total / (n_h * n_s * n_cams)
+    return VtOutput(bev=cells_to_chw(out, H, W), per_cell_heights=val(heights),
+                    per_cell_weights=val(weights),
+                    validity_fraction=frac.reshape(H, W))
 
 
 def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams,
@@ -155,17 +154,14 @@ def adaptive_sample(params: VtParams, lidar_bev, pyramids, cams,
     return _vt_engine(heights, weights, pyramids, cams, grid)
 
 
-def vanilla_vt_output(pyramids, cams, grid: BevGrid, fixed_heights) -> VtOutput:
-    """Baseline transform with diagnostics: project the same predefined
-    heights from every cell and pool uniformly over all scales/heights."""
-    fixed = np.asarray(fixed_heights, dtype=np.float64)
-    if fixed.size == 0:
-        raise ValueError("fixed_heights must be non-empty")
-    if fixed.min() < grid.z_range[0] or fixed.max() > grid.z_range[1]:
-        raise ValueError("fixed heights must lie inside the grid z-range")
-
+def vanilla_vt_output(pyramids, cams, grid: BevGrid, n_heights) -> VtOutput:
+    """Baseline transform with diagnostics: project the same n_heights
+    heights, the bin centers of the grid's z-range (its midpoint for one
+    height), from every cell and pool uniformly over all scales/heights."""
+    k = np.arange(n_heights)
+    fixed = grid.z_range[0] + (k + 0.5) * grid.z_span / n_heights
     N = grid.height * grid.width
-    n = len(pyramids[0].levels) * fixed.size
+    n = len(pyramids[0].levels) * n_heights
     return _vt_engine(np.tile(fixed, (N, 1)), np.full((N, n), 1.0 / n),
                       pyramids, cams, grid)
 

@@ -437,8 +437,7 @@ def test_bilinear_gather_matches_scalar_and_grads(rng):
     fmap = rng.normal(size=(3, 6, 7))
     xs = rng.uniform(0.2, 5.8, size=10)
     ys = rng.uniform(0.2, 4.8, size=10)
-    out, valid = ad.bilinear_gather(fmap, xs, ys)
-    assert valid.all()
+    out = ad.bilinear_gather(fmap, xs, ys)
     for i in range(10):
         ref, ok = bilinear_sample(fmap, (xs[i], ys[i]))
         assert ok
@@ -447,27 +446,25 @@ def test_bilinear_gather_matches_scalar_and_grads(rng):
     g = np.arange(30.0).reshape(10, 3)
 
     def loss(t):
-        s, _ = ad.bilinear_gather(t["fmap"], t["xs"], t["ys"])
-        return ad.sum_(ad.mul(s, g))
+        return ad.sum_(ad.mul(ad.bilinear_gather(t["fmap"], t["xs"], t["ys"]),
+                              g))
 
     gradcheck(loss, {"fmap": fmap, "xs": xs, "ys": ys})
 
 
 def test_bilinear_gather_out_of_bounds_zero():
     fmap = np.ones((2, 4, 4))
-    out, valid = ad.bilinear_gather(fmap, np.array([-1.0, 2.0, 5.0]),
-                                    np.array([1.0, 1.0, 1.0]))
-    assert not valid[0] and valid[1] and not valid[2]
-    assert np.all(out[0] == 0) and np.all(out[2] == 0)
+    out = ad.bilinear_gather(fmap, np.array([-1.0, 2.0, 5.0]),
+                             np.array([1.0, 1.0, 1.0]))
+    assert out.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
 
 
 def test_bilinear_gather_nan_point_zero():
     # a NaN point (from features that overflowed) is outside every image
-    out, valid = ad.bilinear_gather(np.ones((2, 4, 4)),
-                                    np.array([np.nan, 2.0, 1.0]),
-                                    np.array([1.0, np.nan, 1.0]))
-    assert valid.tolist() == [False, False, True]
-    assert np.all(out[:2] == 0) and np.all(out[2] == 1)
+    out = ad.bilinear_gather(np.ones((2, 4, 4)),
+                             np.array([np.nan, 2.0, 1.0]),
+                             np.array([1.0, np.nan, 1.0]))
+    assert out.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
 
 
 def _corner_formula(fmap, xs, ys, g):
@@ -514,12 +511,12 @@ def test_bilinear_gather_keeps_only_corner_differences(rng, traced):
     args = {k: ad.Var(v) if k in traced else v
             for k, v in inputs.items()}
     with tracemalloc_peak() as mem:
-        out, valid = ad.bilinear_gather(args["fmap"], args["xs"], args["ys"])
+        out = ad.bilinear_gather(args["fmap"], args["xs"], args["ys"])
     # the output, one [C, M] difference per traced coordinate array, and
     # the per-point corner indices, weights and mask (seven of ≤ 8 bytes)
     n_diffs = len({"xs", "ys"} & set(traced))
     assert mem.retained <= out.data.nbytes + n_diffs * 8 * c * m + 8 * 8 * m
-    assert valid.tolist()[-8:] == [False] * 6 + [True] * 2
+    assert not ad.val(out)[-8:-2].any() and ad.val(out)[-2:].all()
     assert np.array_equal(out.data, ref["out"])
     ad.sum_(ad.mul(out, g)).backward()
     for name in traced:

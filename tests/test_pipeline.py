@@ -11,13 +11,15 @@ import pytest
 from bevlab import autodiff as ad
 from bevlab import cli
 from bevlab.geometry import BevGrid
+from bevlab.autodiff import val
 from bevlab.pipeline import (QUERY_INIT_MODES, VT_MODES, DetectionOutput,
-                             PipelineConfig, _height_loss, _scene_constants,
-                             fit_generators, forward, greedy_match,
-                             init_params, vanilla_heights)
+                             PipelineConfig, _build, _height_loss,
+                             _scene_constants, _scene_inputs, fit_generators,
+                             forward, greedy_match, init_params)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
 from bevlab.verify import cell_to_world, zero_linear
+from bevlab.view_transform import VtOutput
 from helpers import tracemalloc_peak
 
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (16, 16))
@@ -40,9 +42,45 @@ def tiny_scene(seed=0, **kw):
 
 class TestForward:
     def test_vanilla_heights_spread(self):
-        h = vanilla_heights(GRID, 4)
-        assert np.allclose(h, [-4.0, -2.0, 0.0, 2.0])
-        assert np.allclose(vanilla_heights(GRID, 1), [-1.0])
+        # the bin centers of the z-range in every cell; one height: its
+        # midpoint
+        scene = tiny_scene(seed=3)
+        for n_heights, expect in ((4, [-4.0, -2.0, 0.0, 2.0]), (1, [-1.0])):
+            cfg = tiny_config(vt_mode="vanilla", n_heights=n_heights)
+            heights = _scene_inputs(cfg, scene)["vanilla"].per_cell_heights
+            assert heights.shape == (GRID.height * GRID.width, n_heights)
+            assert np.allclose(heights, expect)
+
+    @pytest.mark.parametrize("vt_mode", VT_MODES)
+    def test_build_leaves_its_inputs_as_given(self, vt_mode):
+        # the vanilla sampling is built with the scene's inputs, in the
+        # modes that read it, and `_build` only reads them
+        cfg = tiny_config(vt_mode=vt_mode)
+        params = init_params(cfg, seed=1)
+        inputs = _scene_inputs(cfg, tiny_scene(seed=3))
+        given = dict(inputs)
+        for _ in range(2):
+            _build(cfg, params, inputs)
+            assert inputs.keys() == given.keys()
+            assert all(inputs[key] is given[key] for key in given)
+        assert isinstance(inputs["vanilla"], VtOutput) == (
+            vt_mode in ("vanilla", "ap_only"))
+
+    @pytest.mark.parametrize("vt_mode, query_init",
+                             zip(VT_MODES, QUERY_INIT_MODES))
+    def test_forward_is_the_final_layer_of_build(self, vt_mode, query_init):
+        scene = tiny_scene(seed=3)
+        cfg = tiny_config(vt_mode=vt_mode, query_init=query_init)
+        params = init_params(cfg, seed=1)
+        det, _, _ = forward(cfg, params, scene)
+        graph = _build(cfg, params, _scene_inputs(cfg, scene))
+        final = graph["layers"][-1]
+        assert det.n_layers == len(graph["layers"]) == cfg.n_layers
+        assert np.array_equal(det.group_ids, graph["group_ids"])
+        assert det.boxes.keys() == final["boxes"].keys()
+        for key, arr in final["boxes"].items():
+            assert np.array_equal(det.boxes[key], arr), key
+        assert np.array_equal(det.cls_probs, ad.sigmoid(val(final["cls"])))
 
     def test_mode_matrix_all_combinations_run(self):
         # seed 3 puts a box in a camera's view, so the camera branch is live
@@ -56,11 +94,11 @@ class TestForward:
             params = init_params(cfg, seed=1)
             det, diag, extras = forward(cfg, params, scene)
             assert det.n_layers == cfg.n_layers
-            assert det.ref_points.shape == (12, 2)
+            assert det.boxes["xc"].shape == (12,)
             assert extras["heatmaps"].shape == (10, 16, 16)
-            for layer in det.layers:
-                assert np.isfinite(layer["enc"]).all()
-                assert np.isfinite(layer["cls_probs"]).all()
+            for arr in det.boxes.values():
+                assert np.isfinite(arr).all()
+            assert np.isfinite(det.cls_probs).all()
             camera_maps[vt] = extras["bev_camera"]
         for vt in VT_MODES:
             assert np.abs(camera_maps[vt]).max() > 0, vt
@@ -86,12 +124,12 @@ class TestForward:
         scene = tiny_scene(seed=4)
         cfg = tiny_config(query_init="learnable")
         params = init_params(cfg, seed=3)
-        det, _, extras = forward(cfg, params, scene)
+        graph = _build(cfg, params, _scene_inputs(cfg, scene))
         _, _, mixed = forward(dataclasses.replace(
             cfg, query_init="mixed_groupwise"), params, scene)
-        assert np.abs(extras["bev_camera"]).max() > 0
-        assert np.array_equal(extras["heatmaps"], mixed["heatmaps"])
-        assert np.array_equal(det.ref_points, params.learnable_points)
+        assert np.abs(val(graph["bev_camera"])).max() > 0
+        assert np.array_equal(val(graph["heatmaps"]), mixed["heatmaps"])
+        assert np.array_equal(graph["ref"], params.learnable_points)
 
     def test_zero_model_on_empty_scene(self):
         scene = tiny_scene(seed=0, n_boxes=0)
@@ -101,9 +139,9 @@ class TestForward:
             leaf.data = np.zeros_like(leaf.data)
         params = ad.unlift_tree(lifted)
         det, diag, extras = forward(cfg, params, scene)
-        for layer in det.layers:
-            assert np.isfinite(layer["enc"]).all()
-            assert np.all(layer["cls_probs"] == 0.5)
+        for arr in det.boxes.values():
+            assert np.isfinite(arr).all()
+        assert np.all(det.cls_probs == 0.5)
 
     def test_group_ids_and_shared_features(self):
         scene = tiny_scene(seed=6)
@@ -134,9 +172,9 @@ def one_query_output(box, scores):
     (xc, yc, z, l, w, h, yaw) and class scores."""
     keys = ("xc", "yc", "z", "l", "w", "h", "yaw")
     return DetectionOutput(
-        ref_points=np.zeros((1, 2)), group_ids=np.array([0]),
-        layers=[{"enc": np.zeros((1, 8)), "cls_probs": np.array([scores]),
-                 "boxes": {k: np.array([v]) for k, v in zip(keys, box)}}])
+        group_ids=np.array([0]), n_layers=1,
+        boxes={k: np.array([v]) for k, v in zip(keys, box)},
+        cls_probs=np.array([scores]))
 
 
 # a `bevlab run` config of tiny_config's model on tiny_scene's scenes
@@ -183,18 +221,17 @@ class TestWriteDetections:
     @staticmethod
     def assert_scene(layers, det):
         """One scene's layers against `det`: exactly one entry, the final
-        layer, with `det.layers[-1]`'s values. Returns how many of its
-        boxes are in the grid, where x and y are checked."""
+        layer, with `det`'s values. Returns how many of its boxes are in
+        the grid, where x and y are checked."""
         [doc] = layers
         assert (doc["layer"], doc["final"]) == (det.n_layers - 1, True)
-        preds, layer = doc["predictions"], det.layers[-1]
-        boxes = layer["boxes"]
+        preds, boxes = doc["predictions"], det.boxes
         assert [(p["query"], p["group"]) for p in preds] == list(
             enumerate(det.group_ids.tolist()))
         for key in ("z", "l", "w", "h", "yaw"):
             assert exact(p["box"][key] for p in preds) == exact(boxes[key])
         assert [exact(p["scores"]) for p in preds] == [
-            exact(s) for s in layer["cls_probs"]]
+            exact(s) for s in det.cls_probs]
         in_grid = 0
         for p, u, v in zip(preds, boxes["xc"], boxes["yc"]):
             if 0 <= u < GRID.width and 0 <= v < GRID.height:
@@ -301,7 +338,7 @@ class TestFit:
         occ = footprint_mask(scene, GRID)
         worst = 0.0
         for v, u in zip(*np.nonzero(occ)):
-            z = heights[:, v, u]
+            z = heights[v * GRID.width + u]
             z_true = lidar[-2, v, u]
             worst = max(worst, float(np.max(np.abs(z - z_true))))
         assert worst < 0.25

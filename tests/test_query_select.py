@@ -38,31 +38,29 @@ class TestGaussianTarget:
     def test_peak_exactly_one_at_center_cell(self):
         X, Y = cell_to_world(GRID, 10, 20)
         box = Box(0, (X, Y, 1.0), (4.0, 2.0, 1.5), 0.3)
-        t, skipped = gaussian_target([box], GRID, 3)
-        assert skipped == 0
+        t = gaussian_target([box], GRID, 3)
         assert t[0, 20, 10] == 1.0
         assert t[1].max() == 0.0 and t[2].max() == 0.0
 
     def test_value_at_distance(self):
         X, Y = cell_to_world(GRID, 16, 16)
         box = Box(1, (X, Y, 0.0), (4.0, 2.0, 1.5), 0.0)
-        t, _ = gaussian_target([box], GRID, 2)
+        t = gaussian_target([box], GRID, 2)
         sigma = max(1.0, 2.0 / (3.0 * GRID.cell_size_x))
         for r in (1, 2, 5):
             assert t[1, 16, 16 + r] == pytest.approx(
                 np.exp(-r ** 2 / (2 * sigma ** 2)), abs=1e-12)
 
-    def test_outside_box_skipped_with_count(self):
+    def test_outside_box_skipped(self):
         box = Box(0, (100.0, 0.0, 0.0), (4.0, 2.0, 1.5), 0.0)
-        t, skipped = gaussian_target([box], GRID, 1)
-        assert skipped == 1 and t.max() == 0.0
+        assert gaussian_target([box], GRID, 1).max() == 0.0
 
     def test_values_in_unit_interval(self, rng):
         boxes = [Box(0, cell_to_world(GRID, int(u), int(v)) + (0.0,),
                      (rng.uniform(1, 6), rng.uniform(1, 3), 1.5),
                      rng.uniform(-3, 3))
                  for u, v in rng.integers(0, 32, size=(5, 2))]
-        t, _ = gaussian_target(boxes, GRID, 1)
+        t = gaussian_target(boxes, GRID, 1)
         assert t.min() >= 0.0 and t.max() <= 1.0
 
 
@@ -93,30 +91,34 @@ class TestPredictHeatmaps:
         assert hm.min() > 0.0 and hm.max() < 1.0
 
 
+def scores_at(gmap, pos):
+    """The values of the [H, W] map gmap at the (u, v) positions pos."""
+    return gmap[pos[:, 1].astype(int), pos[:, 0].astype(int)]
+
+
 class TestTopk:
     def test_single_bright_cell(self):
         hm = np.zeros((1, 8, 8))
         hm[0, 3, 5] = 1.0
-        [(pos, scores)] = topk_keypoints(hm, GroupSpec(((0,),), 1))
-        assert tuple(pos[0]) == (5.0, 3.0) and scores[0] == 1.0
+        [pos] = topk_keypoints(hm, GroupSpec(((0,),), 1))
+        assert pos.tolist() == [[5.0, 3.0]]
 
     def test_uniform_ties_row_major(self):
         hm = np.full((1, 4, 4), 0.7)
-        [(pos, scores)] = topk_keypoints(hm, GroupSpec(((0,),), 3))
+        [pos] = topk_keypoints(hm, GroupSpec(((0,),), 3))
         assert [tuple(p) for p in pos] == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-        assert np.all(scores == 0.7)
 
     def test_scores_non_increasing(self, rng):
         hm = rng.uniform(size=(1, 12, 12))
-        [(_, scores)] = topk_keypoints(hm, GroupSpec(((0,),), 10))
-        assert np.all(np.diff(scores) <= 0)
+        [pos] = topk_keypoints(hm, GroupSpec(((0,),), 10))
+        assert np.all(np.diff(scores_at(hm[0], pos)) <= 0)
 
     def test_suppression_fill_when_few_local_maxima(self):
         # strictly increasing ramp: only the last cell is a local max
         hm = np.arange(16.0).reshape(1, 4, 4) / 16.0
-        [(pos, scores)] = topk_keypoints(hm, GroupSpec(((0,),), 4))
+        [pos] = topk_keypoints(hm, GroupSpec(((0,),), 4))
         assert tuple(pos[0]) == (3.0, 3.0)
-        assert np.all(np.diff(scores) <= 0)
+        assert np.all(np.diff(scores_at(hm[0], pos)) <= 0)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
@@ -126,8 +128,8 @@ class TestTopk:
         hm = np.zeros((2, 4, 4))
         hm[0, 1, 1] = 0.3
         hm[1, 2, 2] = 0.9
-        [(pos, scores)] = topk_keypoints(hm, GroupSpec(((0, 1),), 1))
-        assert tuple(pos[0]) == (2.0, 2.0) and scores[0] == 0.9
+        [pos] = topk_keypoints(hm, GroupSpec(((0, 1),), 1))
+        assert pos.tolist() == [[2.0, 2.0]]
 
 
 def mixed_queries(spec, table, heatmaps):

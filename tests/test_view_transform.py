@@ -63,7 +63,7 @@ class TestGenerateHeights:
         pyramid = FeaturePyramid(((4, np.zeros((2, 16, 16))),))
         out = adaptive_sample(params, lidar, [pyramid], [downward_camera()],
                               self.GRID)
-        return out.per_cell_heights[:, v, u]
+        return out.per_cell_heights[v * self.GRID.width + u]
 
     def test_zero_generator_gives_midpoint(self):
         p = self.params(zero_linear(3, 2))
@@ -99,7 +99,7 @@ class TestCompaction:
 
         X, Y = grid.cell_centers_flat()
         in_view = sum(int(project_heights(cam, X, Y, z)[2].sum())
-                      for z in out.per_cell_heights.reshape(3, -1)
+                      for z in out.per_cell_heights.T
                       for cam in cams)
         assert sum(lookups) == params.n_scales * in_view
         assert in_view < 3 * len(cams) * X.size
@@ -172,7 +172,7 @@ class TestAdaptiveSample:
         for v in range(H):
             for u in range(H):
                 X, Y = cell_to_world(grid, u, v)
-                z = out.per_cell_heights[i_star, v, u]
+                z = out.per_cell_heights[v * grid.width + u, i_star]
                 x, y, ok = project_to_image(cams[0], (X, Y, z))
                 assert ok
                 ref, okb = bilinear_sample(fmap, (x / stride, y / stride))
@@ -302,21 +302,22 @@ class TestFuseBev:
 
 class TestVanilla:
     def test_degenerate_equals_plain_sampling(self, rng):
+        # one height: the z-range's midpoint, 0
         params, lidar, pyramids, cams, grid = full_view_instance(
             rng, n_h=1, n_s=1)
-        out = val(vanilla_vt_output(pyramids, cams, grid, [0.5]).bev)
+        out = val(vanilla_vt_output(pyramids, cams, grid, 1).bev)
         stride, fmap = pyramids[0].levels[0]
         for v in range(grid.height):
             for u in range(grid.width):
                 X, Y = cell_to_world(grid, u, v)
-                x, y, ok = project_to_image(cams[0], (X, Y, 0.5))
+                x, y, ok = project_to_image(cams[0], (X, Y, 0.0))
                 assert ok
                 ref, _ = bilinear_sample(fmap, (x / stride, y / stride))
                 assert np.allclose(out[:, v, u], ref, atol=1e-12)
 
     def test_equals_adaptive_with_tuned_generators(self, rng):
         params, lidar, pyramids, cams, grid = full_view_instance(rng, n_h=2, n_s=2)
-        fixed = np.array([-0.8, 0.7])
+        fixed = np.array([-1.0, 1.0])  # the bin centers of z in [-2, 2]
         # tanh inverse puts the height generator exactly on the fixed heights
         half = grid.z_span / 2
         mid = 0.5 * (grid.z_range[0] + grid.z_range[1])
@@ -326,15 +327,8 @@ class TestVanilla:
             height_gen=LinearMap(np.zeros((2, 3)), bias),
             weight_gen=zero_linear(4, 3))
         a = val(adaptive_sample(tuned, lidar, pyramids, cams, grid).bev)
-        b = val(vanilla_vt_output(pyramids, cams, grid, fixed).bev)
+        b = val(vanilla_vt_output(pyramids, cams, grid, 2).bev)
         assert np.allclose(a, b, atol=1e-12)
-
-    def test_heights_validated(self, rng):
-        params, lidar, pyramids, cams, grid = full_view_instance(rng)
-        with pytest.raises(ValueError):
-            vanilla_vt_output(pyramids, cams, grid, [100.0])
-        with pytest.raises(ValueError):
-            vanilla_vt_output(pyramids, cams, grid, [])
 
 
 class TestSmearOrdering:
@@ -357,9 +351,7 @@ class TestSmearOrdering:
         lidar = rasterize_lidar_bev(scene, grid)
         adaptive = val(adaptive_sample(params, lidar, pyramids,
                                        scene.cameras, grid).bev)
-        from bevlab.pipeline import vanilla_heights
-        vanilla = val(vanilla_vt_output(pyramids, scene.cameras, grid,
-                                        vanilla_heights(grid, 4)).bev)
+        vanilla = val(vanilla_vt_output(pyramids, scene.cameras, grid, 4).bev)
         m_a = ray_smear_metric(adaptive, scene, grid)
         m_v = ray_smear_metric(vanilla, scene, grid)
         assert m_a > m_v

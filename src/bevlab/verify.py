@@ -10,11 +10,14 @@ oracle: naive reimplementations (scalar loops, full sorts, dense
         attention, a step-by-step decoder layer) checked against the
         vectorized modules.
 grad:   analytic gradients of every differentiable path checked against
-        central finite differences at small configs.
+        central finite differences at small configs (`gradcheck`), the
+        decoder layer in every attention mode.
 props:  algebraic invariants (softmax pooling, rotation equivariance,
         residual identity).
 
-Each check returns (name, passed, detail); the CLI prints the table.
+Each suite draws every check's instance from one `rng`, the only argument
+a `check_*` takes (`check_attention_blocked` also takes its shapes), and
+returns (name, passed, detail) per check; the CLI prints the table.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .decoder import (AttentionParams, DecoderParams, decoder_layer,
-                      gaussian_focal_loss, l1_encoded,
+from .decoder import (ATTENTION_MODES, AttentionParams, DecoderParams,
+                      decoder_layer, gaussian_focal_loss, l1_encoded,
                       _corner_points_batch, _initial_state, _keys_values,
-                      _mha,
-                      _position_aware_mix_batch, corner_sample)
+                      _mha)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
                        project_heights, project_to_image, world_to_cell)
 from .pipeline import PipelineConfig, _query_features, init_params
@@ -247,6 +249,9 @@ def dense_adaptive_project(params: VtParams, bev_as, lidar_bev):
 # ---------------------------------------------------------------------------
 # fixture builders
 
+# the BEV grid of the decoder gradient checks: 8 x 8 cells of 2 m
+GRAD_GRID = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8))
+
 
 def zero_linear(out_dim, in_dim):
     """The LinearMap whose weight and bias are all zero."""
@@ -329,49 +334,55 @@ def _readout_loss(layer_out):
                          ad.sum_(ad.mul(new_feats, 0.05))))
 
 
-def _gradcheck_tree(build_loss, params_obj, extra_arrays=None, eps=1e-6,
-                    rtol=1e-4):
-    """Check every ndarray leaf of a parameter dataclass (plus extra named
-    arrays) against finite differences. build_loss(params, extras) -> scalar.
-    Returns the worst relative error."""
-    extra_arrays = extra_arrays or {}
-    lifted, tvars = ad.lift_tree(params_obj)
-    extras_v = {k: ad.Var(v) for k, v in extra_arrays.items()}
-    out = build_loss(lifted, extras_v)
+def gradcheck(build_loss, arrays):
+    """Check the gradients of a scalar loss against central differences
+    (`finite_diff_grad`) and return the worst relative error: in each leaf,
+    max |analytic - numeric| over max(|numeric|, 1e-8), which must stay
+    below 1e-4 ("{path}: gradient rel err ...").
+
+    arrays maps names to ndarrays or parameter trees (as `ad.lift_tree`
+    takes); build_loss(t) gets each name mapped to its lifted copy. The
+    error is relative to the central difference, so a leaf whose exact
+    gradient is 0 must be held out: its difference sees only rounding.
+    Hence every ndarray entry must receive a gradient, and a tree leaf that
+    backward leaves without one is probed once: with 1 added to it the loss
+    must keep every bit, or the leaf is checked against a zero gradient. A
+    leaf that backward reaches though its exact gradient is 0 (an attention
+    key bias) the caller holds out."""
+    lifted = {name: ad.lift_tree(a)[0] for name, a in arrays.items()}
+    out = build_loss(lifted)
     out.backward()
+    loss = float(val(out))
+    for name, a in arrays.items():
+        assert not isinstance(a, np.ndarray) or lifted[name].grad is not None, \
+            f"no gradient reached {name}"
 
-    leaves = []
-
-    def collect(obj, path):
+    def leaves(obj, path):
         if isinstance(obj, ad.Var):
-            leaves.append((path, obj))
+            yield path, obj
         elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
             for f in dataclasses.fields(obj):
-                collect(getattr(obj, f.name), f"{path}.{f.name}")
+                yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
         elif isinstance(obj, (list, tuple)):
             for i, x in enumerate(obj):
-                collect(x, f"{path}[{i}]")
+                yield from leaves(x, f"{path}[{i}]")
 
-    collect(lifted, "params")
     worst = 0.0
-    for path, leaf in leaves + [(k, v) for k, v in extras_v.items()]:
-        base = leaf.data.copy()
+    for path, leaf in (pair for name, obj in lifted.items()
+                       for pair in leaves(obj, name)):
+        def f(x, leaf=leaf, keep=leaf.data):
+            leaf.data = x
+            loss_x = float(val(build_loss(lifted)))
+            leaf.data = keep
+            return loss_x
 
-        def f(x, _leaf=leaf):
-            keep = _leaf.data
-            _leaf.data = x
-            try:
-                probe = {k: v for k, v in extras_v.items()}
-                return float(val(build_loss(lifted, probe)))
-            finally:
-                _leaf.data = keep
-
-        num = finite_diff_grad(f, base, eps)
-        ana = leaf.grad if leaf.grad is not None else np.zeros_like(base)
-        scale = max(float(np.max(np.abs(num))), 1e-8)
-        err = float(np.max(np.abs(ana - num)) / scale)
-        if not err < rtol:  # a NaN error fails too
-            raise AssertionError(f"{path}: gradient rel err {err:.3e} >= {rtol}")
+        if leaf.grad is None and f(leaf.data + 1.0) == loss:
+            continue
+        num = finite_diff_grad(f, leaf.data)
+        ana = 0.0 if leaf.grad is None else leaf.grad
+        err = float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
+        if not err < 1e-4:  # a NaN error fails too
+            raise AssertionError(f"{path}: gradient rel err {err:.3e} >= 0.0001")
         worst = max(worst, err)
     return worst
 
@@ -435,58 +446,24 @@ def check_attention_blocked(rng, shapes=((2, 900, 900, 1.0),
             "query rows x keys")
 
 
-def check_attention_grad(rng, grid):
-    """Finite-difference check of ``ad.attention``'s vjp, on the op alone
-    and inside a `standard` decoder layer, with budgets under which each
-    head spans several blocks of query rows and several tiles of keys."""
-    # the op on 5 query rows over 7 keys, per head in tiles of 4 rows x 3
-    # keys (rows 4 + 1, keys 3 + 3 + 1) ...
+def check_attention_grad(rng):
+    """Finite-difference check of ``ad.attention``'s vjp on the op alone: 5
+    query rows over 7 keys, with budgets under which each head spans tiles
+    of 4 rows x 3 keys (rows 4 + 1, keys 3 + 3 + 1)."""
     q, k, v = (rng.normal(size=(2, n, 3)) for n in (5, 7, 7))
     w = rng.normal(size=(2, 5, 3))
-
-    def op_loss(_p, extras):
-        out = ad.attention(extras["q"], extras["k"], extras["v"])
-        return ad.sum_(ad.mul(out, w))
-
-    # ... and a `standard` decoder layer: per head, self-attention over 5
-    # queries and cross-attention over 16 cells, both in tiles of 4 rows x
-    # 4 keys
-    params = _tiny_decoder_params(rng)
-    feats = rng.normal(size=(5, 4))
-    bev = rng.normal(size=(4, 4, 4))
-    ref = rng.uniform(0.5, 3.5, size=(5, 2))
-    state = _initial_state(ref)
-
-    def zero_key_bias(a):
-        return dataclasses.replace(
-            a, w_k=LinearMap(a.w_k.weight, np.zeros(a.w_k.out_dim)))
-
-    def layer_loss(p, extras):
-        # a key bias adds the same amount to every score of a row, so its
-        # exact gradient is 0 and a finite difference of it sees only
-        # rounding: the key biases are held at zero
-        p = dataclasses.replace(
-            p, self_attn=tuple(map(zero_key_bias, p.self_attn)),
-            cross_attn=zero_key_bias(p.cross_attn))
-        kv = _keys_values(chw_to_cells(extras["bev"]), p.cross_attn,
-                          p.n_heads)
-        return _readout_loss(decoder_layer(
-            extras["feats"], ref, state, extras["bev"], p, 0, grid,
-            mode="standard", cross_kv=kv))
-
     with block_bytes(8 * 7 * 2):
         _attention_tiles(2, 5, 7)
-        w1 = _gradcheck_tree(op_loss, zero_linear(1, 1),
-                             {"q": q, "k": k, "v": v})
-    with block_bytes(8 * 16):
-        w2 = _gradcheck_tree(layer_loss, params, {"feats": feats, "bev": bev})
-    return f"worst rel err {max(w1, w2):.2e}"
+        worst = gradcheck(lambda t: ad.sum_(ad.mul(ad.attention(
+            t["q"], t["k"], t["v"]), w)), {"q": q, "k": k, "v": v})
+    return f"worst rel err {worst:.2e}"
 
 
-def check_adaptive_project_blocked(rng, C=32, H=50):
+def check_adaptive_project_blocked(rng):
     """``adaptive_project`` (``ad.dynamic_filter``) against the unblocked
     ``dense_adaptive_project``. With the current block budget the H*H
     cells must split into several blocks with a ragged last one."""
+    C, H = 32, 50
     rows = max(1, ad._BLOCK_BYTES // (8 * C * C))
     n = H * H
     assert n > rows and n % rows, (
@@ -501,7 +478,7 @@ def check_adaptive_project_blocked(rng, C=32, H=50):
     return f"max deviation {worst:.2e}; {-(-n // rows)} blocks of cells"
 
 
-def check_decoder_layer(rng, n_trials=4):
+def check_decoder_layer(rng):
     """Layer 0 of the geometry-aware decoder (one query, one head, C = 2)
     against a step-by-step plain-numpy recomputation of every sub-block."""
     C, n_p = 2, 4
@@ -516,7 +493,7 @@ def check_decoder_layer(rng, n_trials=4):
         return np.maximum((rows - mu) / np.sqrt(var + 1e-5), 0.0)
 
     worst = 0.0
-    for _ in range(n_trials):
+    for _ in range(4):
         params = _tiny_decoder_params(rng, C=C, n_p=n_p, n_heads=1,
                                       n_classes=2)
         ref = rng.uniform(4, 28, size=(1, 2))
@@ -541,24 +518,24 @@ def check_decoder_layer(rng, n_trials=4):
             dev = float(np.max(np.abs(val(fast)[0] - slow)))
             assert dev < 1e-12, f"max deviation {dev:.3e}"
             worst = max(worst, dev)
-    return f"max deviation {worst:.2e} over {n_trials} layers"
+    return f"max deviation {worst:.2e} over 4 layers"
 
 
-def check_vt_equivalence(rng, n_instances=8):
+def check_vt_equivalence(rng):
     """The view-transform sampler against the naive oracle on random
     instances."""
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(8):
         params, lidar, pyramids, cams, grid = random_vt_instance(rng)
         fast = val(adaptive_sample(params, lidar, pyramids, cams, grid).bev)
         slow, _ = naive_adaptive_sample(params, lidar, pyramids, cams, grid)
         dev = float(np.max(np.abs(fast - slow)))
         assert dev < 1e-12, f"max deviation {dev:.3e}"
         worst = max(worst, dev)
-    return f"max deviation {worst:.2e} over {n_instances} instances"
+    return f"max deviation {worst:.2e} over 8 instances"
 
 
-def check_vt_edge_lanes(rng, n_instances=4):
+def check_vt_edge_lanes(rng):
     """The compacted sampler against the naive oracle on instances that hold
     every kind of edge lane: cells no camera sees, lanes inside the image
     but outside a level's sampleable box (x / stride in (W_j - 1,
@@ -570,7 +547,7 @@ def check_vt_edge_lanes(rng, n_instances=4):
     """
     unseen = edge = shared = 0
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(4):
         params, lidar, pyramids, cams, grid = random_vt_instance(
             rng, C=3, H=12, n_h=3, n_s=2, img=30, ring=6)
         fast = adaptive_sample(params, lidar, pyramids, cams, grid)
@@ -616,7 +593,7 @@ def _run_checks(checks):
     return results
 
 
-def run_oracle_suite(seed=0, n_instances=8):
+def run_oracle_suite(seed=0):
     rng = np.random.default_rng(seed)
 
     def bilinear_vectorized():
@@ -654,8 +631,7 @@ def run_oracle_suite(seed=0, n_instances=8):
         return f"max deviation {worst:.2e}; 4 boxes in 2 classes"
 
     return _run_checks([
-        ("oracle.vt_equivalence",
-         lambda: check_vt_equivalence(rng, n_instances)),
+        ("oracle.vt_equivalence", lambda: check_vt_equivalence(rng)),
         ("oracle.vt_edge_lanes", lambda: check_vt_edge_lanes(rng)),
         ("oracle.attention_blocked", lambda: check_attention_blocked(rng)),
         ("oracle.adaptive_project_blocked",
@@ -677,17 +653,16 @@ def check_adaptive_sampling_grad(rng):
         rng, C=4, H=8, n_h=2, n_s=2)
     cams = (cams[0], pitch_camera(cams[1], 5.0))
 
-    def loss(p, extras):
-        pyr = [FeaturePyramid(((pyramids[0].strides[0], extras["f0"]),
-                               (pyramids[0].strides[1], extras["f1"]))),
+    def loss(t):
+        pyr = [FeaturePyramid(((pyramids[0].strides[0], t["f0"]),
+                               (pyramids[0].strides[1], t["f1"]))),
                pyramids[1]]
-        out = adaptive_sample(p, extras["lidar"], pyr, cams, g)
+        out = adaptive_sample(t["params"], t["lidar"], pyr, cams, g)
         return ad.sum_(ad.mul(out.bev, 0.3))
 
-    worst = _gradcheck_tree(
-        loss, params,
-        {"lidar": lidar, "f0": val(pyramids[0].levels[0][1]),
-         "f1": val(pyramids[0].levels[1][1])})
+    worst = gradcheck(loss, {"params": params, "lidar": lidar,
+                             "f0": val(pyramids[0].levels[0][1]),
+                             "f1": val(pyramids[0].levels[1][1])})
     return f"worst rel err {worst:.2e}"
 
 
@@ -698,100 +673,89 @@ def check_adaptive_projection_grad(rng):
         rng, C=4, H=8, n_h=2, n_s=1)
     bev_as = rng.normal(size=(4, 8, 8))
 
-    def loss(p, extras):
-        cam_bev = adaptive_project(p, extras["bev_as"], extras["lidar"])
-        fused = fuse_bev(p, cam_bev, extras["lidar"])
+    def loss(t):
+        cam_bev = adaptive_project(t["params"], t["bev_as"], t["lidar"])
+        fused = fuse_bev(t["params"], cam_bev, t["lidar"])
         return ad.sum_(ad.mul(fused, 0.2))
 
     # the 64 cells in blocks of 10 (6 x 10 + 4), d(K) one kernel row at a
     # time
     with block_bytes(8 * 4 * 4 * 10):
-        worst = _gradcheck_tree(loss, params,
-                                {"bev_as": bev_as, "lidar": lidar})
+        worst = gradcheck(loss, {"params": params, "bev_as": bev_as,
+                                 "lidar": lidar})
     return f"worst rel err {worst:.2e}"
 
 
-def check_position_mixing_grad(rng, grid):
-    """Gradients of corner sampling and position-aware mixing, for the
-    decoder weights, the query features, the BEV map and the box sizes
-    and headings."""
+def _zero_key_bias(attn: AttentionParams):
+    return dataclasses.replace(
+        attn, w_k=LinearMap(attn.w_k.weight, np.zeros(attn.w_k.out_dim)))
+
+
+def check_decoder_layer_grad(rng):
+    """Gradients of one decoder layer in every attention mode, for the
+    weights, the 5 query features and the 8 x 8 BEV map, and for the box
+    sizes and headings in the modes that read them (`geometry_aware`,
+    `deformable_scaled_rotated`). Every key bias is held at zero: it adds
+    the same amount to every score of a row, so its exact gradient is 0.
+    `standard` runs under budgets of 16 scores, so that its attention
+    takes the tiled path of large inputs: self-attention in rows 4 + 1 and
+    keys 4 + 1, cross-attention (over the cells' `_keys_values`) in rows
+    4 + 1 and 16 tiles of keys. The other modes keep the default budgets,
+    and so the within-budget branch that the fit runs."""
     params = _tiny_decoder_params(rng)
-    feats = rng.normal(size=(3, 4))
+    feats = rng.normal(size=(5, 4))
     bev = rng.normal(size=(4, 8, 8))
-    ref = rng.uniform(2, 6, size=(3, 2))
-    boxes = {"xc": ref[:, 0] + rng.normal(0, 0.3, 3),
-             "yc": ref[:, 1] + rng.normal(0, 0.3, 3),
-             "z": rng.normal(0, 0.5, 3), "l": rng.uniform(1, 3, 3),
-             "w": rng.uniform(0.5, 1.5, 3), "h": rng.uniform(1, 2, 3),
-             "yaw": rng.uniform(-2, 2, 3)}
+    ref = rng.uniform(2, 6, size=(5, 2))
+    state = dict(_initial_state(ref), l=rng.uniform(1, 3, 5),
+                 w=rng.uniform(0.5, 1.5, 5), yaw=rng.uniform(-2, 2, 5))
+    worst = 0.0
+    for mode in ATTENTION_MODES:
+        sizes = {k: state[k] for k in ("l", "w", "yaw")
+                 if mode in ("geometry_aware", "deformable_scaled_rotated")}
 
-    def loss(p, extras):
-        box_vars = {k: extras[f"box_{k}"] for k in ("l", "w", "yaw")}
-        box_vars.update({k: boxes[k] for k in ("xc", "yc", "z", "h")})
-        pts = _corner_points_batch(extras["feats"], box_vars, p, grid)
-        sampled = corner_sample(extras["bev"], pts)
-        out = _position_aware_mix_batch(extras["feats"], sampled, pts, p, grid)
-        return ad.sum_(ad.mul(out, 0.1))
+        def loss(t, mode=mode, sizes=sizes):
+            p = dataclasses.replace(
+                t["params"], self_attn=tuple(map(_zero_key_bias,
+                                                 t["params"].self_attn)),
+                cross_attn=_zero_key_bias(t["params"].cross_attn))
+            kv = (_keys_values(chw_to_cells(t["bev"]), p.cross_attn,
+                               p.n_heads) if mode == "standard" else None)
+            boxes = dict(state, **{k: t[k] for k in sizes})
+            return _readout_loss(decoder_layer(
+                t["feats"], ref, boxes, t["bev"], p, 0, GRAD_GRID, mode=mode,
+                cross_kv=kv))
 
-    worst = _gradcheck_tree(
-        loss, params,
-        {"feats": feats, "bev": bev, "box_l": boxes["l"],
-         "box_w": boxes["w"], "box_yaw": boxes["yaw"]})
-    return f"worst rel err {worst:.2e}"
+        with (block_bytes(8 * 16) if mode == "standard"
+              else contextlib.nullcontext()):
+            worst = max(worst, gradcheck(loss, dict(
+                params=params, feats=feats, bev=bev, **sizes)))
+    return f"worst rel err {worst:.2e} over {len(ATTENTION_MODES)} modes"
 
 
-def check_group_query_grad(rng, grid):
+def check_group_query_grad(rng):
     """Gradients of `mixed_groupwise` queries through one decoder layer,
     for the group embeddings: each group's three queries gather the same
     row, so its gradient is the sum over them."""
-    cfg = PipelineConfig(grid, channels=4, groups=GroupSpec(((0,), (1, 2)), 3),
-                         n_heads=2, query_init="mixed_groupwise")
+    cfg = PipelineConfig(GRAD_GRID, channels=4,
+                         groups=GroupSpec(((0,), (1, 2)), 3), n_heads=2,
+                         query_init="mixed_groupwise")
     params = init_params(cfg, seed=0)
     dec = _tiny_decoder_params(rng)
     bev = rng.normal(size=(4, 8, 8))
     heatmaps = rng.uniform(size=(3, 8, 8))
 
-    def loss(_p, extras):
-        p = dataclasses.replace(params, group_embeds=extras["group_embeds"])
+    def loss(t):
+        p = dataclasses.replace(params, group_embeds=t["group_embeds"])
         feats, ref, _ = _query_features(cfg, p, bev, heatmaps)
         return _readout_loss(decoder_layer(feats, ref, _initial_state(ref),
-                                           bev, dec, 0, grid))
+                                           bev, dec, 0, GRAD_GRID))
 
-    worst = _gradcheck_tree(loss, zero_linear(1, 1),
-                            {"group_embeds": rng.normal(size=(2, 4))})
-    return f"worst rel err {worst:.2e}"
-
-
-def check_deformable_layer_grad(rng, grid):
-    """Gradients of a `deformable_scaled_rotated` decoder layer, whose
-    softmax-weighted point pooling is the program's one `ad.sum_` over an
-    axis, for the query features, the BEV map, the point weights and the
-    offset weights. The box state has nonzero sizes and headings, so the
-    offsets are scaled and rotated."""
-    dec = _tiny_decoder_params(rng, C=2, n_heads=1)
-    feats = rng.normal(size=(3, 2))
-    bev = rng.normal(size=(2, 8, 8))
-    ref = rng.uniform(2, 6, size=(3, 2))
-    state = dict(_initial_state(ref), l=rng.uniform(1, 3, 3),
-                 w=rng.uniform(0.5, 1.5, 3), yaw=rng.uniform(-2, 2, 3))
-
-    def loss(p, extras):
-        d = dataclasses.replace(
-            dec, point_weight_gen=p,
-            offset_gen=LinearMap(extras["offset_w"], dec.offset_gen.bias))
-        return _readout_loss(decoder_layer(
-            extras["feats"], ref, state, extras["bev"], d, 0, grid,
-            mode="deformable_scaled_rotated"))
-
-    worst = _gradcheck_tree(
-        loss, dec.point_weight_gen,
-        {"feats": feats, "bev": bev, "offset_w": dec.offset_gen.weight})
+    worst = gradcheck(loss, {"group_embeds": rng.normal(size=(2, 4))})
     return f"worst rel err {worst:.2e}"
 
 
 def run_grad_suite(seed=0):
     rng = np.random.default_rng(seed)
-    grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8))
 
     def heatmap_path():
         scorer = _rand_linear(rng, 3, 4)
@@ -800,24 +764,8 @@ def run_grad_suite(seed=0):
         target[0, 2, 3] = 1.0
         target[1, 4, 1] = 1.0
 
-        def loss(p, extras):
-            return gaussian_focal_loss(predict_heatmaps(p, extras["fuse"]), target)
-
-        worst = _gradcheck_tree(loss, scorer, {"fuse": fuse})
-        return f"worst rel err {worst:.2e}"
-
-    def full_layer_path():
-        params = _tiny_decoder_params(rng)
-        feats = rng.normal(size=(2, 4))
-        bev = rng.normal(size=(4, 8, 8))
-        ref = np.array([[3.0, 3.5], [5.0, 4.0]])
-        state = _initial_state(ref)
-
-        def loss(p, extras):
-            return _readout_loss(decoder_layer(
-                extras["feats"], ref, state, extras["bev"], p, 0, grid))
-
-        worst = _gradcheck_tree(loss, params, {"feats": feats, "bev": bev})
+        worst = gradcheck(lambda t: gaussian_focal_loss(predict_heatmaps(
+            t["params"], t["fuse"]), target), {"params": scorer, "fuse": fuse})
         return f"worst rel err {worst:.2e}"
 
     def loss_paths():
@@ -827,15 +775,10 @@ def run_grad_suite(seed=0):
         tgt[1, 1, 3] = 0.5
         enc_t = rng.normal(size=(4, 8))
 
-        def gf_l(_p, extras):
-            return gaussian_focal_loss(extras["hm"], tgt)
-
-        def l1_l(_p, extras):
-            return l1_encoded(extras["enc"], enc_t)
-
-        dummy = zero_linear(1, 1)
-        w1 = _gradcheck_tree(gf_l, dummy, {"hm": hm})
-        w2 = _gradcheck_tree(l1_l, dummy, {"enc": rng.normal(size=(4, 8)) + 0.1})
+        w1 = gradcheck(lambda t: gaussian_focal_loss(t["hm"], tgt),
+                       {"hm": hm})
+        w2 = gradcheck(lambda t: l1_encoded(t["enc"], enc_t),
+                       {"enc": rng.normal(size=(4, 8)) + 0.1})
         return f"worst rel errs {max(w1, w2):.2e}"
 
     return _run_checks([
@@ -844,15 +787,10 @@ def run_grad_suite(seed=0):
         ("grad.adaptive_projection_fusion",
          lambda: check_adaptive_projection_grad(rng)),
         ("grad.heatmap_head", heatmap_path),
-        ("grad.corner_offsets_position_mixing",
-         lambda: check_position_mixing_grad(rng, grid)),
-        ("grad.full_decoder_layer", full_layer_path),
-        ("grad.attention", lambda: check_attention_grad(rng, grid)),
+        ("grad.decoder_layer", lambda: check_decoder_layer_grad(rng)),
+        ("grad.attention", lambda: check_attention_grad(rng)),
         ("grad.losses", loss_paths),
-        ("grad.mixed_groupwise_queries",
-         lambda: check_group_query_grad(rng, grid)),
-        ("grad.deformable_layer",
-         lambda: check_deformable_layer_grad(rng, grid)),
+        ("grad.mixed_groupwise_queries", lambda: check_group_query_grad(rng)),
     ])
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
-from helpers import gradcheck, tracemalloc_peak
+from bevlab.verify import gradcheck
+from helpers import tracemalloc_peak
 
 
 def test_add_mul_broadcast_grads(rng):

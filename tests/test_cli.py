@@ -562,7 +562,7 @@ class TestVerify:
         out = capsys.readouterr().out
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert code == 0 and not failed, "\n".join(failed)
-        assert "22/22 checks passed" in out
+        assert "20/20 checks passed" in out
 
     def test_injected_bilinear_bug_fails_oracle_suite(self, capsys,
                                                       monkeypatch):

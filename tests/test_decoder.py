@@ -16,8 +16,7 @@ from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
 from bevlab.geometry import BevGrid, world_to_cell
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap, linear_apply
-from bevlab.verify import bilinear_sample, zero_linear
-from helpers import gradcheck
+from bevlab.verify import bilinear_sample, gradcheck, zero_linear
 
 # unit cells make the hand cases read directly in meters
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))

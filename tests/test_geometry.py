@@ -7,8 +7,7 @@ from bevlab import autodiff as ad
 from bevlab.geometry import (BevGrid, CameraModel, FeaturePyramid,
                              project_heights, project_to_image, world_to_cell)
 from bevlab.scene_sim import camera_ring
-from bevlab.verify import cell_to_world, pitch_camera
-from helpers import gradcheck
+from bevlab.verify import cell_to_world, gradcheck, pitch_camera
 
 
 def make_camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, R=None, t=None,

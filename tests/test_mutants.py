@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
-from bevlab import verify
-from bevlab.geometry import BevGrid
+from bevlab import decoder, verify
 
 _attention_blocks = ad._attention_blocks
 _bilinear = ad._bilinear
@@ -115,26 +114,6 @@ def oracle_attention_blocked(rng):
                          (2, 70, 160, 30.0)))
 
 
-def grad_position_mixing(rng):
-    verify.check_position_mixing_grad(
-        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
-
-
-def grad_group_queries(rng):
-    verify.check_group_query_grad(
-        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
-
-
-def grad_attention(rng):
-    verify.check_attention_grad(
-        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
-
-
-def grad_deformable_layer(rng):
-    verify.check_deformable_layer_grad(
-        rng, BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (8, 8)))
-
-
 # (module, attribute, fault put in its place, check that must fail, its
 # failure message, or the (exception, message) it raises when that is not
 # an AssertionError)
@@ -147,7 +126,7 @@ MUTANTS = {
         oracle_attention_blocked, "max deviation"),
     "attention-shift-block-head": (
         ad, "_attention_blocks", shift_a_tiles_head_by_one,
-        grad_attention, "gradient rel err"),
+        verify.check_attention_grad, "gradient rel err"),
     "attention-bias-in-first-block": (
         ad, "attention", mutated(
             ad.attention, "out[hs, b] = p[..., :dv] / row_sum[hs, b]",
@@ -161,13 +140,13 @@ MUTANTS = {
         oracle_attention_blocked, "max deviation nan"),
     "attention-vjp-of-minus-g": (
         ad, "attention", vjp_of_minus_g(ad.attention),
-        grad_attention, "gradient rel err"),
+        verify.check_attention_grad, "gradient rel err"),
     "attention-vjp-without-its-d-term": (
         ad, "attention", mutated(
             ad.attention,
             "ds -= (ds * p).sum(axis=-1, keepdims=True) if dense else d",
             "ds -= (ds * p).sum(axis=-1, keepdims=True) if dense else 0.0"),
-        grad_attention, "gradient rel err"),
+        verify.check_attention_grad, "gradient rel err"),
     "vt-pool-drops-last-camera": (
         ad, "sample_pool", pool_without_last_camera,
         verify.check_vt_equivalence, "max deviation"),
@@ -193,7 +172,7 @@ MUTANTS = {
         ad, "_bilinear", mutated(ad._bilinear,
                                  "r[:, None] * C + chans",
                                  "r[:, None] * C + chans[::-1]"),
-        grad_position_mixing, "gradient rel err"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
     "dynamic-filter-vjp-skips-last-kernel-rows": (
         ad, "_kernel_row_blocks", kernel_rows_without_last_block,
         verify.check_adaptive_projection_grad, "gradient rel err"),
@@ -232,14 +211,14 @@ MUTANTS = {
     "getitem-vjp-drops-repeated-indices": (
         ad, "getitem", mutated(ad.getitem, "np.add.at(ga, idx, g)",
                                "ga[idx] = g"),
-        grad_group_queries, "gradient rel err"),
+        verify.check_group_query_grad, "gradient rel err"),
     "layer-norm-vjp-flips-the-y-term": (
         ad, "layer_norm", mutated(ad.layer_norm, "g - gm - y * gy",
                                   "g - gm + y * gy"),
-        grad_position_mixing, "gradient rel err"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
     "sub-vjp-b-side-takes-g": (
         ad, "sub", mutated(ad.sub, "lambda g: -g", "lambda g: g"),
-        grad_position_mixing, "gradient rel err"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
     "div-vjp-b-side-sign-flipped": (
         ad, "div", mutated(ad.div, "-g * va / (vb * vb)",
                            "g * va / (vb * vb)"),
@@ -249,11 +228,17 @@ MUTANTS = {
         verify.check_adaptive_sampling_grad, "gradient rel err"),
     "cos-vjp-sign-flipped": (
         ad, "cos", mutated(ad.cos, "-g * np.sin(va)", "g * np.sin(va)"),
-        grad_position_mixing, "gradient rel err"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
     # the [Nq, C] gradient does not broadcast back over the N_p points
     "sum-axis-vjp-drops-expand-dims": (
         ad, "sum_", mutated(ad.sum_, "np.expand_dims(gg, axis)", "gg"),
-        grad_deformable_layer, (ValueError, "broadcast")),
+        verify.check_decoder_layer_grad, (ValueError, "broadcast")),
+    # deformable_center's y offsets lose their gradient
+    "deformable-center-detaches-y-offsets": (
+        decoder, "_corner_points_batch", mutated(
+            decoder._corner_points_batch, "dx, dy = px, py",
+            "dx, dy = px, val(py)"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
     "layer-norm-eps-1e-4": (
         ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
         "max deviation"),

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from bevlab import autodiff as ad
 from bevlab.autodiff import layer_norm, relu, softmax
 from bevlab.tensor import LinearMap, as_tensor, linear_apply
-from bevlab.verify import bilinear_sample, finite_diff_grad, sinusoidal_encode
+from bevlab.verify import (bilinear_sample, finite_diff_grad, gradcheck,
+                           sinusoidal_encode)
 
 
 class TestAsTensor:
@@ -186,3 +188,31 @@ class TestFiniteDiff:
     def test_non_finite_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             finite_diff_grad(lambda x: float(np.log(x[0])), np.array([-1.0]))
+
+    def test_gradcheck_array_the_loss_never_reads(self, rng):
+        with pytest.raises(AssertionError, match="no gradient reached b"):
+            gradcheck(lambda t: ad.sum_(ad.mul(t["a"], t["a"])),
+                      {"a": rng.normal(size=3), "b": rng.normal(size=2)})
+
+    def test_gradcheck_tree_leaf_read_through_val(self, rng):
+        lin = LinearMap(rng.normal(size=(2, 3)), rng.normal(size=2))
+
+        def loss(t):
+            detached = LinearMap(t["lin"].weight, ad.val(t["lin"].bias))
+            return ad.sum_(ad.mul(linear_apply(detached, t["x"]), 0.5))
+
+        with pytest.raises(AssertionError,
+                           match=r"lin\.bias: gradient rel err"):
+            gradcheck(loss, {"lin": lin, "x": rng.normal(size=(4, 3))})
+
+    def test_gradcheck_probes_an_ignored_tree_leaf_once(self, rng):
+        calls = []
+
+        def loss(t):
+            calls.append(None)
+            return ad.sum_(ad.mul(t["x"], t["x"]))
+
+        lin = LinearMap(rng.normal(size=(2, 3)), rng.normal(size=2))
+        gradcheck(loss, {"x": rng.normal(size=4), "lin": lin})
+        # the taped build, two per element of x, one per leaf of lin
+        assert len(calls) == 1 + 2 * 4 + 2

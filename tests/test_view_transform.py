@@ -15,12 +15,12 @@ from bevlab.scene_sim import (SceneConfig, SceneSpec, Box, make_scene,
                               render_camera_features)
 from bevlab.tensor import LinearMap
 from bevlab.verify import (bilinear_sample, cell_to_world,
-                           dense_adaptive_project, random_vt_instance,
-                           zero_linear)
+                           dense_adaptive_project, gradcheck,
+                           random_vt_instance, zero_linear)
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, vanilla_vt_output)
 from bevlab.geometry import project_heights, project_to_image
-from helpers import gradcheck, tracemalloc_peak
+from helpers import tracemalloc_peak
 
 
 def downward_camera(img=64, f=20.0):

@@ -5,8 +5,9 @@ synthetic scenes, `viz` a feature map, and `verify` the implementation.
 scene_i.json, bev_camera_i.bfk, bev_fuse_i.bfk and heatmaps_i.bfk (also
 for `learnable` queries, which do not select from them), then
 detections.json (the final decoder layer's boxes and class scores),
-summary.json (per scene; a scene with boxes adds ray_smear, heatmap_loss)
-and trace.json, each scene's wall time in seconds per stage (vt, fuse,
+summary.json (per scene; a scene with boxes adds heatmap_loss and the
+ray_smear of the sampled map, before adaptive projection) and
+trace.json, each scene's wall time in seconds per stage (vt, fuse,
 select, decoder; the first scene's include the process's cold start; vt
 excludes building the parameter-free vanilla sampling, a scene input).
 Every JSON file is compact, with sorted keys and a closing newline; json
@@ -236,7 +237,7 @@ def cmd_run(config_path, out_dir):
             "validity_fraction_mean": float(diag.validity_fraction.mean()),
         }
         if scene.boxes:
-            entry["ray_smear"] = ray_smear_metric(extras["bev_camera"], scene,
+            entry["ray_smear"] = ray_smear_metric(diag.bev, scene,
                                                   pipeline_cfg.grid)
             targets = gaussian_target(scene.boxes, pipeline_cfg.grid,
                                       pipeline_cfg.groups.n_classes)
@@ -319,6 +320,10 @@ def cmd_viz(tensor_path, out_path, channel=None, points=None):
 def cmd_verify(suite="all", seed=0):
     if seed < 0:
         raise ConfigError("seed must be >= 0")
+    # the checks fail through `assert`, which -O strips
+    if not __debug__:
+        raise ConfigError("verify needs assert statements: run Python "
+                          "without -O or PYTHONOPTIMIZE")
     from .verify import run_suites
 
     results = run_suites(suite, seed=seed)

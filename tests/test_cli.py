@@ -4,7 +4,10 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -12,11 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bevlab
 from bevlab import bfk
-from bevlab.cli import DEFAULTS, main
+from bevlab.autodiff import val
+from bevlab.cli import (DEFAULTS, _make_scenes, build_configs, load_config,
+                        main)
 from bevlab.decoder import ATTENTION_MODES
-from bevlab.pipeline import QUERY_INIT_MODES, VT_MODES
-from bevlab.scene_sim import MAX_NOISE_STD
+from bevlab.pipeline import QUERY_INIT_MODES, VT_MODES, forward, init_params
+from bevlab.scene_sim import MAX_NOISE_STD, ray_smear_metric
 
 TINY = {
     "seed": 0,
@@ -159,6 +165,25 @@ class TestRun:
         assert (out / "detections.json").exists()
         assert (out / "scene_0.json").exists()
         assert (out / "bev_fuse_0.bfk").exists()
+
+    @pytest.mark.parametrize("vt_mode", ["asap", "ap_only"])
+    def test_ray_smear_reads_the_sampled_map(self, tmp_path, vt_mode):
+        # at initialization the map after adaptive projection is zero off
+        # the LiDAR returns, so its smear reads 1 whatever the sampler does
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            dict(TINY, model={**TINY["model"], "vt_mode": vt_mode})))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        cfg = load_config(str(path))
+        pipeline_cfg, scene_cfg = build_configs(cfg)
+        scene, = _make_scenes(cfg, scene_cfg, 1)
+        _, diag, _ = forward(pipeline_cfg,
+                             init_params(pipeline_cfg, seed=cfg["seed"]), scene)
+        smear = summary["scenes"][0]["ray_smear"]
+        assert smear == ray_smear_metric(val(diag.bev), scene,
+                                         pipeline_cfg.grid)
+        assert smear < 1.0
 
     def test_default_config_query_count(self, tmp_path):
         # defaults: 6 groups x 150 queries = 900
@@ -557,12 +582,24 @@ class TestVerify:
         assert main(["verify", "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_optimized_python_exit_2(self):
+        # -O strips the asserts that the checks fail through
+        src = str(pathlib.Path(bevlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "bevlab.cli", "verify", "--suite",
+             "props"], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert ("verify needs assert statements: run Python without -O or "
+                "PYTHONOPTIMIZE") in proc.stderr
+
     def test_all_suites_pass(self, capsys):
         code = main(["verify"])
         out = capsys.readouterr().out
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert code == 0 and not failed, "\n".join(failed)
-        assert "20/20 checks passed" in out
+        assert "19/19 checks passed" in out
 
     def test_injected_bilinear_bug_fails_oracle_suite(self, capsys,
                                                       monkeypatch):

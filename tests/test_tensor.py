@@ -71,15 +71,6 @@ class TestSoftmax:
         assert np.isfinite(out).all()
         assert out[0] > 1.0 - 1e-12
 
-    def test_sum_and_shift_invariance(self, rng):
-        for _ in range(1000):
-            v = rng.normal(size=rng.integers(1, 9)) * 10
-            out = softmax(v)
-            assert abs(out.sum() - 1.0) < 1e-12
-            assert np.all(out > 0)
-            shifted = softmax(v + rng.normal() * 5)
-            assert np.allclose(out, shifted, atol=1e-12)
-
 
 class TestLayerNorm:
     def test_constant_vector_zeros(self):
@@ -180,10 +171,6 @@ class TestFiniteDiff:
         w = rng.normal(size=5)
         g = finite_diff_grad(lambda x: float(w @ x), rng.normal(size=5))
         assert np.allclose(g, w, atol=1e-8)
-
-    def test_eps_validated(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda x: 0.0, np.ones(2), eps=1e-2)
 
     def test_non_finite_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):

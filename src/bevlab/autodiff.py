@@ -12,6 +12,11 @@ The tape holds nodes, not values. A ``Var`` is a handle: its array and its
 accumulating. A vjp captures parent nodes, the arrays it reads, and shapes;
 never a ``Var``. So a value that no vjp reads, such as a linear map's product
 before its bias, is freed in the forward pass when its last handle goes.
+An operand that is an exact function of arrays the tape holds anyway may be
+rebuilt instead (`matmul`'s rebuild_a and rebuild_b): the vjp then captures
+a function that runs the forward's own numpy expressions on those arrays,
+and the operand is freed like a value no vjp reads. Rebuilt bit for bit, it
+leaves every gradient's bits as they were.
 
 Most ops build their tape node with `_unary` or `_binary`, passing the
 output and the gradient of each input as a function of the output gradient
@@ -269,15 +274,21 @@ def where_mask(mask, a, b):
 # linear algebra / shape ops
 
 
-def matmul(a, b):
-    """2D@2D and batched 3D@3D; the only shapes the pipeline needs."""
+def matmul(a, b, rebuild_a=None, rebuild_b=None):
+    """2D@2D and batched 3D@3D; the only shapes the pipeline needs.
+
+    rebuild_a (rebuild_b): a function of no arguments that returns a's
+    (b's) value again, bit for bit. When it is given, the vjp calls it for
+    that operand instead of holding the array."""
     va, vb = val(a), val(b)
     na, nb = np.ndim(va), np.ndim(vb)
     if na != nb or na not in (2, 3):
         raise ValueError(f"unsupported matmul ranks: {na} @ {nb}")
+    value_a = rebuild_a or (lambda: va)
+    value_b = rebuild_b or (lambda: vb)
     return _binary(a, b, np.matmul(va, vb),
-                   lambda g: np.matmul(g, vb.swapaxes(-1, -2)),
-                   lambda g: np.matmul(va.swapaxes(-1, -2), g))
+                   lambda g: np.matmul(g, value_b().swapaxes(-1, -2)),
+                   lambda g: np.matmul(value_a().swapaxes(-1, -2), g))
 
 
 def sum_(a, axis=None):
@@ -807,7 +818,8 @@ def sample_pool(levels, lanes, weights):
 
     Each scale's levels are copied to cell rows once, before its heights.
     The first term is pooled in the output itself and every later one in
-    one [N, C] scratch array, divided and weighted in place.
+    one [N, C] scratch array, divided (into a new array, the kept mean, in
+    a traced call) and weighted in place.
 
     Differentiable in the maps, the coordinates and the weights. A traced
     call keeps each term's camera mean and denominator and, per camera, its
@@ -850,10 +862,11 @@ def sample_pool(levels, lanes, weights):
             valid += count
             denom = np.maximum(count, 1.0)[:, None]
             weight = vw[:, j * n_h + i].reshape(n, 1)
+            # a traced call keeps the camera mean as its own array
+            mean = np.divide(feat_sum, denom, out=None if traced else feat_sum)
             if traced:
-                terms.append((j, i, feat_sum / denom, denom, backs))
-            feat_sum /= denom
-            feat_sum *= weight
+                terms.append((j, i, mean, denom, backs))
+            np.multiply(mean, weight, out=feat_sum)
             if feat_sum is not out:
                 out += feat_sum
 

@@ -26,7 +26,7 @@ def save(path, tensor):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
+        fh.write(arr.data)  # the contiguous buffer itself, not a copy
 
 
 def load(path):

@@ -33,8 +33,7 @@ import sys
 
 import numpy as np
 
-from . import bfk
-from .decoder import gaussian_focal_loss
+from . import bfk, decoder
 from .geometry import BevGrid
 from .pipeline import PipelineConfig, forward, init_params
 from .query_select import DEFAULT_GROUPS, GroupSpec, gaussian_target
@@ -242,7 +241,7 @@ def cmd_run(config_path, out_dir):
             targets = gaussian_target(scene.boxes, pipeline_cfg.grid,
                                       pipeline_cfg.groups.n_classes)
             entry["heatmap_loss"] = float(
-                gaussian_focal_loss(extras["heatmaps"], targets))
+                decoder.gaussian_focal_loss(extras["heatmaps"], targets))
         summary_scenes.append(entry)
 
     _json_dump(os.path.join(out_dir, "detections.json"),

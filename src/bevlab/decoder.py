@@ -207,19 +207,51 @@ def _position_embed(points, params: DecoderParams, grid: BevGrid):
 
 def _position_aware_mix_batch(feats, sampled, points, params: DecoderParams,
                               grid: BevGrid):
-    """Adaptive channel then spatial mixing of position-augmented samples."""
-    nq = np.shape(val(feats))[0]
+    """Adaptive channel then spatial mixing of position-augmented samples.
+
+    The tape holds neither the per-query kernels w_c [Nq, C, C] and w_s
+    [Nq, N_p, N_p] nor the relu outputs that the products multiply. Each
+    product's vjp rebuilds the operand it reads with the forward's own
+    numpy expressions, on arrays the tape holds anyway: the kernels from
+    the query features (held by the generators' products) and the
+    generator weights, and each relu output, transposed or flattened as in
+    the forward, from its layer norm's output (held by the layer norm's
+    vjp). Of the mixing's per-query arrays the tape then keeps G, the two
+    layer norms' outputs and the relus' masks, and every value and
+    gradient keeps its bits.
+    """
+    vf = val(feats)
+    nq = np.shape(vf)[0]
     C = params.channels
     n_p = params.n_points
 
+    def kernels(gen: LinearMap, shape):
+        # `linear_apply`, then `ad.reshape`
+        weight, bias = val(gen.weight), val(gen.bias)
+        return lambda: (np.matmul(vf, np.transpose(weight)) + bias).reshape(
+            shape)
+
+    def relu_t(y):
+        # `ad.relu`, then `ad.transpose` of the last two axes
+        y = val(y)
+        return lambda: np.transpose(np.maximum(y, 0.0), (0, 2, 1))
+
     G = ad.add(sampled, _position_embed(points, params, grid))  # [Nq, N_p, C]
-    w_c = ad.reshape(linear_apply(params.channel_mix_gen, feats), (nq, C, C))
-    G_c = ad.relu(ad.layer_norm(ad.matmul(G, w_c)))
-    w_s = ad.reshape(linear_apply(params.spatial_mix_gen, feats), (nq, n_p, n_p))
-    G_cs = ad.relu(ad.layer_norm(ad.matmul(ad.transpose(G_c, (0, 2, 1)), w_s)))
+    c_shape, s_shape = (nq, C, C), (nq, n_p, n_p)
+    y_c = ad.layer_norm(ad.matmul(
+        G, ad.reshape(linear_apply(params.channel_mix_gen, feats), c_shape),
+        rebuild_b=kernels(params.channel_mix_gen, c_shape)))
+    y_s = ad.layer_norm(ad.matmul(
+        ad.transpose(ad.relu(y_c), (0, 2, 1)),
+        ad.reshape(linear_apply(params.spatial_mix_gen, feats), s_shape),
+        rebuild_a=relu_t(y_c),
+        rebuild_b=kernels(params.spatial_mix_gen, s_shape)))
     # flatten spatial-major: entry p*C + c
-    flat = ad.reshape(ad.transpose(G_cs, (0, 2, 1)), (nq, n_p * C))
-    return ad.add(feats, linear_apply(params.out_proj, flat))
+    flat = ad.reshape(ad.transpose(ad.relu(y_s), (0, 2, 1)), (nq, n_p * C))
+    g_cs = relu_t(y_s)
+    return ad.add(feats, linear_apply(
+        params.out_proj, flat,
+        rebuild_x=lambda: g_cs().reshape((nq, n_p * C))))
 
 
 def _heads(x, n_heads):

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import decoder
 from .autodiff import val
-from .decoder import (AttentionParams, DecoderParams, corner_sample,
-                      encode_box, run_decoder, gaussian_focal_loss, l1_encoded,
-                      ATTENTION_MODES)
+from .decoder import (AttentionParams, DecoderParams, encode_box, run_decoder,
+                      gaussian_focal_loss, l1_encoded, ATTENTION_MODES)
 from .geometry import BevGrid, world_to_cell
 from .query_select import (GroupSpec, predict_heatmaps, topk_keypoints,
                            gaussian_target)
@@ -189,7 +189,7 @@ def _query_features(config: PipelineConfig, params: PipelineParams,
     elif config.query_init == "mixed_instancewise":
         feats = params.instance_embeds
     else:  # heatmap: raw bilinear feature sampling at the keypoints
-        feats = corner_sample(bev_fuse, ref)
+        feats = decoder.corner_sample(bev_fuse, ref)
     return feats, ref, group_ids
 
 

@@ -60,15 +60,18 @@ class LinearMap:
         return val(self.weight).shape[0]
 
 
-def linear_apply(m: LinearMap, x):
-    """Apply an affine map to a batch of rows [N, in]."""
+def linear_apply(m: LinearMap, x, rebuild_x=None):
+    """Apply an affine map to a batch of rows [N, in]. rebuild_x, if given,
+    returns x's value again for the product's vjp (`ad.matmul`'s
+    rebuild_a), which then does not hold x."""
     vx = val(x)
     if np.shape(vx)[-1] != m.in_dim:
         raise ValueError(
             f"linear_apply: input dim {np.shape(vx)[-1]} != map in_dim {m.in_dim}")
     if np.ndim(vx) != 2:
         raise ValueError("linear_apply expects a 2-D input [N, in]")
-    return ad.add(ad.matmul(x, ad.transpose(m.weight)), m.bias)
+    return ad.add(ad.matmul(x, ad.transpose(m.weight), rebuild_a=rebuild_x),
+                  m.bias)
 
 
 def sinusoid_freqs(dim):

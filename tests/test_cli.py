@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bevlab
-from bevlab import bfk
+from bevlab import bfk, decoder
 from bevlab.autodiff import val
 from bevlab.cli import (DEFAULTS, _make_scenes, build_configs, load_config,
                         main)
@@ -165,6 +165,30 @@ class TestRun:
         assert (out / "detections.json").exists()
         assert (out / "scene_0.json").exists()
         assert (out / "bev_fuse_0.bfk").exists()
+
+    @pytest.mark.parametrize("name, model", [
+        ("gaussian_focal_loss", {}),
+        ("corner_sample", {"query_init": "heatmap",
+                           "attention_mode": "standard"})])
+    def test_run_calls_through_the_decoder_module(self, monkeypatch,
+                                                  tmp_path, name, model):
+        # a wrapper put on the decoder module (a profiler's) sees the calls
+        # the run makes outside it: the focal loss of each scene with
+        # boxes, and `heatmap` query init's sampling at the keypoints (the
+        # only sampling when the decoder attends densely)
+        calls = []
+        original = getattr(decoder, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(decoder, name, counting)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY, model={**TINY["model"],
+                                                     **model})))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert calls
 
     @pytest.mark.parametrize("vt_mode", ["asap", "ap_only"])
     def test_ray_smear_reads_the_sampled_map(self, tmp_path, vt_mode):

@@ -17,6 +17,7 @@ from bevlab.geometry import BevGrid, world_to_cell
 from bevlab.scene_sim import Box
 from bevlab.tensor import LinearMap, linear_apply
 from bevlab.verify import bilinear_sample, gradcheck, zero_linear
+from helpers import tracemalloc_peak
 
 # unit cells make the hand cases read directly in meters
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
@@ -331,6 +332,25 @@ class TestDecoderLayer:
             outs[mode] = val(layers[-1]["enc"])
         assert not np.allclose(outs["geometry_aware"], outs["deformable_center"])
         assert not np.allclose(outs["deformable_center"], outs["standard"])
+
+    def test_traced_mixing_holds_no_kernel_or_relu_output(self, rng):
+        # what a traced geometry-aware layer (Nq 64, C 16, N_p 8) holds
+        # when its forward returns: 0.90 MB when the mixing's products
+        # hold the generated kernels w_c and w_s, the relu output G_c and
+        # out_proj's flat input, 0.61 MB when their vjps rebuild them (the
+        # bound leaves 8%)
+        nq, C = 64, 16
+        params, _ = ad.lift_tree(tiny_params(rng, C=C, n_p=8, n_heads=2,
+                                             scale=0.4))
+        feats = ad.Var(rng.normal(size=(nq, C)))
+        bev = ad.Var(rng.normal(size=(C, 32, 32)))
+        ref = rng.uniform(4, 28, size=(nq, 2))
+        boxes = dict(_initial_state(ref), l=rng.uniform(1, 3, nq),
+                     w=rng.uniform(0.5, 1.5, nq), yaw=rng.uniform(-2, 2, nq))
+        with tracemalloc_peak() as mem:
+            out = decoder_layer(feats, ref, boxes, bev, params, 0, GRID)
+        assert isinstance(out[0], ad.Var)
+        assert mem.retained < 0.66e6
 
     def test_standard_projects_the_cells_once(self, rng, monkeypatch):
         # the layers share `cross_attn`, so one forward projects the BEV

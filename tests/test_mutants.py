@@ -223,6 +223,24 @@ MUTANTS = {
             decoder._corner_points_batch, "dx, dy = px, py",
             "dx, dy = px, val(py)"),
         verify.check_decoder_layer_grad, "gradient rel err"),
+    # the mixing's vjps rebuild the operands they read; each rebuilt wrong
+    "mixing-rebuilds-channel-kernels-without-bias": (
+        decoder, "_position_aware_mix_batch", mutated(
+            decoder._position_aware_mix_batch,
+            "rebuild_b=kernels(params.channel_mix_gen, c_shape)",
+            "rebuild_b=kernels(LinearMap(params.channel_mix_gen.weight, "
+            "np.zeros(C * C)), c_shape)"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
+    "mixing-rebuilds-g-c-without-relu": (
+        decoder, "_position_aware_mix_batch", mutated(
+            decoder._position_aware_mix_batch, "rebuild_a=relu_t(y_c)",
+            "rebuild_a=lambda: np.transpose(val(y_c), (0, 2, 1))"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
+    "mixing-rebuilds-out-proj-input-from-first-norm": (
+        decoder, "_position_aware_mix_batch", mutated(
+            decoder._position_aware_mix_batch, "g_cs = relu_t(y_s)",
+            "g_cs = relu_t(y_c)"),
+        verify.check_decoder_layer_grad, "gradient rel err"),
     "layer-norm-eps-1e-4": (
         ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
         "max deviation"),

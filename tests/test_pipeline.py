@@ -1,6 +1,7 @@
 """Full forward wiring, ablation mode matrix, and the fitting routine."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -402,6 +403,25 @@ class TestFit:
         assert a.curve == b.curve
         assert np.array_equal(a.params.vt.height_gen.weight,
                               b.params.vt.height_gen.weight)
+
+    def test_fit_keeps_its_bits(self):
+        # each step's total and the final parameters' bytes of a short fit
+        # through every tape op the default modes build, as recorded before
+        # the decoder's mixing rebuilt its operands in backward: a change
+        # meant to keep every bit of a fit must keep these (a numpy or BLAS
+        # build that rounds differently needs them recorded again)
+        cfg = tiny_config()
+        res = fit_generators(cfg, init_params(cfg, seed=5),
+                             [tiny_scene(seed=3), tiny_scene(seed=0)],
+                             steps=3, lr=0.05)
+        assert [c["total"].hex() for c in res.curve] == [
+            "0x1.be23e0e1efb37p+7", "0x1.87aa20637e81cp+2",
+            "0x1.1d470ac8cac0fp+2"]
+        digest = hashlib.sha256()
+        for leaf in ad.lift_tree(res.params)[1]:
+            digest.update(leaf.data.tobytes())
+        assert digest.hexdigest() == (
+            "706f833110e62d8a61859b9d213d647cc972e0237a8a79dd80e4d2a613003d9b")
 
     def test_fit_equals_the_fit_with_all_heads_in_one_block(self,
                                                             monkeypatch):

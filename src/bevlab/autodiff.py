@@ -28,7 +28,6 @@ their bits (``g * p * va ** (p - 1)`` is not ``g * (p * va ** (p - 1))``).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -410,35 +409,38 @@ _TILE_BYTES = 2**19
 _SHIFT_LIMIT = 300.0
 
 
+def _spans(n, step):
+    """Slices of `step` indices covering range(n), the last maybe fewer."""
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def _attention_blocks(h, nq, nk):
-    """Tile plan of ``attention`` for h heads, nq query rows and nk keys: a
-    list of (head, rows, keys) slices covering every (head, row, key) once,
-    in which the key tiles of one (head, rows) block are consecutive, as are
-    the blocks of one head. When all heads' scores fit `_BLOCK_BYTES`, a
-    tile is one whole head. Otherwise a tile's scores fit `_TILE_BYTES`:
-    one head times isqrt(`_TILE_BYTES` / 8) keys (all of them if fewer)
-    and as many query rows as fit with them, 256 x 256 at the default;
-    the last block of rows and the last of keys may be smaller."""
-    if 8 * h * nq * nk <= _BLOCK_BYTES:
+    """Tile plan of ``attention`` for h heads, nq query rows and nk keys:
+    (dense, row_blocks, key_tiles), which every head walks, each block of
+    rows over every key tile. When all heads' scores fit `_BLOCK_BYTES`
+    (dense), there is one tile, the whole head. Otherwise a tile's scores
+    fit `_TILE_BYTES`: isqrt(`_TILE_BYTES` / 8) keys (all of them if fewer)
+    and as many query rows as fit with them, 256 x 256 at the default; the
+    last block of rows and the last of keys may be smaller."""
+    dense = 8 * h * nq * nk <= _BLOCK_BYTES
+    if dense:
         rows, keys = nq, nk
     else:
         keys = min(nk, max(1, math.isqrt(_TILE_BYTES // 8)))
         rows = max(1, _TILE_BYTES // (8 * keys))
-    row_blocks = [slice(r, min(r + rows, nq)) for r in range(0, nq, rows)]
-    key_tiles = [slice(c, min(c + keys, nk)) for c in range(0, nk, keys)]
-    return [(slice(i, i + 1), b, c)
-            for i in range(h) for b in row_blocks for c in key_tiles]
+    return dense, _spans(nq, rows), _spans(nk, keys)
 
 
 def attention(q, k, v):
     """Softmax attention softmax(q kᵀ) v without the [h, Nq, Nk] scores.
 
     q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
-    Returns [h, Nq, dh]. The forward and the vjp walk the tiles of
-    `_attention_blocks`, one head's block of query rows times one block of
-    keys at a time, and keep only each row's shift and sum between them.
-    ``np.matmul`` on a stack of heads runs the same product per head, so
-    splitting by head changes no bit.
+    Returns [h, Nq, dh]. `_attention_blocks` gives one plan of blocks of
+    query rows and tiles of keys, and the forward and the vjp walk every
+    head through it, one head's block of rows times one tile of keys at a
+    time, keeping only each row's shift and sum between them. ``np.matmul``
+    on a stack of heads runs the same product per head, so splitting by
+    head changes no bit.
 
     When all heads' scores fit in `_BLOCK_BYTES`, a tile is one whole head:
     e = exp(s - max), then (e / sum) @ v, so values and gradients equal the
@@ -475,13 +477,8 @@ def attention(q, k, v):
     out = np.empty((h, nq, dv), dtype=dtype)
     shift = np.empty((h, nq, 1), dtype=dtype)
     row_sum = np.empty((h, nq, 1), dtype=dtype)
-    # the tiles grouped by head, then by block of rows: [(head, [(rows,
-    # [keys, ...]), ...]), ...]
-    plan = [(hs, [(b, [c for *_, c in block]) for b, block in
-                  itertools.groupby(head, key=lambda t: t[1])])
-            for hs, head in itertools.groupby(_attention_blocks(h, nq, nk),
-                                              key=lambda t: t[0])]
-    dense = 8 * h * nq * nk <= _BLOCK_BYTES
+    dense, row_blocks, key_tiles = _attention_blocks(h, nq, nk)
+    heads = [slice(i, i + 1) for i in range(h)]
     if dense:
         # contiguous [h, Nk, dh] copies: a strided k makes the q kᵀ products
         # up to twice as slow when a block holds few rows. A [h, dh, Nk]
@@ -527,18 +524,17 @@ def attention(q, k, v):
             s = np.matmul(a, ka_c)
             return np.exp(s, out=s)
 
-    for hs, blocks in plan:
+    for hs in heads:
         kt_h, v_h = operands(hs)
-        for b, keys in blocks:
+        for b in row_blocks:
             if dense:  # the dense softmax's probabilities, then times v
-                (c,) = keys
-                s = np.matmul(vq[hs, b], kt_h[..., c])
+                s = np.matmul(vq[hs, b], kt_h)
                 shift[hs, b] = s.max(axis=-1, keepdims=True)
                 s -= shift[hs, b]
                 np.exp(s, out=s)
                 row_sum[hs, b] = s.sum(axis=-1, keepdims=True)
                 s /= row_sum[hs, b]
-                out[hs, b] = np.matmul(s, v_h[:, c])
+                out[hs, b] = np.matmul(s, v_h)
                 del s  # before the next block's scores are made
                 continue
             # past the limit, exp(s - bound) could underflow a whole row:
@@ -547,12 +543,12 @@ def attention(q, k, v):
             if not shift[hs, b].max() <= _SHIFT_LIMIT:
                 m = shift[hs, b]
                 m[...] = -np.inf
-                for c in keys:
+                for c in key_tiles:
                     np.maximum(m, np.matmul(vq[hs, b], kt_h[:, :dh, c]).max(
                         axis=-1, keepdims=True), out=m)
             qa = query_operand(hs, b)
             p = sum(np.matmul(exp_scores(qa, kt_h[..., c], hs, b), v_h[:, c])
-                    for c in keys)
+                    for c in key_tiles)
             row_sum[hs, b] = p[..., dv:]
             out[hs, b] = p[..., :dv] / row_sum[hs, b]
         del kt_h, v_h  # before the next head's copies are made
@@ -562,14 +558,14 @@ def attention(q, k, v):
         dq = np.zeros(vq.shape, dtype=dtype)
         dkt = np.zeros((h, dh, nk), dtype=dtype)
         dvv = np.zeros(vv.shape, dtype=dtype)
-        for hs, blocks in plan:
+        for hs in heads:
             kt_h, v_h = operands(hs)
-            for b, keys in blocks:
+            for b in row_blocks:
                 a = query_operand(hs, b)
                 gb = g[hs, b]
                 if not dense:
                     d = (gb * out[hs, b]).sum(axis=-1, keepdims=True)
-                for c in keys:
+                for c in key_tiles:
                     p = exp_scores(a, kt_h[..., c], hs, b)
                     p /= row_sum[hs, b]
                     dvv[hs, c] += np.matmul(np.swapaxes(p, 1, 2), gb)
@@ -593,8 +589,18 @@ def _kernel_row_blocks(n, c):
     """Block plan of ``dynamic_filter``'s d(K) for n rows and C channels:
     slices of kernel rows, budget // (8 n C) per block, whose [n, rows C]
     columns of d(K) fit in the budget (at least one kernel row)."""
-    step = max(1, _BLOCK_BYTES // (8 * n * c))
-    return [slice(i, min(i + step, c)) for i in range(0, c, step)]
+    return _spans(c, max(1, _BLOCK_BYTES // (8 * n * c)))
+
+
+def _filter_row_blocks(n, c):
+    """Row blocks of ``dynamic_filter``'s forward, budget // (8 C²) rows
+    (at least two). numpy takes a one-row product through gemv, which sums
+    in another order than gemm: a last one-row block joins the one before."""
+    step = max(2, _BLOCK_BYTES // (8 * c * c))
+    blocks = _spans(n, step)
+    if n > 1 and n % step == 1:
+        blocks[-2:] = [slice(n - step - 1, n)]
+    return blocks
 
 
 def dynamic_filter(x, z, w, b):
@@ -629,13 +635,7 @@ def dynamic_filter(x, z, w, b):
             f"dynamic_filter: rows {vx.shape}, generator inputs "
             f"{np.shape(vz)} and weight {vw.shape} do not agree")
     wt = vw.T
-    step = max(2, _BLOCK_BYTES // (8 * c * c))
-    starts = list(range(0, n, step))
-    # numpy takes a one-row product through gemv, which sums in another
-    # order than gemm: a last block of one row joins the block before it
-    if n > 1 and n % step == 1:
-        starts.pop()
-    row_blocks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+    row_blocks = _filter_row_blocks(n, c)
 
     def kernels(rows):
         k = vz[rows] @ wt

@@ -14,14 +14,11 @@ sample around the center instead and pool the samples with predicted
 weights; the `standard` baseline attends densely to every BEV cell.
 
 Self-attention and `standard` cross-attention both go through `_mha`,
-whose softmax attention (`autodiff.attention`, which documents its tile
-plan) never holds the [heads, queries, cells] scores: 1.9 GB at the
-default 8 heads, 900 queries and 32,400 cells. Past 8 MiB of scores (the
-default 900-query self-attention, and `standard` cross-attention) it
-works in 0.5 MiB tiles of one head's 256 queries times 256 keys, whose
-bits do not depend on the number of BLAS threads. The layers share the
-`cross_attn` weights, so `run_decoder` projects the BEV cells' keys and
-values once per forward, not once per layer.
+whose softmax attention never holds the [heads, queries, cells] scores:
+1.9 GB at the default 8 heads, 900 queries and 32,400 cells.
+`autodiff.attention` documents its tile plan, its budgets and its bits.
+The layers share the `cross_attn` weights, so `run_decoder` projects the
+BEV cells' keys and values once per forward, not once per layer.
 
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.

@@ -99,7 +99,9 @@ class PipelineParams:
     head: LinearMap           # per-cell heatmap scorer [C -> n_classes]
     group_embeds: object      # [n_groups, C], shared by each group's queries
     instance_embeds: object   # [n_queries, C]
-    learnable_points: object  # [n_queries, 2] cell coords
+    # [n_queries, 2] cell coords; never trained: `_query_features` reads
+    # only their value, so no gradient reaches them
+    learnable_points: object
     decoder: DecoderParams
 
 

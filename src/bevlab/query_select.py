@@ -111,11 +111,9 @@ def topk_keypoints(heatmaps, spec: GroupSpec):
         gmap = hm[list(group)].max(axis=0)
         keep = _local_max_mask(gmap).ravel()
         flat = gmap.ravel()
-        # sort by (-score, row-major index); survivors first, then suppressed
-        order = np.lexsort((np.arange(flat.size), -flat))
-        survivors = order[keep[order]]
-        suppressed = order[~keep[order]]
-        chosen = np.concatenate([survivors, suppressed])[:k]
+        # survivors first, each part by -score; the stable sort breaks ties
+        # by row-major index
+        chosen = np.lexsort((-flat, ~keep))[:k]
         out.append(np.stack([(chosen % W).astype(float),
                              (chosen // W).astype(float)], axis=1))
     return out

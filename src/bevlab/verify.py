@@ -406,17 +406,14 @@ def block_bytes(n):
 
 
 def _attention_tiles(h, nq, nk):
-    """Numbers of row blocks and key tiles of each head in ``ad.attention``'s
-    plan for h heads, nq query rows and nk keys, which must both be several
-    with a ragged last one."""
-    tiles = [(b, c) for hs, b, c in ad._attention_blocks(h, nq, nk)
-             if hs == slice(0, 1)]
-    rows = sorted({(b.start, b.stop) for b, _ in tiles})
-    keys = sorted({(c.start, c.stop) for _, c in tiles})
-    assert len(rows) > 1 and nq % rows[0][1], (
+    """Numbers of row blocks and key tiles in ``ad.attention``'s plan for h
+    heads, nq query rows and nk keys, which must both be several with a
+    ragged last one."""
+    _, rows, keys = ad._attention_blocks(h, nq, nk)
+    assert len(rows) > 1 and nq % rows[0].stop, (
         f"{nq} query rows of {h} heads over {nk} keys do not give each head "
         "several blocks of rows with a ragged last one")
-    assert len(keys) > 1 and nk % keys[0][1], (
+    assert len(keys) > 1 and nk % keys[0].stop, (
         f"{nq} query rows of {h} heads over {nk} keys do not give each head "
         "several tiles of keys with a ragged last one")
     return len(rows), len(keys)
@@ -475,9 +472,10 @@ def check_adaptive_project_blocked(rng):
     ``dense_adaptive_project``. With the current block budget the H*H
     cells must split into several blocks with a ragged last one."""
     C, H = 32, 50
-    rows = max(1, ad._BLOCK_BYTES // (8 * C * C))
     n = H * H
-    assert n > rows and n % rows, (
+    blocks = ad._filter_row_blocks(n, C)
+    rows = blocks[0].stop
+    assert len(blocks) > 1 and n % rows, (
         f"{n} cells in blocks of {rows} do not give several blocks with a "
         "ragged last one")
     params = random_vt_instance(rng, C=C, H=H, n_h=1, n_s=1)[0]
@@ -486,7 +484,7 @@ def check_adaptive_project_blocked(rng):
     worst = float(np.max(np.abs(
         fast - val(dense_adaptive_project(params, bev_as, lidar)))))
     assert worst < 1e-12, f"max deviation {worst:.3e}"
-    return f"max deviation {worst:.2e}; {-(-n // rows)} blocks of cells"
+    return f"max deviation {worst:.2e}; {len(blocks)} blocks of cells"
 
 
 def check_decoder_layer(rng):

@@ -155,7 +155,8 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
             tile, held = dense // h, 3
         else:
             tile, held = ad._TILE_BYTES, 2
-        tiles = len(ad._attention_blocks(h, nq, nk))
+        _, rows, keys = ad._attention_blocks(h, nq, nk)
+        tiles = h * len(rows) * len(keys)
         with tracemalloc_peak() as forward:
             ad.attention(q, k, v)
         qv, kv, vv = (ad.Var(x) for x in (q, k, v))
@@ -220,11 +221,9 @@ def test_attention_in_row_blocks_is_the_dense_softmax(rng, monkeypatch):
     # carry over the tiles
     h, nq, nk, dh = 2, 40, 600, 4
     _patch_budgets(monkeypatch, 8 * nk * 15, 8 * 16 * 16)
-    plan = ad._attention_blocks(h, nq, nk)
-    rows = sorted({(b.start, b.stop) for _, b, _ in plan})
-    keys = sorted({(c.start, c.stop) for *_, c in plan})
+    _, rows, keys = ad._attention_blocks(h, nq, nk)
     assert (len(rows), len(keys)) == (3, 38)
-    assert rows[-1] == (32, 40) and keys[-1] == (592, 600)
+    assert rows[-1] == slice(32, 40) and keys[-1] == slice(592, 600)
     base = [rng.normal(size=(h, n, dh)) for n in (nq, nk, nk)]
     w = rng.normal(size=(h, nq, dh))
     for a, b in zip(_attention_and_grads(base, w),
@@ -245,8 +244,8 @@ def test_attention_past_the_shift_limit_is_the_dense_softmax(rng,
     base[1] *= 30.0
     bounds = (np.linalg.norm(base[0], axis=2, keepdims=True)
               * np.linalg.norm(base[1], axis=2).max(axis=1)[:, None, None])
-    assert all(bounds[hs, b].max() > ad._SHIFT_LIMIT
-               for hs, b, _ in ad._attention_blocks(h, nq, nk))
+    assert all(bounds[i, b].max() > ad._SHIFT_LIMIT
+               for i in range(h) for b in ad._attention_blocks(h, nq, nk)[1])
     w = rng.normal(size=(h, nq, dh))
     for a, b in zip(_attention_and_grads(base, w),
                     _attention_and_grads(base, w, dense=True)):
@@ -259,51 +258,46 @@ def test_attention_block_plans_of_the_default_model():
     # [8, 300, 32,400] cross-attention of `standard` mode in tiles of 256
     # rows (256 + 44) x 256 keys (126 x 256 + 144)
     def grid(nq, nk):
-        rows = [slice(r, min(r + 256, nq)) for r in range(0, nq, 256)]
-        keys = [slice(c, min(c + 256, nk)) for c in range(0, nk, 256)]
-        return [(slice(i, i + 1), b, c)
-                for i in range(8) for b in rows for c in keys]
+        return (False,
+                [slice(r, min(r + 256, nq)) for r in range(0, nq, 256)],
+                [slice(c, min(c + 256, nk)) for c in range(0, nk, 256)])
 
     assert ad._TILE_BYTES == 8 * 256 * 256
     assert ad._attention_blocks(8, 900, 900) == grid(900, 900)
-    assert len(grid(900, 900)) == 8 * 4 * 4
+    assert [len(x) for x in grid(900, 900)[1:]] == [4, 4]
     assert ad._attention_blocks(8, 300, 32400) == grid(300, 32400)
-    assert len(grid(300, 32400)) == 8 * 2 * 127
+    assert [len(x) for x in grid(300, 32400)[1:]] == [2, 127]
 
 
 def test_attention_plan_of_a_300_query_self_attention():
     # within the budget, a tile is one whole head
-    assert ad._attention_blocks(8, 300, 300) == [
-        (slice(i, i + 1), slice(0, 300), slice(0, 300)) for i in range(8)]
+    assert ad._attention_blocks(8, 300, 300) == (
+        True, [slice(0, 300)], [slice(0, 300)])
 
 
 @pytest.mark.parametrize("h, nq, nk, rows", [
     (8, 300, 300, None), (8, 900, 900, None), (8, 300, 32400, None),
     (3, 7, 11, 3), (2, 40, 600, 15), (1, 5, 10**7, None)])
-def test_attention_plan_covers_each_head_and_row_once(monkeypatch, h, nq, nk,
-                                                      rows):
-    # each (head, row, key) exactly once, in tiles of one head whose scores
-    # fit the tile budget past the block budget, or are one whole head
-    # within it; `rows` patches both budgets, the tiles to rows x rows
+def test_attention_plan_covers_each_row_and_each_key_once(monkeypatch, h,
+                                                          nq, nk, rows):
+    # the blocks of rows and the tiles of keys, which every head walks,
+    # each cover their axis in order, each row and each key once; a tile's
+    # scores fit the tile budget past the block budget, or are one whole
+    # head within it; `rows` patches both budgets, the tiles to rows x rows
     if rows is not None:
         _patch_budgets(monkeypatch, 8 * nk * rows, 8 * rows * rows)
-    dense = 8 * h * nq * nk <= ad._BLOCK_BYTES
-    spans = {}
-    for hs, b, c in ad._attention_blocks(h, nq, nk):
-        assert hs.stop - hs.start == 1
-        assert b.start < b.stop and c.start < c.stop
-        if dense:
-            assert (b, c) == (slice(0, nq), slice(0, nk))
-        else:
-            assert 8 * (b.stop - b.start) * (c.stop - c.start) <= (
-                ad._TILE_BYTES)
-        for r in range(b.start, b.stop):
-            spans.setdefault((hs.start, r), []).append((c.start, c.stop))
-    assert sorted(spans) == [(i, r) for i in range(h) for r in range(nq)]
-    for row in spans.values():
-        row.sort()
-        assert [lo for lo, _ in row] == [0] + [hi for _, hi in row[:-1]]
-        assert row[-1][1] == nk
+    dense, row_blocks, key_tiles = ad._attention_blocks(h, nq, nk)
+    assert dense == (8 * h * nq * nk <= ad._BLOCK_BYTES)
+    for blocks, n in ((row_blocks, nq), (key_tiles, nk)):
+        assert all(s.start < s.stop and s.step is None for s in blocks)
+        assert [s.start for s in blocks] == [0] + [s.stop
+                                                   for s in blocks[:-1]]
+        assert blocks[-1].stop == n
+    if dense:
+        assert (row_blocks, key_tiles) == ([slice(0, nq)], [slice(0, nk)])
+    else:
+        assert all(8 * (b.stop - b.start) * (c.stop - c.start)
+                   <= ad._TILE_BYTES for b in row_blocks for c in key_tiles)
 
 
 def test_attention_heads_agree_across_the_block_regimes(rng):
@@ -373,8 +367,7 @@ def test_attention_does_not_depend_on_the_blas_thread_count(tmp_path):
     # two OpenBLAS threads (whole-row value products, whose inner dimension
     # is every key, differed in most outputs)
     assert 8 * 8 * 300 * 5000 > ad._BLOCK_BYTES
-    assert len({(c.start, c.stop)
-                for *_, c in ad._attention_blocks(8, 300, 5000)}) == 20
+    assert len(ad._attention_blocks(8, 300, 5000)[2]) == 20
     src = str(pathlib.Path(ad.__file__).resolve().parents[1])
     results = []
     for threads in ("1", "2"):

@@ -49,6 +49,14 @@ JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=4) | st.recursive(
     max_leaves=8)
 
 
+def assert_error_exit_2(argv, capsys):
+    """`main(argv)` exits 2 with an `error:` line and no runtime failure."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "runtime failure" not in err
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.json"
@@ -230,6 +238,24 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[]", id="root-is-a-list"),
+        pytest.param("3", id="root-is-a-number"),
+        pytest.param('{"model": 3}', id="section-is-a-number"),
+    ])
+    def test_config_that_is_not_an_object_exit_2(self, tmp_path, capsys,
+                                                  text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert_error_exit_2(["run", str(path), "--out", str(tmp_path / "o")],
+                            capsys)
+
+    @pytest.mark.parametrize("name", ["missing.json", "dir"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, name):
+        (tmp_path / "dir").mkdir()
+        assert_error_exit_2(["run", str(tmp_path / name),
+                             "--out", str(tmp_path / "o")], capsys)
 
     def test_unknown_key_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -537,6 +563,22 @@ class TestViz:
         assert main(argv) == 2
         assert "NaN or inf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("channel", ["2", "-1"])
+    def test_channel_out_of_range_exit_2(self, tmp_path, capsys, channel):
+        path = tmp_path / "t.bfk"
+        bfk.save(path, np.ones((2, 4, 4)))
+        out = tmp_path / "o.pgm"
+        assert_error_exit_2(["viz", str(path), "--out", str(out),
+                             "--channel", channel], capsys)
+
+    def test_missing_points_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.bfk"
+        bfk.save(path, np.ones((1, 4, 4)))
+        out = tmp_path / "o.pgm"
+        assert_error_exit_2(["viz", str(path), "--out", str(out),
+                             "--points", str(tmp_path / "missing.json")],
+                            capsys)
 
     def test_finite_channel_of_non_finite_tensor(self, tmp_path):
         arr = np.ones((2, 4, 4))

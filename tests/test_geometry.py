@@ -63,6 +63,12 @@ class TestCameraModel:
             make_camera(R=bad_R)
         with pytest.raises(ValueError):
             make_camera(size=(0, 10))
+        with pytest.raises(ValueError, match="shapes"):
+            make_camera(t=np.zeros(4))
+        skewed = make_camera().intrinsics.copy()
+        skewed[0, 1] = 0.5
+        with pytest.raises(ValueError, match="skew"):
+            CameraModel(skewed, np.eye(3), np.zeros(3), (100, 100))
 
     def test_optical_axis(self):
         x, y, ok = project_to_image(make_camera(), (0.0, 0.0, 10.0))

@@ -31,19 +31,14 @@ def mutated(fn, old, new):
     return scope[fn.__name__]
 
 
-def drop_each_heads_last_row_block(h, nq, nk):
-    return [(hs, b, c) for hs, b, c in _attention_blocks(h, nq, nk)
-            if b.stop < nq]
+def drop_the_last_row_block(h, nq, nk):
+    dense, row_blocks, key_tiles = _attention_blocks(h, nq, nk)
+    return dense, row_blocks[:-1], key_tiles
 
 
-def drop_each_heads_last_key_tile(h, nq, nk):
-    return [(hs, b, c) for hs, b, c in _attention_blocks(h, nq, nk)
-            if c.stop < nk]
-
-
-def shift_a_tiles_head_by_one(h, nq, nk):
-    (hs, b, c), *rest = _attention_blocks(h, nq, nk)
-    return [(slice(hs.start + 1, hs.stop + 1), b, c), *rest]
+def drop_the_last_key_tile(h, nq, nk):
+    dense, row_blocks, key_tiles = _attention_blocks(h, nq, nk)
+    return dense, row_blocks, key_tiles[:-1]
 
 
 def pool_without_last_camera(levels, lanes, weights):
@@ -106,19 +101,16 @@ def layer_with_a_nan_logit(*args, **kwargs):
 # an AssertionError)
 MUTANTS = {
     "attention-drop-last-row-block": (
-        ad, "_attention_blocks", drop_each_heads_last_row_block,
+        ad, "_attention_blocks", drop_the_last_row_block,
         verify.check_attention_blocked, "max deviation"),
     "attention-drop-last-key-tile": (
-        ad, "_attention_blocks", drop_each_heads_last_key_tile,
+        ad, "_attention_blocks", drop_the_last_key_tile,
         verify.check_attention_blocked, "max deviation"),
-    "attention-shift-block-head": (
-        ad, "_attention_blocks", shift_a_tiles_head_by_one,
-        verify.check_attention_grad, "gradient rel err"),
     "attention-bias-in-first-block": (
         ad, "attention", mutated(
             ad.attention, "out[hs, b] = p[..., :dv] / row_sum[hs, b]",
             "out[hs, b] = p[..., :dv] / row_sum[hs, b] "
-            "+ 1e-9 * (hs == plan[0][0] and b == plan[0][1][0][0])"),
+            "+ 1e-9 * (hs == heads[0] and b == row_blocks[0])"),
         verify.check_attention_blocked, "max deviation"),
     "attention-never-exact-row-max": (
         ad, "attention", mutated(
@@ -265,8 +257,8 @@ MUTANTS = {
             "for r in row_blocks[:-1]:\n        out[r]"),
         verify.check_adaptive_project_blocked, "max deviation"),
     "topk-takes-the-lowest-cells": (
-        verify, "topk_keypoints", mutated(verify.topk_keypoints, "-flat)",
-                                          "flat)"),
+        verify, "topk_keypoints", mutated(verify.topk_keypoints, "(-flat,",
+                                          "(flat,"),
         verify.check_topk, "keypoints differ"),
     "gaussian-target-overwrites-same-class": (
         verify, "gaussian_target", mutated(

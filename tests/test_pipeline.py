@@ -312,6 +312,15 @@ class TestFit:
         with pytest.raises(RuntimeError):
             fit_generators(cfg, params, scenes, steps=50, lr=1e4)
 
+    @pytest.mark.parametrize("steps, n_scenes", [(0, 1), (1, 0)],
+                             ids=["no-steps", "no-scenes"])
+    def test_empty_fit_rejected(self, steps, n_scenes):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="at least one scene"):
+            fit_generators(cfg, init_params(cfg, seed=3),
+                           [tiny_scene(seed=0)][:n_scenes], steps=steps,
+                           lr=1e-3)
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_empty_batch_rejected(self, batch_size):
         cfg = tiny_config()
@@ -425,26 +434,25 @@ class TestFit:
 
     def test_fit_equals_the_fit_with_all_heads_in_one_block(self,
                                                             monkeypatch):
-        # attention splits its blocks by head, and that changes no bit of a
-        # fit: the same fit with each attention whose scores fit the budget
-        # in one block over all heads gives the same curve and parameters
+        # attention runs head by head, and within its budget that changes
+        # no bit of a fit: the same fit through the dense composition
+        # softmax(q kᵀ) v, one product over all heads, gives the same curve
+        # and parameters
         cfg = tiny_config()
         scenes = [tiny_scene(seed=3)]
         runs = [fit_generators(cfg, init_params(cfg, seed=5), scenes,
                                steps=3, lr=0.3)]
-        per_head = ad._attention_blocks
-        merged = []
+        heads = []
 
-        def all_heads_within_budget(h, nq, nk):
-            if 8 * h * nq * nk > ad._BLOCK_BYTES:
-                return per_head(h, nq, nk)
-            merged.append(h)
-            return [(slice(0, h), slice(0, nq), slice(0, nk))]
+        def dense_attention(q, k, v):
+            heads.append(ad.val(q).shape[0])
+            return ad.matmul(ad.softmax(ad.matmul(
+                q, ad.transpose(k, (0, 2, 1)))), v)
 
-        monkeypatch.setattr(ad, "_attention_blocks", all_heads_within_budget)
+        monkeypatch.setattr(ad, "attention", dense_attention)
         runs.append(fit_generators(cfg, init_params(cfg, seed=5), scenes,
                                    steps=3, lr=0.3))
-        assert merged and min(merged) > 1
+        assert heads and min(heads) > 1
         a, b = runs
         assert a.curve == b.curve
         for x, y in zip(ad.lift_tree(a.params)[1], ad.lift_tree(b.params)[1]):

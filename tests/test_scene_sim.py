@@ -38,6 +38,11 @@ class TestMakeScene:
         assert a.boxes == b.boxes
         assert np.array_equal(a.signatures, b.signatures)
 
+    def test_two_channels_rejected(self):
+        # two channels are reserved, so a scene needs a third
+        with pytest.raises(ValueError, match="at least 3 channels"):
+            small_config(channels=2)
+
     def test_empty_scene(self):
         scene = make_scene(small_config(n_boxes=0), seed=0)
         assert scene.boxes == ()

@@ -192,6 +192,24 @@ class TestAdaptiveSample:
         with pytest.raises(ValueError):
             adaptive_sample(params, lidar, pyramids, cams[:1], grid)
 
+    @pytest.mark.parametrize("fault, match", [
+        ("strides", "share the pyramid strides"),
+        ("levels", "level count must equal n_scales"),
+        ("channels", "channels must match the generators")])
+    def test_mismatched_pyramids_rejected(self, rng, fault, match):
+        params, lidar, pyramids, cams, grid = random_vt_instance(
+            rng, C=4, H=8, n_s=2)
+        levels = [p.levels for p in pyramids]
+        if fault == "strides":  # the second camera's at twice the strides
+            levels[1] = tuple((2 * s, m) for s, m in levels[1])
+        elif fault == "levels":  # one level of two scales
+            levels = [lv[:1] for lv in levels]
+        else:  # 3 of the generators' 4 channels
+            levels = [tuple((s, m[:3]) for s, m in lv) for lv in levels]
+        with pytest.raises(ValueError, match=match):
+            adaptive_sample(params, lidar,
+                            [FeaturePyramid(lv) for lv in levels], cams, grid)
+
 
 class TestAdaptiveProject:
     def make_params(self, C, kernel_gen):
@@ -292,6 +310,11 @@ class TestFuseBev:
         cam = np.full((1, 1, 1), 2.0)
         lidar = np.full((1, 1, 1), 4.0)
         assert val(fuse_bev(p, cam, lidar))[0, 0, 0] == 3.0
+
+    def test_shape_mismatch(self, rng):
+        p = self.make_params(2, zero_linear(2, 4))
+        with pytest.raises(ValueError, match="shapes must agree"):
+            fuse_bev(p, rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 5, 4)))
 
 
 class TestVanilla:

@@ -37,7 +37,8 @@ __all__ = [
     "add", "sub", "mul", "div", "power", "log",
     "tanh", "sigmoid", "relu", "absolute", "sin", "cos", "clip",
     "matmul", "sum_", "mean", "reshape", "transpose", "concat", "stack",
-    "getitem", "where_mask", "softmax", "attention", "dynamic_filter",
+    "getitem", "where_mask", "softmax", "attention_keys", "attention",
+    "dynamic_filter",
     "layer_norm", "bilinear_gather", "sample_pool",
     "lift_tree", "unlift_tree", "sgd_step",
 ]
@@ -384,10 +385,12 @@ def softmax(a):
 _BLOCK_BYTES = 8 * 2**20
 
 # bytes of one tile of `attention`'s scores past `_BLOCK_BYTES`: 256 rows x
-# 256 keys of one head. A tile's scores, keys and values stay in L2 over
-# its two products. Timed on a 2-vCPU host (2 MiB of L2 per core), medians
-# of 5 calls: the [8, 300, 32,400] forward of `standard` cross-attention,
-# with the strided k and v that `_mha` passes, took 0.32, 0.27, 0.24, 0.21,
+# 256 keys of one head; also of a block of rows of each projection that
+# `attention_keys` makes (2,048 rows at C = 32). A tile's scores, keys and
+# values stay in L2 over its two products. Timed on a 2-vCPU host (2 MiB of
+# L2 per core), medians of 5 calls: the [8, 300, 32,400] forward of
+# `standard` cross-attention, when each call still copied every head's
+# strided k and v into its operands, took 0.32, 0.27, 0.24, 0.21,
 # 0.19 and 0.21 s in tiles of 64 KiB to 2 MiB (doubling), against 0.25 s
 # for blocks of one head's 32 rows over all keys; its vjp 0.48, 0.47, 0.53
 # and 0.53 s at 256 KiB to 2 MiB (1.08 s in those blocks); the 900-query
@@ -396,7 +399,8 @@ _BLOCK_BYTES = 8 * 2**20
 # tile's products, up to [256, 256] @ [256, 5], give the same bits under
 # one and two OpenBLAS threads, as did each product tried of up to 2.6
 # million multiply-adds; [32, 32,400] @ [32,400, 5] (5.2 million) and
-# [900, 900] @ [900, 5] did not.
+# [900, 900] @ [900, 5] did not. So did the [2,048, 32] @ [32, 32] products
+# of `attention_keys`' blocks (2.1 million).
 _TILE_BYTES = 2**19
 
 # Largest row bound ||q_i|| max_j ||k_j|| that `attention` takes as a row's
@@ -431,16 +435,93 @@ def _attention_blocks(h, nq, nk):
     return dense, _spans(nq, rows), _spans(nk, keys)
 
 
-def attention(q, k, v):
+def _gemm_row_blocks(n, step):
+    """Slices of `step` >= 2 rows covering range(n), the last maybe fewer.
+    numpy takes a one-row product through gemv, which sums in another order
+    than gemm: a last one-row block joins the one before."""
+    blocks = _spans(n, step)
+    if n > 1 and n % step == 1:
+        blocks[-2:] = [slice(n - step - 1, n)]
+    return blocks
+
+
+def attention_keys(x, w_k, b_k, w_v, b_v, n_heads):
+    """The operands of ``attention`` for the keys k = x w_kᵀ + b_k and the
+    values v = x w_vᵀ + b_v of the rows x [Nk, C], split into n_heads heads
+    (channel i dh + j of a row is channel j of head i).
+
+    Returns (kt, v, k_norm): kt = [kᵀ ; 1] [h, dh + 1, Nk], v = [v | 1]
+    [h, Nk, dv + 1], and k_norm [h], each head's largest key norm. The two
+    products are made `_TILE_BYTES` // (8 C) rows at a time
+    (`_gemm_row_blocks`) and written straight into kt and v, whose ones are
+    set once: no [Nk, C] projection exists, and every value has the bits
+    of the whole product plus its bias, as `linear_apply` makes them.
+    ``attention`` reads these arrays in every call, so a caller that
+    attends to the same rows again (the decoder's layers, to the BEV cells)
+    builds them once.
+
+    kt and v are one tape node each, whose gradient has their shape (the
+    ones get none). Each vjp takes the [Nk, C] rows G of that gradient
+    through the projection as `linear_apply`'s nodes would, adding G w to
+    d(x), (xᵀ G)ᵀ to d(w) and G's column sums to d(b), so gradients keep
+    the bits of that composition.
+    """
+    vx, vwk, vbk, vwv, vbv = map(val, (x, w_k, b_k, w_v, b_v))
+    n, c = vx.shape
+    dk, dv = vwk.shape[0] // n_heads, vwv.shape[0] // n_heads
+    dtype = np.result_type(vx, vwk, vbk, vwv, vbv)
+    kt = np.ones((n_heads, dk + 1, n), dtype=dtype)
+    v = np.ones((n_heads, n, dv + 1), dtype=dtype)
+    k_max = np.full(n_heads, -np.inf, dtype=dtype)
+    step = max(2, _TILE_BYTES // (8 * c))
+    for r in _gemm_row_blocks(n, step):
+        k = vx[r] @ vwk.T
+        k += vbk
+        k = k.reshape(-1, n_heads, dk)
+        kt[:, :dk, r] = k.transpose(1, 2, 0)
+        np.maximum(k_max, (k * k).sum(axis=-1).max(axis=0), out=k_max)
+        vb = vx[r] @ vwv.T
+        vb += vbv
+        v[:, r, :dv] = vb.reshape(-1, n_heads, dv).transpose(1, 0, 2)
+    x_node = _node_of(x)
+
+    def back(w, w_node, b_node, rows_of):
+        def vjp(g):
+            rows = rows_of(g)  # [Nk, C]
+            if x_node is not None:
+                _accum(x_node, np.matmul(rows, w))
+            if w_node is not None:
+                _accum(w_node, np.transpose(np.matmul(vx.swapaxes(-1, -2),
+                                                      rows)))
+            if b_node is not None:
+                _accum(b_node, rows.sum(axis=0))
+        return vjp
+
+    # G's layout decides the bits of its column sums and products: the k
+    # rows are a column-major view of a contiguous [h, dh, Nk] and the v
+    # rows a row-major copy, as `linear_apply` split into heads has them
+    kt = _node(kt, (x, w_k, b_k), back(
+        vwk, _node_of(w_k), _node_of(b_k),
+        lambda g: np.ascontiguousarray(g[:, :dk]).transpose(2, 0, 1).reshape(
+            n, -1)))
+    v = _node(v, (x, w_v, b_v), back(
+        vwv, _node_of(w_v), _node_of(b_v),
+        lambda g: g[..., :dv].transpose(1, 0, 2).reshape(n, -1)))
+    return kt, v, np.sqrt(k_max)
+
+
+def attention(q, kt, v, k_norm):
     """Softmax attention softmax(q kᵀ) v without the [h, Nq, Nk] scores.
 
-    q: [h, Nq, dh], already scaled by 1/sqrt(dh); k, v: [h, Nk, dh].
-    Returns [h, Nq, dh]. `_attention_blocks` gives one plan of blocks of
-    query rows and tiles of keys, and the forward and the vjp walk every
-    head through it, one head's block of rows times one tile of keys at a
-    time, keeping only each row's shift and sum between them. ``np.matmul``
-    on a stack of heads runs the same product per head, so splitting by
-    head changes no bit.
+    q: [h, Nq, dh], already scaled by 1/sqrt(dh); kt = [kᵀ ; 1]
+    [h, dh + 1, Nk], v = [v | 1] [h, Nk, dv + 1] and k_norm [h], each
+    head's largest key norm, as `attention_keys` makes them. Returns
+    [h, Nq, dv]. `_attention_blocks` gives one plan of blocks of query rows
+    and tiles of keys, and the forward and the vjp walk every head through
+    it, one head's block of rows times one tile of keys at a time, keeping
+    only each row's shift and sum between them. ``np.matmul`` on a stack of
+    heads runs the same product per head, so splitting by head changes no
+    bit.
 
     When all heads' scores fit in `_BLOCK_BYTES`, a tile is one whole head:
     e = exp(s - max), then (e / sum) @ v, so values and gradients equal the
@@ -454,11 +535,11 @@ def attention(q, k, v):
     the sum ride in the two products, as FlashAttention fuses the softmax's
     passes (Dao et al., arXiv 2205.14135): per tile, s = [q | -shift] @
     [kᵀ ; 1], exp in place, and p += s @ [v | 1], whose last column divides
-    the rest after the row's last tile. These [dh + 1, Nk] and [Nk, dh + 1]
-    copies of k and v exist for one head at a time. The values differ from
-    the dense softmax's in the last bits, but not with the number of
-    OpenBLAS threads: a tile's products are small enough to give the same
-    bits under one and two (see `_TILE_BYTES`).
+    the rest after the row's last tile. Both are read in place: no call
+    copies kt or v. The values differ from the dense softmax's in the last
+    bits, but not with the number of OpenBLAS threads: a tile's products
+    are small enough to give the same bits under one and two (see
+    `_TILE_BYTES`).
 
     So the heads of one call are independent bit for bit only on one side
     of the budget: a head of a many-head call past it may differ in the
@@ -469,10 +550,10 @@ def attention(q, k, v):
     D_i = g_i · out_i, so no whole row of scores is held: per tile,
     dv += pᵀ g, ds = p ∘ (g vᵀ - D), dq += ds k and dk += dsᵀ q.
     """
-    vq, vk, vv = val(q), val(k), val(v)
-    q_node, k_node, v_node = map(_node_of, (q, k, v))
+    vq, vk, vv = val(q), val(kt), val(v)
+    q_node, k_node, v_node = map(_node_of, (q, kt, v))
     h, nq, dh = vq.shape
-    nk, dv = vv.shape[1:]
+    nk, dv = vv.shape[1], vv.shape[2] - 1
     dtype = np.result_type(vq, vk, vv)
     out = np.empty((h, nq, dv), dtype=dtype)
     shift = np.empty((h, nq, 1), dtype=dtype)
@@ -480,16 +561,12 @@ def attention(q, k, v):
     dense, row_blocks, key_tiles = _attention_blocks(h, nq, nk)
     heads = [slice(i, i + 1) for i in range(h)]
     if dense:
-        # contiguous [h, Nk, dh] copies: a strided k makes the q kᵀ products
-        # up to twice as slow when a block holds few rows. A [h, dh, Nk]
-        # copy is faster still, but its products differ from the dense
-        # ones in the last bits.
-        kk = np.ascontiguousarray(vk)
-        vc = np.ascontiguousarray(vv)
-        kt = np.swapaxes(kk, 1, 2)
-
-        def operands(hs):
-            return kt[hs], vc[hs]
+        # contiguous [h, Nk, dh] keys and [h, Nk, dv] values: a strided k
+        # makes the q kᵀ products up to twice as slow when a block holds
+        # few rows, and kt's own [h, dh, Nk] layout gives other last bits
+        vk = np.swapaxes(np.ascontiguousarray(np.swapaxes(vk[:, :dh], 1, 2)),
+                         1, 2)
+        vv = np.ascontiguousarray(vv[..., :dv])
 
         def query_operand(hs, b):
             return vq[hs, b]
@@ -501,17 +578,7 @@ def attention(q, k, v):
     else:
         # each row's bound on its scores
         shift[...] = np.sqrt((vq * vq).sum(axis=-1, keepdims=True))
-        for i in range(h):
-            shift[i] *= np.sqrt((vk[i] * vk[i]).sum(axis=-1).max())
-
-        def operands(hs):
-            """[kᵀ ; 1] [1, dh + 1, Nk] and [v | 1] [1, Nk, dv + 1] of the
-            head hs."""
-            ka = np.ones((1, dh + 1, nk), dtype=dtype)
-            ka[:, :dh] = np.swapaxes(vk[hs], 1, 2)
-            va = np.ones((1, nk, dv + 1), dtype=dtype)
-            va[:, :, :dv] = vv[hs]
-            return ka, va
+        shift *= k_norm[:, None, None]
 
         def query_operand(hs, b):
             """[q | -shift] [1, rows, dh + 1] of the block of rows b."""
@@ -520,12 +587,12 @@ def attention(q, k, v):
             qa[..., dh:] = -shift[hs, b]
             return qa
 
-        def exp_scores(a, ka_c, hs, b):
-            s = np.matmul(a, ka_c)
+        def exp_scores(a, kt_c, hs, b):
+            s = np.matmul(a, kt_c)
             return np.exp(s, out=s)
 
     for hs in heads:
-        kt_h, v_h = operands(hs)
+        kt_h, v_h = vk[hs], vv[hs]
         for b in row_blocks:
             if dense:  # the dense softmax's probabilities, then times v
                 s = np.matmul(vq[hs, b], kt_h)
@@ -551,15 +618,14 @@ def attention(q, k, v):
                     for c in key_tiles)
             row_sum[hs, b] = p[..., dv:]
             out[hs, b] = p[..., :dv] / row_sum[hs, b]
-        del kt_h, v_h  # before the next head's copies are made
 
     def vjp(g):
         qt = np.swapaxes(vq, 1, 2)
         dq = np.zeros(vq.shape, dtype=dtype)
-        dkt = np.zeros((h, dh, nk), dtype=dtype)
-        dvv = np.zeros(vv.shape, dtype=dtype)
+        dkt = np.zeros((h, dh + 1, nk), dtype=dtype)
+        dvv = np.zeros((h, nk, dv + 1), dtype=dtype)
         for hs in heads:
-            kt_h, v_h = operands(hs)
+            kt_h, v_h = vk[hs], vv[hs]
             for b in row_blocks:
                 a = query_operand(hs, b)
                 gb = g[hs, b]
@@ -568,21 +634,20 @@ def attention(q, k, v):
                 for c in key_tiles:
                     p = exp_scores(a, kt_h[..., c], hs, b)
                     p /= row_sum[hs, b]
-                    dvv[hs, c] += np.matmul(np.swapaxes(p, 1, 2), gb)
+                    dvv[hs, c, :dv] += np.matmul(np.swapaxes(p, 1, 2), gb)
                     ds = np.matmul(gb, np.swapaxes(v_h[:, c, :dv], 1, 2))
                     ds -= (ds * p).sum(axis=-1, keepdims=True) if dense else d
                     ds *= p
                     del p
                     dq[hs, b] += np.matmul(
                         ds, np.swapaxes(kt_h[:, :dh, c], 1, 2))
-                    dkt[hs, :, c] += np.matmul(qt[hs, :, b], ds)
+                    dkt[hs, :dh, c] += np.matmul(qt[hs, :, b], ds)
                     del ds
-            del kt_h, v_h
         _accum(q_node, dq)
-        _accum(k_node, np.swapaxes(dkt, 1, 2))
+        _accum(k_node, dkt)
         _accum(v_node, dvv)
 
-    return _node(out, (q, k, v), vjp)
+    return _node(out, (q, kt, v), vjp)
 
 
 def _kernel_row_blocks(n, c):
@@ -594,13 +659,8 @@ def _kernel_row_blocks(n, c):
 
 def _filter_row_blocks(n, c):
     """Row blocks of ``dynamic_filter``'s forward, budget // (8 C²) rows
-    (at least two). numpy takes a one-row product through gemv, which sums
-    in another order than gemm: a last one-row block joins the one before."""
-    step = max(2, _BLOCK_BYTES // (8 * c * c))
-    blocks = _spans(n, step)
-    if n > 1 and n % step == 1:
-        blocks[-2:] = [slice(n - step - 1, n)]
-    return blocks
+    (at least two, `_gemm_row_blocks`)."""
+    return _gemm_row_blocks(n, max(2, _BLOCK_BYTES // (8 * c * c)))
 
 
 def dynamic_filter(x, z, w, b):
@@ -611,7 +671,11 @@ def dynamic_filter(x, z, w, b):
     x: [N, C] rows; z: [N, D] generator inputs; w: [C², D]; b: [C²].
     Returns [N, C]. Each row's kernel is used by that row only, so the
     forward generates and applies the kernels of a block of budget // (8 C²)
-    rows before it starts the next. Every row's product equals the dense
+    rows before it starts the next. A block's kernels are one product
+    [z_r | 1] @ [wᵀ ; b], whose bias row is built once per call, so no pass
+    over the block adds the bias. OpenBLAS (0.3.31) gave that product the
+    bits of z_r @ wᵀ + b for 1 to 32,400 rows and C = D of 4 to 32, under
+    one and two threads, and every row's product equals the dense
     composition's bit for bit.
 
     The vjp regenerates each block's kernels for that block's d(x). It
@@ -634,15 +698,22 @@ def dynamic_filter(x, z, w, b):
         raise ValueError(
             f"dynamic_filter: rows {vx.shape}, generator inputs "
             f"{np.shape(vz)} and weight {vw.shape} do not agree")
-    wt = vw.T
+    d = vw.shape[1]
+    dtype = np.result_type(vx, vz, vw, vb)
+    # [w | b], so that a block's kernels are the one product
+    # [z_r | 1] @ [wᵀ ; b], whose last multiply-add adds the bias
+    wb = np.empty((c * c, d + 1), dtype=dtype)
+    wb[:, :d] = vw
+    wb[:, d] = vb
     row_blocks = _filter_row_blocks(n, c)
 
     def kernels(rows):
-        k = vz[rows] @ wt
-        k += vb
-        return k.reshape(-1, c, c)
+        zb = np.empty((rows.stop - rows.start, d + 1), dtype=dtype)
+        zb[:, :d] = vz[rows]
+        zb[:, d] = 1.0
+        return (zb @ wb.T).reshape(-1, c, c)
 
-    out = np.empty((n, c), dtype=np.result_type(vx, vz, vw, vb))
+    out = np.empty((n, c), dtype=dtype)
     for r in row_blocks:
         out[r] = np.matmul(vx[r, None], kernels(r))[:, 0]
 

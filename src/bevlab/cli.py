@@ -16,7 +16,8 @@ writes non-finite floats as NaN, Infinity and -Infinity.
 Given (config, seed), every file but trace.json is byte-identical across
 reruns. It is also byte-identical under one and two OpenBLAS threads, as
 measured at DEFAULTS in every VT mode and with `standard` attention:
-attention works in tiles whose products give the same bits under either
+attention works in tiles, and projects its keys and values in blocks of
+rows, whose products give the same bits under either
 (`autodiff._TILE_BYTES`).
 
 Exit codes: 0 success, 1 verification failures, 2 invalid config or input

@@ -18,7 +18,9 @@ whose softmax attention never holds the [heads, queries, cells] scores:
 1.9 GB at the default 8 heads, 900 queries and 32,400 cells.
 `autodiff.attention` documents its tile plan, its budgets and its bits.
 The layers share the `cross_attn` weights, so `run_decoder` projects the
-BEV cells' keys and values once per forward, not once per layer.
+BEV cells' keys and values once per forward, not once per layer, in
+blocks of cells straight into the [kᵀ ; 1] and [v | 1] operands that
+every layer's attention reads in place (`autodiff.attention_keys`).
 
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.
@@ -258,9 +260,10 @@ def _heads(x, n_heads):
 
 
 def _keys_values(kv_in, attn: AttentionParams, n_heads):
-    """Keys and values of the rows of kv_in [Nk, C], [heads, Nk, dh] each."""
-    return (_heads(linear_apply(attn.w_k, kv_in), n_heads),
-            _heads(linear_apply(attn.w_v, kv_in), n_heads))
+    """Keys and values of the rows of kv_in [Nk, C] under `attn`, as the
+    operands of ``ad.attention`` (`ad.attention_keys`)."""
+    return ad.attention_keys(kv_in, attn.w_k.weight, attn.w_k.bias,
+                             attn.w_v.weight, attn.w_v.bias, n_heads)
 
 
 def _mha(q_in, kv, attn: AttentionParams, n_heads):
@@ -365,8 +368,8 @@ def run_decoder(feats, ref_points, bev_fuse, params: DecoderParams,
                 grid: BevGrid, mode="geometry_aware"):
     """Full decoder stack. Returns a list, one entry per layer, of dicts
     with encoded predictions, class logits, and decoded box state. In
-    `standard` mode the BEV cells' keys and values are projected once, for
-    all layers."""
+    `standard` mode the BEV cells' keys and values are projected once, into
+    the attention operands of all layers."""
     boxes = _initial_state(ref_points)
     cross_kv = None
     if mode == "standard":

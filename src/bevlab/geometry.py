@@ -166,11 +166,21 @@ def project_to_image(cam: CameraModel, p):
     return float(x), float(y), valid
 
 
-def project_heights(cam: CameraModel, X, Y, Z):
-    """Vectorized projection of (X[N], Y[N], Z[N]) world points.
+def camera_planes(cam: CameraModel, X, Y):
+    """Camera-frame coordinates (xc, yc, zc) of the world points (X[N],
+    Y[N], 0): the terms R[i, 0] X + R[i, 1] Y + t[i] of `project_heights`
+    that do not depend on Z, which a caller that projects the same (X, Y)
+    at several heights makes once per camera."""
+    R, t = cam.rotation, cam.translation
+    return tuple(R[i, 0] * X + R[i, 1] * Y + t[i] for i in range(3))
 
-    X and Y are plain arrays (cell centers); Z may be traced, so the pixel
-    coordinates stay differentiable in Z. A camera-frame coordinate whose
+
+def project_heights(cam: CameraModel, planes, Z):
+    """Vectorized projection of world points (X[N], Y[N], Z[N]) given by
+    their `camera_planes` and their heights Z.
+
+    The planes are plain arrays (of cell centers); Z may be traced, so the
+    pixel coordinates stay differentiable in Z. A camera-frame coordinate whose
     rotation row has no Z term (R[i, 2] == 0) cannot depend on Z, so it is
     computed from the plain Z by the same expression, with the same values.
     For a level camera, as every camera of `scene_sim.camera_ring` is, x_px
@@ -178,9 +188,9 @@ def project_heights(cam: CameraModel, X, Y, Z):
     points keeps no d/dx. Returns (x_px, y_px, valid) where valid is a
     plain bool array.
     """
-    R, t = cam.rotation, cam.translation
+    R = cam.rotation
     xc, yc, zc = (ad.add(ad.mul(val(Z) if R[i, 2] == 0.0 else Z, R[i, 2]),
-                         R[i, 0] * X + R[i, 1] * Y + t[i]) for i in range(3))
+                         planes[i]) for i in range(3))
     depth_ok = val(zc) > NEAR_PLANE
     # keep the division finite where depth is invalid; those lanes are masked
     zc_safe = ad.where_mask(depth_ok, zc, np.ones_like(val(zc)))
@@ -190,4 +200,3 @@ def project_heights(cam: CameraModel, X, Y, Z):
     vx, vy = val(x), val(y)
     valid = depth_ok & (vx >= 0) & (vx <= W - 1) & (vy >= 0) & (vy <= H - 1)
     return x, y, valid
-

@@ -38,7 +38,8 @@ from .decoder import (ATTENTION_MODES, AttentionParams, DecoderParams,
                       _corner_points_batch, _initial_state, _keys_values,
                       _mha)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
-                       project_heights, project_to_image, world_to_cell)
+                       camera_planes, project_heights, project_to_image,
+                       world_to_cell)
 from .pipeline import PipelineConfig, _query_features, init_params
 from .query_select import (GroupSpec, gaussian_target, predict_heatmaps,
                            topk_keypoints)
@@ -455,15 +456,24 @@ def check_attention_blocked(rng):
 
 
 def check_attention_grad(rng):
-    """Finite-difference check of ``ad.attention``'s vjp on the op alone: 5
-    query rows over 7 keys, with budgets under which each head spans tiles
-    of 4 rows x 3 keys (rows 4 + 1, keys 3 + 3 + 1)."""
-    q, k, v = (rng.normal(size=(2, n, 3)) for n in (5, 7, 7))
+    """Finite-difference check of ``ad.attention``'s vjp and of the
+    ``ad.attention_keys`` vjps before it, on the two ops alone: 5 query rows
+    of 2 heads over the keys and values of 7 rows, with budgets under which
+    the rows are projected in blocks of 2 + 2 + 3 and each head spans tiles
+    of 4 rows x 3 keys (rows 4 + 1, keys 3 + 3 + 1). The key bias is held
+    out: it adds the same amount to every score of a row, so its exact
+    gradient is 0."""
+    q = rng.normal(size=(2, 5, 3))
+    x = rng.normal(size=(7, 6))
+    w_k, w_v = rng.normal(0, 0.4, size=(2, 6, 6))
+    b_k, b_v = rng.normal(0, 0.1, size=(2, 6))
     w = rng.normal(size=(2, 5, 3))
     with block_bytes(8 * 7 * 2):
         _attention_tiles(2, 5, 7)
         worst = gradcheck(lambda t: ad.sum_(ad.mul(ad.attention(
-            t["q"], t["k"], t["v"]), w)), {"q": q, "k": k, "v": v})
+            t["q"], *ad.attention_keys(t["x"], t["w_k"], b_k, t["w_v"],
+                                       t["b_v"], 2)), w)),
+            {"q": q, "x": x, "w_k": w_k, "w_v": w_v, "b_v": b_v})
     return f"worst rel err {worst:.2e}"
 
 
@@ -560,7 +570,7 @@ def check_vt_equivalence(rng):
         seen_by = np.zeros((len(cams), X.size), dtype=bool)
         for z in fast.per_cell_heights.T:
             for k, (cam, pyr) in enumerate(zip(cams, pyramids)):
-                x, y, ok = project_heights(cam, X, Y, z)
+                x, y, ok = project_heights(cam, camera_planes(cam, X, Y), z)
                 seen_by[k] |= ok
                 for stride, fmap in pyr.levels:
                     _, h_j, w_j = fmap.shape

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .geometry import BevGrid, project_heights
+from .geometry import BevGrid, camera_planes, project_heights
 from .tensor import LinearMap, cells_to_chw, chw_to_cells, linear_apply
 
 
@@ -98,12 +98,14 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     to 1, flattened scale-major (index j * N_h + i). Per sampled point the
     feature is the mean over cameras with a valid sample, zero when none.
 
-    Each (height, camera) pair is projected once, keeping only the M lanes
-    that land in front of the camera and inside its image. `ad.sample_pool`
-    gathers every camera's levels at those lanes and pools them in one tape
-    node, so neither the gathered rows nor the pooling's intermediate
-    [N, C] maps stay on the tape. Backward touches only the gathered lanes
-    too.
+    Each height's column is taken once, and each camera's `camera_planes`
+    over the cells are made once, before that camera projects every
+    height: each (height, camera) pair is projected once, keeping only the
+    M lanes that land in front of the camera and inside its image.
+    `ad.sample_pool` gathers every camera's levels at those lanes and pools
+    them in one tape node, so neither the gathered rows nor the pooling's
+    intermediate [N, C] maps stay on the tape. Backward touches only the
+    gathered lanes too.
     """
     if len(pyramids) != len(cams):
         raise ValueError("one pyramid per camera required")
@@ -113,15 +115,14 @@ def _vt_engine(heights, weights, pyramids, cams, grid) -> VtOutput:
     n_cams = len(cams)
     X, Y = grid.cell_centers_flat()
 
-    lanes = []
-    for i in range(n_h):
-        z = ad.getitem(heights, (slice(None), i))
-        row = []
-        for k in range(n_cams):
-            x_px, y_px, proj_ok = project_heights(cams[k], X, Y, z)
+    zs = [ad.getitem(heights, (slice(None), i)) for i in range(n_h)]
+    lanes = [[None] * n_cams for _ in range(n_h)]
+    for k, cam in enumerate(cams):
+        planes = camera_planes(cam, X, Y)
+        for i, z in enumerate(zs):
+            x_px, y_px, proj_ok = project_heights(cam, planes, z)
             idx = np.flatnonzero(proj_ok)
-            row.append((idx, ad.getitem(x_px, idx), ad.getitem(y_px, idx)))
-        lanes.append(row)
+            lanes[i][k] = (idx, ad.getitem(x_px, idx), ad.getitem(y_px, idx))
     out, valid_total = ad.sample_pool([p.levels for p in pyramids], lanes,
                                       weights)
 

@@ -128,26 +128,48 @@ def test_softmax_grad_and_rows(rng):
     assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def _operands(k, v):
+    """``ad.attention``'s operands [kᵀ ; 1], [v | 1] and largest key norms
+    for the keys and values k, v [h, Nk, dh] of each head (Vars or arrays),
+    differentiable in both."""
+    vk = ad.val(k)
+    h, nk, _ = vk.shape
+    return (ad.concat([ad.transpose(k, (0, 2, 1)), np.ones((h, 1, nk))],
+                      axis=1),
+            ad.concat([v, np.ones((h, nk, 1))], axis=2),
+            np.sqrt((vk * vk).sum(axis=-1).max(axis=-1)))
+
+
 def test_attention_memory_is_bounded_by_its_blocks(rng):
     # the dense [2, 256, 20000] float64 scores alone would take 82 MB, and
     # past the budget a tile holds at most the tile budget (0.5 MiB); the
     # [8, 300, 300] scores of a 300-query self-attention take 5.8 MB, within
     # the budget, and a tile holds one head's 0.7 MB. Past the budget the
-    # op copies one head's k and v at a time, as [kᵀ ; 1] and [v | 1], also
-    # from the transposed views that `_mha` passes: at [8, 128, 20000],
-    # contiguous copies of all heads would add 10 MB
-    for h, nq, nk, strided in ((2, 256, 20000, False), (8, 300, 300, False),
-                               (8, 128, 20000, True)):
+    # op reads [kᵀ ; 1] and [v | 1] in place, also as `attention_keys`
+    # projects them from rows: at [8, 128, 20000], one head's copies of
+    # them would add 1.6 MB, all heads' 13 MB; within it, it makes
+    # contiguous copies of all heads' k and v
+    for h, nq, nk, rows in ((2, 256, 20000, False), (8, 300, 300, False),
+                            (8, 128, 20000, True)):
         dh = 4
         q = rng.normal(size=(h, nq, dh))
-        if strided:
-            k, v = (rng.normal(size=(nk, h * dh)).reshape(nk, h, dh)
-                    .transpose(1, 0, 2) for _ in range(2))
+        if rows:
+            x = rng.normal(size=(nk, h * dh))
+            w = [rng.normal(size=(h * dh, h * dh)) for _ in range(2)]
+            b = [rng.normal(size=h * dh) for _ in range(2)]
+
+            def operands(lift):
+                return ad.attention_keys(x, lift(w[0]), b[0], lift(w[1]), b[1],
+                                         h)
         else:
             k, v = (rng.normal(size=(h, nk, dh)) for _ in range(2))
-        copies = 2 * 8 * nk * (dh + 1)
-        io_bytes = q.nbytes + k.nbytes + v.nbytes + q.nbytes
+
+            def operands(lift):
+                return _operands(lift(k), lift(v))
+        kt, va, k_norm = operands(np.asarray)
         dense = 8 * h * nq * nk
+        copies = 2 * 8 * h * nk * dh if dense <= ad._BLOCK_BYTES else 0
+        io_bytes = q.nbytes + kt.nbytes + va.nbytes + q.nbytes
         # the vjp holds a tile of probabilities and one of their gradients,
         # and within the budget also their product while it takes its row
         # sums
@@ -155,21 +177,44 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
             tile, held = dense // h, 3
         else:
             tile, held = ad._TILE_BYTES, 2
-        _, rows, keys = ad._attention_blocks(h, nq, nk)
-        tiles = h * len(rows) * len(keys)
+        _, row_blocks, keys = ad._attention_blocks(h, nq, nk)
+        tiles = h * len(row_blocks) * len(keys)
         with tracemalloc_peak() as forward:
-            ad.attention(q, k, v)
-        qv, kv, vv = (ad.Var(x) for x in (q, k, v))
-        out = ad.attention(qv, kv, vv)
+            ad.attention(q, kt, va, k_norm)
+        qv = ad.Var(q)
+        out = ad.attention(qv, *operands(ad.Var))
         with tracemalloc_peak() as backward:
             out.node.vjp(np.ones(out.data.shape))
-        # besides a tile and one head's copies, the forward holds its
-        # output, each row's shift and sum, a block's [rows, dh + 1]
-        # products, and the plan (under 512 bytes a tile)
+        # besides a tile (and within the budget the copies), the forward
+        # holds its output, each row's shift and sum, a block's
+        # [rows, dh + 1] products, and the plan (under 512 bytes a tile);
+        # within the budget a tile is a whole head, an eighth of the scores
         assert (forward.peak < tile + copies + 4 * q.nbytes + 512 * tiles
-                < dense / 5)
+                < dense / 4)
         # the vjp builds gradients as large as the inputs
-        assert backward.peak < held * tile + copies + 2 * io_bytes < dense / 2
+        assert backward.peak < held * tile + 2 * io_bytes < dense / 2
+
+
+def test_attention_keys_hold_no_whole_projection(rng):
+    # the keys and values of the default grid's 32,400 cells: each [Nk, C]
+    # projection takes 8.3 MB, and the op holds beside its operands only a
+    # block of rows of the two and the squares of the keys (3 x 0.5 MiB)
+    n, c, h = 32400, 32, 8
+    x = rng.normal(size=(c, n)).T  # column-major rows, as `chw_to_cells`
+    w_k, w_v = rng.normal(size=(2, c, c))
+    b_k, b_v = rng.normal(size=(2, c))
+    with tracemalloc_peak() as mem:
+        kt, v, k_norm = ad.attention_keys(x, w_k, b_k, w_v, b_v, h)
+    operands = kt.nbytes + v.nbytes
+    assert mem.peak < operands + 4 * ad._TILE_BYTES < operands + 8 * n * c
+    # the projections' bits, with the ones set once
+    k = (x @ w_k.T + b_k).reshape(n, h, c // h)
+    assert np.array_equal(kt[:, :-1], k.transpose(1, 2, 0))
+    assert np.array_equal(v[..., :-1], (x @ w_v.T + b_v).reshape(
+        n, h, c // h).transpose(1, 0, 2))
+    assert (kt[:, -1] == 1).all() and (v[..., -1] == 1).all()
+    assert np.array_equal(k_norm, np.sqrt(np.max(
+        (k * k).sum(axis=-1), axis=0)))
 
 
 def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
@@ -186,7 +231,7 @@ def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
         q, k, v = (ad.Var(x) for x in base)
         qs = ad.mul(q, 0.5)
         if blocked:
-            out = ad.attention(qs, k, v)
+            out = ad.attention(qs, *_operands(k, v))
         else:
             scores = ad.matmul(qs, ad.transpose(k, (0, 2, 1)))
             out = ad.matmul(ad.softmax(scores), v)
@@ -204,7 +249,7 @@ def _attention_and_grads(base, w, dense=False):
         scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
         out = ad.matmul(ad.softmax(scores), v)
     else:
-        out = ad.attention(q, k, v)
+        out = ad.attention(q, *_operands(k, v))
     ad.sum_(ad.mul(out, w)).backward()
     return [out.data, q.grad, k.grad, v.grad]
 
@@ -329,7 +374,7 @@ def test_attention_heads_are_independent_bit_for_bit(rng, monkeypatch, rows):
 
     def run(head):
         q, k, v = (ad.Var(x[head]) for x in base)
-        out = ad.attention(q, k, v)
+        out = ad.attention(q, *_operands(k, v))
         ad.sum_(ad.mul(out, w[head])).backward()
         return [out.data, q.grad, k.grad, v.grad]
 
@@ -343,31 +388,56 @@ _THREADS_CHILD = """
 import sys
 import numpy as np
 from bevlab import autodiff as ad
+from bevlab.decoder import run_decoder
+from bevlab.geometry import BevGrid
+from bevlab.verify import _tiny_decoder_params
 
 rng = np.random.default_rng(11)
 arrays = {}
 for nq, nk in ((900, 900), (300, 5000)):
-    q = rng.normal(size=(8, nq, 4)) * 0.5
-    k, v = (rng.normal(size=(nk, 32)).reshape(nk, 8, 4).transpose(1, 0, 2)
-            for _ in range(2))
-    qv, kv, vv = ad.Var(q), ad.Var(k), ad.Var(v)
-    out = ad.attention(qv, kv, vv)
+    q = ad.Var(rng.normal(size=(8, nq, 4)) * 0.5)
+    x = ad.Var(rng.normal(size=(32, nk)).T)
+    w_k, w_v = (rng.normal(size=(32, 32)) * 0.2 for _ in range(2))
+    out = ad.attention(q, *ad.attention_keys(x, w_k, np.zeros(32), w_v,
+                                             rng.normal(size=32), 8))
     ad.sum_(ad.mul(out, rng.normal(size=out.data.shape))).backward()
-    for name, x in (("out", out.data), ("dq", qv.grad), ("dk", kv.grad),
-                    ("dv", vv.grad)):
-        arrays[f"{name}_{nq}x{nk}"] = x
+    for name, a in (("out", out.data), ("dq", q.grad), ("dx", x.grad)):
+        arrays[f"{name}_{nq}x{nk}"] = a
+
+# a `standard` decoder over a 72 x 72 map: its keys projected in row blocks
+# of 2,048 cells (2,048 + 2,048 + 1,088), its cross-attention past the
+# budget
+grid = BevGrid((-36.0, 36.0), (-36.0, 36.0), (-3.0, 3.0), (72, 72))
+params = _tiny_decoder_params(rng, C=32, n_layers=2, n_heads=8)
+bev = ad.Var(rng.normal(size=(32, 72, 72)))
+layers = run_decoder(rng.normal(size=(100, 32)), rng.uniform(0, 72, (100, 2)),
+                     bev, params, grid, mode="standard")
+loss = ad.sum_(ad.mul(layers[-1]["enc"], 0.2))
+for i, layer in enumerate(layers):
+    arrays[f"enc_{i}"] = layer["enc"].data
+    arrays[f"cls_{i}"] = layer["cls"].data
+    loss = ad.add(loss, ad.sum_(ad.mul(layer["cls"], 0.1)))
+loss.backward()
+arrays["d_bev"] = bev.grad
 np.savez(sys.argv[1], **arrays)
 """
 
 
 def test_attention_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the default 900-query self-attention and a cross-attention over 20
-    # key tiles, both past the budget, with the strided k and v that `_mha`
-    # passes: outputs and gradients are equal bit for bit under one and
-    # two OpenBLAS threads (whole-row value products, whose inner dimension
-    # is every key, differed in most outputs)
-    assert 8 * 8 * 300 * 5000 > ad._BLOCK_BYTES
+    # key tiles, both past the budget, over keys and values that
+    # `attention_keys` projects from column-major rows, as `_mha` passes
+    # the BEV cells; and a `standard` decoder whose cross-attention is past
+    # the budget, its keys projected in blocks of 2,048 x 32 @ 32 x 32,
+    # large enough for OpenBLAS to split: outputs and the gradients of the
+    # queries and the rows are equal bit for bit under one and two
+    # OpenBLAS threads (whole-row value products, whose inner dimension is
+    # every key, differed in most outputs; so does a weight's gradient
+    # xᵀ G, summed over every row, as in `linear_apply`)
+    assert 8 * 8 * 300 * 5000 > ad._BLOCK_BYTES < 8 * 8 * 100 * 72 * 72
     assert len(ad._attention_blocks(8, 300, 5000)[2]) == 20
+    assert ad._gemm_row_blocks(72 * 72, ad._TILE_BYTES // (8 * 32)) == [
+        slice(0, 2048), slice(2048, 4096), slice(4096, 5184)]
     src = str(pathlib.Path(ad.__file__).resolve().parents[1])
     results = []
     for threads in ("1", "2"):
@@ -380,7 +450,7 @@ def test_attention_does_not_depend_on_the_blas_thread_count(tmp_path):
         with np.load(path) as z:
             results.append({name: z[name] for name in z.files})
     one, two = results
-    assert sorted(one) == sorted(two) and len(one) == 8
+    assert sorted(one) == sorted(two) and len(one) == 6 + 2 * 2 + 1
     for name in one:
         assert np.array_equal(one[name], two[name]), name
 

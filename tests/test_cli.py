@@ -1,5 +1,7 @@
 """CLI contracts: exit codes, file formats, determinism, verify gating."""
 
+import contextlib
+import hashlib
 import itertools
 import json
 import math
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bevlab
-from bevlab import bfk, decoder
+from bevlab import autodiff as ad
+from bevlab import bfk, decoder, verify
 from bevlab.autodiff import val
 from bevlab.cli import (DEFAULTS, _make_scenes, build_configs, load_config,
                         main)
@@ -439,6 +442,40 @@ class TestRun:
                 if name != "trace.json":
                     assert (out / name).read_bytes() == (
                         outs[0] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("budget, digest", [
+        (None,
+         "9745d7638c32600c8ce7e9e315b1447e6d937ebb0ba22f01eb1ecac7fef824a6"),
+        (8 * 16,
+         "084069c21dfa013ad0877f2e63595665dcd48d163907ef4b70e2cc297c9b27fb")],
+        ids=["within-the-budgets", "past-the-budgets"])
+    def test_standard_mode_keeps_its_bits(self, monkeypatch, tmp_path,
+                                          budget, digest):
+        # detections.json of the tiny config in `standard` mode, as recorded
+        # when every layer projected the BEV cells' keys and values itself:
+        # its cross-attention within the budgets (the dense softmax) and,
+        # with every blocked op under budgets of 16 scores, in tiles. Each
+        # forward builds the cells' attention operands once, for all layers
+        # (and each self-attention its own)
+        cells = TINY["grid"]["cells"][0] * TINY["grid"]["cells"][1]
+        built = []
+        original = ad.attention_keys
+
+        def counting(x, *args):
+            built.append(np.shape(val(x))[0])
+            return original(x, *args)
+
+        monkeypatch.setattr(ad, "attention_keys", counting)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY, model={
+            **TINY["model"], "attention_mode": "standard"})))
+        with (verify.block_bytes(budget) if budget
+              else contextlib.nullcontext()):
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert built.count(cells) == 1
+        assert len(built) == 1 + TINY["model"]["n_layers"]
+        assert hashlib.sha256((tmp_path / "o" / "detections.json")
+                              .read_bytes()).hexdigest() == digest
 
     def test_trace_holds_each_scenes_stage_times(self, tmp_path):
         path = tmp_path / "c.json"

@@ -354,20 +354,27 @@ class TestDecoderLayer:
 
     def test_standard_projects_the_cells_once(self, rng, monkeypatch):
         # the layers share `cross_attn`, so one forward projects the BEV
-        # cells' keys and values once, not once per layer
+        # cells' keys and values once, not once per layer (into attention's
+        # operands), and each layer its queries and its output
         params = tiny_params(rng, scale=0.4, n_layers=6)
         applied = []
+        keys = ad.attention_keys
 
         def counting(m, x):
-            applied.append(m)
+            applied.append(m.weight)
             return linear_apply(m, x)
 
+        def counting_keys(x, w_k, b_k, w_v, b_v, n_heads):
+            applied.extend((w_k, w_v))
+            return keys(x, w_k, b_k, w_v, b_v, n_heads)
+
         monkeypatch.setattr(decoder, "linear_apply", counting)
+        monkeypatch.setattr(ad, "attention_keys", counting_keys)
         run_decoder(rng.normal(size=(3, 2)), rng.uniform(4, 28, size=(3, 2)),
                     rng.normal(size=(2, 32, 32)), params, GRID,
                     mode="standard")
         cross = params.cross_attn
-        assert [sum(m is w for m in applied)
+        assert [sum(m is w.weight for m in applied)
                 for w in (cross.w_q, cross.w_k, cross.w_v, cross.w_o)] == [
                     6, 1, 1, 6]
 

@@ -5,7 +5,8 @@ import pytest
 
 from bevlab import autodiff as ad
 from bevlab.geometry import (BevGrid, CameraModel, FeaturePyramid,
-                             project_heights, project_to_image, world_to_cell)
+                             camera_planes, project_heights, project_to_image,
+                             world_to_cell)
 from bevlab.scene_sim import camera_ring
 from bevlab.verify import cell_to_world, gradcheck, pitch_camera
 
@@ -125,7 +126,7 @@ class TestCameraModel:
         X = rng.uniform(-3, 3, size=40)
         Y = rng.uniform(-3, 3, size=40)
         Z = rng.uniform(-3, 30, size=40)
-        xs, ys, ok = project_heights(cam, X, Y, Z)
+        xs, ys, ok = project_heights(cam, camera_planes(cam, X, Y), Z)
         for i in range(40):
             x1, y1, ok1 = project_to_image(cam, (X[i], Y[i], Z[i]))
             assert ok[i] == ok1
@@ -138,8 +139,9 @@ class TestCameraModel:
         cam = camera_ring(6, (64, 64), 70.0, 1.8)[1]
         X, Y = rng.uniform(-6, 6, size=(2, 200))
         Z = rng.uniform(-3, 3, size=200)
-        x, y, ok = project_heights(cam, X, Y, ad.Var(Z))
-        x0, y0, ok0 = project_heights(cam, X, Y, Z)
+        planes = camera_planes(cam, X, Y)
+        x, y, ok = project_heights(cam, planes, ad.Var(Z))
+        x0, y0, ok0 = project_heights(cam, planes, Z)
         assert not isinstance(x, ad.Var) and isinstance(y, ad.Var)
         assert ok.any() and np.array_equal(ok, ok0)
         assert np.array_equal(x, x0) and np.array_equal(y.data, y0)
@@ -148,15 +150,16 @@ class TestCameraModel:
         cam = pitch_camera(camera_ring(6, (64, 64), 70.0, 1.8)[1], 5.0)
         X, Y = rng.uniform(-6, 6, size=(2, 200))
         Z = rng.uniform(-3, 3, size=200)
-        _, _, ok = project_heights(cam, X, Y, Z)
+        _, _, ok = project_heights(cam, camera_planes(cam, X, Y), Z)
         assert ok.sum() > 20
-        X, Y, Z = X[ok], Y[ok], Z[ok]
-        x, y, _ = project_heights(cam, X, Y, ad.Var(Z))
+        Z = Z[ok]
+        planes = camera_planes(cam, X[ok], Y[ok])
+        x, y, _ = project_heights(cam, planes, ad.Var(Z))
         assert isinstance(x, ad.Var) and isinstance(y, ad.Var)
         wx, wy = rng.normal(size=(2, Z.size))
 
         def loss(t):
-            x, y, _ = project_heights(cam, X, Y, t["Z"])
+            x, y, _ = project_heights(cam, planes, t["Z"])
             return ad.add(ad.sum_(ad.mul(x, wx)), ad.sum_(ad.mul(y, wy)))
 
         gradcheck(loss, {"Z": Z})

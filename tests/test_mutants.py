@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
-from bevlab import decoder, verify
+from bevlab import decoder, verify, view_transform
 
 _attention_blocks = ad._attention_blocks
 _bilinear = ad._bilinear
@@ -117,6 +117,20 @@ MUTANTS = {
             ad.attention, "if not shift[hs, b].max() <= _SHIFT_LIMIT:",
             "if False:"),
         verify.check_attention_blocked, "max deviation nan"),
+    # `attention_keys` builds the operands that every attention call reads
+    # (zeroing the ones row of [kᵀ ; 1] instead is an equivalent mutant:
+    # the scores lose their shift, and softmax does not change under one)
+    "attention-keys-v-ones-column-of-twos": (
+        ad, "attention_keys", mutated(
+            ad.attention_keys,
+            "v = np.ones((n_heads, n, dv + 1), dtype=dtype)",
+            "v = np.full((n_heads, n, dv + 1), 2.0, dtype=dtype)"),
+        verify.check_attention_blocked, "max deviation"),
+    "attention-keys-skip-last-row-block": (
+        ad, "attention_keys", mutated(
+            ad.attention_keys, "for r in _gemm_row_blocks(n, step):",
+            "for r in _gemm_row_blocks(n, step)[:-1]:"),
+        verify.check_attention_blocked, "max deviation"),
     "attention-vjp-of-minus-g": (
         ad, "attention", vjp_of_minus_g(ad.attention),
         verify.check_attention_grad, "gradient rel err"),
@@ -128,6 +142,11 @@ MUTANTS = {
         verify.check_attention_grad, "gradient rel err"),
     "vt-pool-drops-last-camera": (
         ad, "sample_pool", pool_without_last_camera,
+        verify.check_vt_equivalence, "max deviation"),
+    "vt-projects-with-previous-cameras-planes": (
+        view_transform, "_vt_engine", mutated(
+            view_transform._vt_engine, "planes = camera_planes(cam, X, Y)",
+            "planes = camera_planes(cams[k - 1], X, Y)"),
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-at-wrong-stride": (
         ad, "_bilinear", gather_at_half_coordinates,
@@ -160,6 +179,10 @@ MUTANTS = {
                                       "kernels(r).swapaxes(-1, -2)",
                                       "kernels(r)"),
         verify.check_adaptive_projection_grad, "gradient rel err"),
+    "dynamic-filter-drops-the-bias-row": (
+        ad, "dynamic_filter", mutated(ad.dynamic_filter, "wb[:, d] = vb",
+                                      "wb[:, d] = 0.0"),
+        verify.check_adaptive_project_blocked, "max deviation"),
     "dynamic-filter-vjp-negates-d-w": (
         ad, "dynamic_filter", mutated(ad.dynamic_filter,
                                       "dw[cols] = dkb.T @ vz",

@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -432,6 +436,23 @@ class TestFit:
         assert digest.hexdigest() == (
             "706f833110e62d8a61859b9d213d647cc972e0237a8a79dd80e4d2a613003d9b")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fit_keeps_its_bits_under_each_blas_thread_count(self,
+                                                             threads):
+        # the fit of `test_fit_keeps_its_bits`, with its totals and digest,
+        # in a process with one or two OpenBLAS threads: fits that run side
+        # by side, one thread each, give the curves of a fit alone
+        tests = pathlib.Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(tests.parent / "src"), str(tests),
+                        os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_pipeline; "
+             "test_pipeline.TestFit().test_fit_keeps_its_bits()"],
+            env=env, timeout=300, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+
     def test_fit_equals_the_fit_with_all_heads_in_one_block(self,
                                                             monkeypatch):
         # attention runs head by head, and within its budget that changes
@@ -444,10 +465,12 @@ class TestFit:
                                steps=3, lr=0.3)]
         heads = []
 
-        def dense_attention(q, k, v):
+        def dense_attention(q, kt, v, k_norm):
+            # the keys and values without their ones
             heads.append(ad.val(q).shape[0])
             return ad.matmul(ad.softmax(ad.matmul(
-                q, ad.transpose(k, (0, 2, 1)))), v)
+                q, ad.getitem(kt, (slice(None), slice(-1))))),
+                ad.getitem(v, (slice(None), slice(None), slice(-1))))
 
         monkeypatch.setattr(ad, "attention", dense_attention)
         runs.append(fit_generators(cfg, init_params(cfg, seed=5), scenes,

@@ -19,7 +19,8 @@ from bevlab.verify import (bilinear_sample, cell_to_world,
                            random_vt_instance, zero_linear)
 from bevlab.view_transform import (VtParams, adaptive_project, adaptive_sample,
                                    fuse_bev, vanilla_vt_output)
-from bevlab.geometry import project_heights, project_to_image
+from bevlab.geometry import (camera_planes, project_heights,
+                             project_to_image)
 from helpers import tracemalloc_peak
 
 
@@ -98,7 +99,8 @@ class TestCompaction:
         out = adaptive_sample(params, lidar, pyramids, cams, grid)
 
         X, Y = grid.cell_centers_flat()
-        in_view = sum(int(project_heights(cam, X, Y, z)[2].sum())
+        in_view = sum(int(project_heights(cam, camera_planes(cam, X, Y),
+                                          z)[2].sum())
                       for z in out.per_cell_heights.T
                       for cam in cams)
         assert sum(lookups) == params.n_scales * in_view

@@ -5,9 +5,10 @@ selection -> decoder according to the configured ablation modes. `forward`
 runs it on plain parameters; the fit runs the same graph on traced ones.
 Fitting is plain gradient descent on the sum of a Gaussian-focal heatmap
 loss, an L1 box loss on greedily matched predictions of every decoder
-layer, and an auxiliary L1 height-supervision term (a harness-only
-substitute for full detection training: without it the height generators
-cannot be trained in desk time).
+layer, and, in the modes that sample at generated heights, an auxiliary L1
+height-supervision term (a harness-only substitute for full detection
+training: without it the height generators cannot be trained in desk
+time).
 """
 
 from __future__ import annotations
@@ -344,13 +345,14 @@ def _height_loss(config: PipelineConfig, params: PipelineParams, consts):
 
 def _scene_losses(config: PipelineConfig, params: PipelineParams, consts):
     """The loss terms of one scene, on the graph `_build` makes: "height"
-    (`_height_loss`; absent when no cell is occupied), "heatmap" (Gaussian
-    focal loss of the graph's heatmaps, in every query-init mode) and "box"
-    (the L1 loss of each decoder layer's greedily matched boxes, averaged
-    over the layers; absent in a scene without boxes)."""
+    (`_height_loss`; only where the graph samples at generated heights,
+    `asap` and `as_only`, and absent when no cell is occupied), "heatmap"
+    (Gaussian focal loss of the graph's heatmaps, in every query-init mode)
+    and "box" (the L1 loss of each decoder layer's greedily matched boxes,
+    averaged over the layers; absent in a scene without boxes)."""
     scene = consts["scene"]
     losses = {}
-    if len(consts["occ_idx"]):
+    if consts["vanilla"] is None and len(consts["occ_idx"]):
         losses["height"] = _height_loss(config, params, consts)
 
     graph = _build(config, params, consts)

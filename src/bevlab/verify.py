@@ -395,7 +395,8 @@ def gradcheck(build_loss, arrays):
 @contextlib.contextmanager
 def block_bytes(n):
     """Set the block budget of the row-blocked ops (``ad.attention``,
-    ``ad.dynamic_filter``) and the tile budget of ``ad.attention`` to n
+    ``ad.dynamic_filter``) and the tile budget of ``ad.attention`` and of
+    the row blocks of ``ad.attention_keys`` and ``ad.concat_linear`` to n
     bytes, so that small problems span several blocks of rows and several
     tiles of keys."""
     keep = ad._BLOCK_BYTES, ad._TILE_BYTES
@@ -659,8 +660,8 @@ def check_adaptive_projection_grad(rng):
         fused = fuse_bev(t["params"], cam_bev, t["lidar"])
         return ad.sum_(ad.mul(fused, 0.2))
 
-    # the 64 cells in blocks of 10 (6 x 10 + 4), d(K) one kernel row at a
-    # time
+    # the 64 cells in blocks of 10 (6 x 10 + 4) for the projection and of
+    # 20 (3 x 20 + 4) for the fusion, d(K) one kernel row at a time
     with block_bytes(8 * 4 * 4 * 10):
         worst = gradcheck(loss, {"params": params, "bev_as": bev_as,
                                  "lidar": lidar})

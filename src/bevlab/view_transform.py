@@ -4,8 +4,8 @@ Two sampling pipelines share one engine: the adaptive path predicts per-cell
 sampling heights and pooling weights from the LiDAR BEV features, the vanilla
 baseline projects the same cell-independent heights everywhere and pools
 uniformly. Adaptive projection then refines the sampled map with per-cell
-channel kernels, and fusion concatenates the camera and LiDAR maps through a
-per-cell linear map.
+channel kernels, and fusion maps each cell's camera and LiDAR channels, side
+by side, through one per-cell linear map, a block of cells at a time.
 
 Sampling gathers image features only where they exist: each (height, camera)
 pair is projected once over every cell, but bilinear lookups, and their
@@ -183,10 +183,14 @@ def adaptive_project(params: VtParams, bev_as, lidar_bev):
 
 
 def fuse_bev(params: VtParams, bev_camera, bev_lidar):
-    """Fuse camera and LiDAR BEV maps: per-cell linear map on the channel
-    concatenation."""
+    """Fuse camera and LiDAR BEV maps: the per-cell linear map `params.fuse`
+    of each cell's camera and LiDAR channels side by side, applied by
+    ``ad.concat_linear`` a block of cells at a time, so the [H*W, 2C]
+    concatenation never exists at once."""
     if np.shape(val(bev_camera)) != np.shape(val(bev_lidar)):
         raise ValueError("camera and lidar BEV shapes must agree")
     C, H, W = np.shape(val(bev_camera))
-    both = ad.concat([chw_to_cells(bev_camera), chw_to_cells(bev_lidar)], axis=1)
-    return cells_to_chw(linear_apply(params.fuse, both), H, W)
+    fused = ad.concat_linear([chw_to_cells(bev_camera),
+                              chw_to_cells(bev_lidar)],
+                             params.fuse.weight, params.fuse.bias)
+    return cells_to_chw(fused, H, W)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from bevlab import autodiff as ad
-from bevlab.verify import gradcheck
+from bevlab.tensor import LinearMap, linear_apply
+from bevlab.verify import block_bytes, gradcheck
+from bevlab.view_transform import VtParams, fuse_bev
 from helpers import tracemalloc_peak
 
 
@@ -486,6 +488,65 @@ def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
     with tracemalloc_peak() as backward:
         out.node.vjp(g)
     assert backward.peak < ad._BLOCK_BYTES + x.nbytes < dense / 20
+
+
+def _concat_linear_and_grads(base, w, b, g, fused):
+    """Output and the gradients of both parts, the weight and the bias of
+    sum(yᵀ * g) for y = [p_1 | p_2] wᵀ + b, by ``ad.concat_linear`` or by
+    ``ad.concat`` and `linear_apply`. Backward reaches y through a
+    transpose, as `tensor.cells_to_chw` does in `fuse_bev`."""
+    leaves = [ad.Var(x) for x in (*base, w, b)]
+    p1, p2, wv, bv = leaves
+    if fused:
+        y = ad.concat_linear([p1, p2], wv, bv)
+    else:
+        y = linear_apply(LinearMap(wv, bv), ad.concat([p1, p2], axis=1))
+    ad.sum_(ad.mul(ad.transpose(y, (1, 0)), g)).backward()
+    return [y.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("n, blocks", [(14, [4, 4, 4, 2]), (13, [4, 4, 5])],
+                         ids=["ragged-last-block", "one-row-tail-joined"])
+def test_concat_linear_is_concat_then_linear_bit_for_bit(rng, n, blocks):
+    # parts of 3 and 5 columns: 64 bytes a row, so a 256-byte budget makes
+    # blocks of 4 rows; the parts are column-major, as `chw_to_cells` makes
+    # them
+    base = [rng.normal(size=(d, n)).T for d in (3, 5)]
+    w, b = rng.normal(size=(6, 8)), rng.normal(size=6)
+    g = rng.normal(size=(6, n))
+    with block_bytes(256):
+        assert [r.stop - r.start for r in ad._gemm_row_blocks(n, 4)] == blocks
+        fused = _concat_linear_and_grads(base, w, b, g, fused=True)
+        plain = ad.concat_linear(base, w, b)
+    composed = _concat_linear_and_grads(base, w, b, g, fused=False)
+    assert isinstance(plain, np.ndarray)
+    assert np.array_equal(plain, composed[0])
+    for name, a, c in zip(("y", "p1", "p2", "w", "b"), fused, composed):
+        assert np.array_equal(a, c), name
+
+
+def test_concat_linear_rejects_mismatched_shapes(rng):
+    parts = [rng.normal(size=(4, 3)), rng.normal(size=(5, 2))]
+    with pytest.raises(ValueError, match="do not agree"):
+        ad.concat_linear(parts, rng.normal(size=(2, 5)), np.zeros(2))
+    with pytest.raises(ValueError, match="do not agree"):
+        ad.concat_linear(parts[:1], rng.normal(size=(2, 5)), np.zeros(2))
+
+
+def test_fuse_bev_holds_no_whole_concatenation(rng):
+    # fusion at the default grid: the [32400, 64] concatenation of the
+    # camera and LiDAR cells takes 16.6 MB, the product and its bias sum
+    # 8.3 MB each; the op holds beside its output one block of the
+    # concatenation (the budget's 0.5 MiB)
+    n, c = 32400, 32
+    params = VtParams(*(LinearMap(np.zeros((o, c)), np.zeros(o))
+                        for o in (1, 1, c * c)),
+                      fuse=LinearMap(rng.normal(size=(c, 2 * c)),
+                                     rng.normal(size=c)))
+    camera, lidar = rng.normal(size=(2, c, 180, 180))
+    with tracemalloc_peak() as mem:
+        fused = fuse_bev(params, camera, lidar)
+    assert mem.peak < fused.nbytes + 2 * ad._TILE_BYTES < 8 * n * 2 * c
 
 
 def test_layer_norm_grad(rng):

@@ -274,6 +274,12 @@ MUTANTS = {
     "gather-rows-transposed": (
         ad, "_cell_rows", mutated(ad._cell_rows, "(1, 2, 0)", "(2, 1, 0)"),
         verify.check_bilinear_gather, "max deviation"),
+    # fusion runs in 20-row blocks there: a bias that reaches only the
+    # first block of cells
+    "fusion-bias-in-first-row-block-only": (
+        ad, "concat_linear", mutated(ad.concat_linear, "out[r] += vb",
+                                     "out[r] += vb * (r.start == 0)"),
+        verify.check_adaptive_projection_grad, "gradient rel err"),
     "dynamic-filter-skips-last-row-block": (
         ad, "dynamic_filter", mutated(
             ad.dynamic_filter, "for r in row_blocks:\n        out[r]",

@@ -1,6 +1,7 @@
 """Full forward wiring, ablation mode matrix, and the fitting routine."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -17,10 +18,12 @@ from bevlab import autodiff as ad
 from bevlab import cli
 from bevlab.geometry import BevGrid
 from bevlab.autodiff import val
+from bevlab.decoder import ATTENTION_MODES
 from bevlab.pipeline import (QUERY_INIT_MODES, VT_MODES, DetectionOutput,
                              PipelineConfig, _build, _height_loss,
-                             _scene_constants, _scene_inputs, fit_generators,
-                             forward, greedy_match, init_params)
+                             _scene_constants, _scene_inputs, _scene_losses,
+                             fit_generators, forward, greedy_match,
+                             init_params)
 from bevlab.query_select import GroupSpec
 from bevlab.scene_sim import SceneConfig, make_scene, rasterize_lidar_bev
 from bevlab.verify import cell_to_world, zero_linear
@@ -494,17 +497,22 @@ class TestFit:
     def test_every_mode_fits_all_three_terms(self, vt_mode, query_init):
         # seed 3 puts a box in a camera's view, so the camera branch is live;
         # `learnable` queries select without heatmaps, yet the heatmap loss
-        # still trains the scorer
+        # still trains the scorer. The height term trains `height_gen` only
+        # in the modes that sample at generated heights: `vanilla` and
+        # `ap_only` read no generated height, so they have no such term
         cfg = tiny_config(vt_mode=vt_mode, query_init=query_init)
         params = init_params(cfg, seed=1)
         res = fit_generators(cfg, params, [tiny_scene(seed=3)], steps=2,
                              lr=0.05)
+        generated = vt_mode in ("asap", "as_only")
         for entry in res.curve:
-            for key in ("height", "heatmap", "box"):
+            for key in ("heatmap", "box"):
                 assert np.isfinite(entry[key]) and entry[key] > 0
-        for old, new in ((params.vt.height_gen, res.params.vt.height_gen),
-                         (params.head, res.params.head)):
-            assert not np.array_equal(old.weight, new.weight)
+            assert np.isfinite(entry["height"])
+            assert (entry["height"] > 0) == generated
+        assert not np.array_equal(params.head.weight, res.params.head.weight)
+        assert np.array_equal(params.vt.height_gen.weight,
+                              res.params.vt.height_gen.weight) != generated
 
     @pytest.mark.parametrize("mode", ["vanilla", "ap_only"])
     def test_vanilla_sampling_built_once_per_scene(self, mode, monkeypatch):
@@ -522,6 +530,88 @@ class TestFit:
         monkeypatch.setattr(pl, "vanilla_vt_output", counting)
         fit_generators(cfg, init_params(cfg, seed=9), scenes, steps=3, lr=0.1)
         assert len(calls) == len(scenes)
+
+
+def leaf_names(obj, path=""):
+    """The dotted path of each array leaf of a parameter tree, in
+    `ad.lift_tree`'s order."""
+    if isinstance(obj, np.ndarray):
+        return [path]
+    if dataclasses.is_dataclass(obj):
+        return [name for f in dataclasses.fields(obj)
+                for name in leaf_names(getattr(obj, f.name),
+                                       f"{path}.{f.name}".lstrip("."))]
+    if isinstance(obj, (list, tuple)):
+        return [name for i, x in enumerate(obj)
+                for name in leaf_names(x, f"{path}.{i}")]
+    return []
+
+
+# the one-axis modes: the default, then each other mode of one axis
+ONE_AXIS_MODES = [{}] + [
+    {axis: mode} for axis, modes in (("vt_mode", VT_MODES),
+                                     ("query_init", QUERY_INIT_MODES),
+                                     ("attention_mode", ATTENTION_MODES))
+    for mode in modes[1:]]
+
+# leaves that reach a forward output but get no gradient from any loss: the
+# class logits' head, which no loss term reads, and the `learnable` mode's
+# reference points, which its queries take by value
+KNOWN_UNTRAINED = {"decoder.cls_head.weight", "decoder.cls_head.bias",
+                   "learnable_points"}
+
+
+class TestWhatEachModeTrains:
+    @staticmethod
+    def forward_outputs(cfg, params, inputs):
+        """Every array `forward` returns for a scene: the final boxes and
+        scores, the VT output's fields, and the camera map, the fused map
+        and the heatmaps."""
+        graph = _build(cfg, params, inputs)
+        final, diag = graph["layers"][-1], graph["diag"]
+        arrays = [*final["boxes"].values(), ad.sigmoid(val(final["cls"]))]
+        arrays += [getattr(diag, f.name) for f in dataclasses.fields(diag)]
+        arrays += [graph[key] for key in ("bev_camera", "bev_fuse",
+                                          "heatmaps")]
+        return [val(a) for a in arrays]
+
+    @pytest.mark.parametrize("mode", ONE_AXIS_MODES,
+                             ids=lambda m: "-".join(m.values()) or "default")
+    def test_the_losses_train_what_the_forward_reads(self, mode):
+        # read: the leaves whose perturbation changes an output of the
+        # forward; trained: the leaves that one backward of the losses
+        # gives a nonzero gradient. Seed 3 puts a box in a camera's view,
+        # so the camera branch is live. A key bias adds the same amount to
+        # every score of a row, which softmax undoes but for rounding: it
+        # moves an output by <= 1.5e-15 and gets gradients <= 1e-18, where
+        # every other leaf a mode reads moves one by >= 2e-5 and gets
+        # >= 7e-7. So a change counts past 1e-9 and a gradient past 1e-12
+        cfg = tiny_config(**mode)
+        params = init_params(cfg, seed=1)
+        consts = _scene_constants(cfg, tiny_scene(seed=3))
+        lifted, leaves = ad.lift_tree(params)
+        names = leaf_names(params)
+        assert len(names) == len(leaves) == len(set(names))
+
+        base = self.forward_outputs(cfg, params, consts)
+        rng = np.random.default_rng(0)
+        read = set()
+        for name, leaf in zip(names, leaves):
+            kept = leaf.data
+            leaf.data = kept + rng.normal(0.0, 0.1, kept.shape)
+            outputs = self.forward_outputs(cfg, ad.unlift_tree(lifted),
+                                           consts)
+            leaf.data = kept
+            if max(np.max(np.abs(a - b), initial=0.0)
+                   for a, b in zip(outputs, base)) > 1e-9:
+                read.add(name)
+
+        losses = _scene_losses(cfg, lifted, consts)
+        functools.reduce(ad.add, losses.values()).backward()
+        trained = {name for name, leaf in zip(names, leaves)
+                   if leaf.grad is not None
+                   and np.max(np.abs(leaf.grad)) > 1e-12}
+        assert read ^ trained == KNOWN_UNTRAINED & read
 
 
 class TestParamChecks:

@@ -15,10 +15,11 @@ writes non-finite floats as NaN, Infinity and -Infinity.
 
 Given (config, seed), every file but trace.json is byte-identical across
 reruns. It is also byte-identical under one and two OpenBLAS threads, as
-measured at DEFAULTS in every VT mode and with `standard` attention:
+measured at DEFAULTS in every VT mode and every attention mode:
 attention works in tiles, and projects its keys and values in blocks of
 rows, whose products give the same bits under either
-(`autodiff._TILE_BYTES`).
+(`autodiff._TILE_BYTES`), and so do the products of the decoder's query
+blocks, such as [450, 32] @ [32, 1,024] (`decoder._query_blocks`).
 
 Exit codes: 0 success, 1 verification failures, 2 invalid config or input
 file, 3 runtime failure.

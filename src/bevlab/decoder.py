@@ -22,6 +22,25 @@ BEV cells' keys and values once per forward, not once per layer, in
 blocks of cells straight into the [kᵀ ; 1] and [v | 1] operands that
 every layer's attention reads in place (`autodiff.attention_keys`).
 
+The sampling modes run each layer's per-query branch (sample the map at
+the queries' points, then mix the samples or pool them) over equal blocks
+of queries, `_query_blocks`: ceil(Nq / cap) blocks whose sizes differ by
+at most one, cap being `ad._BLOCK_BYTES` over one query's generated
+kernels and samples (585 queries at the defaults). So a 300-query fit
+runs one block, and the default 900 queries run two blocks of 450, whose
+forward holds one block's [C, C] channel kernels at a time, not all 900
+queries' (7.4 MB, made twice: the product, then its bias added). A query's
+branch reads only its own row, but OpenBLAS may take a block's products
+through another kernel than the whole batch's, so the bits hold only
+down to a floor, measured at the defaults (scene 1003): equal blocks of
+45 to 450 of the 900 queries kept every byte of `detections.json`, blocks
+of 2 to 36 did not, and neither did blocks of 64 or 128, whose 4-query
+tail moved last bits. One block is the whole batch's graph node for
+node; past one, a traced layer joins the blocks with ``ad.concat``, and
+the map's and the weights' gradients become sums over blocks, equal to
+the whole batch's up to rounding. Self-attention, the sampling points,
+the FFN and the heads run on all queries at once.
+
 Box estimates feeding the geometry of the next layer are detached; gradients
 reach the regression head through per-layer supervision.
 """
@@ -218,6 +237,12 @@ def _position_aware_mix_batch(feats, sampled, points, params: DecoderParams,
     vjp). Of the mixing's per-query arrays the tape then keeps G, the two
     layer norms' outputs and the relus' masks, and every value and
     gradient keeps its bits.
+
+    `decoder_layer` calls it on one block of queries at a time
+    (`_query_blocks`), so an untraced forward holds one block's kernels,
+    not all queries'. Each query's kernels mix only its own samples, so
+    equal blocks that are not too small keep the whole batch's bits (the
+    module docstring gives the floor measured).
     """
     vf = val(feats)
     nq = np.shape(vf)[0]
@@ -324,6 +349,39 @@ def _initial_state(ref_points):
 # decoder stack
 
 
+def _query_bytes(params: DecoderParams):
+    """Bytes of one query's generated kernels w_c and w_s and its samples:
+    14 KiB at the default C = 32 and N_p = 16."""
+    C, n_p = params.channels, params.n_points
+    return 8 * (C * C + n_p * n_p + n_p * C)
+
+
+def _query_blocks(nq, params: DecoderParams):
+    """Block plan of a layer's per-query branch for nq queries: slices of
+    queries in ceil(nq / cap) blocks whose sizes differ by at most one,
+    where cap is `ad._BLOCK_BYTES` over `_query_bytes` (585 queries at the
+    defaults). No block is one query when nq > 1: numpy takes a one-row
+    product through gemv, which sums in another order."""
+    cap = max(1, ad._BLOCK_BYTES // _query_bytes(params))
+    n = max(1, min(-(-nq // cap), nq // 2))
+    return [slice(i * nq // n, (i + 1) * nq // n) for i in range(n)]
+
+
+def _sample_and_mix(feats, points, bev_fuse, params: DecoderParams,
+                    grid: BevGrid, mode):
+    """The per-query branch of a sampling mode, with its residual: sample
+    bev_fuse at the queries' points [Nq, N_p, 2], then mix the samples
+    (`geometry_aware`) or pool them with predicted weights (the deformable
+    baselines). Returns the new query features [Nq, C]."""
+    sampled = corner_sample(bev_fuse, points)
+    if mode == "geometry_aware":
+        return _position_aware_mix_batch(feats, sampled, points, params, grid)
+    w = ad.softmax(linear_apply(params.point_weight_gen, feats))
+    nq, n_p = np.shape(val(w))
+    agg = ad.sum_(ad.mul(sampled, ad.reshape(w, (nq, n_p, 1))), axis=1)
+    return ad.add(feats, linear_apply(params.deform_out_proj, agg))
+
+
 def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
                   layer_idx, grid: BevGrid, mode="geometry_aware",
                   cross_kv=None):
@@ -347,14 +405,13 @@ def decoder_layer(feats, ref_points, boxes, bev_fuse, params: DecoderParams,
                                    params.n_heads))
     else:
         points = _corner_points_batch(feats, boxes, params, grid, mode=mode)
-        sampled = corner_sample(bev_fuse, points)
-        if mode == "geometry_aware":
-            feats = _position_aware_mix_batch(feats, sampled, points, params, grid)
+        blocks = _query_blocks(np.shape(val(feats))[0], params)
+        if len(blocks) == 1:
+            feats = _sample_and_mix(feats, points, bev_fuse, params, grid, mode)
         else:
-            w = ad.softmax(linear_apply(params.point_weight_gen, feats))
-            nq, n_p = np.shape(val(w))
-            agg = ad.sum_(ad.mul(sampled, ad.reshape(w, (nq, n_p, 1))), axis=1)
-            feats = ad.add(feats, linear_apply(params.deform_out_proj, agg))
+            feats = ad.concat([_sample_and_mix(
+                ad.getitem(feats, b), ad.getitem(points, b), bev_fuse, params,
+                grid, mode) for b in blocks])
 
     hidden = ad.relu(linear_apply(params.ffn1, feats))
     feats = ad.add(feats, linear_apply(params.ffn2, hidden))

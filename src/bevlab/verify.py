@@ -36,7 +36,7 @@ from .autodiff import val
 from .decoder import (ATTENTION_MODES, AttentionParams, DecoderParams,
                       decoder_layer, gaussian_focal_loss, l1_encoded,
                       _corner_points_batch, _initial_state, _keys_values,
-                      _mha)
+                      _mha, _query_blocks, _query_bytes)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
                        camera_planes, project_heights, project_to_image,
                        world_to_cell)
@@ -395,10 +395,14 @@ def gradcheck(build_loss, arrays):
 @contextlib.contextmanager
 def block_bytes(n):
     """Set the block budget of the row-blocked ops (``ad.attention``,
-    ``ad.dynamic_filter``) and the tile budget of ``ad.attention`` and of
-    the row blocks of ``ad.attention_keys`` and ``ad.concat_linear`` to n
-    bytes, so that small problems span several blocks of rows and several
-    tiles of keys."""
+    ``ad.dynamic_filter``, and the query blocks in which
+    ``decoder.decoder_layer`` samples and mixes) and the tile budget of
+    ``ad.attention`` and of the row blocks of ``ad.attention_keys`` and
+    ``ad.concat_linear`` to n bytes, so that small problems span several
+    blocks of rows and several tiles of keys. A decoder layer's outputs
+    then keep their bits, as long as its attention stays on the same side
+    of the budget, for tiny layers (as the tests run) and for query blocks
+    above the floor that the `decoder` module docstring gives."""
     keep = ad._BLOCK_BYTES, ad._TILE_BYTES
     ad._BLOCK_BYTES = ad._TILE_BYTES = n
     try:
@@ -499,9 +503,11 @@ def check_adaptive_project_blocked(rng):
 
 
 def check_decoder_layer(rng):
-    """Layer 0 of the geometry-aware decoder (one query, one head, C = 2)
-    against a step-by-step plain-numpy recomputation of every sub-block."""
-    C, n_p = 2, 4
+    """Layer 0 of the geometry-aware decoder (6 queries, one head, C = 2),
+    sampling and mixing its queries in three blocks of two, against a
+    step-by-step plain-numpy recomputation of every sub-block, query by
+    query."""
+    C, n_p, nq = 2, 4, 6
     grid = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
 
     def apply(m, x):
@@ -516,29 +522,31 @@ def check_decoder_layer(rng):
     for _ in range(4):
         params = _tiny_decoder_params(rng, C=C, n_p=n_p, n_heads=1,
                                       n_classes=2)
-        ref = rng.uniform(4, 28, size=(1, 2))
-        f, bev = rng.normal(size=C), rng.normal(size=(C, 32, 32))
-        out = decoder_layer(f[None], ref, _initial_state(ref), bev, params, 0,
-                            grid)[:3]
-        # self-attention over a single query is its value path
-        attn = params.self_attn[0]
-        f = f + apply(attn.w_o, apply(attn.w_v, f))
-        # layer 0 samples at the center + raw offsets, plus the position
-        # embedding of the normalized points
-        pts = apply(params.offset_gen, f).reshape(n_p, 2) + ref[0]
-        G = np.stack([bilinear_sample(bev, tuple(p))[0] + apply(
-            params.pos_embed_proj, sinusoidal_encode(p / 32.0, params.pe_dim))
-            for p in pts])
-        G_c = ln_relu(G @ apply(params.channel_mix_gen, f).reshape(C, C))
-        G_cs = ln_relu(G_c.T @ apply(params.spatial_mix_gen, f).reshape(n_p, n_p))
-        f = f + apply(params.out_proj, G_cs.T.ravel())
-        f = f + apply(params.ffn2, np.maximum(apply(params.ffn1, f), 0.0))
-        for fast, slow in zip(out, (f, apply(params.reg_head, f),
-                                    apply(params.cls_head, f))):
-            dev = float(np.max(np.abs(val(fast)[0] - slow)))
-            assert dev < 1e-12, f"max deviation {dev:.3e}"
-            worst = max(worst, dev)
-    return f"max deviation {worst:.2e} over 4 layers"
+        ref = rng.uniform(4, 28, size=(nq, 2))
+        feats, bev = rng.normal(size=(nq, C)), rng.normal(size=(C, 32, 32))
+        with block_bytes(2 * _query_bytes(params)):
+            assert len(_query_blocks(nq, params)) == 3
+            out = decoder_layer(feats, ref, _initial_state(ref), bev, params,
+                                0, grid)[:3]
+        attended = feats + naive_mha(feats, feats, params.self_attn[0], 1)
+        for q, f in enumerate(attended):
+            # layer 0 samples at the center + raw offsets, plus the
+            # position embedding of the normalized points
+            pts = apply(params.offset_gen, f).reshape(n_p, 2) + ref[q]
+            G = np.stack([bilinear_sample(bev, tuple(p))[0] + apply(
+                params.pos_embed_proj,
+                sinusoidal_encode(p / 32.0, params.pe_dim)) for p in pts])
+            G_c = ln_relu(G @ apply(params.channel_mix_gen, f).reshape(C, C))
+            G_cs = ln_relu(G_c.T @ apply(params.spatial_mix_gen,
+                                         f).reshape(n_p, n_p))
+            f = f + apply(params.out_proj, G_cs.T.ravel())
+            f = f + apply(params.ffn2, np.maximum(apply(params.ffn1, f), 0.0))
+            for fast, slow in zip(out, (f, apply(params.reg_head, f),
+                                        apply(params.cls_head, f))):
+                dev = float(np.max(np.abs(val(fast)[q] - slow)))
+                assert dev < 1e-12, f"max deviation {dev:.3e}"
+                worst = max(worst, dev)
+    return f"max deviation {worst:.2e} over 4 layers of {nq} queries"
 
 
 def check_vt_equivalence(rng):
@@ -682,8 +690,10 @@ def check_decoder_layer_grad(rng):
     `standard` runs under budgets of 16 scores, so that its attention
     takes the tiled path of large inputs: self-attention in rows 4 + 1 and
     keys 4 + 1, cross-attention (over the cells' `_keys_values`) in rows
-    4 + 1 and 16 tiles of keys. The other modes keep the default budgets,
-    and so the within-budget branch that the fit runs."""
+    4 + 1 and 16 tiles of keys. The sampling modes run under a budget of
+    two queries' kernels and samples, so that they sample and mix the
+    queries in blocks of 2 + 3, while self-attention stays within it, the
+    branch that the fit runs."""
     params = _tiny_decoder_params(rng)
     feats = rng.normal(size=(5, 4))
     bev = rng.normal(size=(4, 8, 8))
@@ -707,8 +717,10 @@ def check_decoder_layer_grad(rng):
                 t["feats"], ref, boxes, t["bev"], p, 0, GRAD_GRID, mode=mode,
                 cross_kv=kv))
 
-        with (block_bytes(8 * 16) if mode == "standard"
-              else contextlib.nullcontext()):
+        with block_bytes(8 * 16 if mode == "standard"
+                         else 2 * _query_bytes(params)):
+            if mode != "standard":
+                assert len(_query_blocks(5, params)) == 2
             worst = max(worst, gradcheck(loss, dict(
                 params=params, feats=feats, bev=bev, **sizes)))
     return f"worst rel err {worst:.2e} over {len(ATTENTION_MODES)} modes"

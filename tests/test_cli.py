@@ -477,6 +477,34 @@ class TestRun:
         assert hashlib.sha256((tmp_path / "o" / "detections.json")
                               .read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("queries_per_block, n_blocks", [
+        (None, 1), (9, 2), (6, 3)])
+    def test_query_blocks_keep_the_bits(self, monkeypatch, tiny_config,
+                                        tmp_path, queries_per_block,
+                                        n_blocks):
+        # detections.json of the tiny config, as recorded when every layer
+        # sampled and mixed its 18 queries at once. Budgets of 9 and 6
+        # queries' kernels and samples (896 bytes each at C = 8, N_p = 4)
+        # split them into equal blocks, and keep the 2-head
+        # self-attention's 5,184 bytes of scores within the budget
+        calls = []
+        original = decoder.corner_sample
+
+        def counting(bev, points):
+            calls.append(np.shape(val(points))[0])
+            return original(bev, points)
+
+        monkeypatch.setattr(decoder, "corner_sample", counting)
+        with (verify.block_bytes(896 * queries_per_block)
+              if queries_per_block else contextlib.nullcontext()):
+            assert main(["run", tiny_config, "--out",
+                         str(tmp_path / "o")]) == 0
+        n_layers = TINY["model"]["n_layers"]
+        assert calls == [18 // n_blocks] * (n_blocks * n_layers)
+        assert hashlib.sha256((tmp_path / "o" / "detections.json")
+                              .read_bytes()).hexdigest() == (
+            "1e1813f675efac5a722b407ebc689df9ff1f98fd3b151711113a407c55a499a6")
+
     def test_trace_holds_each_scenes_stage_times(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(TINY, scene={**TINY["scene"],

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bevlab import autodiff as ad, decoder
+from bevlab import autodiff as ad, decoder, verify
 from bevlab.autodiff import val
 from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
                             decoder_layer, encode_box, gaussian_focal_loss,
@@ -393,6 +393,98 @@ class TestDecoderLayer:
             decoder_layer(np.zeros((1, 2)), np.zeros((1, 2)),
                           _initial_state(np.zeros((1, 2))),
                           np.zeros((2, 4, 4)), params, layer_idx, GRID)
+
+
+SAMPLING_MODES = ("geometry_aware", "deformable_center",
+                  "deformable_scaled_rotated")
+
+
+def sized_layer_inputs(rng, nq, C):
+    """Features, reference points, a 32 x 32 map and boxes of nonzero size
+    and heading for one layer over nq queries of C channels."""
+    ref = rng.uniform(4, 28, size=(nq, 2))
+    boxes = dict(_initial_state(ref), l=rng.uniform(1, 3, nq),
+                 w=rng.uniform(0.5, 1.5, nq), yaw=rng.uniform(-2, 2, nq))
+    return (rng.normal(size=(nq, C)), ref, boxes,
+            rng.normal(size=(C, 32, 32)))
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("nq, cap, sizes", [
+        (900, 585, [450, 450]), (300, 585, [300]), (7, 3, [2, 2, 3]),
+        (1, 1, [1]), (3, 1, [3]), (5, 1, [2, 3]), (10, 4, [3, 3, 4])])
+    def test_equal_blocks_of_at_least_two(self, monkeypatch, nq, cap, sizes):
+        # DEFAULTS' 900 queries are two blocks of 450 and a fit's 300 one;
+        # a budget below two queries still gives blocks of two or more
+        params = tiny_params(C=32, n_p=16)
+        assert decoder._query_bytes(params) == 14 * 1024
+        monkeypatch.setattr(ad, "_BLOCK_BYTES",
+                            decoder._query_bytes(params) * cap + 1)
+        blocks = decoder._query_blocks(nq, params)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == nq
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    def test_every_plan_keeps_the_bits(self, rng, mode):
+        # 7 queries in 1, 2 and 3 blocks (7; 3 + 4; 2 + 2 + 3). Each
+        # budget keeps the 2-head self-attention's 784 bytes of scores
+        # within it, so only the per-query branch changes its plan
+        nq, C = 7, 8
+        params = tiny_params(rng, C=C, n_heads=2, scale=0.4)
+        feats, ref, boxes, bev = sized_layer_inputs(rng, nq, C)
+        outs = []
+        for cap, n_blocks in ((7, 1), (4, 2), (3, 3)):
+            with verify.block_bytes(decoder._query_bytes(params) * cap):
+                assert len(decoder._query_blocks(nq, params)) == n_blocks
+                outs.append(decoder_layer(feats, ref, boxes, bev, params, 0,
+                                          GRID, mode=mode)[:3])
+        for out in outs[1:]:
+            for got, want in zip(out, outs[0]):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    def test_block_gradients_sum_to_the_whole(self, rng, mode):
+        # past one block the map's and the weights' gradients are sums of
+        # block gradients, which may differ from the whole in last bits.
+        # The key bias is left out: it shifts every score of a row alike,
+        # so its exact gradient is 0 and both plans give rounding noise
+        nq, C = 7, 8
+        params = tiny_params(rng, C=C, n_heads=2, scale=0.4)
+        feats, ref, boxes, bev = sized_layer_inputs(rng, nq, C)
+        grads = []
+        for cap in (7, 3):
+            tree, leaves = ad.lift_tree(params)
+            f, b = ad.Var(feats), ad.Var(bev)
+            with verify.block_bytes(decoder._query_bytes(params) * cap):
+                verify._readout_loss(decoder_layer(
+                    f, ref, boxes, b, tree, 0, GRID, mode=mode)).backward()
+            grads.append([f.grad, b.grad] + [
+                leaf.grad for leaf in leaves
+                if leaf is not tree.self_attn[0].w_k.bias])
+        for got, want in zip(*grads):
+            if want is None:
+                assert got is None
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(
+                    np.abs(want))
+
+    def test_untraced_memory_is_bounded_by_a_block(self, rng, monkeypatch):
+        # 600 queries in 3 blocks of 200 at the default C = 32, N_p = 16:
+        # the whole [600, 1024] channel kernels take 4.9 MB, twice over
+        # (the product, then the bias added). A block's arrays are made
+        # twice over too, so the peak is about two blocks' kernels and
+        # samples, plus the features and points of every query
+        nq, C, n_p = 600, 32, 16
+        params = tiny_params(rng, C=C, n_p=n_p, n_heads=2, scale=0.4)
+        feats, ref, boxes, bev = sized_layer_inputs(rng, nq, C)
+        block = decoder._query_bytes(params) * nq // 3
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", block)
+        assert len(decoder._query_blocks(nq, params)) == 3
+        whole = 8 * nq * (2 * C + 2 * n_p)
+        with tracemalloc_peak() as mem:
+            decoder_layer(feats, ref, boxes, bev, params, 0, GRID)
+        assert mem.peak < 2 * block + whole < 2 * 8 * nq * C * C
 
 
 class TestLosses:

@@ -15,6 +15,7 @@ from bevlab import decoder, verify, view_transform
 _attention_blocks = ad._attention_blocks
 _bilinear = ad._bilinear
 _kernel_row_blocks = ad._kernel_row_blocks
+_query_blocks = decoder._query_blocks
 _sample_pool = ad.sample_pool
 _adaptive_sample = verify.adaptive_sample
 _decoder_layer = verify.decoder_layer
@@ -77,6 +78,10 @@ def pool_without_d_weights(levels, lanes, weights):
 
 def kernel_rows_without_last_block(n, c):
     return _kernel_row_blocks(n, c)[:-1]
+
+
+def query_blocks_without_the_last(nq, params):
+    return _query_blocks(nq, params)[:-1]
 
 
 def with_nan_lane(a):
@@ -256,6 +261,16 @@ MUTANTS = {
             decoder._position_aware_mix_batch, "g_cs = relu_t(y_s)",
             "g_cs = relu_t(y_c)"),
         verify.check_decoder_layer_grad, "gradient rel err"),
+    # the oracle's layer samples and mixes its queries in three blocks of
+    # two: a dropped block leaves the layer fewer rows than its references
+    "query-blocks-drop-the-last": (
+        decoder, "_query_blocks", query_blocks_without_the_last,
+        verify.check_decoder_layer, (ValueError, "broadcast")),
+    "query-block-samples-at-the-previous-blocks-points": (
+        verify, "decoder_layer", mutated(
+            decoder.decoder_layer, "ad.getitem(points, b)",
+            "ad.getitem(points, blocks[blocks.index(b) - 1])"),
+        verify.check_decoder_layer, "max deviation"),
     "layer-norm-eps-1e-4": (
         ad, "LAYER_NORM_EPS", 1e-4, verify.check_decoder_layer,
         "max deviation"),

@@ -40,7 +40,7 @@ __all__ = [
     "getitem", "where_mask", "softmax", "concat_linear", "attention_keys",
     "attention", "dynamic_filter",
     "layer_norm", "bilinear_gather", "sample_pool",
-    "lift_tree", "unlift_tree", "sgd_step",
+    "map_tree", "tree_leaves", "lift_tree", "unlift_tree", "sgd_step",
 ]
 
 
@@ -1015,37 +1015,45 @@ def sample_pool(levels, lanes, weights):
 # parameter-tree utilities for the fitting routine
 
 
-def lift_tree(obj, out=None):
+def map_tree(fn, obj, path=""):
+    """Rebuild a tree of dataclasses, lists and tuples, visiting fields and
+    items in order, with each other node x replaced by fn(path, x). x's
+    path extends the root's by ".field" per field and "[i]" per item."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return type(obj)(**{
+            f.name: map_tree(fn, getattr(obj, f.name),
+                             f"{path}.{f.name}" if path else f.name)
+            for f in dataclasses.fields(obj)})
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map_tree(fn, x, f"{path}[{i}]")
+                         for i, x in enumerate(obj))
+    return fn(path, obj)
+
+
+def tree_leaves(obj, path=""):
+    """[(path, x)] for the nodes `map_tree` passes to fn, in its order."""
+    leaves = []
+
+    def visit(p, x):
+        leaves.append((p, x))
+        return x
+
+    map_tree(visit, obj, path)
+    return leaves
+
+
+def lift_tree(obj):
     """Deep-copy a parameter tree, replacing every ndarray leaf by a
     trainable Var. Returns (lifted, ordered list of Vars)."""
-    if out is None:
-        out = []
-        lifted = lift_tree(obj, out)
-        return lifted, out
-    if isinstance(obj, np.ndarray):
-        v = Var(obj.copy())
-        out.append(v)
-        return v
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        kw = {f.name: lift_tree(getattr(obj, f.name), out)
-              for f in dataclasses.fields(obj)}
-        return type(obj)(**kw)
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(lift_tree(x, out) for x in obj)
-    return obj
+    lifted = map_tree(
+        lambda _, x: Var(x.copy()) if isinstance(x, np.ndarray) else x, obj)
+    return lifted, [x for _, x in tree_leaves(lifted) if isinstance(x, Var)]
 
 
 def unlift_tree(obj):
     """Inverse of lift_tree: Var leaves back to plain ndarrays."""
-    if isinstance(obj, Var):
-        return obj.data.copy()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        kw = {f.name: unlift_tree(getattr(obj, f.name))
-              for f in dataclasses.fields(obj)}
-        return type(obj)(**kw)
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(unlift_tree(x) for x in obj)
-    return obj
+    return map_tree(
+        lambda _, x: x.data.copy() if isinstance(x, Var) else x, obj)
 
 
 def sgd_step(params, lr):

@@ -137,7 +137,8 @@ def validate_config(doc):
 
 def build_configs(cfg):
     """PipelineConfig and SceneConfig from a validated config document;
-    the configs themselves check the modes and the model's shape."""
+    the configs check the modes and the model's shape, and this the values
+    that span both: strides against image size, classes against groups."""
     g = cfg["grid"]
     m = cfg["model"]
     s = cfg["scene"]
@@ -154,12 +155,16 @@ def build_configs(cfg):
         scene_cfg = SceneConfig(
             grid=grid, channels=m["channels"], n_boxes=s["n_boxes"],
             noise_std=s["noise_std"], image_size=tuple(s["image_size"]),
-            strides=tuple(s["strides"]), n_cameras=s["n_cameras"],
-            cam_height=s["cam_height"], fov_deg=s["fov_deg"],
+            n_cameras=s["n_cameras"], cam_height=s["cam_height"],
+            fov_deg=s["fov_deg"],
             classes=tuple(s["classes"]) if s["classes"] is not None else
             SceneConfig.__dataclass_fields__["classes"].default,
             fixed_dims=(tuple(s["fixed_dims"]) if s["fixed_dims"] is not None
                         else None))
+        size, strides = scene_cfg.image_size, pipeline.strides
+        if any(n % st for n in size for st in strides):
+            raise ValueError(f"image size {size} is not divisible by every "
+                             f"stride of {strides}")
         if max(scene_cfg.classes) >= groups.n_classes:
             raise ValueError(
                 f"scene class {max(scene_cfg.classes)} has no query group: "

@@ -128,6 +128,33 @@ class DecoderParams:
         return self.pos_embed_proj.in_dim
 
 
+def decoder_params(linear, channels, n_points, n_layers, n_heads, n_classes,
+                   pe_dim):
+    """DecoderParams of these sizes, each map made by linear(out_dim,
+    in_dim): called in field order, each attention's maps in the order
+    w_q, w_k, w_v, w_o, so a seeded `linear` fixes every draw."""
+    C, n_p = channels, n_points
+
+    def attention():
+        return AttentionParams(*(linear(C, C) for _ in range(4)))
+
+    return DecoderParams(
+        n_heads=n_heads,
+        offset_gen=linear(2 * n_p, C),
+        point_weight_gen=linear(n_p, C),
+        deform_out_proj=linear(C, C),
+        pos_embed_proj=linear(C, pe_dim),
+        channel_mix_gen=linear(C * C, C),
+        spatial_mix_gen=linear(n_p * n_p, C),
+        out_proj=linear(C, n_p * C),
+        self_attn=tuple(attention() for _ in range(n_layers)),
+        cross_attn=attention(),
+        ffn1=linear(2 * C, C),
+        ffn2=linear(C, 2 * C),
+        reg_head=linear(ENC_DIM, C),
+        cls_head=linear(n_classes, C))
+
+
 def encode_box(center_cells, z, dims, yaw, ref_point):
     """Encode a ground-truth box against a reference point: the regression
     target vector (center delta in cells, z, log-dims, sin/cos heading)."""

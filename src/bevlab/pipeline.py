@@ -23,9 +23,9 @@ import numpy as np
 from . import autodiff as ad
 from . import decoder
 from .autodiff import val
-from .decoder import (AttentionParams, DecoderParams, encode_box, run_decoder,
+from .decoder import (DecoderParams, encode_box, run_decoder,
                       gaussian_focal_loss, l1_encoded, ATTENTION_MODES)
-from .geometry import BevGrid, world_to_cell
+from .geometry import BevGrid, is_int, world_to_cell
 from .query_select import (GroupSpec, predict_heatmaps, topk_keypoints,
                            gaussian_target)
 from .scene_sim import rasterize_lidar_bev, render_camera_features
@@ -39,7 +39,8 @@ QUERY_INIT_MODES = ("mixed_groupwise", "mixed_instancewise", "learnable", "heatm
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Model shape and ablation modes of one pipeline. The decoder's
+    """Model shape and ablation modes of one pipeline. Each stride makes a
+    camera pyramid level, so it must divide the image size. The decoder's
     sinusoidal position encoding has `pe_dim` = max(4, channels rounded up
     to a multiple of 4) entries: a sin/cos pair per frequency and axis."""
 
@@ -71,6 +72,11 @@ class PipelineConfig:
             raise ValueError("n_layers must be at least 1")
         if self.n_heights < 1:
             raise ValueError("n_heights must be at least 1")
+        if not (self.strides and all(is_int(s) and s >= 1
+                                     for s in self.strides)):
+            raise ValueError("need at least one stride, each an integer >= 1")
+        if any(a >= b for a, b in zip(self.strides, self.strides[1:])):
+            raise ValueError("strides must be strictly increasing")
         # top-k keypoints: every group picks its queries among the grid cells
         n_cells = self.grid.height * self.grid.width
         if (self.query_init != "learnable"
@@ -84,10 +90,6 @@ class PipelineConfig:
             raise ValueError(
                 f"grid cells must be square, got {self.grid.cell_size_x:g} m "
                 f"x {self.grid.cell_size_y:g} m")
-
-    @property
-    def n_scales(self):
-        return len(self.strides)
 
     @property
     def pe_dim(self):
@@ -118,8 +120,7 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
     """Seeded parameter initialization."""
     rng = np.random.default_rng(seed)
     C = config.channels
-    n_h, n_s = config.n_heights, config.n_scales
-    n_p = config.n_points
+    n_h, n_s = config.n_heights, len(config.strides)
     k = config.groups.n_classes
 
     vt = VtParams(
@@ -135,24 +136,9 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
     pts = np.stack([rng.uniform(0, config.grid.width - 1, size=n_q),
                     rng.uniform(0, config.grid.height - 1, size=n_q)], axis=1)
 
-    def attention():  # w_q, w_k, w_v, w_o, drawn in that order
-        return AttentionParams(*(_init_linear(rng, C, C) for _ in range(4)))
-
-    dec = DecoderParams(
-        n_heads=config.n_heads,
-        offset_gen=_init_linear(rng, 2 * n_p, C),
-        point_weight_gen=_init_linear(rng, n_p, C),
-        deform_out_proj=_init_linear(rng, C, C),
-        pos_embed_proj=_init_linear(rng, C, config.pe_dim),
-        channel_mix_gen=_init_linear(rng, C * C, C),
-        spatial_mix_gen=_init_linear(rng, n_p * n_p, C),
-        out_proj=_init_linear(rng, C, n_p * C),
-        self_attn=tuple(attention() for _ in range(config.n_layers)),
-        cross_attn=attention(),
-        ffn1=_init_linear(rng, 2 * C, C),
-        ffn2=_init_linear(rng, C, 2 * C),
-        reg_head=_init_linear(rng, 8, C),
-        cls_head=_init_linear(rng, k, C))
+    dec = decoder.decoder_params(
+        functools.partial(_init_linear, rng), C, config.n_points,
+        config.n_layers, config.n_heads, k, config.pe_dim)
     return PipelineParams(vt=vt, head=head,
                           group_embeds=group_table,
                           instance_embeds=inst_table,

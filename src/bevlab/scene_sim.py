@@ -63,7 +63,6 @@ class SceneConfig:
     n_boxes: int = 5
     noise_std: float = 0.0
     image_size: tuple = (128, 128)
-    strides: tuple = (4, 8)
     n_cameras: int = 6
     cam_height: float = 1.8
     fov_deg: float = 70.0
@@ -81,11 +80,6 @@ class SceneConfig:
             raise ValueError("cam_height must be finite")
         if self.n_cameras < 1:
             raise ValueError("n_cameras must be >= 1")
-        if not (self.strides and all(is_int(s) and s >= 1
-                                     for s in self.strides)):
-            raise ValueError("need at least one stride, each an integer >= 1")
-        if any(a >= b for a, b in zip(self.strides, self.strides[1:])):
-            raise ValueError("strides must be strictly increasing")
         if not 0 < self.fov_deg < 180:
             raise ValueError("fov_deg must lie in (0, 180)")
         if not (len(self.image_size) == 2
@@ -101,9 +95,6 @@ class SceneConfig:
         if not (tan_half > 0 and math.isfinite(
                 self.image_size[0] / 2 / tan_half * reach / NEAR_PLANE)):
             raise ValueError("fov_deg and cam_height overflow the projection")
-        if any(n % s for n in self.image_size for s in self.strides):
-            raise ValueError(f"image size {self.image_size} is not divisible "
-                             f"by every stride of {self.strides}")
         if not (self.classes and all(
                 is_int(c) and 0 <= c < len(CLASS_NAMES)
                 for c in self.classes)):
@@ -265,16 +256,18 @@ def render_camera_features(scene: SceneSpec, grid: BevGrid, strides):
     pyramids = []
     for ci, cam in enumerate(scene.cameras):
         W_px, H_px = cam.image_size
+        splats = []  # each visible box's projected center, for every level
+        for box, sig in zip(scene.boxes, scene.signatures):
+            x, y, ok = project_to_image(cam, box.center)
+            if ok:
+                splats.append((sig, x, y))
         levels = []
         for si, s in enumerate(strides):
             if W_px % s or H_px % s:
                 raise ValueError(f"image size {cam.image_size} not divisible by stride {s}")
             Wf, Hf = W_px // s, H_px // s
             fmap = np.zeros((C, Hf, Wf))
-            for box, sig in zip(scene.boxes, scene.signatures):
-                x, y, ok = project_to_image(cam, box.center)
-                if not ok:
-                    continue
+            for sig, x, y in splats:
                 xf, yf = x / s, y / s
                 sigma = 2.0 / s
                 r = max(1, int(math.ceil(4.0 * sigma)))

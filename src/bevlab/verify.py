@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .decoder import (ATTENTION_MODES, AttentionParams, DecoderParams,
-                      decoder_layer, gaussian_focal_loss, l1_encoded,
+from .decoder import (ATTENTION_MODES, AttentionParams, decoder_layer,
+                      decoder_params, gaussian_focal_loss, l1_encoded,
                       _corner_points_batch, _initial_state, _keys_values,
                       _mha, _query_blocks, _query_bytes)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
@@ -96,6 +97,14 @@ def sinusoidal_encode(p, dim):
         block[1::2] = np.cos(phase)
         out[axis * (dim // 2):(axis + 1) * (dim // 2)] = block
     return out
+
+
+def layer_norm_relu(rows):
+    """The decoder mixing's normalization: layer norm over the last axis
+    (epsilon 1e-5, no affine), then ReLU."""
+    mu = rows.mean(axis=-1, keepdims=True)
+    var = ((rows - mu) ** 2).mean(axis=-1, keepdims=True)
+    return np.maximum((rows - mu) / np.sqrt(var + 1e-5), 0.0)
 
 
 def cell_to_world(grid: BevGrid, u: int, v: int):
@@ -311,22 +320,8 @@ def pitch_camera(cam: CameraModel, deg):
 
 
 def _tiny_decoder_params(rng, C=4, n_p=4, n_layers=1, n_heads=2, n_classes=3):
-    return DecoderParams(
-        n_heads=n_heads,
-        offset_gen=_rand_linear(rng, 2 * n_p, C),
-        point_weight_gen=_rand_linear(rng, n_p, C),
-        deform_out_proj=_rand_linear(rng, C, C),
-        pos_embed_proj=_rand_linear(rng, C, 4),
-        channel_mix_gen=_rand_linear(rng, C * C, C),
-        spatial_mix_gen=_rand_linear(rng, n_p * n_p, C),
-        out_proj=_rand_linear(rng, C, n_p * C),
-        self_attn=tuple(AttentionParams(*(_rand_linear(rng, C, C) for _ in range(4)))
-                        for _ in range(n_layers)),
-        cross_attn=AttentionParams(*(_rand_linear(rng, C, C) for _ in range(4))),
-        ffn1=_rand_linear(rng, 2 * C, C),
-        ffn2=_rand_linear(rng, C, 2 * C),
-        reg_head=_rand_linear(rng, 8, C),
-        cls_head=_rand_linear(rng, n_classes, C))
+    return decoder_params(functools.partial(_rand_linear, rng), C, n_p,
+                          n_layers, n_heads, n_classes, pe_dim=4)
 
 
 def _readout_loss(layer_out):
@@ -362,19 +357,11 @@ def gradcheck(build_loss, arrays):
         assert not isinstance(a, np.ndarray) or lifted[name].grad is not None, \
             f"no gradient reached {name}"
 
-    def leaves(obj, path):
-        if isinstance(obj, ad.Var):
-            yield path, obj
-        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            for f in dataclasses.fields(obj):
-                yield from leaves(getattr(obj, f.name), f"{path}.{f.name}")
-        elif isinstance(obj, (list, tuple)):
-            for i, x in enumerate(obj):
-                yield from leaves(x, f"{path}[{i}]")
-
+    leaves = [(path, x) for name, obj in lifted.items()
+              for path, x in ad.tree_leaves(obj, name)
+              if isinstance(x, ad.Var)]
     worst = 0.0
-    for path, leaf in (pair for name, obj in lifted.items()
-                       for pair in leaves(obj, name)):
+    for path, leaf in leaves:
         def f(x, leaf=leaf, keep=leaf.data):
             leaf.data = x
             loss_x = float(val(build_loss(lifted)))
@@ -513,11 +500,6 @@ def check_decoder_layer(rng):
     def apply(m, x):
         return val(m.weight) @ x + val(m.bias)
 
-    def ln_relu(rows):  # the decoder's layer norm (eps 1e-5, no affine), ReLU
-        mu = rows.mean(axis=1, keepdims=True)
-        var = ((rows - mu) ** 2).mean(axis=1, keepdims=True)
-        return np.maximum((rows - mu) / np.sqrt(var + 1e-5), 0.0)
-
     worst = 0.0
     for _ in range(4):
         params = _tiny_decoder_params(rng, C=C, n_p=n_p, n_heads=1,
@@ -536,9 +518,10 @@ def check_decoder_layer(rng):
             G = np.stack([bilinear_sample(bev, tuple(p))[0] + apply(
                 params.pos_embed_proj,
                 sinusoidal_encode(p / 32.0, params.pe_dim)) for p in pts])
-            G_c = ln_relu(G @ apply(params.channel_mix_gen, f).reshape(C, C))
-            G_cs = ln_relu(G_c.T @ apply(params.spatial_mix_gen,
-                                         f).reshape(n_p, n_p))
+            G_c = layer_norm_relu(
+                G @ apply(params.channel_mix_gen, f).reshape(C, C))
+            G_cs = layer_norm_relu(
+                G_c.T @ apply(params.spatial_mix_gen, f).reshape(n_p, n_p))
             f = f + apply(params.out_proj, G_cs.T.ravel())
             f = f + apply(params.ffn2, np.maximum(apply(params.ffn1, f), 0.0))
             for fast, slow in zip(out, (f, apply(params.reg_head, f),
@@ -622,8 +605,8 @@ def check_gaussian_target(rng):
     grid = BevGrid((-8.0, 8.0), (-8.0, 8.0), (-3.0, 3.0), (16, 16))
     # two classes for four boxes: same-class overlaps take the max
     scene = make_scene(SceneConfig(grid=grid, channels=4, n_boxes=4,
-                                   image_size=(32, 32), strides=(4,),
-                                   n_cameras=2, classes=(0, 1),
+                                   image_size=(32, 32), n_cameras=2,
+                                   classes=(0, 1),
                                    fixed_dims=(3.0, 1.5, 1.5)),
                        seed=int(rng.integers(1000)))
     fast = gaussian_target(scene.boxes, grid, 10)

@@ -305,6 +305,7 @@ class TestRun:
         pytest.param("scene", {"n_boxes": -1}, id="scene-update22"),
         pytest.param("scene", {"strides": [8, 4]}, id="scene-update23"),
         pytest.param("scene", {"strides": []}, id="scene-update24"),
+        # strides 4 and 8 do not divide it
         pytest.param("scene", {"image_size": [2, 2]}, id="scene-update25"),
         pytest.param("scene", {"fixed_dims": [1, 1]}, id="scene-update26"),
         pytest.param("scene", {"fixed_dims": [0, 1, 1]}, id="scene-update27"),

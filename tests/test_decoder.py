@@ -1,6 +1,7 @@
 """Corner-aware sampling, position-aware mixing, decoder stack, and losses."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from bevlab import autodiff as ad, decoder, verify
 from bevlab.autodiff import val
-from bevlab.decoder import (AttentionParams, DecoderParams, corner_sample,
-                            decoder_layer, encode_box, gaussian_focal_loss,
+from bevlab.decoder import (AttentionParams, corner_sample, decoder_layer,
+                            decoder_params, encode_box, gaussian_focal_loss,
                             l1_encoded, run_decoder, self_attention,
                             _corner_points_batch, _decode_state,
                             _initial_state, _position_aware_mix_batch)
@@ -25,29 +26,11 @@ GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
 
 def tiny_params(rng=None, C=2, n_p=4, n_layers=1, n_heads=1, n_classes=2,
                 scale=0.0):
-    def lm(out_d, in_d):
-        if scale == 0.0 or rng is None:
-            return zero_linear(out_d, in_d)
-        return LinearMap(rng.normal(0, scale / np.sqrt(in_d), (out_d, in_d)),
-                         rng.normal(0, 0.1, out_d))
-
-    return DecoderParams(
-        n_heads=n_heads, offset_gen=lm(2 * n_p, C), point_weight_gen=lm(n_p, C),
-        deform_out_proj=lm(C, C), pos_embed_proj=lm(C, 4),
-        channel_mix_gen=lm(C * C, C), spatial_mix_gen=lm(n_p * n_p, C),
-        out_proj=lm(C, n_p * C),
-        self_attn=tuple(AttentionParams(lm(C, C), lm(C, C), lm(C, C), lm(C, C))
-                        for _ in range(n_layers)),
-        cross_attn=AttentionParams(lm(C, C), lm(C, C), lm(C, C), lm(C, C)),
-        ffn1=lm(2 * C, C), ffn2=lm(C, 2 * C),
-        reg_head=lm(8, C), cls_head=lm(n_classes, C))
-
-
-def ln(row):
-    """Layer norm of one row with the decoder's 1e-5 epsilon, no affine."""
-    mu = row.mean()
-    var = ((row - mu) ** 2).mean()
-    return (row - mu) / math.sqrt(var + 1e-5)
+    """All-zero maps, or with rng and a scale, `verify._rand_linear`'s."""
+    linear = (zero_linear if scale == 0.0 or rng is None
+              else functools.partial(verify._rand_linear, rng, scale=scale))
+    return decoder_params(linear, C, n_p, n_layers, n_heads, n_classes,
+                          pe_dim=4)
 
 
 def corners(params, grid, center, l=0.0, w=0.0, yaw=0.0):
@@ -163,8 +146,8 @@ class TestPositionAwareMix:
         out = val(_position_aware_mix_batch(q[None], g[None], pts[None],
                                             params, GRID))[0]
 
-        G_c = np.maximum(np.stack([ln(r) for r in g]), 0.0)          # [4, 2]
-        G_cs = np.maximum(np.stack([ln(r) for r in G_c.T]), 0.0)     # [2, 4]
+        G_c = verify.layer_norm_relu(g)                              # [4, 2]
+        G_cs = verify.layer_norm_relu(G_c.T)                         # [2, 4]
         flat = G_cs.T.ravel()                                        # p*C + c
         expect = q + np.eye(8)[:2] @ flat
         assert np.allclose(out, expect, atol=1e-12)

@@ -30,6 +30,7 @@ from bevlab.verify import cell_to_world, zero_linear
 from bevlab.view_transform import VtOutput
 from helpers import tracemalloc_peak
 
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 GRID = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (16, 16))
 TINY_GROUPS = GroupSpec(((0,), (1, 2), (3, 4), (5,), (6, 7), (8, 9)), 2)
 
@@ -43,7 +44,7 @@ def tiny_config(**kw):
 
 def tiny_scene(seed=0, **kw):
     args = dict(grid=GRID, channels=4, n_boxes=2, image_size=(32, 32),
-                strides=(4, 8), n_cameras=2, fixed_dims=(3.0, 1.5, 1.5))
+                n_cameras=2, fixed_dims=(3.0, 1.5, 1.5))
     args.update(kw)
     return make_scene(SceneConfig(**args), seed=seed)
 
@@ -439,6 +440,19 @@ class TestFit:
         assert digest.hexdigest() == (
             "706f833110e62d8a61859b9d213d647cc972e0237a8a79dd80e4d2a613003d9b")
 
+    def test_benchmark_fit_keeps_its_bits(self, monkeypatch):
+        # the first steps of perfbench's fit workload (variant 0: a 96x96
+        # grid and 300 queries) against its stored totals, in hex: a change
+        # meant to keep every bit of a fit must keep them at the
+        # benchmark's size too, not only at the tiny config
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads as wl
+        inputs = wl.fit_inputs(wl.fit_config(), variant=0)
+        curve = wl.run_fit(*inputs, steps=3).curve
+        ref = wl.load_reference("fit")["totals"][0, :3]
+        assert [c["total"].hex() for c in curve] == [
+            float(t).hex() for t in ref]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_fit_keeps_its_bits_under_each_blas_thread_count(self,
                                                              threads):
@@ -532,21 +546,6 @@ class TestFit:
         assert len(calls) == len(scenes)
 
 
-def leaf_names(obj, path=""):
-    """The dotted path of each array leaf of a parameter tree, in
-    `ad.lift_tree`'s order."""
-    if isinstance(obj, np.ndarray):
-        return [path]
-    if dataclasses.is_dataclass(obj):
-        return [name for f in dataclasses.fields(obj)
-                for name in leaf_names(getattr(obj, f.name),
-                                       f"{path}.{f.name}".lstrip("."))]
-    if isinstance(obj, (list, tuple)):
-        return [name for i, x in enumerate(obj)
-                for name in leaf_names(x, f"{path}.{i}")]
-    return []
-
-
 # the one-axis modes: the default, then each other mode of one axis
 ONE_AXIS_MODES = [{}] + [
     {axis: mode} for axis, modes in (("vt_mode", VT_MODES),
@@ -590,7 +589,8 @@ class TestWhatEachModeTrains:
         params = init_params(cfg, seed=1)
         consts = _scene_constants(cfg, tiny_scene(seed=3))
         lifted, leaves = ad.lift_tree(params)
-        names = leaf_names(params)
+        names = [path for path, x in ad.tree_leaves(params)
+                 if isinstance(x, np.ndarray)]
         assert len(names) == len(leaves) == len(set(names))
 
         base = self.forward_outputs(cfg, params, consts)
@@ -646,3 +646,36 @@ class TestParamChecks:
         good = getattr(init_params(tiny_config(), seed=0), part)
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(good, **{field: bad})
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("strides, match", [
+        pytest.param((0,), "an integer >= 1", id="zero"),
+        pytest.param((-4,), "an integer >= 1", id="negative"),
+        pytest.param((), "at least one stride", id="none"),
+        pytest.param((8, 4), "strictly increasing", id="decreasing"),
+        pytest.param((4.5,), "an integer >= 1", id="float")])
+    def test_bad_strides_rejected(self, strides, match):
+        # at construction, not later in `forward` or `init_params`
+        with pytest.raises(ValueError, match=match):
+            tiny_config(strides=strides)
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("config, digest", [
+        pytest.param("defaults", "4af6ec33ec0050a920c254b6dfef1a28"
+                     "fdb22df50c18d939e64604317086d334", id="defaults"),
+        pytest.param("tiny", "39511a7ca88f8af0edf00896300751ce"
+                     "e98bed80cd7a111a1c71804ade59d105", id="tiny"),
+    ])
+    def test_init_params_keeps_its_draws(self, config, digest):
+        # every leaf's bytes in `ad.lift_tree`'s order, as recorded before
+        # the decoder's parameters had one builder: each leaf's shape and
+        # its place in the seeded draw order are pinned, at the CLI's
+        # defaults and at the tests' tiny config
+        cfg = (cli.build_configs(cli.validate_config({}))[0]
+               if config == "defaults" else tiny_config())
+        h = hashlib.sha256()
+        for leaf in ad.lift_tree(init_params(cfg, seed=0))[1]:
+            h.update(leaf.data.tobytes())
+        assert h.hexdigest() == digest

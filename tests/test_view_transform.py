@@ -354,9 +354,9 @@ class TestSmearOrdering:
     def test_adaptive_with_true_heights_beats_vanilla(self):
         grid = BevGrid((-16.0, 16.0), (-16.0, 16.0), (-5.0, 3.0), (32, 32))
         cfg = SceneConfig(grid=grid, channels=6, n_boxes=1, image_size=(64, 64),
-                          strides=(2, 4), n_cameras=6, fixed_dims=(4.0, 2.0, 1.6))
+                          n_cameras=6, fixed_dims=(4.0, 2.0, 1.6))
         scene = make_scene(cfg, seed=3)
-        pyramids = render_camera_features(scene, grid, cfg.strides)
+        pyramids = render_camera_features(scene, grid, (2, 4))
         z_true = scene.boxes[0].center[2]
 
         # heights pinned to the true object height via the generator bias

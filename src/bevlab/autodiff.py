@@ -492,17 +492,18 @@ def concat_linear(parts, w, b):
     return _node(out, (*parts, w, b), vjp)
 
 
-def attention_keys(x, w_k, b_k, w_v, b_v, n_heads):
-    """The operands of ``attention`` for the keys k = x w_kᵀ + b_k and the
-    values v = x w_vᵀ + b_v of the rows x [Nk, C], split into n_heads heads
-    (channel i dh + j of a row is channel j of head i).
+def attention_keys(x, w_k, w_v, b_v, n_heads):
+    """The operands of ``attention`` for the keys k = x w_kᵀ (no bias: it
+    would shift each row's scores alike) and the values v = x w_vᵀ + b_v of
+    the rows x [Nk, C], split into n_heads heads (channel i dh + j of a row
+    is channel j of head i).
 
     Returns (kt, v, k_norm): kt = [kᵀ ; 1] [h, dh + 1, Nk], v = [v | 1]
     [h, Nk, dv + 1], and k_norm [h], each head's largest key norm. The two
     products are made `_TILE_BYTES` // (8 C) rows at a time
     (`_gemm_row_blocks`) and written straight into kt and v, whose ones are
     set once: no [Nk, C] projection exists, and every value has the bits
-    of the whole product plus its bias, as `linear_apply` makes them.
+    of the whole product (plus its bias), as `linear_apply` makes them.
     ``attention`` reads these arrays in every call, so a caller that
     attends to the same rows again (the decoder's layers, to the BEV cells)
     builds them once.
@@ -510,21 +511,19 @@ def attention_keys(x, w_k, b_k, w_v, b_v, n_heads):
     kt and v are one tape node each, whose gradient has their shape (the
     ones get none). Each vjp takes the [Nk, C] rows G of that gradient
     through the projection as `linear_apply`'s nodes would, adding G w to
-    d(x), (xᵀ G)ᵀ to d(w) and G's column sums to d(b), so gradients keep
-    the bits of that composition.
+    d(x), (xᵀ G)ᵀ to d(w) and, for v, G's column sums to d(b_v), so
+    gradients keep the bits of that composition.
     """
-    vx, vwk, vbk, vwv, vbv = map(val, (x, w_k, b_k, w_v, b_v))
+    vx, vwk, vwv, vbv = map(val, (x, w_k, w_v, b_v))
     n, c = vx.shape
     dk, dv = vwk.shape[0] // n_heads, vwv.shape[0] // n_heads
-    dtype = np.result_type(vx, vwk, vbk, vwv, vbv)
+    dtype = np.result_type(vx, vwk, vwv, vbv)
     kt = np.ones((n_heads, dk + 1, n), dtype=dtype)
     v = np.ones((n_heads, n, dv + 1), dtype=dtype)
     k_max = np.full(n_heads, -np.inf, dtype=dtype)
     step = max(2, _TILE_BYTES // (8 * c))
     for r in _gemm_row_blocks(n, step):
-        k = vx[r] @ vwk.T
-        k += vbk
-        k = k.reshape(-1, n_heads, dk)
+        k = (vx[r] @ vwk.T).reshape(-1, n_heads, dk)
         kt[:, :dk, r] = k.transpose(1, 2, 0)
         np.maximum(k_max, (k * k).sum(axis=-1).max(axis=0), out=k_max)
         vb = vx[r] @ vwv.T
@@ -547,8 +546,8 @@ def attention_keys(x, w_k, b_k, w_v, b_v, n_heads):
     # G's layout decides the bits of its column sums and products: the k
     # rows are a column-major view of a contiguous [h, dh, Nk] and the v
     # rows a row-major copy, as `linear_apply` split into heads has them
-    kt = _node(kt, (x, w_k, b_k), back(
-        vwk, _node_of(w_k), _node_of(b_k),
+    kt = _node(kt, (x, w_k), back(
+        vwk, _node_of(w_k), None,
         lambda g: np.ascontiguousarray(g[:, :dk]).transpose(2, 0, 1).reshape(
             n, -1)))
     v = _node(v, (x, w_v, b_v), back(

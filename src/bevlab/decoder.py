@@ -68,10 +68,13 @@ ENC_DIM = 8  # (du, dv, z, log l, log w, log h, sin yaw, cos yaw)
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Projections of one multi-head attention block."""
+    """Projections of one multi-head attention block. The key projection
+    w_k [C, C] has no bias: a key bias b adds q_i · b to every score of
+    query row i, which softmax undoes, so no output depends on it and its
+    exact gradient is 0."""
 
     w_q: LinearMap
-    w_k: LinearMap
+    w_k: object  # [C, C] ndarray (or Var during fitting)
     w_v: LinearMap
     w_o: LinearMap
 
@@ -128,16 +131,18 @@ class DecoderParams:
         return self.pos_embed_proj.in_dim
 
 
+def attention_params(linear, channels):
+    """AttentionParams whose maps linear(C, C) makes in field order; w_k
+    keeps only its map's weight."""
+    w_q, w_k, w_v, w_o = (linear(channels, channels) for _ in range(4))
+    return AttentionParams(w_q, w_k.weight, w_v, w_o)
+
+
 def decoder_params(linear, channels, n_points, n_layers, n_heads, n_classes,
                    pe_dim):
     """DecoderParams of these sizes, each map made by linear(out_dim,
-    in_dim): called in field order, each attention's maps in the order
-    w_q, w_k, w_v, w_o, so a seeded `linear` fixes every draw."""
+    in_dim) in field order, so a seeded `linear` fixes every draw."""
     C, n_p = channels, n_points
-
-    def attention():
-        return AttentionParams(*(linear(C, C) for _ in range(4)))
-
     return DecoderParams(
         n_heads=n_heads,
         offset_gen=linear(2 * n_p, C),
@@ -147,8 +152,8 @@ def decoder_params(linear, channels, n_points, n_layers, n_heads, n_classes,
         channel_mix_gen=linear(C * C, C),
         spatial_mix_gen=linear(n_p * n_p, C),
         out_proj=linear(C, n_p * C),
-        self_attn=tuple(attention() for _ in range(n_layers)),
-        cross_attn=attention(),
+        self_attn=tuple(attention_params(linear, C) for _ in range(n_layers)),
+        cross_attn=attention_params(linear, C),
         ffn1=linear(2 * C, C),
         ffn2=linear(C, 2 * C),
         reg_head=linear(ENC_DIM, C),
@@ -314,8 +319,8 @@ def _heads(x, n_heads):
 def _keys_values(kv_in, attn: AttentionParams, n_heads):
     """Keys and values of the rows of kv_in [Nk, C] under `attn`, as the
     operands of ``ad.attention`` (`ad.attention_keys`)."""
-    return ad.attention_keys(kv_in, attn.w_k.weight, attn.w_k.bias,
-                             attn.w_v.weight, attn.w_v.bias, n_heads)
+    return ad.attention_keys(kv_in, attn.w_k, attn.w_v.weight, attn.w_v.bias,
+                             n_heads)
 
 
 def _mha(q_in, kv, attn: AttentionParams, n_heads):

@@ -148,9 +148,13 @@ def init_params(config: PipelineConfig, seed) -> PipelineParams:
 def _scene_inputs(config: PipelineConfig, scene):
     """A scene's view-transform inputs: the scene, its LiDAR raster, its
     camera pyramids and "vanilla", its `vanilla_vt_output` in the `vanilla`
-    and `ap_only` modes (no parameter reaches it) and None in the others."""
+    and `ap_only` modes (no parameter reaches it) and None in the others.
+    A scene of another channel count than the config's is rejected first."""
+    if scene.channels != config.channels:
+        raise ValueError(f"the scene has {scene.channels} channels and the "
+                         f"config {config.channels}")
     grid = config.grid
-    pyramids = render_camera_features(scene, grid, config.strides)
+    pyramids = render_camera_features(scene, config.strides)
     vanilla = None
     if config.vt_mode in ("vanilla", "ap_only"):
         vanilla = vanilla_vt_output(pyramids, scene.cameras, grid,

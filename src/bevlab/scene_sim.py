@@ -248,7 +248,7 @@ def rasterize_lidar_bev(scene: SceneSpec, grid: BevGrid):
     return out
 
 
-def render_camera_features(scene: SceneSpec, grid: BevGrid, strides):
+def render_camera_features(scene: SceneSpec, strides):
     """Image-backbone stand-in: per camera, a pyramid whose levels carry a
     Gaussian splat of each box's signature at the projected box center
     (sigma = 2 px at stride 1, shrunk per level), plus seeded noise."""

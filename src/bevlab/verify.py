@@ -34,10 +34,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .decoder import (ATTENTION_MODES, AttentionParams, decoder_layer,
-                      decoder_params, gaussian_focal_loss, l1_encoded,
-                      _corner_points_batch, _initial_state, _keys_values,
-                      _mha, _query_blocks, _query_bytes)
+from .decoder import (ATTENTION_MODES, AttentionParams, attention_params,
+                      decoder_layer, decoder_params, gaussian_focal_loss,
+                      l1_encoded, _corner_points_batch, _initial_state,
+                      _keys_values, _mha, _query_blocks, _query_bytes)
 from .geometry import (BevGrid, CameraModel, FeaturePyramid,
                        camera_planes, project_heights, project_to_image,
                        world_to_cell)
@@ -235,12 +235,12 @@ def naive_mha(q_in, kv_in, attn: AttentionParams, n_heads):
     nk = np.shape(kv_in)[0]
     dh = C // n_heads
 
-    def split(lin, x, n):
-        return linear_apply(lin, x).reshape(n, n_heads, dh).transpose(1, 0, 2)
+    def split(x, n):
+        return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
 
-    q = split(attn.w_q, q_in, nq)
-    k = split(attn.w_k, kv_in, nk)
-    v = split(attn.w_v, kv_in, nk)
+    q = split(linear_apply(attn.w_q, q_in), nq)
+    k = split(kv_in @ attn.w_k.T, nk)
+    v = split(linear_apply(attn.w_v, kv_in), nk)
     scores = np.matmul(q, k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     ctx = np.matmul(e / e.sum(axis=-1, keepdims=True), v)
@@ -346,9 +346,7 @@ def gradcheck(build_loss, arrays):
     gradient is 0 must be held out: its difference sees only rounding.
     Hence every ndarray entry must receive a gradient, and a tree leaf that
     backward leaves without one is probed once: with 1 added to it the loss
-    must keep every bit, or the leaf is checked against a zero gradient. A
-    leaf that backward reaches though its exact gradient is 0 (an attention
-    key bias) the caller holds out."""
+    must keep every bit, or the leaf is checked against a zero gradient."""
     lifted = {name: ad.lift_tree(a)[0] for name, a in arrays.items()}
     out = build_loss(lifted)
     out.backward()
@@ -433,8 +431,7 @@ def check_attention_blocked(rng):
                                  (2, 70, 160, 30.0)):
             rows, keys = _attention_tiles(h, nq, nk)
             tiles.append(f"{h}x{rows}x{keys}")
-            attn = AttentionParams(*(_rand_linear(rng, C, C)
-                                     for _ in range(4)))
+            attn = attention_params(functools.partial(_rand_linear, rng), C)
             q_in = rng.normal(size=(nq, C)) * scale
             kv_in = q_in if nq == nk else rng.normal(size=(nk, C)) * scale
             fast = val(_mha(q_in, _keys_values(kv_in, attn, h), attn, h))
@@ -452,19 +449,17 @@ def check_attention_grad(rng):
     ``ad.attention_keys`` vjps before it, on the two ops alone: 5 query rows
     of 2 heads over the keys and values of 7 rows, with budgets under which
     the rows are projected in blocks of 2 + 2 + 3 and each head spans tiles
-    of 4 rows x 3 keys (rows 4 + 1, keys 3 + 3 + 1). The key bias is held
-    out: it adds the same amount to every score of a row, so its exact
-    gradient is 0."""
+    of 4 rows x 3 keys (rows 4 + 1, keys 3 + 3 + 1)."""
     q = rng.normal(size=(2, 5, 3))
     x = rng.normal(size=(7, 6))
     w_k, w_v = rng.normal(0, 0.4, size=(2, 6, 6))
-    b_k, b_v = rng.normal(0, 0.1, size=(2, 6))
+    b_v = rng.normal(0, 0.1, size=6)
     w = rng.normal(size=(2, 5, 3))
     with block_bytes(8 * 7 * 2):
         _attention_tiles(2, 5, 7)
         worst = gradcheck(lambda t: ad.sum_(ad.mul(ad.attention(
-            t["q"], *ad.attention_keys(t["x"], t["w_k"], b_k, t["w_v"],
-                                       t["b_v"], 2)), w)),
+            t["q"], *ad.attention_keys(t["x"], t["w_k"], t["w_v"], t["b_v"],
+                                       2)), w)),
             {"q": q, "x": x, "w_k": w_k, "w_v": w_v, "b_v": b_v})
     return f"worst rel err {worst:.2e}"
 
@@ -659,24 +654,17 @@ def check_adaptive_projection_grad(rng):
     return f"worst rel err {worst:.2e}"
 
 
-def _zero_key_bias(attn: AttentionParams):
-    return dataclasses.replace(
-        attn, w_k=LinearMap(attn.w_k.weight, np.zeros(attn.w_k.out_dim)))
-
-
 def check_decoder_layer_grad(rng):
     """Gradients of one decoder layer in every attention mode, for the
     weights, the 5 query features and the 8 x 8 BEV map, and for the box
     sizes and headings in the modes that read them (`geometry_aware`,
-    `deformable_scaled_rotated`). Every key bias is held at zero: it adds
-    the same amount to every score of a row, so its exact gradient is 0.
-    `standard` runs under budgets of 16 scores, so that its attention
-    takes the tiled path of large inputs: self-attention in rows 4 + 1 and
-    keys 4 + 1, cross-attention (over the cells' `_keys_values`) in rows
-    4 + 1 and 16 tiles of keys. The sampling modes run under a budget of
-    two queries' kernels and samples, so that they sample and mix the
-    queries in blocks of 2 + 3, while self-attention stays within it, the
-    branch that the fit runs."""
+    `deformable_scaled_rotated`). `standard` runs under budgets of 16
+    scores, so that its attention takes the tiled path of large inputs:
+    self-attention in rows 4 + 1 and keys 4 + 1, cross-attention (over the
+    cells' `_keys_values`) in rows 4 + 1 and 16 tiles of keys. The sampling
+    modes run under a budget of two queries' kernels and samples, so that
+    they sample and mix the queries in blocks of 2 + 3, while
+    self-attention stays within it, the branch that the fit runs."""
     params = _tiny_decoder_params(rng)
     feats = rng.normal(size=(5, 4))
     bev = rng.normal(size=(4, 8, 8))
@@ -689,10 +677,7 @@ def check_decoder_layer_grad(rng):
                  if mode in ("geometry_aware", "deformable_scaled_rotated")}
 
         def loss(t, mode=mode, sizes=sizes):
-            p = dataclasses.replace(
-                t["params"], self_attn=tuple(map(_zero_key_bias,
-                                                 t["params"].self_attn)),
-                cross_attn=_zero_key_bias(t["params"].cross_attn))
+            p = t["params"]
             kv = (_keys_values(chw_to_cells(t["bev"]), p.cross_attn,
                                p.n_heads) if mode == "standard" else None)
             boxes = dict(state, **{k: t[k] for k in sizes})

@@ -1,5 +1,6 @@
 """Gradient checks for every tape op against central finite differences."""
 
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -158,11 +159,10 @@ def test_attention_memory_is_bounded_by_its_blocks(rng):
         if rows:
             x = rng.normal(size=(nk, h * dh))
             w = [rng.normal(size=(h * dh, h * dh)) for _ in range(2)]
-            b = [rng.normal(size=h * dh) for _ in range(2)]
+            b_v = rng.normal(size=h * dh)
 
             def operands(lift):
-                return ad.attention_keys(x, lift(w[0]), b[0], lift(w[1]), b[1],
-                                         h)
+                return ad.attention_keys(x, lift(w[0]), lift(w[1]), b_v, h)
         else:
             k, v = (rng.normal(size=(h, nk, dh)) for _ in range(2))
 
@@ -204,19 +204,38 @@ def test_attention_keys_hold_no_whole_projection(rng):
     n, c, h = 32400, 32, 8
     x = rng.normal(size=(c, n)).T  # column-major rows, as `chw_to_cells`
     w_k, w_v = rng.normal(size=(2, c, c))
-    b_k, b_v = rng.normal(size=(2, c))
+    b_v = rng.normal(size=c)
     with tracemalloc_peak() as mem:
-        kt, v, k_norm = ad.attention_keys(x, w_k, b_k, w_v, b_v, h)
+        kt, v, k_norm = ad.attention_keys(x, w_k, w_v, b_v, h)
     operands = kt.nbytes + v.nbytes
     assert mem.peak < operands + 4 * ad._TILE_BYTES < operands + 8 * n * c
     # the projections' bits, with the ones set once
-    k = (x @ w_k.T + b_k).reshape(n, h, c // h)
+    k = (x @ w_k.T).reshape(n, h, c // h)
     assert np.array_equal(kt[:, :-1], k.transpose(1, 2, 0))
     assert np.array_equal(v[..., :-1], (x @ w_v.T + b_v).reshape(
         n, h, c // h).transpose(1, 0, 2))
     assert (kt[:, -1] == 1).all() and (v[..., -1] == 1).all()
     assert np.array_equal(k_norm, np.sqrt(np.max(
         (k * k).sum(axis=-1), axis=0)))
+
+
+@pytest.mark.parametrize("budget", [None, 8 * 8 * 8], ids=["dense", "tiled"])
+def test_attention_ignores_a_vector_added_to_every_key(rng, budget):
+    # why no attention block has a key bias: one vector b added to every key
+    # adds q_i · b to every score of row i, which softmax undoes. On the
+    # dense plan, and on a tiled one of 8 + 8 + 4 rows x 8 + 8 + 8 + 6 keys
+    # per head, whose row shifts are bounds that b moves
+    h, nq, nk, dh = 2, 20, 30, 4
+    q = rng.normal(size=(h, nq, dh))
+    k, v = (rng.normal(size=(h, nk, dh)) for _ in range(2))
+    b = rng.normal(size=(h, 1, dh))
+    with block_bytes(budget) if budget else contextlib.nullcontext():
+        dense, rows, keys = ad._attention_blocks(h, nq, nk)
+        assert dense == (budget is None)
+        assert dense or (len(rows), len(keys)) == (3, 4)
+        base, moved = (ad.val(ad.attention(q, *_operands(keys_in, v)))
+                       for keys_in in (k, k + b))
+    assert np.max(np.abs(moved - base)) <= 1e-12
 
 
 def test_attention_in_one_block_is_the_dense_softmax_bit_for_bit(rng):
@@ -400,8 +419,8 @@ for nq, nk in ((900, 900), (300, 5000)):
     q = ad.Var(rng.normal(size=(8, nq, 4)) * 0.5)
     x = ad.Var(rng.normal(size=(32, nk)).T)
     w_k, w_v = (rng.normal(size=(32, 32)) * 0.2 for _ in range(2))
-    out = ad.attention(q, *ad.attention_keys(x, w_k, np.zeros(32), w_v,
-                                             rng.normal(size=32), 8))
+    out = ad.attention(q, *ad.attention_keys(x, w_k, w_v, rng.normal(size=32),
+                                             8))
     ad.sum_(ad.mul(out, rng.normal(size=out.data.shape))).backward()
     for name, a in (("out", out.data), ("dq", q.grad), ("dx", x.grad)):
         arrays[f"{name}_{nq}x{nk}"] = a

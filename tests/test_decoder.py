@@ -218,7 +218,7 @@ class TestSelfAttention:
     def test_two_query_hand_computation(self):
         # 1 head, C=1: scalar attention is a softmax-weighted average
         wq = LinearMap(np.array([[1.0]]), np.zeros(1))
-        wk = LinearMap(np.array([[1.0]]), np.zeros(1))
+        wk = np.array([[1.0]])
         wv = LinearMap(np.array([[2.0]]), np.zeros(1))
         wo = LinearMap(np.array([[1.0]]), np.zeros(1))
         attn = AttentionParams(wq, wk, wv, wo)
@@ -347,9 +347,9 @@ class TestDecoderLayer:
             applied.append(m.weight)
             return linear_apply(m, x)
 
-        def counting_keys(x, w_k, b_k, w_v, b_v, n_heads):
+        def counting_keys(x, w_k, w_v, b_v, n_heads):
             applied.extend((w_k, w_v))
-            return keys(x, w_k, b_k, w_v, b_v, n_heads)
+            return keys(x, w_k, w_v, b_v, n_heads)
 
         monkeypatch.setattr(decoder, "linear_apply", counting)
         monkeypatch.setattr(ad, "attention_keys", counting_keys)
@@ -357,9 +357,9 @@ class TestDecoderLayer:
                     rng.normal(size=(2, 32, 32)), params, GRID,
                     mode="standard")
         cross = params.cross_attn
-        assert [sum(m is w.weight for m in applied)
-                for w in (cross.w_q, cross.w_k, cross.w_v, cross.w_o)] == [
-                    6, 1, 1, 6]
+        assert [sum(m is w for m in applied)
+                for w in (cross.w_q.weight, cross.w_k, cross.w_v.weight,
+                          cross.w_o.weight)] == [6, 1, 1, 6]
 
     def test_invalid_mode_rejected(self, rng):
         params = tiny_params()
@@ -429,9 +429,7 @@ class TestQueryBlocks:
     @pytest.mark.parametrize("mode", SAMPLING_MODES)
     def test_block_gradients_sum_to_the_whole(self, rng, mode):
         # past one block the map's and the weights' gradients are sums of
-        # block gradients, which may differ from the whole in last bits.
-        # The key bias is left out: it shifts every score of a row alike,
-        # so its exact gradient is 0 and both plans give rounding noise
+        # block gradients, which may differ from the whole in last bits
         nq, C = 7, 8
         params = tiny_params(rng, C=C, n_heads=2, scale=0.4)
         feats, ref, boxes, bev = sized_layer_inputs(rng, nq, C)
@@ -442,9 +440,7 @@ class TestQueryBlocks:
             with verify.block_bytes(decoder._query_bytes(params) * cap):
                 verify._readout_loss(decoder_layer(
                     f, ref, boxes, b, tree, 0, GRID, mode=mode)).backward()
-            grads.append([f.grad, b.grad] + [
-                leaf.grad for leaf in leaves
-                if leaf is not tree.self_attn[0].w_k.bias])
+            grads.append([f.grad, b.grad] + [leaf.grad for leaf in leaves])
         for got, want in zip(*grads):
             if want is None:
                 assert got is None

@@ -160,6 +160,39 @@ class TestForward:
         assert np.array_equal(det.group_ids,
                               np.repeat(np.arange(6), 2))
 
+    @pytest.mark.parametrize("name", ["detect", "detect_xattn"])
+    def test_benchmark_detect_keeps_its_reference(self, monkeypatch,
+                                                  tmp_path, name):
+        # the first pool scene of perfbench's detection workloads (DEFAULTS,
+        # and `standard` cross-attention over 300 queries) run as the
+        # benchmark runs it, against its stored final boxes and scores at
+        # the benchmark's tolerances: perfbench's smoke run computes its
+        # own references, so it cannot tell that these moved
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads as wl
+        runner = wl.DetectRunner(wl.detect_config(name), str(tmp_path))
+        seed = wl.pool_seeds(name)[0]
+        runner.prepare(seed)
+        assert runner.run() == 0
+        reference = wl.DetectReference(wl.load_reference(name))
+        assert reference.matches(seed, *runner.output())
+
+    @pytest.mark.parametrize("vt_mode", ["asap", "vanilla"])
+    def test_scene_of_other_channels_rejected(self, monkeypatch, vt_mode):
+        # before the scene is rendered, with one message naming both
+        # counts, not in the view transform (`asap`) or only in the fusion
+        # after the whole view transform (`vanilla`)
+        import bevlab.pipeline as pl
+
+        def render(*args):
+            raise AssertionError("the scene was rendered")
+
+        monkeypatch.setattr(pl, "render_camera_features", render)
+        cfg = tiny_config(vt_mode=vt_mode)
+        with pytest.raises(ValueError, match="the scene has 8 channels and "
+                           "the config 4"):
+            forward(cfg, init_params(cfg, seed=0), tiny_scene(channels=8))
+
     def test_detections_json_structure(self):
         scene = tiny_scene(seed=8)
         cfg = tiny_config()
@@ -350,7 +383,7 @@ class TestFit:
         from bevlab.scene_sim import footprint_mask, render_camera_features
         from bevlab.view_transform import adaptive_sample
         lidar = rasterize_lidar_bev(scene, GRID)
-        pyramids = render_camera_features(scene, GRID, cfg.strides)
+        pyramids = render_camera_features(scene, cfg.strides)
         heights = adaptive_sample(ad.unlift_tree(lifted).vt, lidar, pyramids,
                                   scene.cameras, GRID).per_cell_heights
         occ = footprint_mask(scene, GRID)
@@ -424,7 +457,8 @@ class TestFit:
     def test_fit_keeps_its_bits(self):
         # each step's total and the final parameters' bytes of a short fit
         # through every tape op the default modes build, as recorded before
-        # the decoder's mixing rebuilt its operands in backward: a change
+        # the decoder's mixing rebuilt its operands in backward (the digest
+        # less the key biases the attention blocks then held): a change
         # meant to keep every bit of a fit must keep these (a numpy or BLAS
         # build that rounds differently needs them recorded again)
         cfg = tiny_config()
@@ -438,7 +472,7 @@ class TestFit:
         for leaf in ad.lift_tree(res.params)[1]:
             digest.update(leaf.data.tobytes())
         assert digest.hexdigest() == (
-            "706f833110e62d8a61859b9d213d647cc972e0237a8a79dd80e4d2a613003d9b")
+            "e9339a699c227be4f2534ba1dd01fb39d47208777a6db405c250fc24f1ed6005")
 
     def test_benchmark_fit_keeps_its_bits(self, monkeypatch):
         # the first steps of perfbench's fit workload (variant 0: a 96x96
@@ -580,11 +614,8 @@ class TestWhatEachModeTrains:
         # read: the leaves whose perturbation changes an output of the
         # forward; trained: the leaves that one backward of the losses
         # gives a nonzero gradient. Seed 3 puts a box in a camera's view,
-        # so the camera branch is live. A key bias adds the same amount to
-        # every score of a row, which softmax undoes but for rounding: it
-        # moves an output by <= 1.5e-15 and gets gradients <= 1e-18, where
-        # every other leaf a mode reads moves one by >= 2e-5 and gets
-        # >= 7e-7. So a change counts past 1e-9 and a gradient past 1e-12
+        # so the camera branch is live. Any change and any nonzero gradient
+        # count
         cfg = tiny_config(**mode)
         params = init_params(cfg, seed=1)
         consts = _scene_constants(cfg, tiny_scene(seed=3))
@@ -602,15 +633,13 @@ class TestWhatEachModeTrains:
             outputs = self.forward_outputs(cfg, ad.unlift_tree(lifted),
                                            consts)
             leaf.data = kept
-            if max(np.max(np.abs(a - b), initial=0.0)
-                   for a, b in zip(outputs, base)) > 1e-9:
+            if any(np.any(a != b) for a, b in zip(outputs, base)):
                 read.add(name)
 
         losses = _scene_losses(cfg, lifted, consts)
         functools.reduce(ad.add, losses.values()).backward()
         trained = {name for name, leaf in zip(names, leaves)
-                   if leaf.grad is not None
-                   and np.max(np.abs(leaf.grad)) > 1e-12}
+                   if leaf.grad is not None and np.any(leaf.grad != 0)}
         assert read ^ trained == KNOWN_UNTRAINED & read
 
 
@@ -663,16 +692,17 @@ class TestConfigChecks:
 
 class TestInitParams:
     @pytest.mark.parametrize("config, digest", [
-        pytest.param("defaults", "4af6ec33ec0050a920c254b6dfef1a28"
-                     "fdb22df50c18d939e64604317086d334", id="defaults"),
-        pytest.param("tiny", "39511a7ca88f8af0edf00896300751ce"
-                     "e98bed80cd7a111a1c71804ade59d105", id="tiny"),
+        pytest.param("defaults", "6ce071eb2079d577a21efe63a79bd74f"
+                     "7a286152abe41983c35b98c575bb4e02", id="defaults"),
+        pytest.param("tiny", "84e752e43709170d36a7a191a5e8ebf0"
+                     "c266581a8c439537ab34c334835f6810", id="tiny"),
     ])
     def test_init_params_keeps_its_draws(self, config, digest):
         # every leaf's bytes in `ad.lift_tree`'s order, as recorded before
-        # the decoder's parameters had one builder: each leaf's shape and
-        # its place in the seeded draw order are pinned, at the CLI's
-        # defaults and at the tests' tiny config
+        # the decoder's parameters had one builder (less the all-zero key
+        # biases the attention blocks then held): each leaf's shape and its
+        # place in the seeded draw order are pinned, at the CLI's defaults
+        # and at the tests' tiny config
         cfg = (cli.build_configs(cli.validate_config({}))[0]
                if config == "defaults" else tiny_config())
         h = hashlib.sha256()

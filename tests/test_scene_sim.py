@@ -119,7 +119,7 @@ class TestRenderCameras:
         sigs = np.zeros((1, 8))
         sigs[0, 0] = 1.0
         scene = SceneSpec(0, (box,), scene.cameras, sigs, 0.0, 8)
-        pyramids = render_camera_features(scene, GRID, (4, 8))
+        pyramids = render_camera_features(scene, (4, 8))
         for _, fmap in pyramids[0].levels:
             assert np.all(fmap == 0)
 
@@ -132,7 +132,7 @@ class TestRenderCameras:
                           scene.signatures, 0.0, 8)
         x, y, ok = project_to_image(scene.cameras[0], box.center)
         assert ok
-        pyramids = render_camera_features(scene, GRID, (1,))
+        pyramids = render_camera_features(scene, (1,))
         _, fmap = pyramids[0].levels[0]
         energy = np.sum(fmap ** 2, axis=0)
         peak = np.unravel_index(np.argmax(energy), energy.shape)
@@ -147,7 +147,7 @@ class TestRenderCameras:
         boxes = (Box(0, (8.0, -3.0, 1.0), (2.0, 1.0, 1.5), 0.0),
                  Box(1, (8.0, 3.0, 1.0), (2.0, 1.0, 1.5), 0.0))
         scene = SceneSpec(0, boxes, base.cameras, sigs, 0.0, 8)
-        pyramids = render_camera_features(scene, GRID, (1,))
+        pyramids = render_camera_features(scene, (1,))
         _, fmap = pyramids[0].levels[0]
         # the two splats live in orthogonal channels
         assert float(np.sum(fmap[0] * fmap[1])) < 1e-6
@@ -157,7 +157,7 @@ class TestRenderCameras:
         # size (test_cli's scene-update25); an API caller's are checked here
         scene = make_scene(small_config(image_size=(64, 64)), seed=0)
         with pytest.raises(ValueError, match="not divisible by stride 3"):
-            render_camera_features(scene, GRID, (3,))
+            render_camera_features(scene, (3,))
 
 
 class TestRaySmear:

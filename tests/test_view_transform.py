@@ -113,7 +113,7 @@ class TestCompaction:
         grid = BevGrid((-54.0, 54.0), (-54.0, 54.0), (-5.0, 3.0), (48, 48))
         scene = make_scene(SceneConfig(grid, channels=8), seed=0)
         lidar = rasterize_lidar_bev(scene, grid)
-        pyramids = render_camera_features(scene, grid, (4, 8))
+        pyramids = render_camera_features(scene, (4, 8))
         peaks = []
         for n_h in (1, 4):
             params = VtParams(
@@ -135,7 +135,7 @@ class TestCompaction:
         grid = BevGrid((-54.0, 54.0), (-54.0, 54.0), (-5.0, 3.0), (48, 48))
         scene = make_scene(SceneConfig(grid, channels=32), seed=0)
         lidar = rasterize_lidar_bev(scene, grid)
-        pyramids = render_camera_features(scene, grid, (4, 8))
+        pyramids = render_camera_features(scene, (4, 8))
         params = ad.lift_tree(VtParams(
             height_gen=LinearMap(rng.normal(0, 0.3, (4, 32)), np.zeros(4)),
             weight_gen=LinearMap(rng.normal(0, 0.3, (8, 32)), np.zeros(8)),
@@ -356,7 +356,7 @@ class TestSmearOrdering:
         cfg = SceneConfig(grid=grid, channels=6, n_boxes=1, image_size=(64, 64),
                           n_cameras=6, fixed_dims=(4.0, 2.0, 1.6))
         scene = make_scene(cfg, seed=3)
-        pyramids = render_camera_features(scene, grid, (2, 4))
+        pyramids = render_camera_features(scene, (2, 4))
         z_true = scene.boxes[0].center[2]
 
         # heights pinned to the true object height via the generator bias

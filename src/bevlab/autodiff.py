@@ -376,20 +376,29 @@ def softmax(a):
 
 # bytes of one block of float64 intermediates in the blocked ops: the scores
 # of `attention` when all its heads' fit (past that, `_TILE_BYTES` sets its
-# tiles), and the generated kernels of `dynamic_filter` (a block of cells)
-# and the columns of its kernel gradient (a block of kernel rows). 8 MiB
-# holds the [8, 300, 300] scores of a 300-query model's self-attention,
-# which then keeps the dense softmax's bits, so fits follow the same
-# trajectory (a last-bit change can flip a top-k query choice a few steps
-# later). `dynamic_filter` runs as fast in blocks of 128 to 2,048 rows.
+# tiles), and the kernels that `dynamic_filter`'s forward generates for a
+# block of cells (1,024 at C = 32). 8 MiB holds the [8, 300, 300] scores of
+# a 300-query model's self-attention, which then keeps the dense softmax's
+# bits, so fits follow the same trajectory (a last-bit change can flip a
+# top-k query choice a few steps later). `dynamic_filter`'s forward runs
+# as fast in blocks of 64 to 2,048 rows (114-117 ms of CPU at 32,400 cells
+# in blocks of 64 to 1,024 on a 2-vCPU host). Its vjp regenerates kernels
+# in smaller blocks (see `_TILE_BYTES`): a fit's backward holds the tape
+# besides, so its transients set the fit's peak.
 _BLOCK_BYTES = 8 * 2**20
 
 # bytes of one tile of `attention`'s scores past `_BLOCK_BYTES`: 256 rows x
 # 256 keys of one head; also of a block of rows of each projection that
 # `attention_keys` makes (2,048 rows at C = 32), and of the concatenated
 # rows of a block of `concat_linear` (1,024 cells of the fusion's camera
-# and LiDAR channels at C = 32). A tile's scores, keys and
-# values stay in L2 over its two products. Timed on a 2-vCPU host (2 MiB of
+# and LiDAR channels at C = 32). Two of it hold the kernels that
+# `dynamic_filter`'s vjp generates again for a block of d(x): 128 cells at
+# C = 32, 1 MiB, against 8 MiB in the forward's blocks, while the vjp's
+# [N, C] arrays take 2.4 MB each at a 96 x 96 fit. Its CPU time hardly
+# depends on the split: 127-134 ms (medians of 27) at 9,216 cells in
+# blocks of 64 to 1,024. Each row's kernel and product are the same in
+# any block, so the bits do not depend on it either. A tile's scores, keys
+# and values stay in L2 over its two products. Timed on a 2-vCPU host (2 MiB of
 # L2 per core), medians of 5 calls: the [8, 300, 32,400] forward of
 # `standard` cross-attention, when each call still copied every head's
 # strided k and v into its operands, took 0.32, 0.27, 0.24, 0.21,
@@ -459,8 +468,11 @@ def concat_linear(parts, w, b):
     `tensor.linear_apply`. The vjp takes that composition's gradients
     whole: d(b) is g summed back to b's shape, d(w) is (Xᵀ g)ᵀ for the
     concatenation X, made again for it instead of held on the tape, and
-    each part's gradient is its columns of g w. So gradients keep the bits
-    of the composition too.
+    each traced part's gradient is g w[:, lo:hi], its own columns of g w.
+    A plain part's columns are never made (the fusion's LiDAR rows are
+    plain). OpenBLAS gives a column of g w the same bits whether or not
+    the product makes the other columns (the tests compare them with the
+    composition's), so gradients keep the bits of the composition too.
     """
     vs = [val(p) for p in parts]
     vw, vb = val(w), val(b)
@@ -484,10 +496,9 @@ def concat_linear(parts, w, b):
         if w_node is not None:
             _accum(w_node, np.transpose(np.matmul(
                 np.concatenate(vs, axis=1).T, g)))
-        if any(node is not None for node in nodes):
-            d_both = np.matmul(g, vw)
-            for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-                _accum(node, d_both[:, lo:hi])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
+                _accum(node, np.matmul(g, vw[:, lo:hi]))
 
     return _node(out, (*parts, w, b), vjp)
 
@@ -696,17 +707,13 @@ def attention(q, kt, v, k_norm):
     return _node(out, (q, kt, v), vjp)
 
 
-def _kernel_row_blocks(n, c):
-    """Block plan of ``dynamic_filter``'s d(K) for n rows and C channels:
-    slices of kernel rows, budget // (8 n C) per block, whose [n, rows C]
-    columns of d(K) fit in the budget (at least one kernel row)."""
-    return _spans(c, max(1, _BLOCK_BYTES // (8 * n * c)))
-
-
 def _filter_row_blocks(n, c):
-    """Row blocks of ``dynamic_filter``'s forward, budget // (8 C²) rows
-    (at least two, `_gemm_row_blocks`)."""
-    return _gemm_row_blocks(n, max(2, _BLOCK_BYTES // (8 * c * c)))
+    """Row plans of ``dynamic_filter`` for n rows and C channels: (forward,
+    d_x), blocks of rows whose generated [rows, C, C] kernels fit
+    `_BLOCK_BYTES` in the forward and 2 `_TILE_BYTES` in the vjp's d(x)
+    (at least two rows, `_gemm_row_blocks`)."""
+    return tuple(_gemm_row_blocks(n, max(2, budget // (8 * c * c)))
+                 for budget in (_BLOCK_BYTES, 2 * _TILE_BYTES))
 
 
 def dynamic_filter(x, z, w, b):
@@ -724,17 +731,22 @@ def dynamic_filter(x, z, w, b):
     one and two threads, and every row's product equals the dense
     composition's bit for bit.
 
-    The vjp regenerates each block's kernels for that block's d(x). It
-    never holds the [N, C²] d(K), whose column i C + j is x[:, i] g[:, j]:
-    it makes the columns of one block of `_kernel_row_blocks` at a time and
-    reduces them into d(b) and the matching rows of d(w), each summing all
-    N rows in one product. So d(x) and d(b) equal the dense composition's
-    bit for bit, and d(w) does wherever BLAS gives a block's rows the values
-    of those rows of the whole product. OpenBLAS does, for blocks of 4 to
-    640 columns, when the block is taken as d(K)ᵀ @ z; taken as zᵀ @ d(K),
-    its small-matrix kernel gave a 4-column block other last bits (~4e-15).
-    d(z) adds up the blocks' products, so it differs from the dense
-    d(K) @ w in the last bits.
+    The vjp holds at most a few [N, C] arrays besides the tape. For d(x) it
+    generates the kernels again, in the smaller blocks of the second plan
+    of `_filter_row_blocks`; each row's kernel and its product with the
+    row's gradient are those of the forward's block and of the dense
+    composition, so d(x) keeps their bits. It never holds the [N, C²]
+    d(K), whose column i C + j is x[:, i] g[:, j]: it makes the [N, C]
+    columns of one kernel row i at a time and reduces them into d(b) and
+    the matching rows of d(w), each summing all N rows in one product. So
+    d(b) equals the dense composition's bit for bit, as long as g is
+    row-major (the vjp copies it if not: a column-major g, as a transpose
+    passes it, changed d(b)'s bits), and d(w) does wherever BLAS gives a
+    block's rows the values of those rows of the whole product. OpenBLAS
+    does, for blocks of 4 to 640 columns, when the block is taken as
+    d(K)ᵀ @ z; taken as zᵀ @ d(K), its small-matrix kernel gave a 4-column
+    block other last bits (~4e-15). d(z) adds up the kernel rows'
+    products, so it differs from the dense d(K) @ w in the last bits.
     """
     vx = np.ascontiguousarray(val(x))
     vz, vw, vb = val(z), val(w), val(b)
@@ -751,7 +763,7 @@ def dynamic_filter(x, z, w, b):
     wb = np.empty((c * c, d + 1), dtype=dtype)
     wb[:, :d] = vw
     wb[:, d] = vb
-    row_blocks = _filter_row_blocks(n, c)
+    row_blocks, dx_blocks = _filter_row_blocks(n, c)
 
     def kernels(rows):
         zb = np.empty((rows.stop - rows.start, d + 1), dtype=dtype)
@@ -767,7 +779,7 @@ def dynamic_filter(x, z, w, b):
         g3 = np.ascontiguousarray(g).reshape(n, 1, c)
         if x_node is not None:
             dx = np.empty_like(out)
-            for r in row_blocks:
+            for r in dx_blocks:
                 dx[r] = np.matmul(g3[r], kernels(r).swapaxes(-1, -2))[:, 0]
             _accum(x_node, dx)
         if z_node is None and w_node is None and b_node is None:
@@ -775,17 +787,17 @@ def dynamic_filter(x, z, w, b):
         db = np.empty(c * c, dtype=out.dtype)
         dw = np.empty(vw.shape, dtype=out.dtype)
         dz = None if z_node is None else np.zeros(np.shape(vz), out.dtype)
-        for rows in _kernel_row_blocks(n, c):
-            cols = slice(rows.start * c, rows.stop * c)
+        for i in range(c):
+            cols = slice(i * c, (i + 1) * c)
             # the [N, 1] x [1, C] products that the dense d(K) holds, exactly
-            dkb = (vx[:, rows, None] * g3).reshape(n, -1)
+            dkb = vx[:, i, None] * g3[:, 0]
             if b_node is not None:
                 db[cols] = dkb.sum(axis=0)
             if w_node is not None:
                 dw[cols] = dkb.T @ vz
             if dz is not None:
                 dz += dkb @ vw[cols]
-            del dkb  # before the next block's columns are made
+            del dkb  # before the next kernel row's columns are made
         _accum(b_node, db)
         _accum(w_node, dw)
         _accum(z_node, dz)
@@ -819,10 +831,16 @@ def _bilinear(rows, H, W, vx, vy, d_map, d_x, d_y):
     vjp of the inputs whose flag is set.
 
     Returns (samples [N, C], valid [N], back). back(g) returns the gradients
-    (map [C, H, W], xs, ys), None where the flag is off. It keeps the corner
-    indices and weights, the mask, and the [N, C] corner difference d/dx
-    (when d_x) and d/dy (when d_y), not the four [N, C] corner gathers,
-    whose memory the output's terms reuse.
+    (map [C, H, W], xs, ys), None where the flag is off. It keeps the
+    top-left corner's row index, the weights, the mask, and the [N, C]
+    corner difference d/dx (when d_x) and d/dy (when d_y), not the four
+    [N, C] corner gathers, whose memory the output's terms reuse. The other
+    corners are that index plus a step of 0, sx, sy and sx + sy rows: x0 is
+    at most W - 2, so the right corner is one row on (sx = 1) unless the
+    map is one column wide (x0 = x1 = 0, sx = 0), and likewise the lower
+    corner W rows on (sy = W, or 0 for one row). Those are the rows of
+    (x1, y1) = (min(x0 + 1, W - 1), min(y0 + 1, H - 1)), so the vjp
+    scatters into the same rows as with four kept index arrays.
     """
     C = rows.shape[1]
     valid = (vx >= 0) & (vx <= W - 1) & (vy >= 0) & (vy <= H - 1)
@@ -831,15 +849,16 @@ def _bilinear(rows, H, W, vx, vy, d_map, d_x, d_y):
     yc = np.clip(np.nan_to_num(vy), 0.0, H - 1.0)
     x0 = np.minimum(np.floor(xc), max(W - 2, 0)).astype(np.intp)
     y0 = np.minimum(np.floor(yc), max(H - 2, 0)).astype(np.intp)
-    x1 = np.minimum(x0 + 1, W - 1)
-    y1 = np.minimum(y0 + 1, H - 1)
     fx = (xc - x0)[:, None]  # [N, 1] weight columns
     fy = (yc - y0)[:, None]
     gx = 1 - fx
     gy = 1 - fy
-    corners = (y0 * W + x0, y0 * W + x1, y1 * W + x0, y1 * W + x1)
+    base = y0 * W + x0
+    sx = 1 if W > 1 else 0
+    sy = W if H > 1 else 0
+    steps = (0, sx, sy, sy + sx)
 
-    v00, v01, v10, v11 = (rows[r] for r in corners)  # [N, C]
+    v00, v01, v10, v11 = (rows[base + s] for s in steps)  # [N, C]
     ddx = ddy = None
     if d_x:  # (v01 - v00) gy + (v11 - v10) fy
         ddx = np.subtract(v01, v00)
@@ -871,8 +890,9 @@ def _bilinear(rows, H, W, vx, vy, d_map, d_x, d_y):
             # one flat scatter per corner, at element r C + c of the rows
             acc = np.zeros(H * W * C)
             chans = np.arange(C)
-            for r, w in zip(corners, ((1 - fx) * (1 - fy), fx * (1 - fy),
-                                      (1 - fx) * fy, fx * fy)):
+            for s, w in zip(steps, ((1 - fx) * (1 - fy), fx * (1 - fy),
+                                    (1 - fx) * fy, fx * fy)):
+                r = base + s
                 np.add.at(acc, (r[:, None] * C + chans).ravel(),
                           (gv * w).ravel())
             gmap = acc.reshape(H * W, C).T.reshape(C, H, W)
@@ -993,7 +1013,8 @@ def sample_pool(levels, lanes, weights):
             col = j * n_h + i
             if dw is not None:
                 dw[:, col] += (g * mean).sum(axis=1)
-            g_sum = g * vw[:, col].reshape(n, 1) / denom
+            g_sum = g * vw[:, col].reshape(n, 1)
+            g_sum /= denom
             for back, idx, stride, map_node, x_node, y_node in backs:
                 dmap, dx, dy = back(g_sum[idx])
                 _accum(map_node, dmap)

@@ -470,7 +470,7 @@ def check_adaptive_project_blocked(rng):
     cells must split into several blocks with a ragged last one."""
     C, H = 32, 50
     n = H * H
-    blocks = ad._filter_row_blocks(n, C)
+    blocks = ad._filter_row_blocks(n, C)[0]
     rows = blocks[0].stop
     assert len(blocks) > 1 and n % rows, (
         f"{n} cells in blocks of {rows} do not give several blocks with a "
@@ -636,7 +636,10 @@ def check_adaptive_sampling_grad(rng):
 
 def check_adaptive_projection_grad(rng):
     """Gradients of adaptive projection followed by fusion, with the cells
-    and the kernel gradient's rows in several blocks."""
+    in several blocks and the kernel gradient one kernel row at a time.
+    The 64 cells run in blocks of 10 (6 x 10 + 4) in the projection's
+    forward, and of 20 (3 x 20 + 4) in its d(x) and in the fusion: each
+    plan must have several blocks with a ragged last one."""
     params, lidar, pyramids, cams, g = random_vt_instance(
         rng, C=4, H=8, n_h=2, n_s=1)
     bev_as = rng.normal(size=(4, 8, 8))
@@ -646,9 +649,12 @@ def check_adaptive_projection_grad(rng):
         fused = fuse_bev(t["params"], cam_bev, t["lidar"])
         return ad.sum_(ad.mul(fused, 0.2))
 
-    # the 64 cells in blocks of 10 (6 x 10 + 4) for the projection and of
-    # 20 (3 x 20 + 4) for the fusion, d(K) one kernel row at a time
     with block_bytes(8 * 4 * 4 * 10):
+        for blocks in ad._filter_row_blocks(64, 4):
+            rows = blocks[0].stop
+            assert len(blocks) > 1 and 64 % rows, (
+                f"64 cells in blocks of {rows} do not give several blocks "
+                "with a ragged last one")
         worst = gradcheck(loss, {"params": params, "bev_as": bev_as,
                                  "lidar": lidar})
     return f"worst rel err {worst:.2e}"

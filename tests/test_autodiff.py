@@ -500,48 +500,70 @@ def test_dynamic_filter_memory_is_bounded_by_its_blocks(rng):
         ad.dynamic_filter(x, z, w, b)
     # one block of kernels and the output
     assert forward.peak < ad._BLOCK_BYTES + 2 * x.nbytes < dense / 20
-    # the generator's gradients, as in a fit (whose LiDAR rows are plain):
-    # one block of d(K) columns at a time
+    # the generator's gradients alone: one kernel row of d(K) at a time
     out = ad.dynamic_filter(x, z, ad.Var(w), ad.Var(b))
     g = np.ones(out.data.shape)
     with tracemalloc_peak() as backward:
         out.node.vjp(g)
     assert backward.peak < ad._BLOCK_BYTES + x.nbytes < dense / 20
+    # at the 96 x 96 grid of perfbench's fit, traced as a fit traces it
+    # (the rows x too) and with g column-major, as `chw_to_cells` passes
+    # it: the vjp holds d(x), g's row-major copy and one kernel row of
+    # d(K), [N, C] each, and one block of the kernels that d(x) generates
+    # again. A block of the forward's 1,024 rows of kernels alone takes
+    # 8.4 MB, more than that bound
+    n = 96 * 96
+    x, z = x[:n], z[:n]
+    out = ad.dynamic_filter(ad.Var(x), z, ad.Var(w), ad.Var(b))
+    g = np.ones((c, n)).T
+    with tracemalloc_peak() as backward:
+        out.node.vjp(g)
+    bound = 3 * x.nbytes + 2 * ad._TILE_BYTES
+    assert backward.peak < bound < 8 * 1024 * c * c
 
 
-def _concat_linear_and_grads(base, w, b, g, fused):
+def _concat_linear_and_grads(base, w, b, g, fused, plain_part=None):
     """Output and the gradients of both parts, the weight and the bias of
     sum(yᵀ * g) for y = [p_1 | p_2] wᵀ + b, by ``ad.concat_linear`` or by
-    ``ad.concat`` and `linear_apply`. Backward reaches y through a
+    ``ad.concat`` and `linear_apply`. The part numbered plain_part is a
+    plain array, whose gradient is None. Backward reaches y through a
     transpose, as `tensor.cells_to_chw` does in `fuse_bev`."""
-    leaves = [ad.Var(x) for x in (*base, w, b)]
-    p1, p2, wv, bv = leaves
+    p1, p2 = (x if i == plain_part else ad.Var(x) for i, x in enumerate(base))
+    wv, bv = ad.Var(w), ad.Var(b)
     if fused:
         y = ad.concat_linear([p1, p2], wv, bv)
     else:
         y = linear_apply(LinearMap(wv, bv), ad.concat([p1, p2], axis=1))
     ad.sum_(ad.mul(ad.transpose(y, (1, 0)), g)).backward()
-    return [y.data] + [leaf.grad for leaf in leaves]
+    return [y.data] + [x.grad if isinstance(x, ad.Var) else None
+                       for x in (p1, p2, wv, bv)]
 
 
-@pytest.mark.parametrize("n, blocks", [(14, [4, 4, 4, 2]), (13, [4, 4, 5])],
-                         ids=["ragged-last-block", "one-row-tail-joined"])
-def test_concat_linear_is_concat_then_linear_bit_for_bit(rng, n, blocks):
+@pytest.mark.parametrize(
+    "n, blocks, plain_part",
+    [(14, [4, 4, 4, 2], None), (13, [4, 4, 5], None), (14, [4, 4, 4, 2], 1)],
+    ids=["ragged-last-block", "one-row-tail-joined", "second-part-plain"])
+def test_concat_linear_is_concat_then_linear_bit_for_bit(rng, n, blocks,
+                                                         plain_part):
     # parts of 3 and 5 columns: 64 bytes a row, so a 256-byte budget makes
     # blocks of 4 rows; the parts are column-major, as `chw_to_cells` makes
-    # them
+    # them. A plain second part is the fusion's LiDAR rows in a fit: the
+    # vjp then makes only the first part's columns of g w
     base = [rng.normal(size=(d, n)).T for d in (3, 5)]
     w, b = rng.normal(size=(6, 8)), rng.normal(size=6)
     g = rng.normal(size=(6, n))
     with block_bytes(256):
         assert [r.stop - r.start for r in ad._gemm_row_blocks(n, 4)] == blocks
-        fused = _concat_linear_and_grads(base, w, b, g, fused=True)
+        fused = _concat_linear_and_grads(base, w, b, g, True, plain_part)
         plain = ad.concat_linear(base, w, b)
-    composed = _concat_linear_and_grads(base, w, b, g, fused=False)
+    composed = _concat_linear_and_grads(base, w, b, g, False, plain_part)
     assert isinstance(plain, np.ndarray)
     assert np.array_equal(plain, composed[0])
     for name, a, c in zip(("y", "p1", "p2", "w", "b"), fused, composed):
-        assert np.array_equal(a, c), name
+        if plain_part is not None and name == f"p{plain_part + 1}":
+            assert a is None and c is None, name
+        else:
+            assert np.array_equal(a, c), name
 
 
 def test_concat_linear_rejects_mismatched_shapes(rng):
@@ -613,14 +635,17 @@ def test_bilinear_gather_nan_point_zero():
 
 def _corner_formula(fmap, xs, ys, g):
     """Bilinear samples of fmap at (xs, ys) and the gradients of
-    sum(samples * g) for fmap, xs and ys, from the four corner gathers."""
+    sum(samples * g) for fmap, xs and ys, from the four corner gathers at
+    (x0, y0) and (x1, y1) = (min(x0 + 1, W - 1), min(y0 + 1, H - 1)), x0
+    and y0 clamped to W - 2 and H - 2 but not below 0: a map one column
+    (row) wide takes its one column (row) as both corners."""
     C, H, W = fmap.shape
     valid = (xs >= 0) & (xs <= W - 1) & (ys >= 0) & (ys <= H - 1)
     xc = np.clip(np.nan_to_num(xs), 0.0, W - 1.0)
     yc = np.clip(np.nan_to_num(ys), 0.0, H - 1.0)
-    x0 = np.minimum(np.floor(xc), W - 2).astype(np.intp)
-    y0 = np.minimum(np.floor(yc), H - 2).astype(np.intp)
-    x1, y1 = x0 + 1, y0 + 1
+    x0 = np.minimum(np.floor(xc), max(W - 2, 0)).astype(np.intp)
+    y0 = np.minimum(np.floor(yc), max(H - 2, 0)).astype(np.intp)
+    x1, y1 = np.minimum(x0 + 1, W - 1), np.minimum(y0 + 1, H - 1)
     fx, fy = xc - x0, yc - y0
     v00, v01 = fmap[:, y0, x0], fmap[:, y0, x1]
     v10, v11 = fmap[:, y1, x0], fmap[:, y1, x1]
@@ -665,6 +690,35 @@ def test_bilinear_gather_keeps_only_corner_differences(rng, traced):
     ad.sum_(ad.mul(out, g)).backward()
     for name in traced:
         assert np.array_equal(args[name].grad, ref[name]), name
+
+
+@pytest.mark.parametrize("h, w", [(1, 6), (5, 1), (1, 1)],
+                         ids=["one-row", "one-column", "one-cell"])
+def test_bilinear_gather_on_a_map_one_cell_wide(rng, h, w):
+    # a map one row (column) wide steps 0 rows to its lower (right)
+    # corners. 40 points on the map's segment, the last four just off it,
+    # one past each side: samples and every gradient equal the corner
+    # formula's bit for bit, and central differences in the map and in
+    # the coordinate that has room to move
+    c, m = 3, 40
+    fmap = rng.normal(size=(c, h, w))
+    xs = rng.uniform(0.0, w - 1.0, size=m)
+    ys = rng.uniform(0.0, h - 1.0, size=m)
+    xs[-4:-2] = [-0.25, w - 0.75]
+    ys[-2:] = [-0.25, h - 0.75]
+    g = rng.normal(size=(m, c))
+    ref = _corner_formula(fmap, xs, ys, g)
+    leaves = {"fmap": ad.Var(fmap), "xs": ad.Var(xs), "ys": ad.Var(ys)}
+    out = ad.bilinear_gather(leaves["fmap"], leaves["xs"], leaves["ys"])
+    assert not out.data[-4:].any() and out.data[:-4].all()
+    assert np.array_equal(out.data, ref["out"])
+    ad.sum_(ad.mul(out, g)).backward()
+    for name, leaf in leaves.items():
+        assert np.array_equal(leaf.grad, ref[name]), name
+    smooth = {"fmap": fmap, **({"xs": xs} if w > 1 else {}),
+              **({"ys": ys} if h > 1 else {})}
+    gradcheck(lambda t: ad.sum_(ad.mul(ad.bilinear_gather(
+        t["fmap"], t.get("xs", xs), t.get("ys", ys)), g)), smooth)
 
 
 def test_backward_frees_each_inner_gradient(rng):

@@ -14,7 +14,6 @@ from bevlab import decoder, verify, view_transform
 
 _attention_blocks = ad._attention_blocks
 _bilinear = ad._bilinear
-_kernel_row_blocks = ad._kernel_row_blocks
 _query_blocks = decoder._query_blocks
 _sample_pool = ad.sample_pool
 _adaptive_sample = verify.adaptive_sample
@@ -74,10 +73,6 @@ def vjp_of_minus_g(op):
 
 def pool_without_d_weights(levels, lanes, weights):
     return _sample_pool(levels, lanes, ad.val(weights))
-
-
-def kernel_rows_without_last_block(n, c):
-    return _kernel_row_blocks(n, c)[:-1]
 
 
 def query_blocks_without_the_last(nq, params):
@@ -157,8 +152,8 @@ MUTANTS = {
         ad, "_bilinear", gather_at_half_coordinates,
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-right-corner-is-left": (
-        ad, "_bilinear", mutated(ad._bilinear,
-                                 "x1 = np.minimum(x0 + 1, W - 1)", "x1 = x0"),
+        ad, "_bilinear", mutated(ad._bilinear, "sx = 1 if W > 1 else 0",
+                                 "sx = 0"),
         verify.check_vt_equivalence, "max deviation"),
     "vt-gather-vjp-negates-d-dx": (
         ad, "_bilinear", gather_with_negated_d_dx,
@@ -177,7 +172,14 @@ MUTANTS = {
                                  "r[:, None] * C + chans[::-1]"),
         verify.check_decoder_layer_grad, "gradient rel err"),
     "dynamic-filter-vjp-skips-last-kernel-rows": (
-        ad, "_kernel_row_blocks", kernel_rows_without_last_block,
+        ad, "dynamic_filter", mutated(ad.dynamic_filter,
+                                      "for i in range(c):",
+                                      "for i in range(c - 1):"),
+        verify.check_adaptive_projection_grad, "gradient rel err"),
+    "dynamic-filter-vjp-skips-last-dx-block": (
+        ad, "dynamic_filter", mutated(ad.dynamic_filter,
+                                      "for r in dx_blocks:",
+                                      "for r in dx_blocks[:-1]:"),
         verify.check_adaptive_projection_grad, "gradient rel err"),
     "dynamic-filter-vjp-untransposed-kernel-for-d-x": (
         ad, "dynamic_filter", mutated(ad.dynamic_filter,

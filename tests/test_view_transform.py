@@ -248,13 +248,19 @@ class TestAdaptiveProject:
                              [(4, 6, 7), (32, 40, 64), (32, 40, None)])
     def test_equals_the_dense_chain_bit_for_bit(self, rng, monkeypatch,
                                                 C, H, rows):
-        # rows per block: 7 splits 36 cells as 4 x 7 + 8 (the one-row tail
-        # joins the last block) and d(K) into 4-column blocks; 64 splits
-        # 1,600 cells as 25 x 64 and d(K) into blocks of one kernel row (32
-        # columns), as a DEFAULTS fit does; None keeps the budget, which
-        # splits the cells as 1,024 + 576 and d(K) as 640 + 384 columns
+        # rows per forward block, under budgets that make d(x)'s blocks
+        # twice as long (a one-row tail joins the last block); None keeps
+        # the budgets, whose d(x) blocks of 128 cells a fit runs. d(K) is
+        # made one kernel row (C columns) at a time
         if rows is not None:
             monkeypatch.setattr(ad, "_BLOCK_BYTES", 8 * C * C * rows)
+            monkeypatch.setattr(ad, "_TILE_BYTES", 8 * C * C * rows)
+        n = H * H
+        assert [[r.stop - r.start for r in plan] for plan in
+                ad._filter_row_blocks(n, C)] == {
+            7: [[7, 7, 7, 7, 8], [14, 14, 8]],
+            64: [[64] * 25, [128] * 12 + [64]],
+            None: [[1024, 576], [128] * 12 + [64]]}[rows]
         p = self.make_params(C, LinearMap(rng.normal(size=(C * C, C)),
                                           rng.normal(size=C * C)))
         bev, lidar = rng.normal(size=(2, C, H, H))
@@ -269,8 +275,8 @@ class TestAdaptiveProject:
                             "d_kernel_b": kernel_gen.bias.grad,
                             "d_kernel_w": kernel_gen.weight.grad,
                             "d_lidar": lifted[2].grad})
-        # d(lidar) adds up d(K) @ w over blocks of kernel rows, so only it
-        # may differ in the last bits
+        # d(lidar) adds up d(K) @ w over the kernel rows, so only it may
+        # differ in the last bits
         fast, dense = results
         for name in fast:
             if name == "d_lidar":
